@@ -1,6 +1,6 @@
 """Shared configuration of the benchmark harness.
 
-Every benchmark regenerates one experiment of DESIGN.md §3 at a reduced —
+Every benchmark regenerates one experiment of the paper at a reduced —
 but still representative — scale, prints the paper-style table (run pytest
 with ``-s`` to see it) and checks the expected qualitative shape.  The
 full-scale figures are produced by ``python -m repro.experiments.report``.

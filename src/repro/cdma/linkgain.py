@@ -6,7 +6,10 @@ per pair would be prohibitively slow for hundreds of users, so this module
 maintains the three gain components as NumPy arrays of shape
 ``(num_mobiles, num_cells)``:
 
-* ``path_gain`` — recomputed from the wrap-around distances each update;
+* ``path_gain`` — recomputed from the wrap-around distances each update
+  (the map keeps the population's :class:`NearestImages` record, so only
+  mobiles that left their certified region are re-minimised over the
+  wrap-around images);
 * ``shadowing_db`` — correlated log-normal shadowing advanced with the exact
   Gudmundson AR(1) update driven by the distance each mobile moved, with a
   configurable inter-site correlation (a common per-mobile component);
@@ -26,7 +29,7 @@ import numpy as np
 
 from repro import constants
 from repro.channel.pathloss import LogDistancePathLoss, PathLossModel
-from repro.geometry.hexgrid import HexagonalCellLayout
+from repro.geometry.hexgrid import HexagonalCellLayout, NearestImages
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["LinkGainMap"]
@@ -92,6 +95,9 @@ class LinkGainMap:
         )
         self._path_gain = np.ones(shape, dtype=float)
         self._distances = np.ones(shape, dtype=float)
+        # Winning wrap-around images per link: the map owns them because a
+        # layout may be shared by several maps.
+        self._images = NearestImages(self.num_mobiles, self.num_cells)
         # Per-frame cache of the local-mean gain matrix: building it involves
         # a 10**(dB/10) over (J, K), and both the hand-off update and the
         # power-control snapshot need it every frame.  Invalidated whenever
@@ -107,7 +113,10 @@ class LinkGainMap:
         """Recompute path gains for the given mobile ``positions`` (no fading update)."""
         positions = np.asarray(positions, dtype=float).reshape(self.num_mobiles, 2)
         if self.num_mobiles > 0:
-            np.copyto(self._distances, self.layout.distances_to_all_batch(positions))
+            np.copyto(
+                self._distances,
+                self.layout.distances_to_all_batch(positions, images=self._images),
+            )
         self._path_gain = np.asarray(self.path_loss.gain(self._distances), dtype=float)
         self._local_mean_cache = None
 
@@ -160,6 +169,15 @@ class LinkGainMap:
             self._fading = rho * self._fading + math.sqrt(1.0 - rho * rho) * w
 
         self.set_positions(positions)
+
+    @property
+    def image_refreshes(self) -> int:
+        """Mobiles re-minimised over the wrap-around images so far (cumulative).
+
+        Every mobile is counted once by the first :meth:`set_positions`;
+        afterwards only mobiles that moved at least their certified slack.
+        """
+        return self._images.refreshes
 
     # -- gain queries -----------------------------------------------------------------
     @property

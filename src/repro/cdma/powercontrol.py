@@ -8,6 +8,11 @@ created by everybody else.  This fixed point is computed with the standard
 interference-function iteration (Yates), which converges monotonically and is
 vectorised over all mobiles/cells.
 
+Only mobiles whose FCH carries traffic take part in the fixed point (about
+a fifth of the population in the paper's scenarios), so both solvers gather
+those rows once per solve, iterate on them alone and scatter the result back
+into the full-size outputs.
+
 Forward and reverse links are power-limited and interference-limited
 respectively (Section 3.1), and are therefore handled by separate solvers:
 
@@ -293,6 +298,16 @@ class ReverseLinkPowerControl:
             the same fixed point from any non-negative start; a warm start
             merely cuts the number of Yates iterations on quasi-static
             frames.  Omitted = cold start from the noise floor.
+
+        Notes
+        -----
+        The Yates iterations run on the connectable rows only (active, with
+        a nonzero serving-cell gain); every other mobile transmits nothing.
+        Dropping those rows is exact: a zero row adds exact zeros to the
+        per-cell column sums, which NumPy accumulates row by row for
+        ``K >= 2``.  With a single cell NumPy sums the contiguous ``(J, 1)``
+        column pairwise instead, so for ``K == 1`` the totals may differ
+        from a full-row sweep in the last bits.
         """
         gains = np.asarray(gains, dtype=float)
         num_mobiles, num_cells = gains.shape
@@ -314,7 +329,6 @@ class ReverseLinkPowerControl:
 
         q = self.ebio_target * rate / self.processing_gain
         own_gain = gains[np.arange(num_mobiles), serving]
-        tx = np.zeros(num_mobiles, dtype=float)
         if initial_total_power_w is None:
             totals = noise + extra
         else:
@@ -335,7 +349,6 @@ class ReverseLinkPowerControl:
         # reproducible bit-for-bit.
         accelerate = initial_total_power_w is not None
         prev_delta: Optional[float] = None
-        received = np.empty_like(gains)
         if accelerate and num_mobiles > 0:
             # Refine the warm guess with the direct active-set solve of the
             # (piecewise) linear fixed point; the Yates loop below then
@@ -351,19 +364,26 @@ class ReverseLinkPowerControl:
                 initial=totals,
             )
 
+        # The rows that transmit, gathered once for the whole iteration.
+        rows = np.flatnonzero(connectable)
+        row_gains = gains[rows]
+        row_serving = serving[rows]
+        row_q_fraction = q_fraction[rows]
+        row_own_gain_safe = own_gain_safe[rows]
+        row_tx = np.zeros(rows.size)
+        received = np.empty_like(row_gains)
         for iteration in range(self.iterations):
             iterations_done = iteration + 1
             # Received FCH power needed at the serving cell so that
             # (pg / rate) * S / (L - S) = target  =>  S = (q / (1 + q)) * L.
-            required_rx = q_fraction * totals[serving]
-            new_tx = np.where(connectable, required_rx / own_gain_safe, 0.0)
+            required_rx = row_q_fraction * totals[row_serving]
             # Power limit applies to FCH plus pilot overhead.
-            new_tx = np.minimum(new_tx, tx_cap)
-            np.multiply(gains, (new_tx * overhead)[:, np.newaxis], out=received)
+            new_tx = np.minimum(required_rx / row_own_gain_safe, tx_cap)
+            np.multiply(row_gains, (new_tx * overhead)[:, np.newaxis], out=received)
             new_totals = noise_extra + received.sum(axis=0)
             delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
             step = new_totals - totals
-            tx, totals = new_tx, new_totals
+            row_tx, totals = new_tx, new_totals
             if delta < self.tolerance:
                 break
             # Never extrapolate on the final iteration: a capped solve must
@@ -381,6 +401,8 @@ class ReverseLinkPowerControl:
                 else:
                     prev_delta = delta
 
+        tx = np.zeros(num_mobiles)
+        tx[rows] = row_tx
         received = tx * own_gain
         interference = totals[serving] - received
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -488,6 +510,14 @@ class ForwardLinkPowerControl:
             frame's solution), shape ``(K,)``.  Converges to the same fixed
             point; cuts iterations on quasi-static frames.  Omitted = cold
             start from the common-channel floor.
+
+        Notes
+        -----
+        The Yates iterations and the final Eb/Io run on the active rows only;
+        inactive mobiles get no allocation and a ``nan`` Eb/Io.  As on the
+        reverse link this is exact for ``K >= 2`` (zero rows add exact zeros
+        to the per-cell sums, accumulated row by row), while for ``K == 1``
+        the pairwise sum of the ``(J, 1)`` column may move the last bits.
         """
         gains = np.asarray(gains, dtype=float)
         num_mobiles, num_cells = gains.shape
@@ -508,35 +538,25 @@ class ForwardLinkPowerControl:
         if np.any(rate <= 0.0) or np.any(rate > 1.0):
             raise ValueError("rate_factor entries must lie in (0, 1]")
 
-        legs = active_set.sum(axis=1)
-        legs = np.maximum(legs, 1)
-        alloc = np.zeros((num_mobiles, num_cells), dtype=float)
         if initial_total_power_w is None:
             totals = base + extra
         else:
             totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
             if np.any(totals < 0.0):
                 raise ValueError("initial_total_power_w must be non-negative")
-        serving = np.argmax(np.where(active_set, gains, -np.inf), axis=1)
         iterations_done = 0
-        q = self.ebio_target * rate / self.processing_gain
-        # Loop invariants and reused iteration buffers.
-        rows = np.arange(num_mobiles)
-        allocatable = active_set & active[:, np.newaxis] & (gains > 0.0)
-        gains_safe = np.maximum(gains, 1e-300)
         own_fraction = 1.0 - self.orthogonality_factor
         base_extra = base + extra
-        received_all = np.empty_like(gains)
         # Same warm-start acceleration as the reverse link (see there).
         accelerate = initial_total_power_w is not None
         prev_delta: Optional[float] = None
         if accelerate and num_mobiles > 0:
             totals = _forward_direct_seed(
                 gains=gains,
-                serving=serving,
-                allocatable=allocatable,
-                q=q,
-                legs=legs,
+                serving=np.argmax(np.where(active_set, gains, -np.inf), axis=1),
+                allocatable=active_set & active[:, np.newaxis] & (gains > 0.0),
+                q=self.ebio_target * rate / self.processing_gain,
+                legs=np.maximum(active_set.sum(axis=1), 1),
                 own_fraction=own_fraction,
                 mobile_noise_power_w=self.mobile_noise_power_w,
                 base_extra=base_extra,
@@ -546,13 +566,27 @@ class ForwardLinkPowerControl:
                 initial=totals,
             )
 
+        # The active rows, gathered once; loop invariants and reused buffers.
+        rows = np.flatnonzero(active)
+        row_gains = gains[rows]
+        row_set = active_set[rows]
+        row_rate = rate[rows]
+        legs = np.maximum(row_set.sum(axis=1), 1)
+        serving = np.argmax(np.where(row_set, row_gains, -np.inf), axis=1)
+        q = self.ebio_target * row_rate / self.processing_gain
+        own_index = np.arange(rows.size)
+        allocatable = row_set & (row_gains > 0.0)
+        gains_safe = np.maximum(row_gains, 1e-300)
+        received_all = np.empty_like(row_gains)
+        row_alloc = np.zeros_like(row_gains)
+
         with np.errstate(divide="ignore"):
             for iteration in range(self.iterations):
                 iterations_done = iteration + 1
                 # Interference seen by each mobile: other-cell power fully,
                 # own (strongest-leg) cell scaled by the orthogonality factor.
-                np.multiply(gains, totals[np.newaxis, :], out=received_all)
-                own = received_all[rows, serving]
+                np.multiply(row_gains, totals[np.newaxis, :], out=received_all)
+                own = received_all[own_index, serving]
                 interference = (
                     received_all.sum(axis=1)
                     - own_fraction * own
@@ -578,7 +612,7 @@ class ForwardLinkPowerControl:
                     np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)
                 ).max()
                 step = new_totals - totals
-                alloc, totals = new_alloc, new_totals
+                row_alloc, totals = new_alloc, new_totals
                 if delta < self.tolerance:
                     break
                 # See the reverse link: no jump on the final iteration, so a
@@ -594,22 +628,24 @@ class ForwardLinkPowerControl:
                         prev_delta = delta
 
         # Achieved Eb/Io with the final allocation.
-        received_all = gains * totals[np.newaxis, :]
-        own = received_all[rows, serving]
+        received_all = row_gains * totals[np.newaxis, :]
+        own = received_all[own_index, serving]
         interference = (
             received_all.sum(axis=1)
             - (1.0 - self.orthogonality_factor) * own
             + self.mobile_noise_power_w
         )
-        received_fch = (alloc * gains).sum(axis=1)
+        received_fch = (row_alloc * row_gains).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            achieved = np.where(
-                active,
-                (self.processing_gain / rate)
+            row_achieved = (
+                (self.processing_gain / row_rate)
                 * received_fch
-                / np.maximum(interference, 1e-300),
-                np.nan,
+                / np.maximum(interference, 1e-300)
             )
+        alloc = np.zeros((num_mobiles, num_cells))
+        alloc[rows] = row_alloc
+        achieved = np.full(num_mobiles, np.nan)
+        achieved[rows] = row_achieved
         # Outage definition: more than ~1.25 dB below the Eb/Io target.  Small
         # shortfalls caused by the proportional scaling of a momentarily
         # saturated cell are absorbed by the link margin and interleaving and

@@ -3,11 +3,16 @@
 :class:`SystemConfig` bundles every physical-layer, radio-network and MAC
 parameter of the reproduction.  All experiments build their scenarios from a
 (possibly tweaked) ``SystemConfig`` so the parameter values used for every
-figure/table are recorded in one place (see EXPERIMENTS.md).
+figure/table live in a few places: the scenario of every dynamic experiment in
+:func:`repro.experiments.common.paper_scenario` and its traffic in
+:func:`~repro.experiments.common.paper_traffic`, the scale of every
+experiment in :func:`repro.experiments.report.full_report` and
+:func:`~repro.experiments.report.quick_report`.
 
 The defaults follow the cdma2000 SR1 assumptions of the paper's references
-[1, 2]; parameters that the paper leaves to its companion technical report are
-marked in DESIGN.md §5.
+[1, 2]; the parameters that the paper leaves to its companion technical report
+(propagation, power budgets, power control, hand-off) are the defaults of
+:class:`RadioConfig`, each documented on its field.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper's own evaluation section defers the numeric results to a companion
 technical report, but it states the evaluation methodology (dynamic
 simulations with user mobility, power control and soft hand-off) and the
 reported metrics (average packet delay, data user capacity, coverage).  Each
-module here regenerates one of the experiments defined in DESIGN.md §3:
+module here regenerates one of the paper's experiments:
 
 ========  ==================================================================
 ID        Module

@@ -228,7 +228,8 @@ def paper_traffic() -> TrafficConfig:
 
     Heavier than the library default so the interesting (contention) region
     of the delay-vs-load curves is reached with a moderate number of data
-    users per cell; the exact values are recorded in EXPERIMENTS.md.
+    users per cell; every dynamic experiment uses these values through
+    :func:`paper_scenario`.
     """
     return TrafficConfig(
         mean_reading_time_s=2.0,

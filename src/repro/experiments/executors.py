@@ -45,6 +45,7 @@ bit-identically to a fault-free serial run (the chaos suite locks this).
 from __future__ import annotations
 
 import random
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -59,6 +60,7 @@ __all__ = [
     "SerialExecutor",
     "PoolExecutor",
     "ResilientExecutor",
+    "reset_worker_signals",
     "retry_backoff_delay",
 ]
 
@@ -207,6 +209,20 @@ class SerialExecutor(Executor):
         self._stop_requested = True
 
 
+def reset_worker_signals() -> None:
+    """Restore the default action of SIGINT and SIGTERM in a forked worker.
+
+    A worker forked while :meth:`Campaign.run` has its interrupt handler
+    installed inherits that Python-level handler.  Python runs it only
+    between bytecodes, so a pool worker that receives ``Pool.terminate()``'s
+    SIGTERM just before it blocks on the task-queue lock never runs it and
+    waits forever.  With the default action the kernel ends the worker at
+    once.  Called first thing in every worker the executors fork.
+    """
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+
+
 def _pool_entry(payload: Tuple[ExecuteFn, int, object]) -> Tuple[int, MetricDict]:
     """Module-level pool trampoline (pickles by reference)."""
     execute, index, task_payload = payload
@@ -236,7 +252,9 @@ class PoolExecutor(Executor):
             import multiprocessing as mp
 
             method = "fork" if "fork" in mp.get_all_start_methods() else None
-            self._pool = mp.get_context(method).Pool(processes=self.workers)
+            self._pool = mp.get_context(method).Pool(
+                processes=self.workers, initializer=reset_worker_signals
+            )
         return self._pool
 
     def run(self, execute: ExecuteFn, tasks: Sequence[TaskSpec]) -> Iterator[TaskOutcome]:
@@ -282,6 +300,7 @@ def _resilient_worker(conn) -> None:
     crash (``os._exit``, signal) simply never answers, which the parent
     detects through process liveness.
     """
+    reset_worker_signals()
     while True:
         try:
             message = conn.recv()

@@ -42,7 +42,7 @@ __all__ = ["full_report", "quick_report", "main"]
 def full_report(
     workers: int = 1, executor=None, scheduler_factories=None
 ) -> List[ExperimentResult]:  # pragma: no cover - CLI scale
-    """Run every experiment at the scale recorded in EXPERIMENTS.md.
+    """Run every experiment at full scale (the arguments below set it).
 
     ``scheduler_factories`` (a label -> spec mapping, see
     :func:`repro.experiments.common.scheduler_from_spec`) replaces the

@@ -66,6 +66,7 @@ from repro.experiments.executors import (
     Executor,
     TaskOutcome,
     TaskSpec,
+    reset_worker_signals,
     retry_backoff_delay,
 )
 from repro.experiments.faults import MessageFaultPlan
@@ -230,6 +231,15 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def _forked_worker_main(swarm_dir: str, worker_id: str) -> int:
+    """Entry point of a worker the coordinator forks (external workers keep their handlers)."""
+    reset_worker_signals()
+    # Imported lazily: worker.py imports this module at import time.
+    from repro.experiments.worker import worker_main
+
+    return worker_main(swarm_dir, worker_id)
+
+
 # ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
@@ -379,13 +389,10 @@ class SwarmExecutor(Executor):
 
     # -- lifecycle helpers -------------------------------------------------------
     def _spawn(self, ctx) -> _SwarmWorker:
-        # Imported lazily: worker.py imports this module at import time.
-        from repro.experiments import worker as worker_module
-
         worker_id = f"w{self._spawn_counter}"
         self._spawn_counter += 1
         process = ctx.Process(
-            target=worker_module.worker_main,
+            target=_forked_worker_main,
             args=(self._layout.root, worker_id),
             daemon=True,
         )

@@ -7,6 +7,13 @@ are computed modulo the cluster's translation lattice so that every cell —
 not just the centre one — experiences a full tier of interferers.  This is
 the standard technique used in CDMA system-level simulations and removes the
 boundary effects a finite layout would otherwise introduce.
+
+A mobile moves far less than a cell per frame, so the image of a base station
+that wins the wrap-around minimum rarely changes between frames.
+:class:`NearestImages` records the winning images of a population together
+with a per-position certificate (the *slack*): while a position stays within
+its slack of the point where the images were last minimised, no other image
+can win, and its distances are computed against the recorded images alone.
 """
 
 from __future__ import annotations
@@ -18,7 +25,40 @@ import numpy as np
 
 from repro.utils.validation import check_non_negative_int, check_positive
 
-__all__ = ["HexagonalCellLayout"]
+__all__ = ["HexagonalCellLayout", "NearestImages", "IMAGE_SLACK_GUARD_M"]
+
+#: Margin (m) taken off every nearest-image slack.  It dwarfs the rounding
+#: error of the computed distances and displacements (~1e-12 m at cell sizes
+#: of kilometres), so a certified image also wins the floating-point minimum.
+IMAGE_SLACK_GUARD_M = 1e-6
+
+
+class NearestImages:
+    """The wrap-around images that won the minimum, for a population of positions.
+
+    Holds, per (position, cell) pair, the coordinates of the winning image of
+    the base station, and per position the *anchor* (where the images were
+    last minimised) and the *slack*: half the smallest gap, over all cells,
+    between the best and the second-best image distance at the anchor, less
+    :data:`IMAGE_SLACK_GUARD_M`.  By the triangle inequality every image
+    distance changes by at most the displacement, so while a position lies
+    closer than its slack to its anchor the recorded images still win.
+
+    The record belongs to its population, not to the layout (one layout may
+    serve several populations); pass it to
+    :meth:`HexagonalCellLayout.distances_to_all_batch`, which keeps it up
+    to date.  A fresh record certifies nothing, so the first call minimises
+    every position.
+    """
+
+    def __init__(self, num_positions: int, num_cells: int) -> None:
+        shape = (int(num_positions), int(num_cells))
+        self.image_x = np.zeros(shape)
+        self.image_y = np.zeros(shape)
+        self.anchor = np.zeros((shape[0], 2))
+        self.slack_m = np.full(shape[0], -np.inf)
+        #: Positions re-minimised over all shifts so far (cumulative).
+        self.refreshes = 0
 
 
 class HexagonalCellLayout:
@@ -56,11 +96,6 @@ class HexagonalCellLayout:
         )
         self._shifted_x = np.ascontiguousarray(self._shifted_positions[:, :, 0])
         self._shifted_y = np.ascontiguousarray(self._shifted_positions[:, :, 1])
-        # Scratch buffers of the batched distance kernel for the most
-        # recent batch size (the frame pipeline queries the same population
-        # every frame; keeping only one entry bounds the memory held by
-        # layouts reused across differently sized sweeps).
-        self._batch_scratch: Optional[tuple] = None
 
     # -- construction -----------------------------------------------------------
     def _axial_coordinates(self) -> List[Tuple[int, int]]:
@@ -140,42 +175,96 @@ class HexagonalCellLayout:
         dist = np.sqrt((delta ** 2).sum(axis=2))
         return dist.min(axis=0)
 
-    def distances_to_all_batch(self, positions: np.ndarray) -> np.ndarray:
+    def distances_to_all_batch(
+        self, positions: np.ndarray, images: Optional[NearestImages] = None
+    ) -> np.ndarray:
         """Distances from many positions to every base station in one call.
 
         Parameters
         ----------
         positions:
             Coordinates, shape ``(n, 2)``.
+        images:
+            Optional :class:`NearestImages` record of the same ``n``
+            positions, carried from call to call.  Only the positions that
+            have moved at least their slack from their anchor are
+            re-minimised over the wrap-around shifts (and the record
+            updated); every other distance is taken to its recorded image.
 
         Returns
         -------
         Distances of shape ``(n, num_cells)``; row ``i`` equals
-        ``distances_to_all(positions[i])`` bit-for-bit (the same elementwise
-        operations run under a single ``(n, shifts, cells)`` broadcast with a
-        wrap-around min-reduction instead of one Python call per position).
+        ``distances_to_all(positions[i])`` bit-for-bit, with or without
+        ``images``: the squared distance to the winning image is computed
+        by the same elementwise operations as in the minimisation, and the
+        square root comes after the minimum (sqrt is monotonic).
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-        n = pos.shape[0]
-        if n == 0:
+        if pos.shape[0] == 0:
             return np.zeros((0, self.num_cells))
-        scratch = self._batch_scratch
-        if scratch is None or scratch[0] != n:
-            shape = (n,) + self._shifted_x.shape
-            scratch = (n, np.empty(shape), np.empty(shape))
-            self._batch_scratch = scratch
-        _, d2, work = scratch
-        # Squared distances accumulated in place: (x_bs - x)^2 + (y_bs - y)^2
-        # over the (n, shifts, cells) grid.  The sign flip relative to the
-        # scalar path is irrelevant under the square, and taking the square
-        # root *after* the wrap-around min-reduction picks the same shift
-        # (sqrt is monotonic), so each row stays bit-identical.
-        np.subtract(pos[:, 0, np.newaxis, np.newaxis], self._shifted_x, out=work)
-        np.multiply(work, work, out=d2)
-        np.subtract(pos[:, 1, np.newaxis, np.newaxis], self._shifted_y, out=work)
-        np.multiply(work, work, out=work)
+        if images is None:
+            image_x, image_y, _ = self._nearest_images(pos)
+            return self._image_distances(pos, image_x, image_y)
+        displacement = np.hypot(*(pos - images.anchor).T)
+        stale = np.flatnonzero(~(displacement < images.slack_m))  # NaN counts as moved
+        if stale.size:
+            moved = pos[stale]
+            image_x, image_y, slack = self._nearest_images(moved)
+            images.image_x[stale] = image_x
+            images.image_y[stale] = image_y
+            images.anchor[stale] = moved
+            images.slack_m[stale] = slack
+            images.refreshes += int(stale.size)
+        return self._image_distances(pos, images.image_x, images.image_y)
+
+    def _nearest_images(
+        self, pos: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winning image coordinates per (position, cell) and the slack per position.
+
+        A running best / second-best squared distance over the shifts, on
+        ``(n, cells)`` buffers.  A tie keeps the earlier shift (the distance
+        is the same either way) and certifies no slack.
+        """
+        shape = (pos.shape[0], self.num_cells)
+        best = np.full(shape, np.inf)
+        second = np.full(shape, np.inf)
+        winner = np.zeros(shape, dtype=np.intp)
+        d2 = np.empty(shape)
+        work = np.empty(shape)
+        wins = np.empty(shape, dtype=bool)
+        x = pos[:, 0, np.newaxis]
+        y = pos[:, 1, np.newaxis]
+        for shift, (shift_x, shift_y) in enumerate(zip(self._shifted_x, self._shifted_y)):
+            # Squared distance (x - x_bs)^2 + (y - y_bs)^2, exactly as
+            # _image_distances computes it.
+            np.subtract(x, shift_x, out=work)
+            np.multiply(work, work, out=d2)
+            np.subtract(y, shift_y, out=work)
+            np.multiply(work, work, out=work)
+            d2 += work
+            np.maximum(best, d2, out=work)
+            np.minimum(second, work, out=second)
+            np.less(d2, best, out=wins)
+            np.minimum(best, d2, out=best)
+            winner[wins] = shift
+        gap = np.sqrt(second, out=second)
+        gap -= np.sqrt(best, out=best)
+        slack = 0.5 * gap.min(axis=1) - IMAGE_SLACK_GUARD_M
+        cells = np.arange(self.num_cells)
+        return self._shifted_x[winner, cells], self._shifted_y[winner, cells], slack
+
+    @staticmethod
+    def _image_distances(
+        pos: np.ndarray, image_x: np.ndarray, image_y: np.ndarray
+    ) -> np.ndarray:
+        """Distance from each position to the given image of every base station."""
+        d2 = np.subtract(pos[:, 0, np.newaxis], image_x)
+        d2 *= d2
+        work = np.subtract(pos[:, 1, np.newaxis], image_y)
+        work *= work
         d2 += work
-        return np.sqrt(d2.min(axis=1))
+        return np.sqrt(d2, out=d2)
 
     def distance(self, position: np.ndarray, cell_index: int) -> float:
         """Wrap-around distance from ``position`` to base station ``cell_index``."""

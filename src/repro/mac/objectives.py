@@ -20,7 +20,7 @@ Both objectives are linear in the decision variables ``m_j``:
   request delay ``w_j = t_w + D_s`` (eq. (22), with the MAC setup penalty
   ``D_s`` of eq. (23)) and decreases with the granted throughput.  The exact
   functional form is OCR-garbled in the scanned paper, so we use the
-  documented instantiation (DESIGN.md §5)
+  instantiation
 
   ``f(w, x) = lambda * w * max(0, 1 - mu * x)``,
 

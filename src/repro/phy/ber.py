@@ -3,7 +3,7 @@
 The paper relies on the VTAOC analysis of refs. [3] and [7] for the exact
 error-probability expressions; those papers use orthogonal coding and
 modulation over Rayleigh fading channels.  For the reproduction we need a BER
-model with three properties (see DESIGN.md §5):
+model with three properties:
 
 1. monotonically decreasing in the symbol energy-to-interference ratio
    ``gamma``;

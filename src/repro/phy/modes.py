@@ -5,8 +5,8 @@ orthogonal coding scheme (VTAOC); transmission mode ``q`` is chosen when the
 fed-back CSI falls inside the adaptation interval ``[zeta_q, zeta_{q+1})``.
 Each mode offers a different information throughput per modulation symbol.
 
-The exact throughput values in the scanned paper are OCR-garbled (DESIGN.md
-§5); the default table below uses ``bits_per_symbol = q`` for ``q = 1..6``
+The exact throughput values in the scanned paper are OCR-garbled; the
+default table below uses ``bits_per_symbol = q`` for ``q = 1..6``
 with a normalising ``symbol_rate_factor`` so the *relative* throughputs across
 modes — which is all the burst admission layer consumes through
 ``delta_rho`` — span the same ×6 dynamic range regardless of the absolute

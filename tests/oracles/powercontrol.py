@@ -1,0 +1,288 @@
+"""Reference power-control solves: every Yates sweep runs over all ``J`` rows.
+
+These are the solvers' ``solve`` bodies from before they gathered the active
+rows, kept verbatim as parity oracles.  Call them with a controller instance
+as the first argument: ``reverse_solve(pc, gains, serving, active, noise)``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.cdma.powercontrol import (
+    PowerControlResult,
+    _forward_direct_seed,
+    _reverse_direct_seed,
+)
+
+__all__ = ["reverse_solve", "forward_solve"]
+
+
+def reverse_solve(
+    pc,
+    gains: np.ndarray,
+    serving_cells: np.ndarray,
+    active: np.ndarray,
+    noise_power_w: np.ndarray,
+    extra_received_power_w: Optional[np.ndarray] = None,
+    rate_factor: Optional[np.ndarray] = None,
+    initial_total_power_w: Optional[np.ndarray] = None,
+) -> PowerControlResult:
+    """The solve before the row gather (verbatim)."""
+    gains = np.asarray(gains, dtype=float)
+    num_mobiles, num_cells = gains.shape
+    serving = np.asarray(serving_cells, dtype=int).reshape(num_mobiles)
+    active = np.asarray(active, dtype=bool).reshape(num_mobiles)
+    noise = np.asarray(noise_power_w, dtype=float).reshape(num_cells)
+    extra = (
+        np.zeros(num_cells)
+        if extra_received_power_w is None
+        else np.asarray(extra_received_power_w, dtype=float).reshape(num_cells)
+    )
+    rate = (
+        np.ones(num_mobiles)
+        if rate_factor is None
+        else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
+    )
+    if np.any(rate <= 0.0) or np.any(rate > 1.0):
+        raise ValueError("rate_factor entries must lie in (0, 1]")
+
+    q = pc.ebio_target * rate / pc.processing_gain
+    own_gain = gains[np.arange(num_mobiles), serving]
+    tx = np.zeros(num_mobiles, dtype=float)
+    if initial_total_power_w is None:
+        totals = noise + extra
+    else:
+        totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
+        if np.any(totals < 0.0):
+            raise ValueError("initial_total_power_w must be non-negative")
+    iterations_done = 0
+    overhead = 1.0 + pc.pilot_overhead
+    # Loop invariants.
+    q_fraction = q / (1.0 + q)
+    connectable = active & (own_gain > 0.0)
+    own_gain_safe = np.maximum(own_gain, 1e-300)
+    tx_cap = pc.max_tx_power_w / overhead
+    noise_extra = noise + extra
+    # Warm-started solves additionally accelerate the linear contraction
+    # with a geometric (Aitken-style) extrapolation of the totals; cold
+    # starts run the plain Yates iteration so their numerics stay
+    # reproducible bit-for-bit.
+    accelerate = initial_total_power_w is not None
+    prev_delta: Optional[float] = None
+    received = np.empty_like(gains)
+    if accelerate and num_mobiles > 0:
+        # Refine the warm guess with the direct active-set solve of the
+        # (piecewise) linear fixed point; the Yates loop below then
+        # typically certifies convergence within one or two iterations.
+        totals = _reverse_direct_seed(
+            gains=gains,
+            serving=serving,
+            connectable=connectable,
+            coeff=np.where(connectable, q_fraction / own_gain_safe, 0.0),
+            tx_cap=tx_cap,
+            overhead=overhead,
+            noise_extra=noise_extra,
+            initial=totals,
+        )
+
+    for iteration in range(pc.iterations):
+        iterations_done = iteration + 1
+        # Received FCH power needed at the serving cell so that
+        # (pg / rate) * S / (L - S) = target  =>  S = (q / (1 + q)) * L.
+        required_rx = q_fraction * totals[serving]
+        new_tx = np.where(connectable, required_rx / own_gain_safe, 0.0)
+        # Power limit applies to FCH plus pilot overhead.
+        new_tx = np.minimum(new_tx, tx_cap)
+        np.multiply(gains, (new_tx * overhead)[:, np.newaxis], out=received)
+        new_totals = noise_extra + received.sum(axis=0)
+        delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
+        step = new_totals - totals
+        tx, totals = new_tx, new_totals
+        if delta < pc.tolerance:
+            break
+        # Never extrapolate on the final iteration: a capped solve must
+        # return a consistent (tx, totals) Yates pair, not a jumped total.
+        if accelerate and iterations_done < pc.iterations:
+            if prev_delta is not None and delta < 0.95 * prev_delta:
+                # Contraction ratio r = delta/prev estimates the linear
+                # regime; jump the remaining geometric series r/(1-r)
+                # ahead, clamped to the physical noise floor.
+                ratio = delta / prev_delta
+                totals = np.maximum(
+                    totals + step * (ratio / (1.0 - ratio)), noise_extra
+                )
+                prev_delta = None  # re-measure contraction after the jump
+            else:
+                prev_delta = delta
+
+    received = tx * own_gain
+    interference = totals[serving] - received
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.where(
+            active & (interference > 0.0),
+            (pc.processing_gain / rate)
+            * received
+            / np.maximum(interference, 1e-300),
+            np.nan,
+        )
+    limited = active & (tx >= pc.max_tx_power_w / overhead - 1e-12) & (
+        achieved < pc.ebio_target * (1.0 - 1e-6)
+    )
+    return PowerControlResult(
+        tx_power_w=tx,
+        total_power_w=totals,
+        achieved_sir=achieved,
+        power_limited=limited,
+        iterations=iterations_done,
+    )
+
+
+def forward_solve(
+    pc,
+    gains: np.ndarray,
+    active_set: np.ndarray,
+    active: np.ndarray,
+    base_power_w: np.ndarray,
+    max_traffic_power_w: np.ndarray,
+    extra_traffic_power_w: Optional[np.ndarray] = None,
+    max_link_power_w: Optional[float] = None,
+    rate_factor: Optional[np.ndarray] = None,
+    initial_total_power_w: Optional[np.ndarray] = None,
+) -> PowerControlResult:
+    """The solve before the row gather (verbatim)."""
+    gains = np.asarray(gains, dtype=float)
+    num_mobiles, num_cells = gains.shape
+    active_set = np.asarray(active_set, dtype=bool).reshape(num_mobiles, num_cells)
+    active = np.asarray(active, dtype=bool).reshape(num_mobiles)
+    base = np.asarray(base_power_w, dtype=float).reshape(num_cells)
+    budget = np.asarray(max_traffic_power_w, dtype=float).reshape(num_cells)
+    extra = (
+        np.zeros(num_cells)
+        if extra_traffic_power_w is None
+        else np.asarray(extra_traffic_power_w, dtype=float).reshape(num_cells)
+    )
+    rate = (
+        np.ones(num_mobiles)
+        if rate_factor is None
+        else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
+    )
+    if np.any(rate <= 0.0) or np.any(rate > 1.0):
+        raise ValueError("rate_factor entries must lie in (0, 1]")
+
+    legs = active_set.sum(axis=1)
+    legs = np.maximum(legs, 1)
+    alloc = np.zeros((num_mobiles, num_cells), dtype=float)
+    if initial_total_power_w is None:
+        totals = base + extra
+    else:
+        totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
+        if np.any(totals < 0.0):
+            raise ValueError("initial_total_power_w must be non-negative")
+    serving = np.argmax(np.where(active_set, gains, -np.inf), axis=1)
+    iterations_done = 0
+    q = pc.ebio_target * rate / pc.processing_gain
+    # Loop invariants and reused iteration buffers.
+    rows = np.arange(num_mobiles)
+    allocatable = active_set & active[:, np.newaxis] & (gains > 0.0)
+    gains_safe = np.maximum(gains, 1e-300)
+    own_fraction = 1.0 - pc.orthogonality_factor
+    base_extra = base + extra
+    received_all = np.empty_like(gains)
+    # Same warm-start acceleration as the reverse link (see there).
+    accelerate = initial_total_power_w is not None
+    prev_delta: Optional[float] = None
+    if accelerate and num_mobiles > 0:
+        totals = _forward_direct_seed(
+            gains=gains,
+            serving=serving,
+            allocatable=allocatable,
+            q=q,
+            legs=legs,
+            own_fraction=own_fraction,
+            mobile_noise_power_w=pc.mobile_noise_power_w,
+            base_extra=base_extra,
+            budget=budget,
+            extra=extra,
+            max_link_power_w=max_link_power_w,
+            initial=totals,
+        )
+
+    with np.errstate(divide="ignore"):
+        for iteration in range(pc.iterations):
+            iterations_done = iteration + 1
+            # Interference seen by each mobile: other-cell power fully,
+            # own (strongest-leg) cell scaled by the orthogonality factor.
+            np.multiply(gains, totals[np.newaxis, :], out=received_all)
+            own = received_all[rows, serving]
+            interference = (
+                received_all.sum(axis=1)
+                - own_fraction * own
+                + pc.mobile_noise_power_w
+            )
+            required_rx = q * interference  # total received FCH power needed
+            per_leg_rx = required_rx / legs
+            new_alloc = np.where(
+                allocatable, per_leg_rx[:, np.newaxis] / gains_safe, 0.0
+            )
+            if max_link_power_w is not None:
+                np.minimum(new_alloc, max_link_power_w, out=new_alloc)
+            traffic = new_alloc.sum(axis=0) + extra
+            # If a cell exceeds its budget, scale its allocations down
+            # proportionally (the overloaded users will show as power
+            # limited).
+            scale = np.where(
+                traffic > budget, budget / np.maximum(traffic, 1e-300), 1.0
+            )
+            new_alloc *= scale[np.newaxis, :]
+            new_totals = base_extra + new_alloc.sum(axis=0)
+            delta = (
+                np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)
+            ).max()
+            step = new_totals - totals
+            alloc, totals = new_alloc, new_totals
+            if delta < pc.tolerance:
+                break
+            # See the reverse link: no jump on the final iteration, so a
+            # capped solve returns a consistent (alloc, totals) pair.
+            if accelerate and iterations_done < pc.iterations:
+                if prev_delta is not None and delta < 0.95 * prev_delta:
+                    ratio = delta / prev_delta
+                    totals = np.maximum(
+                        totals + step * (ratio / (1.0 - ratio)), base_extra
+                    )
+                    prev_delta = None
+                else:
+                    prev_delta = delta
+
+    # Achieved Eb/Io with the final allocation.
+    received_all = gains * totals[np.newaxis, :]
+    own = received_all[rows, serving]
+    interference = (
+        received_all.sum(axis=1)
+        - (1.0 - pc.orthogonality_factor) * own
+        + pc.mobile_noise_power_w
+    )
+    received_fch = (alloc * gains).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.where(
+            active,
+            (pc.processing_gain / rate)
+            * received_fch
+            / np.maximum(interference, 1e-300),
+            np.nan,
+        )
+    # Outage definition: more than ~1.25 dB below the Eb/Io target.  Small
+    # shortfalls caused by the proportional scaling of a momentarily
+    # saturated cell are absorbed by the link margin and interleaving and
+    # are not counted as coverage loss.
+    limited = active & (achieved < 0.75 * pc.ebio_target)
+    return PowerControlResult(
+        tx_power_w=alloc,
+        total_power_w=totals,
+        achieved_sir=achieved,
+        power_limited=limited,
+        iterations=iterations_done,
+    )

@@ -1,5 +1,7 @@
 """Resilient executor: retry/backoff, respawn, speculation, chaos determinism."""
 
+import multiprocessing as mp
+import signal
 import time
 
 import numpy as np
@@ -289,3 +291,54 @@ class TestChaosDeterminism:
         plan = FaultPlan([FaultSpec(0, 0, "exception")])
         with pytest.raises(InjectedFaultError):
             toy_campaign().run(fault_plan=plan)
+
+
+def _signal_probe_runner(params, seed):
+    """Reports whether the executing process has the default SIGINT/SIGTERM action."""
+    return {
+        "sigterm_default": float(signal.getsignal(signal.SIGTERM) == signal.SIG_DFL),
+        "sigint_default": float(signal.getsignal(signal.SIGINT) == signal.SIG_DFL),
+    }
+
+
+def _probe_campaign_in_child(executor_name, conn):
+    """Run the probe campaign in the main thread of a fresh process.
+
+    ``Campaign.run`` installs its SIGINT/SIGTERM handler only on the main
+    thread, so the campaign runs as a spawned child's main program (and forks
+    its workers from there); the test process only waits on it, with
+    timeouts.
+    """
+    outcome = Campaign(
+        "signals", _signal_probe_runner, [{}], replications=4, root_seed=3
+    ).run(executor=executor_name, workers=2)
+    conn.send([sorted(point.replications.items()) for point in outcome.points])
+    conn.close()
+
+
+class TestForkedWorkerSignals:
+    """Workers must not inherit ``Campaign.run``'s Python signal handler.
+
+    A pool worker that still has it and receives ``Pool.terminate()``'s
+    SIGTERM just before blocking on the task-queue lock hangs forever.
+    """
+
+    @pytest.mark.parametrize("executor_name", ["pool", "resilient", "swarm"])
+    def test_workers_have_default_signal_actions(self, executor_name):
+        ctx = mp.get_context("spawn")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_probe_campaign_in_child, args=(executor_name, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60.0), f"{executor_name} campaign did not finish"
+            replications = receiver.recv()
+        finally:
+            child.join(timeout=10.0)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10.0)
+        assert child.exitcode == 0
+        metrics = [m for point in replications for _, m in point]
+        assert len(metrics) == 4
+        assert all(m == {"sigterm_default": 1.0, "sigint_default": 1.0} for m in metrics)
