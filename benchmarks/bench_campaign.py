@@ -3,9 +3,9 @@
 Measures replication throughput of the F4 coverage campaign
 (:func:`repro.experiments.coverage.build_coverage_campaign`) as the worker
 count varies, verifies that the aggregates stay bit-identical across worker
-counts, and runs one J=1e5 fleet-path campaign point (a full dynamic
-simulation with ``batched_fleet=True``) to demonstrate that the campaign
-layer drives the PR-4 fleet kernels at production scale.
+counts, and runs one J=1e5 campaign point (a full dynamic simulation on the
+structure-of-arrays fleets) to demonstrate that the campaign layer drives the
+fleet kernels at production scale.
 
 Usage::
 
@@ -361,7 +361,6 @@ def fleet_point_replication(params: Mapping[str, object], seed) -> dict:
             packet_call_min_bits=24_000.0,
             packet_call_max_bits=200_000.0,
         ),
-        batched_fleet=True,
     )
     simulator = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"))
     started = time.perf_counter()
@@ -390,12 +389,11 @@ def run_fleet_point(population: int, frames: int) -> Dict:
     metrics = outcome.points[0].replications[0]
     print(
         f"fleet point: J={metrics['population']:.0f}, {frames} frames, "
-        f"{metrics['s_per_frame'] * 1e3:.0f} ms/frame (batched_fleet=True)"
+        f"{metrics['s_per_frame'] * 1e3:.0f} ms/frame"
     )
     return {
         "population": metrics["population"],
         "frames": frames,
-        "batched_fleet": True,
         "campaign_elapsed_s": round(elapsed, 4),
         "sim_elapsed_s": round(metrics["sim_elapsed_s"], 4),
         "s_per_frame": round(metrics["s_per_frame"], 4),

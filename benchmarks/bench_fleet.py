@@ -1,31 +1,26 @@
-"""Benchmark — structure-of-arrays user fleets vs per-user scalar objects.
+"""Benchmark — the structure-of-arrays user fleets of the dynamic simulator.
 
 Sweeps the population size J (default J ∈ {200, 2000, 20000}) on a K=19
 cell system and times the per-frame *per-user simulation layer* of
 :class:`repro.simulation.DynamicSystemSimulator` — voice on/off activity,
 packet-call arrivals, data-channel activity, MAC state machines and
-mobility — in two implementations:
+mobility, run by the fleet kernels (``VoiceFleet``, ``DataTrafficFleet``,
+``MacStateFleet``, ``RandomDirectionFleet``).
 
-* ``scalar`` — the per-user Python objects (``OnOffVoiceSource``,
-  ``PacketCallDataSource``, ``MacStateMachine`` dicts and
-  ``MobilityBatch`` over per-user models; the seed semantics, still the
-  default path);
-* ``fleet`` — the structure-of-arrays fleet kernels behind
-  ``ScenarioConfig(batched_fleet=True)`` (``VoiceFleet``,
-  ``DataTrafficFleet``, ``MacStateFleet``, ``RandomDirectionFleet``).
-
-Both run the *full* dynamic simulation (admission, power control,
+Every run is the *full* dynamic simulation (admission, power control,
 propagation included); only the five per-user stages are timed, via
-:class:`repro.utils.hooks.StageTimingHooks`.  The mean reading time scales with J so
-the admission queue carries a comparable load at every sweep point — the
-measured quantity is the per-user bookkeeping overhead, which the scalar
-path pays for every user every frame, idle or not.
+:class:`repro.utils.hooks.StageTimingHooks`.  The mean reading time scales
+with J so the admission queue carries a comparable load at every sweep
+point.  The end-to-end speed of the fleet path is measured by the
+``fleet-20k`` workload of ``perfbench/run.py``.
 
 The fleets own their own seeded random streams (see the fleet RNG contract
-in ``benchmarks/README.md``), so parity with the scalar ensemble is
-checked *statistically* at kernel level — voice activity fraction,
-packet-call rate / size distribution (KS distance), mobility speed — plus
-a bit-exactness check of the deterministic MAC fleet.
+in ``benchmarks/README.md``), so parity with the per-user reference models
+(``OnOffVoiceSource``, ``PacketCallDataSource``, ``MacStateMachine``,
+``RandomDirectionMobility``) is checked *statistically* at kernel level —
+voice activity fraction, packet-call rate / size distribution (KS
+distance), mobility speed — plus a bit-exactness check of the deterministic
+MAC fleet.
 
 A J=10⁵ demonstration runs the standalone fleet kernels and (full mode
 only) complete dynamic-simulator frames at 100k users.
@@ -74,9 +69,7 @@ BASE_POPULATION = 200  # reading time scales as J / BASE_POPULATION
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
-def make_scenario(
-    population: int, num_rings: int, batched_fleet: bool, frames: int, seed: int
-):
+def make_scenario(population: int, num_rings: int, frames: int, seed: int):
     """Scenario with ~``population`` users split evenly over data/voice."""
     system = SystemConfig()
     system = system.with_overrides(radio=replace(system.radio, num_rings=num_rings))
@@ -98,18 +91,13 @@ def make_scenario(
             packet_call_min_bits=24_000.0,
             packet_call_max_bits=200_000.0,
         ),
-        batched_fleet=batched_fleet,
     )
     return scenario, actual, frame_s
 
 
-def time_stages(
-    population: int, num_rings: int, batched_fleet: bool, frames: int, seed: int
-) -> Dict:
+def time_stages(population: int, num_rings: int, frames: int, seed: int) -> Dict:
     """One full simulator run; returns per-stage and total ms/frame."""
-    scenario, actual, _ = make_scenario(
-        population, num_rings, batched_fleet, frames, seed
-    )
+    scenario, actual, _ = make_scenario(population, num_rings, frames, seed)
     timing = StageTimingHooks()
     simulator = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"), hooks=timing)
     t0 = time.perf_counter()
@@ -195,7 +183,7 @@ def measure_noop_hooks_overhead(
     multiply, if the no-op dispatch stops being trivial, or if the frame
     itself gets dramatically cheaper relative to the instrumentation.
     """
-    scenario, actual, _ = make_scenario(population, num_rings, True, frames, seed)
+    scenario, actual, _ = make_scenario(population, num_rings, frames, seed)
 
     counter = _CountingNoopHooks()
     DynamicSystemSimulator(scenario, JabaSdScheduler("J1"), hooks=counter).run()
@@ -244,7 +232,7 @@ def ks_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
 
 
 def check_parity(num_users: int, seed: int) -> Dict:
-    """Kernel-level scalar-vs-fleet distribution checks."""
+    """Kernel-level fleet-vs-reference-model distribution checks."""
     rng = np.random.default_rng(seed)
     verdicts = {}
 
@@ -292,7 +280,7 @@ def check_parity(num_users: int, seed: int) -> Dict:
         ks_distance(np.asarray(scalar_sizes), fleet_sizes) < 0.05
     )
 
-    # MAC: deterministic — bit-exact against the scalar machines.
+    # MAC: deterministic — bit-exact against the reference machines.
     config = MacConfig()
     mac_fleet = MacStateFleet(num_users, config)
     machines = [MacStateMachine(config=config) for _ in range(num_users)]
@@ -315,7 +303,7 @@ def check_parity(num_users: int, seed: int) -> Dict:
         )
     )
 
-    # Mobility: travelled distance against the scalar ensemble mean speed.
+    # Mobility: travelled distance against the reference ensemble mean speed.
     bounds = (-1000.0, 1000.0, -1000.0, 1000.0)
     speed = (0.83, 13.9)
     positions = np.column_stack(
@@ -415,8 +403,8 @@ def demo_standalone_kernels(num_users: int, frames: int, seed: int) -> Dict:
 
 
 def demo_full_simulator(num_users: int, frames: int, num_rings: int, seed: int) -> Dict:
-    """Complete dynamic-simulator frames (fleet path) at ``num_users`` scale."""
-    scenario, actual, _ = make_scenario(num_users, num_rings, True, frames, seed)
+    """Complete dynamic-simulator frames at ``num_users`` scale."""
+    scenario, actual, _ = make_scenario(num_users, num_rings, frames, seed)
     timing = StageTimingHooks()
     t0 = time.perf_counter()
     simulator = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"), hooks=timing)
@@ -463,31 +451,16 @@ def run_bench(
             "seed": seed,
         },
         "results": {},
-        "speedup_trajectory": {},
         "parity": parity,
         "parity_all_ok": all(parity.values()),
     }
 
     for population in populations:
-        best = {}
-        # Alternate the two paths so CPU frequency drift does not bias
-        # whichever runs last; keep the best (least noisy) run of each.
-        for _ in range(repeats):
-            for name, batched in (("scalar", False), ("fleet", True)):
-                entry = time_stages(population, num_rings, batched, frames, seed)
-                if (
-                    name not in best
-                    or entry["overhead_ms_per_frame"]
-                    < best[name]["overhead_ms_per_frame"]
-                ):
-                    best[name] = entry
-        speedup = (
-            best["scalar"]["overhead_ms_per_frame"]
-            / best["fleet"]["overhead_ms_per_frame"]
+        # Keep the best (least noisy) of the repeated runs.
+        runs = [time_stages(population, num_rings, frames, seed) for _ in range(repeats)]
+        report["results"][f"J={population}"] = min(
+            runs, key=lambda entry: entry["overhead_ms_per_frame"]
         )
-        best["speedup"] = round(speedup, 3)
-        report["results"][f"J={population}"] = best
-        report["speedup_trajectory"][str(population)] = round(speedup, 3)
 
     report["noop_hooks_overhead"] = measure_noop_hooks_overhead(
         populations[0], num_rings, frames, seed, repeats=max(repeats, 3)
@@ -506,17 +479,14 @@ def format_table(report: Dict) -> str:
     config = report["config"]
     lines = [
         f"User fleets — K={config['num_cells']} cells, {config['frames']} frames, "
-        f"best of {config['repeats']} interleaved runs "
+        f"best of {config['repeats']} runs "
         f"(per-frame traffic+MAC+mobility overhead)",
-        f"{'J':>8} {'scalar ms':>11} {'fleet ms':>10} {'speedup':>9}",
+        f"{'J':>8} {'fleet ms':>10}",
     ]
     for population in config["populations"]:
         entry = report["results"][f"J={population}"]
         lines.append(
-            f"{entry['fleet']['population']:>8} "
-            f"{entry['scalar']['overhead_ms_per_frame']:>11.3f} "
-            f"{entry['fleet']['overhead_ms_per_frame']:>10.3f} "
-            f"{entry['speedup']:>8.1f}x"
+            f"{entry['population']:>8} {entry['overhead_ms_per_frame']:>10.3f}"
         )
     demo = report["demo_100k"]["kernels"]
     lines.append(
@@ -565,8 +535,6 @@ def test_fleet(benchmark, show):
     )
     show(format_table(report))
     assert report["parity_all_ok"], report["parity"]
-    largest = f"J={report['config']['populations'][-1]}"
-    assert report["results"][largest]["speedup"] > 1.0
 
 
 def main(argv=None) -> int:

@@ -9,8 +9,7 @@ Demonstrates the three ways to observe a run:
 2. an explicit ``RecorderHooks(EventRecorder(MemorySink()))`` for in-process
    analysis of the same events;
 3. ``StageTimingHooks`` for a per-stage wall-time profile of the frame
-   pipeline (the supported replacement for the deprecated
-   ``run(collect_stage_times=True)``).
+   pipeline.
 
 Run it with ``python examples/trace_dynamic_run.py [--out trace.jsonl]``.
 """

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,13 +100,21 @@ class MobileStation:
         ``xi_j`` of eq. (10): ratio of the (full-rate) FCH transmit power to
         the reverse pilot transmit power at the mobile.
     fch_active:
-        Whether the FCH/DCCH currently carries traffic (voice activity / data
-        session active); inactive users contribute no FCH load.
+        Initial FCH/DCCH activity (voice activity / data session active);
+        inactive users contribute no FCH load.
     fch_rate_factor:
-        Rate of the currently held dedicated channel relative to the
+        Initial rate of the held dedicated channel relative to the
         full-rate FCH: 1.0 for a full-rate FCH (voice talk spurt, data user
         with a burst on air), a small fraction for the low-rate dedicated
         control channel a data user keeps while waiting between bursts.
+
+    The two FCH fields are the state a :class:`repro.cdma.network.CdmaNetwork`
+    reads when it is built; from then on the network's arrays hold the FCH
+    state and :meth:`~repro.cdma.network.CdmaNetwork.set_fch_state` is their
+    only writer, so later writes to these fields do not reach the network.
+    Static drops set them before building the network
+    (:mod:`repro.simulation.snapshot` and the ``admission-heavy`` benchmark
+    workload do).
     """
 
     index: int
@@ -122,44 +130,6 @@ class MobileStation:
         check_positive("fch_pilot_power_ratio", self.fch_pilot_power_ratio)
         if not 0.0 < self.fch_rate_factor <= 1.0:
             raise ValueError("fch_rate_factor must lie in (0, 1]")
-
-    def __setattr__(self, name: str, value) -> None:
-        # Plain attribute assignment stays the public API for toggling FCH
-        # activity (voice on/off model, MAC state machine), but consumers
-        # that keep the population in structure-of-arrays form (the radio
-        # network) must see those toggles without re-scanning every mobile
-        # per frame — so FCH field writes are pushed to registered observers.
-        object.__setattr__(self, name, value)
-        if name == "fch_active" or name == "fch_rate_factor":
-            self._notify_fch_observers()
-
-    def _notify_fch_observers(self) -> None:
-        """Push the current FCH fields to every registered observer.
-
-        Bulk writers (:meth:`repro.cdma.network.CdmaNetwork.set_fch_state`)
-        update the fields with ``object.__setattr__`` — which skips
-        :meth:`__setattr__` — and call this once per mobile only when a
-        *foreign* observer needs the notification.
-        """
-        observers = self.__dict__.get("_fch_observers")
-        if observers:
-            results = [callback(self) for callback in observers]
-            if False in results:
-                # Prune observers of garbage-collected networks so long
-                # ablation sweeps reusing mobiles don't accumulate them.
-                observers[:] = [
-                    cb
-                    for cb, alive in zip(observers, results)
-                    if alive is not False
-                ]
-
-    def _add_fch_observer(self, callback) -> None:
-        """Register an FCH-write observer.
-
-        ``callback(mobile)`` fires on every FCH field write; a callback
-        returning ``False`` signals its consumer is gone and is pruned.
-        """
-        self.__dict__.setdefault("_fch_observers", []).append(callback)
 
     @property
     def position(self) -> np.ndarray:

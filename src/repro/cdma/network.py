@@ -11,7 +11,6 @@ layer needs (Figure 2 of the paper).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -125,7 +124,12 @@ class CdmaNetwork:
     config:
         System configuration (radio section drives this class).
     mobiles:
-        The mobile stations (voice and data users).
+        The mobile stations (voice and data users).  Their ``fch_active``
+        and ``fch_rate_factor`` fields are the initial FCH state, read once
+        here; static drops (:mod:`repro.simulation.snapshot`, the
+        ``admission-heavy`` benchmark workload) set them before building the
+        network.  After construction :meth:`set_fch_state` is the only way
+        to change the FCH state.
     rng:
         Random generator for the propagation processes.
     layout:
@@ -149,9 +153,9 @@ class CdmaNetwork:
     -----
     Per-frame state is kept in structure-of-arrays form: static per-cell
     vectors (common/pilot/noise power, traffic budget) are precomputed once,
-    and the per-mobile FCH activity/rate arrays are maintained in place via
-    write-through from :class:`MobileStation` attribute assignments, so a
-    ``snapshot()`` never re-scans the Python entity objects.
+    and the per-mobile FCH activity/rate arrays are read from the mobiles
+    once, at construction, and then written only by :meth:`set_fch_state`,
+    so a ``snapshot()`` never re-scans the Python entity objects.
     """
 
     def __init__(
@@ -262,8 +266,9 @@ class CdmaNetwork:
         self._data_indices.flags.writeable = False
         self._voice_indices.flags.writeable = False
 
-        # Dynamic per-mobile arrays, updated in place: FCH activity/rate via
-        # write-through observers, positions by the batched mobility advance.
+        # Dynamic per-mobile arrays, updated in place: FCH activity/rate by
+        # set_fch_state (the mobiles' fields are only the initial state),
+        # positions by the batched mobility advance.
         num_mobiles = len(self.mobiles)
         self._fch_active = np.asarray(
             [m.fch_active for m in self.mobiles], dtype=bool
@@ -271,14 +276,6 @@ class CdmaNetwork:
         self._fch_rate = np.asarray(
             [m.fch_rate_factor for m in self.mobiles], dtype=float
         ).reshape(num_mobiles)
-        # Keep our own sync callbacks addressable by row: the bulk writer
-        # (set_fch_state) updates the arrays directly and only dispatches
-        # observers foreign to this network.
-        self._fch_sync_callbacks = []
-        for row, mobile in enumerate(self.mobiles):
-            sync = self._make_fch_sync(row)
-            self._fch_sync_callbacks.append(sync)
-            mobile._add_fch_observer(sync)
         if mobility_fleet is not None:
             if mobility_fleet.positions.shape != (num_mobiles, 2):
                 raise ValueError(
@@ -292,10 +289,6 @@ class CdmaNetwork:
             )
         self._positions_arr = self._mobility_batch.positions
         self._moved_buf = np.zeros(num_mobiles)
-        #: Optional per-stage wall-time accumulator (seconds); when set to a
-        #: dict, :meth:`advance` adds its mobility kernel time under
-        #: ``"mobility"`` (used by the fleet benchmark harness).
-        self.stage_times_s: Optional[dict] = None
         #: Optional :class:`repro.utils.hooks.SimHooks` observer; when set,
         #: :meth:`advance` reports the mobility kernel as a ``"mobility"``
         #: stage (enter/exit with wall time).  Assigned by the dynamic
@@ -311,24 +304,6 @@ class CdmaNetwork:
         # Initialise positions/gains and hand-off from the starting locations.
         self.link_gains.set_positions(self._positions_arr)
         self._update_handoff()
-
-    def _make_fch_sync(self, row: int):
-        """Observer syncing one mobile's FCH fields into the network arrays.
-
-        Holds only a weak reference to the network so mobiles reused across
-        several networks (ablation sweeps) do not keep old instances alive.
-        """
-        net_ref = weakref.ref(self)
-
-        def _sync(mobile: MobileStation, _row: int = row) -> bool:
-            net = net_ref()
-            if net is None:
-                return False  # network collected: ask the mobile to prune us
-            net._fch_active[_row] = mobile.fch_active
-            net._fch_rate[_row] = mobile.fch_rate_factor
-            return True
-
-        return _sync
 
     # -- basic accessors ---------------------------------------------------------
     @property
@@ -366,48 +341,17 @@ class CdmaNetwork:
     def set_fch_state(
         self, indices: np.ndarray, active: np.ndarray, rate_factor: np.ndarray
     ) -> None:
-        """Bulk-update the FCH activity/rate of a subset of mobiles.
+        """Set the FCH activity/rate of the mobiles at ``indices``.
 
-        Diffs the desired per-mobile state against the current arrays, writes
-        the changed entries into this network's arrays in one vectorised
-        assignment, and back-fills the :class:`MobileStation` entities with
-        plain ``object.__setattr__`` — no observer dispatch — so the entity
-        objects stay authoritative while a bulk transition (e.g. the first
-        J=1e5 frame, where every mobile changes) costs two raw attribute
-        stores per changed mobile instead of two observed writes.  Mobiles
-        watched by *other* networks (ablation sweeps sharing entities) get
-        one combined observer notification per changed mobile.  Used by the
-        structure-of-arrays fleet path of the dynamic simulator.
+        The only writer of the network's FCH state after construction (the
+        :class:`MobileStation` fields are not updated): one vectorised
+        assignment per array, read by the next :meth:`snapshot`.  The
+        dynamic simulator calls it every frame for the voice and the data
+        users.
         """
         indices = np.asarray(indices, dtype=int)
-        active = np.asarray(active, dtype=bool)
-        rate_factor = np.asarray(rate_factor, dtype=float)
-        changed = (self._fch_active[indices] != active) | (
-            self._fch_rate[indices] != rate_factor
-        )
-        changed_pos = np.flatnonzero(changed)
-        if changed_pos.size == 0:
-            return
-        rows = indices[changed_pos]
-        new_active = active[changed_pos]
-        new_rate = rate_factor[changed_pos]
-        # Vectorised write-through of this network's SoA state, then the
-        # entity write-back with object.__setattr__ (skipping the per-write
-        # observer dispatch of MobileStation.__setattr__ — our arrays are
-        # already current).  Observers registered by *other* networks still
-        # fire, once per changed mobile instead of once per field write.
-        self._fch_active[rows] = new_active
-        self._fch_rate[rows] = new_rate
-        own = self._fch_sync_callbacks
-        mobiles = self.mobiles
-        set_attr = object.__setattr__
-        for row, act, rate in zip(rows.tolist(), new_active.tolist(), new_rate.tolist()):
-            mobile = mobiles[row]
-            set_attr(mobile, "fch_active", act)
-            set_attr(mobile, "fch_rate_factor", rate)
-            observers = mobile.__dict__.get("_fch_observers")
-            if observers and (len(observers) != 1 or observers[0] is not own[row]):
-                mobile._notify_fch_observers()
+        self._fch_active[indices] = np.asarray(active, dtype=bool)
+        self._fch_rate[indices] = np.asarray(rate_factor, dtype=float)
 
     def _update_handoff(self) -> None:
         gains = self.link_gains.local_mean_gain()
@@ -430,20 +374,13 @@ class CdmaNetwork:
         if dt_s < 0.0:
             raise ValueError("dt_s must be non-negative")
         hooks = self.hooks
-        if self.stage_times_s is None and hooks is None:
+        if hooks is None:
             self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
         else:
-            if hooks is not None:
-                hooks.stage_enter("mobility", self._time_s)
+            hooks.stage_enter("mobility", self._time_s)
             t0 = time.perf_counter()
             self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
-            elapsed = time.perf_counter() - t0
-            if self.stage_times_s is not None:
-                self.stage_times_s["mobility"] = (
-                    self.stage_times_s.get("mobility", 0.0) + elapsed
-                )
-            if hooks is not None:
-                hooks.stage_exit("mobility", self._time_s, elapsed)
+            hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
         if self.num_mobiles > 0:
             self.link_gains.advance(self._positions_arr, self._moved_buf, dt_s)
         self._time_s += dt_s

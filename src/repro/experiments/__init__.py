@@ -38,7 +38,6 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.common import (
     ExperimentResult,
-    default_scheduler_factories,
     default_scheduler_specs,
     flag_degraded,
     paper_scenario,
@@ -89,7 +88,6 @@ __all__ = [
     "FaultSpec",
     "MessageFaults",
     "MessageFaultPlan",
-    "default_scheduler_factories",
     "default_scheduler_specs",
     "paper_scenario",
     "paper_traffic",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -17,7 +16,6 @@ __all__ = [
     "ExperimentResult",
     "flag_degraded",
     "default_scheduler_specs",
-    "default_scheduler_factories",
     "scheduler_from_spec",
     "paper_traffic",
     "paper_scenario",
@@ -148,35 +146,6 @@ def default_scheduler_specs(include_greedy: bool = False) -> Dict[str, str]:
     if include_greedy:
         labels.append("JABA-SD(J1/greedy)")
     return {label: label for label in labels}
-
-
-def default_scheduler_factories(
-    include_greedy: bool = False,
-) -> Dict[str, SchedulerFactory]:
-    """Deprecated: the old literal factory dict, now a registry shim.
-
-    .. deprecated::
-        Use :func:`default_scheduler_specs` for campaign axes, or
-        :func:`repro.registry.create`\\ ``("scheduler", name, ...)`` to build
-        one policy.  This shim forwards to the component registry and will be
-        removed once external callers have migrated.
-    """
-    warnings.warn(
-        "default_scheduler_factories() is deprecated; use "
-        "default_scheduler_specs() for campaign scheduler axes or "
-        "repro.registry.create('scheduler', name, ...) to instantiate a "
-        "policy from the component registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def factory_for(label: str) -> SchedulerFactory:
-        return lambda: scheduler_from_spec(label)
-
-    return {
-        label: factory_for(label)
-        for label in default_scheduler_specs(include_greedy=include_greedy)
-    }
 
 
 def scheduler_from_spec(spec: SchedulerSpec) -> BurstScheduler:

@@ -14,7 +14,6 @@ from repro.geometry.mobility import (
     MobilityModel,
     RandomDirectionFleet,
     RandomDirectionMobility,
-    RandomWaypointMobility,
     StaticMobility,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "MobilityModel",
     "StaticMobility",
     "RandomDirectionMobility",
-    "RandomWaypointMobility",
     "RandomDirectionFleet",
     "FleetMemberMobility",
 ]

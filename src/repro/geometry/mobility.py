@@ -1,18 +1,22 @@
 """User mobility models.
 
 The paper's evaluation is a dynamic simulation "which takes into account of
-the user mobility".  Two standard stochastic mobility models are provided
-(plus a static model for snapshot analyses):
+the user mobility".  Users move with the random-direction model: a straight
+line at a constant speed, re-drawing direction (and optionally speed) after
+an exponentially distributed epoch, reflecting off the region boundary.
+This is the model typically used in cellular-capacity studies because it
+keeps the spatial user distribution approximately uniform.
 
-* :class:`RandomDirectionMobility` — the user moves in a straight line at a
-  constant speed, re-drawing direction (and optionally speed) after an
-  exponentially distributed epoch; the trajectory reflects off the region
-  boundary.  This is the model typically used in cellular-capacity studies
-  because it keeps the spatial user distribution approximately uniform.
-* :class:`RandomWaypointMobility` — the user picks a uniform waypoint,
-  travels to it at a uniform random speed and optionally pauses.
+* :class:`RandomDirectionFleet` — the model for a whole population as
+  structure-of-arrays kernels; what the dynamic simulator runs.
+* :class:`RandomDirectionMobility` — the per-user reference model the fleet
+  is checked against (``tests/test_fleet_parity.py``).
+* :class:`StaticMobility` — a non-moving user for snapshot analyses.
+* :class:`MobilityBatch` / :class:`FleetMemberMobility` — how
+  :class:`repro.cdma.network.CdmaNetwork` advances a list of per-user models,
+  and a per-user view of one fleet member.
 
-Both models report the distance travelled per update, which drives the
+Every model reports the distance travelled per update, which drives the
 shadowing decorrelation (:class:`repro.channel.shadowing.GudmundsonShadowing`).
 """
 
@@ -30,11 +34,9 @@ __all__ = [
     "MobilityModel",
     "StaticMobility",
     "RandomDirectionMobility",
-    "RandomWaypointMobility",
     "MobilityBatch",
     "RandomDirectionFleet",
     "FleetMemberMobility",
-    "advance_all",
 ]
 
 Bounds = Tuple[float, float, float, float]
@@ -190,134 +192,6 @@ class RandomDirectionMobility(MobilityModel):
             if self._time_to_epoch <= 0.0:
                 self._redraw()
         return travelled
-
-
-class RandomWaypointMobility(MobilityModel):
-    """Random-waypoint mobility within a rectangular region.
-
-    Parameters
-    ----------
-    initial_position:
-        Starting coordinates (m).
-    bounds:
-        Rectangular region ``(xmin, xmax, ymin, ymax)``.
-    speed_range_m_s:
-        ``(low, high)`` of the uniform speed drawn for each leg.
-    pause_s:
-        Fixed pause at each waypoint.
-    rng:
-        Random generator.
-    """
-
-    def __init__(
-        self,
-        initial_position: np.ndarray,
-        bounds: Bounds,
-        speed_range_m_s: Tuple[float, float] = (1.0, 13.9),
-        pause_s: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        self._bounds = _check_bounds(bounds)
-        self._position = np.asarray(initial_position, dtype=float).reshape(2).copy()
-        lo, hi = float(speed_range_m_s[0]), float(speed_range_m_s[1])
-        if lo <= 0 or hi < lo:
-            raise ValueError("speed range must satisfy 0 < low <= high")
-        self._speed_range = (lo, hi)
-        self.pause_s = check_non_negative("pause_s", pause_s)
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._pause_remaining = 0.0
-        self._waypoint = self._draw_waypoint()
-        self._speed = float(self._rng.uniform(lo, hi))
-
-    def _draw_waypoint(self) -> np.ndarray:
-        xmin, xmax, ymin, ymax = self._bounds
-        return np.array(
-            [self._rng.uniform(xmin, xmax), self._rng.uniform(ymin, ymax)]
-        )
-
-    @property
-    def position(self) -> np.ndarray:
-        return self._position.copy()
-
-    @property
-    def speed_m_s(self) -> float:
-        return 0.0 if self._pause_remaining > 0.0 else self._speed
-
-    @property
-    def waypoint(self) -> np.ndarray:
-        """Current destination waypoint."""
-        return self._waypoint.copy()
-
-    def advance(self, dt_s: float) -> float:
-        check_non_negative("dt_s", dt_s)
-        remaining = dt_s
-        travelled = 0.0
-        while remaining > 1e-12:
-            if self._pause_remaining > 0.0:
-                waited = min(self._pause_remaining, remaining)
-                self._pause_remaining -= waited
-                remaining -= waited
-                continue
-            to_waypoint = self._waypoint - self._position
-            distance = float(np.hypot(*to_waypoint))
-            if distance < 1e-9:
-                self._waypoint = self._draw_waypoint()
-                self._speed = float(self._rng.uniform(*self._speed_range))
-                self._pause_remaining = self.pause_s
-                continue
-            max_step = self._speed * remaining
-            step = min(max_step, distance)
-            self._position += to_waypoint / distance * step
-            travelled += step
-            remaining -= step / self._speed
-            if step >= distance - 1e-12:
-                self._waypoint = self._draw_waypoint()
-                self._speed = float(self._rng.uniform(*self._speed_range))
-                self._pause_remaining = self.pause_s
-        return travelled
-
-
-def advance_all(
-    models,
-    dt_s: float,
-    out_moved: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Advance a sequence of mobility models by ``dt_s`` seconds.
-
-    Convenience helper for one-shot population updates: all-static
-    populations short-circuit, everything else advances per model in index
-    order (so a shared random generator consumes draws exactly as the
-    equivalent hand-written loop would).  The frame pipeline itself uses
-    :class:`MobilityBatch`, which keeps structure-of-arrays state across
-    frames and vectorises the common straight-line case.
-
-    Parameters
-    ----------
-    models:
-        Sequence of :class:`MobilityModel` instances.
-    dt_s:
-        Elapsed time, seconds (non-negative).
-    out_moved:
-        Optional preallocated output for the travelled distances, shape
-        ``(len(models),)``; allocated when omitted.
-
-    Returns
-    -------
-    Distance travelled by each model, shape ``(len(models),)``.
-    """
-    check_non_negative("dt_s", dt_s)
-    n = len(models)
-    moved = out_moved if out_moved is not None else np.zeros(n)
-    if out_moved is not None and moved.shape != (n,):
-        raise ValueError("out_moved must have shape (len(models),)")
-    # Fast path: a population of static users needs no per-model calls at
-    # all (snapshot / Monte-Carlo drop analyses at scale).
-    if all(type(m) is StaticMobility for m in models):
-        moved[:] = 0.0
-        return moved
-    for i, model in enumerate(models):
-        moved[i] = model.advance(dt_s)
-    return moved
 
 
 class MobilityBatch:

@@ -59,6 +59,7 @@ import hashlib
 import inspect
 import json
 import typing
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -419,7 +420,13 @@ def load_scenario_spec(path: str) -> Dict[str, Any]:
 
 
 def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Normalise a spec: check sections, fill the version, copy mutables."""
+    """Normalise a spec: check sections, fill the version, copy mutables.
+
+    Every spec :func:`spec_from_scenario` wrote before the per-user layer
+    became fleet-only carries a ``batched_fleet`` key in its ``scenario``
+    section; it is dropped with a :class:`DeprecationWarning`, so such a spec
+    builds, and fingerprints, like the same spec without it.
+    """
     allowed = set(KINDS) | set(_PLAIN_SECTIONS)
     normalized: Dict[str, Any] = {}
     for key, value in spec.items():
@@ -429,6 +436,15 @@ def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
                 f"{_suggest(key, sorted(allowed))}"
             )
         normalized[key] = dict(value) if isinstance(value, Mapping) else value
+    scenario = normalized.get("scenario")
+    if isinstance(scenario, dict) and "batched_fleet" in scenario:
+        legacy = scenario.pop("batched_fleet")
+        warnings.warn(
+            f"scenario-spec key batched_fleet={legacy!r} is ignored: the "
+            "per-user layer always runs on the structure-of-arrays fleets",
+            DeprecationWarning,
+            stacklevel=3,
+        )
     version = normalized.setdefault("version", SCENARIO_SPEC_VERSION)
     if version != SCENARIO_SPEC_VERSION:
         raise SpecError(

@@ -17,6 +17,14 @@ of the user mobility, power control, and soft hand-off."
 * users move, shadowing and fast fading evolve, soft hand-off active sets are
   updated, FCH power control runs every frame.
 
+The per-user layer (voice activity, packet-call traffic, MAC states,
+mobility) runs as structure-of-arrays fleets
+(:class:`repro.traffic.VoiceFleet`, :class:`repro.traffic.DataTrafficFleet`,
+:class:`repro.mac.MacStateFleet`,
+:class:`repro.geometry.mobility.RandomDirectionFleet`), each on its own seeded
+random stream; FCH activity is pushed into the network with
+:meth:`repro.cdma.network.CdmaNetwork.set_fch_state`.
+
 The per-packet-call delay (arrival until the last bit is served), carried
 throughput, loading and outage statistics are gathered by
 :class:`repro.simulation.metrics.MetricsCollector`.
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -35,21 +42,17 @@ import numpy as np
 from repro.cdma.entities import MobileStation, UserClass
 from repro.cdma.network import CdmaNetwork, NetworkSnapshot
 from repro.geometry.hexgrid import HexagonalCellLayout
-from repro.geometry.mobility import (
-    FleetMemberMobility,
-    RandomDirectionFleet,
-    RandomDirectionMobility,
-)
+from repro.geometry.mobility import FleetMemberMobility, RandomDirectionFleet
 from repro.mac.admission import BurstAdmissionController
 from repro.mac.requests import BurstGrant, BurstRequest, LinkDirection
 from repro.mac.schedulers.base import BurstScheduler
-from repro.mac.states import MacState, MacStateFleet, MacStateMachine
+from repro.mac.states import MacStateFleet
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.placement import placement_from_config
 from repro.simulation.scenario import ScenarioConfig
-from repro.traffic.data import DataTrafficFleet, PacketCallDataSource, TruncatedParetoSize
-from repro.traffic.voice import OnOffVoiceSource, VoiceFleet
-from repro.utils.hooks import CompositeHooks, SimHooks, StageTimingHooks
+from repro.traffic.data import DataTrafficFleet, TruncatedParetoSize
+from repro.traffic.voice import VoiceFleet
+from repro.utils.hooks import SimHooks
 from repro.utils.recorder import (
     EventRecorder,
     JsonlSink,
@@ -112,7 +115,6 @@ class DynamicSystemSimulator:
                 if ambient is not None:
                     hooks = RecorderHooks(ambient)
         self.hooks = hooks
-        self.batched_fleet = bool(scenario.batched_fleet)
         self._rng_factory = RngFactory(scenario.seed)
         system = scenario.effective_system()
         self.system = system
@@ -124,29 +126,27 @@ class DynamicSystemSimulator:
             wraparound=radio.wraparound,
         )
         bounds = self.layout.bounding_box()
-        # RNG contract: the scalar streams are spawned in the seed order
-        # (placement, mobility, propagation, traffic, burst-direction) in
-        # BOTH modes, so the default scalar path stays bit-identical and a
-        # fleet run shares the user placement and the propagation
-        # (shadowing / fast-fading) realisations with its scalar twin.  The
-        # fleet streams are spawned strictly AFTER every scalar stream.
+        # RNG contract: RngFactory.child keys each stream by its spawn
+        # position, so the order below is fixed.  The mobility, traffic and
+        # burst-direction streams are unused but still spawned: dropping them
+        # would move every later stream and change every result.
         placement_rng = self._rng_factory.child("placement")
-        mobility_rng = self._rng_factory.child("mobility")
+        self._rng_factory.child("mobility")
         propagation_rng = self._rng_factory.child("propagation")
-        traffic_rng = self._rng_factory.child("traffic")
-        self._direction_rng = self._rng_factory.child("burst-direction")
-        if self.batched_fleet:
-            fleet_mobility_rng = self._rng_factory.child("fleet-mobility")
-            fleet_voice_rng = self._rng_factory.child("fleet-voice")
-            fleet_data_rng = self._rng_factory.child("fleet-data")
+        self._rng_factory.child("traffic")
+        self._rng_factory.child("burst-direction")
+        fleet_mobility_rng = self._rng_factory.child("fleet-mobility")
+        fleet_voice_rng = self._rng_factory.child("fleet-voice")
+        fleet_data_rng = self._rng_factory.child("fleet-data")
 
         # -- population --------------------------------------------------------
-        # Placement first (one stream, identical in both modes), then the
-        # mobility back-end, then the entity objects.  The placement model is
-        # pluggable (scenario.placement); the default uniform model issues
-        # exactly one layout.random_position_in_cell call per user, so the
-        # placement stream is consumed bit-identically to the historic
-        # hard-wired loop.
+        # Placement first, then the mobility fleet, then the entity objects,
+        # which carry only the placement and the static radio parameters:
+        # the fleets and the network's arrays own the per-user state.  The
+        # placement model is pluggable (scenario.placement); the default
+        # uniform model issues exactly one layout.random_position_in_cell call
+        # per user, so the placement stream is consumed bit-identically to
+        # the historic hard-wired loop.
         placement_model = placement_from_config(scenario.placement)
         self.data_user_indices: List[int] = []
         self.voice_user_indices: List[int] = []
@@ -170,34 +170,18 @@ class DynamicSystemSimulator:
                 index += 1
         num_users = index
 
-        self.mobility_fleet: Optional[RandomDirectionFleet] = None
-        if self.batched_fleet:
-            self.mobility_fleet = RandomDirectionFleet(
-                np.asarray(positions, dtype=float).reshape(num_users, 2),
-                bounds,
-                speed_m_s=scenario.mobility.speed_range_m_s,
-                mean_epoch_s=scenario.mobility.mean_epoch_s,
-                rng=fleet_mobility_rng,
-            )
-            mobility_models = [
-                FleetMemberMobility(self.mobility_fleet, j) for j in range(num_users)
-            ]
-        else:
-            mobility_models = [
-                RandomDirectionMobility(
-                    position,
-                    bounds,
-                    speed_m_s=scenario.mobility.speed_range_m_s,
-                    mean_epoch_s=scenario.mobility.mean_epoch_s,
-                    rng=mobility_rng,
-                )
-                for position in positions
-            ]
+        self.mobility_fleet = RandomDirectionFleet(
+            np.asarray(positions, dtype=float).reshape(num_users, 2),
+            bounds,
+            speed_m_s=scenario.mobility.speed_range_m_s,
+            mean_epoch_s=scenario.mobility.mean_epoch_s,
+            rng=fleet_mobility_rng,
+        )
         self.mobiles: List[MobileStation] = [
             MobileStation(
                 index=j,
                 user_class=user_classes[j],
-                mobility=mobility_models[j],
+                mobility=FleetMemberMobility(self.mobility_fleet, j),
                 fch_pilot_power_ratio=radio.fch_pilot_power_ratio,
             )
             for j in range(num_users)
@@ -235,48 +219,21 @@ class DynamicSystemSimulator:
         self._data_idx_arr = np.asarray(self.data_user_indices, dtype=int)
         self._voice_idx_arr = np.asarray(self.voice_user_indices, dtype=int)
         self._voice_full_rate = np.ones(self._voice_idx_arr.size)
-        self.data_sources: Optional[Dict[int, PacketCallDataSource]] = None
-        self.voice_sources: Optional[Dict[int, OnOffVoiceSource]] = None
-        self.data_fleet: Optional[DataTrafficFleet] = None
-        self.voice_fleet: Optional[VoiceFleet] = None
-        if self.batched_fleet:
-            self.data_fleet = DataTrafficFleet(
-                num_sources=len(self.data_user_indices),
-                mean_reading_time_s=scenario.traffic.mean_reading_time_s,
-                size_distribution=size_distribution,
-                forward_fraction=scenario.traffic.forward_fraction,
-                rng=fleet_data_rng,
-            )
-            self.voice_fleet = VoiceFleet(
-                num_sources=len(self.voice_user_indices), rng=fleet_voice_rng
-            )
-        else:
-            self.data_sources = {
-                j: PacketCallDataSource(
-                    mean_reading_time_s=scenario.traffic.mean_reading_time_s,
-                    size_distribution=size_distribution,
-                    rng=np.random.default_rng(traffic_rng.integers(0, 2**63 - 1)),
-                )
-                for j in self.data_user_indices
-            }
-            self.voice_sources = {
-                j: OnOffVoiceSource(
-                    rng=np.random.default_rng(traffic_rng.integers(0, 2**63 - 1))
-                )
-                for j in self.voice_user_indices
-            }
+        self.data_fleet = DataTrafficFleet(
+            num_sources=len(self.data_user_indices),
+            mean_reading_time_s=scenario.traffic.mean_reading_time_s,
+            size_distribution=size_distribution,
+            forward_fraction=scenario.traffic.forward_fraction,
+            rng=fleet_data_rng,
+        )
+        self.voice_fleet = VoiceFleet(
+            num_sources=len(self.voice_user_indices), rng=fleet_voice_rng
+        )
 
         # -- MAC / bookkeeping ------------------------------------------------------------
-        self.mac_states: Optional[Dict[int, MacStateMachine]] = None
-        self.mac_fleet: Optional[MacStateFleet] = None
-        if self.batched_fleet:
-            self.mac_fleet = MacStateFleet(
-                num_users=len(self.data_user_indices), config=system.mac
-            )
-        else:
-            self.mac_states = {
-                j: MacStateMachine(config=system.mac) for j in self.data_user_indices
-            }
+        self.mac_fleet = MacStateFleet(
+            num_users=len(self.data_user_indices), config=system.mac
+        )
         # Mobile index -> position in the data-user arrays (fleet addressing).
         self._data_local = np.full(num_users, -1, dtype=int)
         self._data_local[self._data_idx_arr] = np.arange(self._data_idx_arr.size)
@@ -292,14 +249,6 @@ class DynamicSystemSimulator:
         self._bursting_count = np.zeros(num_users, dtype=int)
         self._waiting_count = np.zeros(num_users, dtype=int)
         self.metrics = MetricsCollector(warmup_s=scenario.warmup_s)
-        #: Per-stage wall-time accumulator (seconds), populated by
-        #: ``run(collect_stage_times=True)`` (deprecated shim over the
-        #: hooks layer — see :class:`repro.utils.hooks.StageTimingHooks`).
-        self.stage_times_s: Optional[Dict[str, float]] = None
-        #: The hooks in effect for the current run (includes the stage-
-        #: timing shim when ``collect_stage_times=True``); dispatch target
-        #: of the admission path.
-        self._active_hooks: Optional[SimHooks] = self.hooks
 
     # -- traffic handling -----------------------------------------------------------------
     def _enqueue_request(
@@ -319,39 +268,22 @@ class DynamicSystemSimulator:
         self.metrics.record_packet_call_arrival(arrival_s, size_bits)
 
     def _pull_arrivals(self, now_s: float) -> None:
-        traffic = self.scenario.traffic
-        if self.batched_fleet:
-            arrivals = self.data_fleet.pull_arrivals(now_s)
-            if len(arrivals) == 0:
-                return
-            mobile_indices = self._data_idx_arr[arrivals.user_indices]
-            for j, arrival_s, size, forward in zip(
-                mobile_indices.tolist(),
-                arrivals.arrival_times_s.tolist(),
-                arrivals.size_bits.tolist(),
-                arrivals.is_forward.tolist(),
-            ):
-                link = LinkDirection.FORWARD if forward else LinkDirection.REVERSE
-                self._enqueue_request(j, link, size, arrival_s)
+        arrivals = self.data_fleet.pull_arrivals(now_s)
+        if len(arrivals) == 0:
             return
-        for j in self.data_user_indices:
-            for call in self.data_sources[j].pull_arrivals(now_s):
-                link = (
-                    LinkDirection.FORWARD
-                    if self._direction_rng.random() < traffic.forward_fraction
-                    else LinkDirection.REVERSE
-                )
-                self._enqueue_request(j, link, call.size_bits, call.arrival_time_s)
+        mobile_indices = self._data_idx_arr[arrivals.user_indices]
+        for j, arrival_s, size, forward in zip(
+            mobile_indices.tolist(),
+            arrivals.arrival_times_s.tolist(),
+            arrivals.size_bits.tolist(),
+            arrivals.is_forward.tolist(),
+        ):
+            link = LinkDirection.FORWARD if forward else LinkDirection.REVERSE
+            self._enqueue_request(j, link, size, arrival_s)
 
     def _update_voice_activity(self, dt_s: float) -> None:
-        if self.batched_fleet:
-            active = self.voice_fleet.advance(dt_s)
-            self.network.set_fch_state(
-                self._voice_idx_arr, active, self._voice_full_rate
-            )
-            return
-        for j in self.voice_user_indices:
-            self.mobiles[j].fch_active = self.voice_sources[j].advance(dt_s)
+        active = self.voice_fleet.advance(dt_s)
+        self.network.set_fch_state(self._voice_idx_arr, active, self._voice_full_rate)
 
     def _update_data_activity(self) -> None:
         """Data users hold a dedicated channel sized to their current traffic.
@@ -360,44 +292,27 @@ class DynamicSystemSimulator:
         the Control-Hold/Dormant MAC states and does not load the network at
         all; while it merely *waits* for a burst grant it keeps a low-rate
         dedicated control channel (``control_channel_rate_fraction`` of a
-        full-rate FCH); while a burst is on air the full-rate FCH runs
-        alongside the SCH.  This keeps the background load physical (well
-        below the reverse-link pole capacity) while preserving the pilot and
-        FCH measurements the burst admission needs.
+        full-rate FCH), but only while its MAC state still holds one (Active
+        / Control-Hold): users that timed out into Suspended/Dormant stop
+        loading the network and pay the setup-delay penalty of eq. (23) when
+        their burst is eventually granted.  While a burst is on air the
+        full-rate FCH runs alongside the SCH.  This keeps the background load
+        physical (well below the reverse-link pole capacity) while preserving
+        the pilot and FCH measurements the burst admission needs.
 
         Bursting / waiting membership comes from the incremental per-mobile
         counters maintained at arrival / grant / completion time, so no
         per-frame set rebuild over the active bursts and pending queues is
-        needed (on either path).
+        needed.
         """
         control_rate = self.system.radio.control_channel_rate_fraction
         data_idx = self._data_idx_arr
         bursting_mask = self._bursting_count[data_idx] > 0
         waiting_mask = self._waiting_count[data_idx] > 0
-        if self.batched_fleet:
-            holds_dcch = waiting_mask & self.mac_fleet.holds_dedicated_channel()
-            active = bursting_mask | holds_dcch
-            rate = np.where(~bursting_mask & holds_dcch, control_rate, 1.0)
-            self.network.set_fch_state(data_idx, active, rate)
-            return
-        for local, j in enumerate(self.data_user_indices):
-            mobile = self.mobiles[j]
-            if bursting_mask[local]:
-                mobile.fch_active = True
-                mobile.fch_rate_factor = 1.0
-            elif waiting_mask[local]:
-                # A waiting user keeps its dedicated control channel only
-                # while its MAC state still holds one (Active / Control-Hold);
-                # users that timed out into Suspended/Dormant stop loading
-                # the network and will pay the setup-delay penalty of
-                # eq. (23) when their burst is eventually granted.
-                state = self.mac_states[j].state
-                holds_dcch = state in (MacState.ACTIVE, MacState.CONTROL_HOLD)
-                mobile.fch_active = holds_dcch
-                mobile.fch_rate_factor = control_rate if holds_dcch else 1.0
-            else:
-                mobile.fch_active = False
-                mobile.fch_rate_factor = 1.0
+        holds_dcch = waiting_mask & self.mac_fleet.holds_dedicated_channel()
+        active = bursting_mask | holds_dcch
+        rate = np.where(~bursting_mask & holds_dcch, control_rate, 1.0)
+        self.network.set_fch_state(data_idx, active, rate)
 
     # -- burst lifecycle ------------------------------------------------------------------------
     def _complete_bursts(self, now_s: float) -> None:
@@ -428,22 +343,8 @@ class DynamicSystemSimulator:
                 self._waiting_count[request.mobile_index] += 1
         self.active_bursts = still_active
 
-    def _serving_mobiles(self) -> set:
-        return {b.grant.request.mobile_index for b in self.active_bursts}
-
-    def _mac_setup_penalty_s(self, mobile_index: int) -> float:
-        if self.batched_fleet:
-            return self.mac_fleet.setup_penalty_s(self._data_local[mobile_index])
-        return self.mac_states[mobile_index].setup_penalty_s()
-
-    def _mac_touch(self, mobile_index: int) -> None:
-        if self.batched_fleet:
-            self.mac_fleet.touch(self._data_local[mobile_index])
-        else:
-            self.mac_states[mobile_index].touch()
-
     def _run_admission(self, snapshot: NetworkSnapshot, now_s: float) -> None:
-        hooks = self._active_hooks
+        hooks = self.hooks
         for link in (LinkDirection.FORWARD, LinkDirection.REVERSE):
             pending = self.pending[link]
             if not pending:
@@ -464,7 +365,8 @@ class DynamicSystemSimulator:
                 granted_ids.add(request.request_id)
                 # MAC setup penalty: waking a Suspended/Dormant user delays the
                 # effective completion of its burst (eq. (23)).
-                penalty = self._mac_setup_penalty_s(request.mobile_index)
+                local = self._data_local[request.mobile_index]
+                penalty = self.mac_fleet.setup_penalty_s(local)
                 end_s = grant.end_s + penalty
                 for cell, power in grant.forward_power_w.items():
                     self.network.commit_forward_burst_power(cell, power)
@@ -473,7 +375,7 @@ class DynamicSystemSimulator:
                 self.active_bursts.append(_ActiveBurst(grant=grant, end_s=end_s))
                 self._bursting_count[request.mobile_index] += 1
                 self._waiting_count[request.mobile_index] -= 1
-                self._mac_touch(request.mobile_index)
+                self.mac_fleet.touch(local)
             self.pending[link] = [
                 r for r in pending if r.request_id not in granted_ids
             ]
@@ -485,14 +387,7 @@ class DynamicSystemSimulator:
             )
 
     def _update_mac_states(self, dt_s: float) -> None:
-        if self.batched_fleet:
-            self.mac_fleet.advance(
-                dt_s, self._bursting_count[self._data_idx_arr] > 0
-            )
-            return
-        serving = self._serving_mobiles()
-        for j, machine in self.mac_states.items():
-            machine.advance(dt_s, active=j in serving)
+        self.mac_fleet.advance(dt_s, self._bursting_count[self._data_idx_arr] > 0)
 
     def _hooked_stage(self, hooks: SimHooks, name: str, now_s: float, fn, *args) -> None:
         """Run one pipeline stage under the hooks protocol (enter/exit + wall time)."""
@@ -502,9 +397,7 @@ class DynamicSystemSimulator:
         hooks.stage_exit(name, now_s, time.perf_counter() - t0)
 
     # -- main loop ----------------------------------------------------------------------------------
-    def run(
-        self, progress: Optional[int] = None, collect_stage_times: bool = False
-    ) -> SimulationResult:
+    def run(self, progress: Optional[int] = None) -> SimulationResult:
         """Run the simulation and return the summary result.
 
         Parameters
@@ -512,34 +405,9 @@ class DynamicSystemSimulator:
         progress:
             When given, a progress line is printed every ``progress`` frames
             (useful for the long experiment runs).
-        collect_stage_times:
-            Deprecated shim: installs a
-            :class:`repro.utils.hooks.StageTimingHooks` for the run and
-            copies its totals into :attr:`stage_times_s` afterwards.
-            Construct the simulator with ``hooks=StageTimingHooks()``
-            instead.  Off by default (zero overhead).
         """
         hooks = self.hooks
-        timing_hooks: Optional[StageTimingHooks] = None
-        if collect_stage_times:
-            warnings.warn(
-                "run(collect_stage_times=True) is deprecated; pass "
-                "hooks=StageTimingHooks() to DynamicSystemSimulator and read "
-                "hooks.totals instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            timing_hooks = StageTimingHooks()
-            hooks = (
-                timing_hooks
-                if hooks is None
-                else CompositeHooks([hooks, timing_hooks])
-            )
-        self._active_hooks = hooks
         self.network.hooks = hooks
-        self.stage_times_s = None
-        self.network.stage_times_s = None
-
         scenario = self.scenario
         frame_s = self.system.mac.frame_duration_s
         total_time = scenario.warmup_s + scenario.duration_s
@@ -553,7 +421,6 @@ class DynamicSystemSimulator:
                 frames=num_frames,
                 frame_duration_s=frame_s,
                 scheduler=self.scheduler.name,
-                batched_fleet=self.batched_fleet,
                 num_data_users=len(self.data_user_indices),
                 num_voice_users=len(self.voice_user_indices),
             )
@@ -612,8 +479,6 @@ class DynamicSystemSimulator:
             if hooks is not None:
                 hooks.run_end(self.network.time_s, frames=num_frames)
         finally:
-            if timing_hooks is not None:
-                self.stage_times_s = dict(timing_hooks.totals)
             if self._owned_recorder is not None:
                 # Publish the trace_path file (the atomic sink renames on
                 # close); a second run() records nothing further.

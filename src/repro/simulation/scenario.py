@@ -100,6 +100,12 @@ class PlacementConfig:
 class ScenarioConfig:
     """Complete description of one dynamic-simulation run.
 
+    The per-user layer of the run (voice on/off activity, packet-call
+    traffic, MAC state machines, mobility) always executes as
+    structure-of-arrays fleets on their own seeded streams; see the fleet
+    RNG contract in ``benchmarks/README.md``.  Specs saved with fields that
+    no longer exist still load (see :func:`repro.registry.validate_spec`).
+
     Attributes
     ----------
     system:
@@ -133,19 +139,6 @@ class ScenarioConfig:
         Build the burst-admission measurement matrices with the queue-wide
         batched kernels (default).  ``False`` selects the scalar oracle
         path; both are bit-identical.
-    batched_fleet:
-        Run the per-user simulation layer (voice on/off sources, packet-call
-        traffic, MAC state machines, mobility) as structure-of-arrays fleet
-        kernels (:class:`repro.traffic.VoiceFleet`,
-        :class:`repro.traffic.DataTrafficFleet`,
-        :class:`repro.mac.MacStateFleet`,
-        :class:`repro.geometry.mobility.RandomDirectionFleet`) instead of
-        per-user Python objects.  The fleets own their own seeded random
-        streams, so a fleet run is statistically equivalent — same user
-        placement, same propagation streams, same traffic/mobility
-        distributions — but not sample-path identical to the scalar path;
-        the scalar default stays bit-for-bit reproducible.  See the fleet
-        RNG contract in ``benchmarks/README.md``.
     trace_path:
         When set, the dynamic simulator records its telemetry event stream
         (run/frame/stage/admission events, see
@@ -169,7 +162,6 @@ class ScenarioConfig:
     warm_start_solver: bool = False
     power_control_tolerance: Optional[float] = None
     batched_admission: bool = True
-    batched_fleet: bool = False
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -5,7 +5,8 @@
   discusses in the introduction.
 * :mod:`~repro.traffic.data` — bursty packet-data (WWW-style packet-call)
   sources whose bursts are what the admission control schedules.
-* :mod:`~repro.traffic.arrivals` — generic arrival-process helpers.
+* :mod:`~repro.traffic.arrivals` — the batched renewal-arrival kernel of
+  the data-traffic fleet.
 """
 
 from repro.traffic.voice import OnOffVoiceSource, VoiceFleet
@@ -16,11 +17,7 @@ from repro.traffic.data import (
     PacketCallDataSource,
     TruncatedParetoSize,
 )
-from repro.traffic.arrivals import (
-    PoissonArrivals,
-    exponential_interarrival,
-    pull_renewal_arrivals_batch,
-)
+from repro.traffic.arrivals import pull_renewal_arrivals_batch
 
 __all__ = [
     "OnOffVoiceSource",
@@ -30,7 +27,5 @@ __all__ = [
     "FleetArrivals",
     "TruncatedParetoSize",
     "PacketCall",
-    "PoissonArrivals",
-    "exponential_interarrival",
     "pull_renewal_arrivals_batch",
 ]

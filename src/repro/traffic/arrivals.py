@@ -1,67 +1,14 @@
-"""Generic arrival-process helpers."""
+"""Batched renewal-arrival kernel of the data-traffic fleet."""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = [
-    "exponential_interarrival",
-    "PoissonArrivals",
-    "pull_renewal_arrivals_batch",
-]
-
-
-def exponential_interarrival(rng: np.random.Generator, rate_per_s: float) -> float:
-    """Draw one exponential inter-arrival time for a Poisson process."""
-    check_positive("rate_per_s", rate_per_s)
-    return float(rng.exponential(1.0 / rate_per_s))
-
-
-class PoissonArrivals:
-    """Homogeneous Poisson arrival process.
-
-    Parameters
-    ----------
-    rate_per_s:
-        Arrival rate (events per second).
-    rng:
-        Random generator.
-    start_s:
-        Time origin of the process.
-    """
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        rng: Optional[np.random.Generator] = None,
-        start_s: float = 0.0,
-    ) -> None:
-        self.rate_per_s = check_positive("rate_per_s", rate_per_s)
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._next_s = float(start_s) + exponential_interarrival(
-            self._rng, self.rate_per_s
-        )
-
-    @property
-    def next_arrival_s(self) -> float:
-        """Absolute time of the next arrival."""
-        return self._next_s
-
-    def pull_arrivals(self, until_s: float) -> list[float]:
-        """Return the arrival times up to ``until_s`` and advance the process."""
-        times: list[float] = []
-        while self._next_s <= until_s:
-            times.append(self._next_s)
-            self._next_s += exponential_interarrival(self._rng, self.rate_per_s)
-        return times
-
-    def iter_arrivals(self, until_s: float) -> Iterator[float]:
-        """Iterate over arrivals up to ``until_s`` (consumes the process)."""
-        yield from self.pull_arrivals(until_s)
+__all__ = ["pull_renewal_arrivals_batch"]
 
 
 def pull_renewal_arrivals_batch(

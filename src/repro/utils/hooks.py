@@ -3,8 +3,6 @@
 A :class:`SimHooks` instance is a passive observer that the hot layers of the
 stack call into at well-defined points:
 
-* the **DES engine** (:class:`repro.des.core.Environment`) reports event
-  scheduling, event dispatch and unhandled event failures;
 * the **frame pipeline** (:class:`repro.simulation.dynamic.
   DynamicSystemSimulator` and :meth:`repro.cdma.network.CdmaNetwork.advance`)
   reports per-stage enter/exit (with wall-clock stage timings), one ``frame``
@@ -45,19 +43,9 @@ class SimHooks:
     durations.
     """
 
-    # -- DES engine --------------------------------------------------------
-    def event_scheduled(self, time_s: float, priority: int, queue_size: int) -> None:
-        """An event was inserted into the queue to fire at ``time_s``."""
-
-    def event_dispatched(self, time_s: float, num_callbacks: int) -> None:
-        """An event fired at ``time_s`` and ran ``num_callbacks`` callbacks."""
-
-    def event_error(self, time_s: float, error: BaseException) -> None:
-        """An event failed with no handler; the engine is about to re-raise."""
-
     # -- frame pipeline ----------------------------------------------------
     def run_start(self, time_s: float, **info) -> None:
-        """A dynamic run started (``info``: frames, batched_fleet, ...)."""
+        """A dynamic run started (``info``: frames, scheduler, ...)."""
 
     def run_end(self, time_s: float, **info) -> None:
         """A dynamic run finished."""
@@ -134,18 +122,6 @@ class CompositeHooks(SimHooks):
     # One explicit forwarder per protocol method: a __getattr__-based
     # forwarder would allocate a closure per dispatch, which the dispatch-
     # count tests (and the overhead budget) forbid.
-    def event_scheduled(self, time_s, priority, queue_size):
-        for child in self.children:
-            child.event_scheduled(time_s, priority, queue_size)
-
-    def event_dispatched(self, time_s, num_callbacks):
-        for child in self.children:
-            child.event_dispatched(time_s, num_callbacks)
-
-    def event_error(self, time_s, error):
-        for child in self.children:
-            child.event_error(time_s, error)
-
     def run_start(self, time_s, **info):
         for child in self.children:
             child.run_start(time_s, **info)
@@ -210,12 +186,11 @@ class CompositeHooks(SimHooks):
 
 
 class StageTimingHooks(SimHooks):
-    """Accumulate per-stage wall time — the hooks-layer replacement of the
-    legacy ``run(collect_stage_times=True)`` instrumentation.
+    """Accumulate per-stage wall time.
 
     :attr:`totals` maps stage name to accumulated wall-clock seconds over
-    the run (the same ``{"voice", "arrivals", "data_activity", "mac",
-    "mobility"}`` keys the legacy ``stage_times_s`` dict carried).
+    the run (for a dynamic run the keys are ``{"voice", "arrivals",
+    "data_activity", "mac", "mobility"}``).
     """
 
     def __init__(self) -> None:

@@ -70,10 +70,6 @@ SCHEMA_VERSION = 1
 #: ``schema``/``seq``/``kind``/``time_s`` are required for every kind).
 #: Extra fields are allowed everywhere: the schema is a floor, not a ceiling.
 EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
-    # DES engine
-    "des_schedule": ("priority", "queue_size"),
-    "des_dispatch": ("num_callbacks",),
-    "des_error": ("error",),
     # frame pipeline
     "run_start": (),
     "run_end": (),
@@ -387,20 +383,6 @@ class RecorderHooks(SimHooks):
 
     def __init__(self, recorder: EventRecorder) -> None:
         self.recorder = recorder
-
-    # -- DES engine --------------------------------------------------------
-    def event_scheduled(self, time_s, priority, queue_size):
-        self.recorder.record(
-            "des_schedule", time_s, priority=priority, queue_size=queue_size
-        )
-
-    def event_dispatched(self, time_s, num_callbacks):
-        self.recorder.record("des_dispatch", time_s, num_callbacks=num_callbacks)
-
-    def event_error(self, time_s, error):
-        self.recorder.record(
-            "des_error", time_s, error=f"{type(error).__name__}: {error}"
-        )
 
     # -- frame pipeline ----------------------------------------------------
     def run_start(self, time_s, **info):

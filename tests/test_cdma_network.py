@@ -174,87 +174,38 @@ class TestFramePipelineRegressions:
             first[0] = 99  # read-only view
 
     def test_fch_state_write_through(self):
-        # The MAC layer toggles FCH activity by plain attribute assignment;
-        # the network's arrays must observe it without re-scanning mobiles.
-        network, _ = build_network()
-        network.mobiles[0].fch_active = False
-        network.mobiles[1].fch_rate_factor = 0.125
-        snapshot = network.snapshot()
-        assert np.isnan(snapshot.forward_pc.achieved_sir[0])
-        assert snapshot.reverse_pc.tx_power_w[0] == 0.0
-        # A low-rate control channel needs less power than a full-rate FCH.
-        network.mobiles[1].fch_rate_factor = 1.0
-        full = network.snapshot()
-        assert (
-            snapshot.reverse_pc.tx_power_w[1] < full.reverse_pc.tx_power_w[1]
-        )
-
-    def test_bulk_fch_write_back_parity(self):
-        # The bulk writer must leave entities, its own arrays and any other
-        # observing network in exactly the state per-attribute writes produce.
-        network, _ = build_network(num_data=5, num_voice=5, seed=3)
-        twin, _ = build_network(num_data=5, num_voice=5, seed=3)
-        rng = np.random.default_rng(42)
-        indices = np.arange(10)
-        active = rng.random(10) < 0.5
-        rate = np.where(rng.random(10) < 0.5, 1.0, 0.125)
-
-        network.set_fch_state(indices, active, rate)
-        for j in indices:
-            twin.mobiles[j].fch_active = bool(active[j])
-            twin.mobiles[j].fch_rate_factor = float(rate[j])
-
-        assert np.array_equal(network._fch_active_mask(), twin._fch_active_mask())
-        assert np.array_equal(network._fch_rate_factors(), twin._fch_rate_factors())
-        for m_bulk, m_scalar in zip(network.mobiles, twin.mobiles):
-            assert m_bulk.fch_active == m_scalar.fch_active
-            assert m_bulk.fch_rate_factor == m_scalar.fch_rate_factor
-
-    def test_bulk_fch_write_back_skips_observer_dispatch(self, monkeypatch):
-        # Before: every changed mobile paid two observed attribute writes
-        # (the ~50 ms first-frame transient at J=1e5).  After: the bulk
-        # writer performs zero observer dispatches when this network is the
-        # only observer.
-        network, _ = build_network(num_data=5, num_voice=5, seed=3)
-        calls = []
-        original = MobileStation._notify_fch_observers
-        monkeypatch.setattr(
-            MobileStation,
-            "_notify_fch_observers",
-            lambda self: (calls.append(1), original(self))[1],
-        )
-        flipped = ~network._fch_active_mask()
-        network.set_fch_state(
-            np.arange(10), flipped, network._fch_rate_factors().copy()
-        )
-        assert calls == []  # scalar path would have dispatched 10 times
-        assert np.array_equal(network._fch_active_mask(), flipped)
-        # The scalar write path still dispatches (write-through contract).
-        network.mobiles[0].fch_active = not network.mobiles[0].fch_active
-        assert len(calls) == 1
-
-    def test_bulk_fch_write_back_notifies_foreign_networks(self):
-        # Two networks sharing one mobile population (ablation sweeps): a
-        # bulk write on one must propagate to the other's arrays.
+        # A network built from static mobiles starts from their FCH fields.
         config = SystemConfig.small_test_system()
         layout = HexagonalCellLayout(config.radio.num_rings, config.radio.cell_radius_m)
-        rng = np.random.default_rng(5)
-        bounds = layout.bounding_box()
+        rng = np.random.default_rng(11)
         mobiles = [
-            MobileStation(
-                index=i,
-                user_class=UserClass.DATA,
-                mobility=RandomDirectionMobility(layout.random_position(rng), bounds, rng=rng),
+            MobileStation.static(
+                i, layout.random_position(rng),
+                fch_active=i % 3 != 0,
+                fch_rate_factor=0.125 if i % 2 else 1.0,
             )
             for i in range(6)
         ]
-        net_a = CdmaNetwork(config, mobiles, np.random.default_rng(1), layout)
-        net_b = CdmaNetwork(config, mobiles, np.random.default_rng(2), layout)
-        flipped = ~net_a._fch_active_mask()
-        rates = np.where(flipped, 1.0, 0.125)
-        net_a.set_fch_state(np.arange(6), flipped, rates)
-        assert np.array_equal(net_b._fch_active_mask(), flipped)
-        assert np.array_equal(net_b._fch_rate_factors(), rates)
+        network = CdmaNetwork(config, mobiles, rng, layout)
+        np.testing.assert_array_equal(
+            network._fch_active_mask(), [m.fch_active for m in mobiles]
+        )
+        np.testing.assert_array_equal(
+            network._fch_rate_factors(), [m.fch_rate_factor for m in mobiles]
+        )
+
+        # set_fch_state is what the next snapshot sees: an FCH-off mobile
+        # has no SIR and no reverse power, and a low-rate control channel
+        # needs less power than a full-rate FCH.
+        network, _ = build_network()
+        network.set_fch_state(np.array([0, 1]), np.array([False, True]),
+                              np.array([1.0, 0.125]))
+        snapshot = network.snapshot()
+        assert np.isnan(snapshot.forward_pc.achieved_sir[0])
+        assert snapshot.reverse_pc.tx_power_w[0] == 0.0
+        network.set_fch_state(np.array([1]), np.array([True]), np.array([1.0]))
+        full = network.snapshot()
+        assert snapshot.reverse_pc.tx_power_w[1] < full.reverse_pc.tx_power_w[1]
 
     def test_positions_array_tracks_mobility(self):
         network, _ = build_network()

@@ -75,7 +75,6 @@ class TestPackageApi:
     @pytest.mark.parametrize(
         "module_name",
         [
-            "repro.des",
             "repro.channel",
             "repro.phy",
             "repro.geometry",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    default_scheduler_factories,
     default_scheduler_specs,
     paper_scenario,
     paper_traffic,
@@ -33,15 +32,6 @@ class TestCommon:
     def test_default_specs(self):
         specs = default_scheduler_specs(include_greedy=True)
         assert set(specs) >= {"JABA-SD(J1)", "JABA-SD(J2)", "FCFS", "EqualShare"}
-
-    def test_default_factories_shim(self):
-        # Deprecated path: still functional, forwards to the registry.
-        with pytest.warns(DeprecationWarning, match="default_scheduler_factories"):
-            factories = default_scheduler_factories(include_greedy=True)
-        assert set(factories) == set(default_scheduler_specs(include_greedy=True))
-        for factory in factories.values():
-            scheduler = factory()
-            assert hasattr(scheduler, "assign")
 
     def test_paper_scenario_and_traffic(self):
         scenario = paper_scenario(num_data_users_per_cell=10)

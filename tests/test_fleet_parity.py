@@ -1,12 +1,15 @@
-"""Scalar-vs-fleet parity of the structure-of-arrays user-fleet kernels.
+"""Parity of the structure-of-arrays user fleets with the per-user reference models.
 
-The fleets (:class:`repro.traffic.VoiceFleet`,
+The dynamic simulator runs the fleets (:class:`repro.traffic.VoiceFleet`,
 :class:`repro.traffic.DataTrafficFleet`, :class:`repro.mac.MacStateFleet`,
-:class:`repro.geometry.mobility.RandomDirectionFleet`) own their own random
-streams, so parity with the per-user scalar objects is *statistical* for
-everything that draws randomness (activity fractions, arrival and size
-distributions, kinematics) and **bit-exact** for the deterministic MAC
-state machines driven by identical activity sequences.
+:class:`repro.geometry.mobility.RandomDirectionFleet`); the per-user models
+(:class:`repro.traffic.OnOffVoiceSource`,
+:class:`repro.traffic.PacketCallDataSource`, :class:`repro.mac.MacStateMachine`,
+:class:`repro.geometry.mobility.RandomDirectionMobility`) are kept as their
+reference.  The fleets own their own random streams, so parity is
+*statistical* for everything that draws randomness (activity fractions,
+arrival and size distributions, kinematics) and **bit-exact** for the
+deterministic MAC state machines driven by identical activity sequences.
 """
 
 import numpy as np
@@ -273,7 +276,6 @@ def fleet_scenario(**overrides):
     defaults = dict(
         duration_s=2.0,
         warmup_s=0.5,
-        batched_fleet=True,
         traffic=TrafficConfig(
             mean_reading_time_s=1.0,
             packet_call_min_bits=24_000,
@@ -286,48 +288,27 @@ def fleet_scenario(**overrides):
 
 class TestFleetSimulatorEndToEnd:
     @pytest.fixture(scope="class")
-    def fleet_and_scalar(self):
-        fleet_sim = DynamicSystemSimulator(fleet_scenario(), JabaSdScheduler("J1"))
-        scalar_sim = DynamicSystemSimulator(
-            fleet_scenario(batched_fleet=False), JabaSdScheduler("J1")
-        )
-        return fleet_sim, scalar_sim
+    def fleet_sim(self):
+        return DynamicSystemSimulator(fleet_scenario(), JabaSdScheduler("J1"))
 
-    def test_same_placement_as_scalar_twin(self, fleet_and_scalar):
-        fleet_sim, scalar_sim = fleet_and_scalar
-        np.testing.assert_array_equal(
-            fleet_sim.network._positions(), scalar_sim.network._positions()
-        )
+    def test_fleet_run_carries_traffic(self, fleet_sim):
+        result = fleet_sim.run()
+        assert result.completed_packet_calls > 0
+        assert result.carried_throughput_bps > 0.0
 
-    def test_fleet_run_carries_traffic(self, fleet_and_scalar):
-        fleet_sim, scalar_sim = fleet_and_scalar
-        fleet_result = fleet_sim.run()
-        scalar_result = scalar_sim.run()
-        assert fleet_result.completed_packet_calls > 0
-        assert fleet_result.carried_throughput_bps > 0.0
-        # Same scenario, different sample paths: offered loads must agree in
-        # magnitude (the distributions are identical).
-        assert fleet_result.offered_load_bps == pytest.approx(
-            scalar_result.offered_load_bps, rel=0.6
-        )
+    def test_membership_counts_consistent_after_run(self, fleet_sim):
+        bursting = {b.grant.request.mobile_index for b in fleet_sim.active_bursts}
+        waiting = set()
+        for requests in fleet_sim.pending.values():
+            waiting.update(r.mobile_index for r in requests)
+        count_bursting = set(np.flatnonzero(fleet_sim._bursting_count > 0))
+        count_waiting = set(np.flatnonzero(fleet_sim._waiting_count > 0))
+        assert count_bursting == bursting
+        assert count_waiting == waiting
+        assert np.all(fleet_sim._bursting_count >= 0)
+        assert np.all(fleet_sim._waiting_count >= 0)
 
-    def test_membership_counts_consistent_after_run(self, fleet_and_scalar):
-        for simulator in fleet_and_scalar:
-            bursting = {
-                b.grant.request.mobile_index for b in simulator.active_bursts
-            }
-            waiting = set()
-            for requests in simulator.pending.values():
-                waiting.update(r.mobile_index for r in requests)
-            count_bursting = set(np.flatnonzero(simulator._bursting_count > 0))
-            count_waiting = set(np.flatnonzero(simulator._waiting_count > 0))
-            assert count_bursting == bursting
-            assert count_waiting == waiting
-            assert np.all(simulator._bursting_count >= 0)
-            assert np.all(simulator._waiting_count >= 0)
-
-    def test_fleet_positions_are_network_positions(self, fleet_and_scalar):
-        fleet_sim, _ = fleet_and_scalar
+    def test_fleet_positions_are_network_positions(self, fleet_sim):
         assert fleet_sim.network._positions() is fleet_sim.mobility_fleet.positions
         member = fleet_sim.mobiles[0].mobility
         np.testing.assert_array_equal(
@@ -335,14 +316,3 @@ class TestFleetSimulatorEndToEnd:
         )
         with pytest.raises(RuntimeError):
             member.advance(0.02)
-
-    def test_scalar_objects_absent_on_fleet_path(self, fleet_and_scalar):
-        fleet_sim, scalar_sim = fleet_and_scalar
-        assert fleet_sim.data_sources is None
-        assert fleet_sim.voice_sources is None
-        assert fleet_sim.mac_states is None
-        assert fleet_sim.data_fleet is not None
-        assert fleet_sim.voice_fleet is not None
-        assert fleet_sim.mac_fleet is not None
-        assert scalar_sim.mobility_fleet is None
-        assert scalar_sim.data_fleet is None

@@ -5,13 +5,35 @@ import pytest
 
 from repro.geometry.mobility import (
     MobilityBatch,
+    MobilityModel,
     RandomDirectionMobility,
-    RandomWaypointMobility,
     StaticMobility,
-    advance_all,
 )
 
 BOUNDS = (-1000.0, 1000.0, -1000.0, 1000.0)
+
+
+class _RandomStepMobility(MobilityModel):
+    """A model outside MobilityBatch's vector kernel: one random heading per advance."""
+
+    def __init__(self, position, rng, speed_m_s=10.0):
+        self._position = np.asarray(position, dtype=float).copy()
+        self._rng = rng
+        self._speed = speed_m_s
+
+    @property
+    def position(self):
+        return self._position.copy()
+
+    @property
+    def speed_m_s(self):
+        return self._speed
+
+    def advance(self, dt_s):
+        heading = self._rng.uniform(0.0, 2.0 * np.pi)
+        step = self._speed * dt_s
+        self._position += step * np.array([np.cos(heading), np.sin(heading)])
+        return step
 
 
 class TestStaticMobility:
@@ -75,56 +97,6 @@ class TestRandomDirectionMobility:
             RandomDirectionMobility([0, 0], BOUNDS, mean_epoch_s=0.0)
 
 
-class TestRandomWaypointMobility:
-    def test_stays_inside_bounds(self):
-        rng = np.random.default_rng(4)
-        model = RandomWaypointMobility([0.0, 0.0], BOUNDS, speed_range_m_s=(5.0, 20.0),
-                                       rng=rng)
-        for _ in range(300):
-            model.advance(2.0)
-            x, y = model.position
-            assert BOUNDS[0] - 1e-6 <= x <= BOUNDS[1] + 1e-6
-            assert BOUNDS[2] - 1e-6 <= y <= BOUNDS[3] + 1e-6
-
-    def test_reaches_waypoint_direction(self):
-        rng = np.random.default_rng(5)
-        model = RandomWaypointMobility([0.0, 0.0], BOUNDS, speed_range_m_s=(10.0, 10.0),
-                                       rng=rng)
-        waypoint = model.waypoint
-        start = model.position
-        model.advance(1.0)
-        moved = model.position - start
-        to_waypoint = waypoint - start
-        cosine = np.dot(moved, to_waypoint) / (
-            np.linalg.norm(moved) * np.linalg.norm(to_waypoint)
-        )
-        assert cosine == pytest.approx(1.0, abs=1e-6)
-
-    def test_travelled_distance_bounded_by_speed(self):
-        rng = np.random.default_rng(6)
-        model = RandomWaypointMobility([0.0, 0.0], BOUNDS, speed_range_m_s=(3.0, 8.0),
-                                       rng=rng)
-        travelled = model.advance(10.0)
-        assert travelled <= 8.0 * 10.0 + 1e-6
-
-    def test_pause_slows_progress(self):
-        rng = np.random.default_rng(7)
-        no_pause = RandomWaypointMobility([0.0, 0.0], BOUNDS, speed_range_m_s=(10.0, 10.0),
-                                          pause_s=0.0, rng=rng)
-        rng2 = np.random.default_rng(7)
-        with_pause = RandomWaypointMobility([0.0, 0.0], BOUNDS, speed_range_m_s=(10.0, 10.0),
-                                            pause_s=5.0, rng=rng2)
-        d1 = sum(no_pause.advance(10.0) for _ in range(20))
-        d2 = sum(with_pause.advance(10.0) for _ in range(20))
-        assert d2 <= d1
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            RandomWaypointMobility([0, 0], BOUNDS, speed_range_m_s=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            RandomWaypointMobility([0, 0], BOUNDS, pause_s=-1.0)
-
-
 class TestBatchedMobility:
     def _make_models(self, n, seed, bounds=(-500.0, 500.0, -400.0, 400.0)):
         rng = np.random.default_rng(seed)
@@ -137,16 +109,6 @@ class TestBatchedMobility:
                 )
             )
         return models
-
-    def test_advance_all_matches_loop(self):
-        loop_models = self._make_models(25, seed=11)
-        batch_models = self._make_models(25, seed=11)
-        for _ in range(40):
-            expected = np.asarray([m.advance(0.05) for m in loop_models])
-            got = advance_all(batch_models, 0.05)
-            assert np.array_equal(expected, got)
-        for a, b in zip(loop_models, batch_models):
-            assert np.array_equal(a.position, b.position)
 
     def test_mobility_batch_bit_identical_to_loop(self):
         # mean_epoch_s=0.5 with dt=0.05 forces frequent epoch/boundary
@@ -170,8 +132,6 @@ class TestBatchedMobility:
 
     def test_all_static_fast_path(self):
         models = [StaticMobility(np.array([float(i), 0.0])) for i in range(8)]
-        moved = advance_all(models, 1.0)
-        assert np.array_equal(moved, np.zeros(8))
         batch = MobilityBatch(models)
         assert np.array_equal(batch.advance(1.0), np.zeros(8))
         assert np.array_equal(batch.positions[:, 0], np.arange(8.0))
@@ -182,7 +142,7 @@ class TestBatchedMobility:
         models = [
             StaticMobility(np.array([10.0, 20.0])),
             RandomDirectionMobility(np.zeros(2), bounds, rng=rng),
-            RandomWaypointMobility(np.zeros(2), bounds, rng=rng),
+            _RandomStepMobility(np.zeros(2), rng),
         ]
         batch = MobilityBatch(models)
         moved = batch.advance(0.2)
@@ -193,8 +153,6 @@ class TestBatchedMobility:
 
     def test_negative_dt_rejected(self):
         models = self._make_models(2, seed=1)
-        with pytest.raises(ValueError):
-            advance_all(models, -0.1)
         with pytest.raises(ValueError):
             MobilityBatch(models).advance(-0.1)
 
@@ -240,18 +198,14 @@ class TestSharedMobilesAcrossBatches:
 
 class TestMixedPopulationRngOrder:
     def test_batch_matches_loop_with_shared_rng(self):
-        # A waypoint model at a LOWER index than random-direction models,
-        # all sharing one generator: the batch must consume draws in global
+        # A custom model at a LOWER index than random-direction models, all
+        # sharing one generator: the batch must consume draws in global
         # index order exactly like the plain per-model loop.
         bounds = (-500.0, 500.0, -400.0, 400.0)
 
         def make(seed):
             rng = np.random.default_rng(seed)
-            models = [
-                RandomWaypointMobility(
-                    np.zeros(2), bounds, speed_range_m_s=(5.0, 20.0), rng=rng
-                )
-            ]
+            models = [_RandomStepMobility(np.zeros(2), rng)]
             for _ in range(6):
                 models.append(
                     RandomDirectionMobility(

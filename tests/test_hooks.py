@@ -4,22 +4,19 @@ Certifies the two sides of the observability contract:
 
 * **hot path untouched** — with the default ``hooks=None`` the dynamic
   simulator never calls a hook method, never touches the recorder, and
-  never enters the instrumented stage wrapper (the scalar/vectorised fast
-  paths stay allocation-free);
+  never enters the instrumented stage wrapper (the fast path stays
+  allocation-free);
 * **full visibility when installed** — a hooked run emits an exact,
-  deterministic number of events per frame, the DES engine reports
-  schedule/dispatch/error, and every executor reports issue / retry /
-  quarantine / completion.
+  deterministic number of events per frame, and every executor reports
+  issue / retry / quarantine / completion.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
 import pytest
 
-from repro.des import Environment
 from repro.experiments.executors import (
     ResilientExecutor,
     SerialExecutor,
@@ -46,7 +43,8 @@ def _two_frame_scenario(**overrides) -> ScenarioConfig:
         duration_s=0.04,
         warmup_s=0.0,
         traffic=TrafficConfig(
-            mean_reading_time_s=1.0,
+            # Short reading times: the second frame already holds requests.
+            mean_reading_time_s=0.1,
             packet_call_min_bits=24_000,
             packet_call_max_bits=200_000,
         ),
@@ -64,15 +62,6 @@ class _CountingHooks(SimHooks):
 
     def _bump(self, name):
         self.calls[name] = self.calls.get(name, 0) + 1
-
-    def event_scheduled(self, time_s, priority, queue_size):
-        self._bump("event_scheduled")
-
-    def event_dispatched(self, time_s, num_callbacks):
-        self._bump("event_dispatched")
-
-    def event_error(self, time_s, error):
-        self._bump("event_error")
 
     def run_start(self, time_s, **info):
         self._bump("run_start")
@@ -113,9 +102,6 @@ class _CountingHooks(SimHooks):
 class TestProtocol:
     def test_base_hooks_are_noops(self):
         hooks = SimHooks()
-        hooks.event_scheduled(0.0, 1, 3)
-        hooks.event_dispatched(0.0, 2)
-        hooks.event_error(0.0, ValueError("x"))
         hooks.run_start(0.0, frames=1)
         hooks.run_end(0.0)
         hooks.stage_enter("voice", 0.0)
@@ -164,49 +150,10 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# DES engine hooks
-# ---------------------------------------------------------------------------
-class TestDesHooks:
-    def test_schedule_and_dispatch_observed(self):
-        hooks = _CountingHooks()
-        env = Environment(hooks=hooks)
-
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert hooks.calls["event_scheduled"] >= 2
-        assert hooks.calls["event_dispatched"] >= 2
-        assert "event_error" not in hooks.calls
-
-    def test_error_observed_before_raise(self):
-        hooks = _CountingHooks()
-        env = Environment(hooks=hooks)
-        event = env.event()
-        event.fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError):
-            env.run()
-        assert hooks.calls["event_error"] == 1
-
-    def test_step_path_reports_dispatch(self):
-        hooks = _CountingHooks()
-        env = Environment(hooks=hooks)
-        env.timeout(0.5)
-        env.step()
-        assert hooks.calls["event_dispatched"] == 1
-
-    def test_default_environment_has_no_hooks(self):
-        assert Environment().hooks is None
-
-
-# ---------------------------------------------------------------------------
 # Dynamic simulator: hot path stays hook-free by default
 # ---------------------------------------------------------------------------
 class TestDefaultPathIsHookFree:
-    @pytest.mark.parametrize("batched_fleet", [False, True])
-    def test_no_hook_or_recorder_dispatch(self, monkeypatch, batched_fleet):
+    def test_no_hook_or_recorder_dispatch(self, monkeypatch):
         calls = {"hooks": 0, "record": 0, "staged": 0}
 
         def forbid(bucket):
@@ -223,8 +170,7 @@ class TestDefaultPathIsHookFree:
             DynamicSystemSimulator, "_hooked_stage", forbid("staged")
         )
 
-        scenario = _two_frame_scenario(batched_fleet=batched_fleet)
-        sim = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"))
+        sim = DynamicSystemSimulator(_two_frame_scenario(), JabaSdScheduler("J1"))
         assert sim.hooks is None
         result = sim.run()
         assert calls == {"hooks": 0, "record": 0, "staged": 0}
@@ -235,11 +181,10 @@ class TestDefaultPathIsHookFree:
 # Dynamic simulator: exact event counts when hooks are installed
 # ---------------------------------------------------------------------------
 class TestInstalledHookCounts:
-    @pytest.mark.parametrize("batched_fleet", [False, True])
-    def test_two_frame_run_emits_exact_counts(self, batched_fleet):
+    def test_two_frame_run_emits_exact_counts(self):
         sink = MemorySink()
         hooks = RecorderHooks(EventRecorder(sink))
-        scenario = _two_frame_scenario(batched_fleet=batched_fleet)
+        scenario = _two_frame_scenario()
         sim = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"), hooks=hooks)
         sim.run()
 
@@ -254,11 +199,7 @@ class TestInstalledHookCounts:
         assert counts["stage_exit"] == len(STAGES) * frames
         # warmup_s=0 means every admission decision is also a metrics grant
         # decision, so the metrics counter cross-checks the event count.
-        # (The batched fleet samples traffic in a different RNG order and
-        # happens to see no burst request within two frames.)
-        assert counts.get("admission", 0) == sim.metrics.grant_decisions
-        if not batched_fleet:
-            assert counts["admission"] == 1
+        assert counts["admission"] == sim.metrics.grant_decisions == 2
 
     def test_stage_names_cover_the_pipeline_in_order(self):
         hooks = _CountingHooks()
@@ -280,39 +221,7 @@ class TestInstalledHookCounts:
         start = next(e for e in sink.events if e["kind"] == "run_start")
         assert start["frames"] == 2
         assert "J1" in start["scheduler"]
-        assert start["batched_fleet"] is False
-
-
-# ---------------------------------------------------------------------------
-# collect_stage_times deprecation shim
-# ---------------------------------------------------------------------------
-class TestStageTimesShim:
-    def test_deprecated_flag_still_fills_stage_times(self):
-        sim = DynamicSystemSimulator(_two_frame_scenario(), JabaSdScheduler("J1"))
-        with pytest.warns(DeprecationWarning, match="StageTimingHooks"):
-            sim.run(collect_stage_times=True)
-        assert sim.stage_times_s is not None
-        assert set(sim.stage_times_s) == set(STAGES)
-        assert all(value >= 0.0 for value in sim.stage_times_s.values())
-
-    def test_timing_hooks_match_the_shim(self):
-        timing = StageTimingHooks()
-        sim = DynamicSystemSimulator(
-            _two_frame_scenario(), JabaSdScheduler("J1"), hooks=timing
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim.run(collect_stage_times=True)
-        # The shim's totals are the explicit hooks' totals: same instrument.
-        assert sim.stage_times_s == timing.totals or set(
-            sim.stage_times_s
-        ) == set(timing.totals) == set(STAGES)
-        assert timing.frames == 2
-
-    def test_default_run_leaves_stage_times_none(self):
-        sim = DynamicSystemSimulator(_two_frame_scenario(), JabaSdScheduler("J1"))
-        sim.run()
-        assert sim.stage_times_s is None
+        assert "batched_fleet" not in start
 
 
 # ---------------------------------------------------------------------------

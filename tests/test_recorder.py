@@ -54,9 +54,6 @@ class TestSchema:
         hooks.stage_exit("voice", 0.0, 1.5e-4)
         hooks.frame(0, 0.0, pending_requests=2, active_bursts=1)
         hooks.admission(0.02, "forward", 3, 2, 12.5, True)
-        hooks.event_scheduled(0.04, 1, 7)
-        hooks.event_dispatched(0.04, 2)
-        hooks.event_error(0.04, ValueError("boom"))
         hooks.task_issued("0/1", 1)
         hooks.task_completed("0/1", 1, 0.25)
         hooks.task_retry("0/2", 1, 0.5, "TimeoutError")
@@ -98,7 +95,6 @@ class TestSchema:
     def test_every_kind_has_a_schema_entry_in_hooks_bridge(self):
         # The bridge must only emit kinds the schema knows.
         assert set(EVENT_SCHEMA) >= {
-            "des_schedule", "des_dispatch", "des_error",
             "run_start", "run_end", "stage_enter", "stage_exit", "frame",
             "admission", "campaign_start", "campaign_end",
             "replication_start", "replication_end",

@@ -45,7 +45,7 @@ from repro.simulation.placement import (
 from repro.simulation.scenario import PlacementConfig, ScenarioConfig
 
 from test_simulation_golden import (
-    GOLDEN_PATH,
+    GOLDEN_FLEET_PATH,
     SUMMARY_FIELDS,
     _jsonable,
     golden_scenario,
@@ -181,6 +181,27 @@ class TestScenarioSpecs:
             build_scenario({"scenario": {"num_data_users": 3}})
         with pytest.raises(SpecError, match="dedicated"):
             build_scenario({"scenario": {"traffic": {}}})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_saved_spec_with_batched_fleet_loads_with_a_warning(self, value, tmp_path):
+        # Specs saved before the per-user layer became fleet-only carry a
+        # batched_fleet key in their scenario section.
+        current = spec_from_scenario(golden_scenario(), {"name": "fcfs"})
+        saved = tmp_path / "saved.json"
+        saved.write_text(json.dumps(
+            {**current, "scenario": {**current["scenario"], "batched_fleet": value}}
+        ))
+        with pytest.warns(DeprecationWarning, match="batched_fleet"):
+            built = build_scenario(load_scenario_spec(str(saved)))
+        assert built.scenario == build_scenario(current).scenario == golden_scenario()
+        assert "batched_fleet" not in built.spec["scenario"]
+        assert built.fingerprint == spec_fingerprint(current)
+
+    def test_unknown_scenario_key_still_rejected(self):
+        spec = spec_from_scenario(golden_scenario())
+        spec["scenario"]["batched_fleets"] = True
+        with pytest.raises(SpecError, match="unknown scenario field"):
+            build_scenario(spec)
 
     def test_version_gate(self):
         with pytest.raises(SpecError, match="version"):
@@ -347,6 +368,6 @@ class TestGoldenCompatibility:
         summary = {
             field: _jsonable(getattr(result, field)) for field in SUMMARY_FIELDS
         }
-        golden = json.loads(GOLDEN_PATH.read_text())
+        golden = json.loads(GOLDEN_FLEET_PATH.read_text())
         assert summary == golden["summary"]
         assert events == golden["events"]

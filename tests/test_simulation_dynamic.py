@@ -86,12 +86,13 @@ class TestDynamicSimulator:
         simulator.run()
         control = fast_scenario.system.radio.control_channel_rate_fraction
         bursting = {b.grant.request.mobile_index for b in simulator.active_bursts}
+        active = simulator.network._fch_active_mask()
+        rate = simulator.network._fch_rate_factors()
         for j in simulator.data_user_indices:
-            mobile = simulator.mobiles[j]
             if j in bursting:
-                assert mobile.fch_active and mobile.fch_rate_factor == 1.0
-            elif mobile.fch_active:
-                assert mobile.fch_rate_factor in (control, 1.0)
+                assert active[j] and rate[j] == 1.0
+            elif active[j]:
+                assert rate[j] in (control, 1.0)
 
     def test_offered_load_tracks_traffic_config(self, fast_scenario):
         result = DynamicSystemSimulator(fast_scenario, JabaSdScheduler("J1")).run()

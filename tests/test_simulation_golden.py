@@ -2,9 +2,9 @@
 
 A short :class:`repro.simulation.DynamicSystemSimulator` run is locked — per
 frame admission decisions *and* summary metrics — against a checked-in
-snapshot, so the seed numerics stay bit-for-bit reproducible under the
-batched admission path.  Any intentional change of the numerics must
-regenerate the snapshot::
+snapshot, so the numerics of the structure-of-arrays fleets, the radio
+network and the batched admission path stay bit-for-bit reproducible.  Any
+intentional change of the numerics must regenerate the snapshot::
 
     PYTHONPATH=src python tests/test_simulation_golden.py --regen
 
@@ -23,7 +23,6 @@ from repro.mac import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
 from repro.simulation.scenario import TrafficConfig
 
-GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_dynamic_admission.json"
 GOLDEN_FLEET_PATH = Path(__file__).resolve().parent / "data" / "golden_dynamic_fleet.json"
 
 SUMMARY_FIELDS = (
@@ -45,7 +44,7 @@ SUMMARY_FIELDS = (
 )
 
 
-def golden_scenario(**overrides) -> ScenarioConfig:
+def golden_scenario() -> ScenarioConfig:
     return ScenarioConfig.fast_test(
         duration_s=2.0,
         warmup_s=0.5,
@@ -54,7 +53,6 @@ def golden_scenario(**overrides) -> ScenarioConfig:
             packet_call_min_bits=24_000,
             packet_call_max_bits=200_000,
         ),
-        **overrides,
     )
 
 
@@ -64,11 +62,9 @@ def _jsonable(value):
     return value
 
 
-def run_and_capture(batched_fleet: bool = False) -> dict:
+def run_and_capture() -> dict:
     """Run the golden scenario recording every admission decision."""
-    simulator = DynamicSystemSimulator(
-        golden_scenario(batched_fleet=batched_fleet), JabaSdScheduler("J1")
-    )
+    simulator = DynamicSystemSimulator(golden_scenario(), JabaSdScheduler("J1"))
     events = []
     original_decide = simulator.controller.decide
 
@@ -94,47 +90,17 @@ def run_and_capture(batched_fleet: bool = False) -> dict:
 
 
 @pytest.fixture(scope="module")
-def captured():
+def captured_fleet():
     return run_and_capture()
 
 
-class TestGoldenDynamicRun:
-    def test_snapshot_exists(self):
-        assert GOLDEN_PATH.exists(), (
-            "golden snapshot missing — regenerate with "
-            "`PYTHONPATH=src python tests/test_simulation_golden.py --regen`"
-        )
-
-    def test_summary_bit_identical(self, captured):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert captured["summary"] == golden["summary"]
-
-    def test_admission_decisions_bit_identical(self, captured):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert len(captured["events"]) == len(golden["events"])
-        for frame, (got, want) in enumerate(
-            zip(captured["events"], golden["events"])
-        ):
-            assert got == want, f"admission decision diverged at event {frame}"
-
-    def test_run_actually_grants(self, captured):
-        # Guards against the golden run silently degenerating into a no-op.
-        assert captured["summary"]["completed_packet_calls"] > 0
-        assert any(any(e["assignment"]) for e in captured["events"])
-
-
-@pytest.fixture(scope="module")
-def captured_fleet():
-    return run_and_capture(batched_fleet=True)
-
-
 class TestGoldenFleetRun:
-    """End-to-end lock of the structure-of-arrays fleet path.
+    """End-to-end lock of the dynamic simulator on the fleets.
 
-    The fleets own seeded random streams, so a ``batched_fleet=True`` run is
-    just as reproducible as the scalar path — the golden file locks its
-    admission decisions and summary so unintended fleet-kernel changes are
-    caught.  Regenerate (and justify) with::
+    The fleets own seeded random streams, so a run is reproducible bit for
+    bit — the golden file locks its admission decisions and summary so
+    unintended fleet-kernel changes are caught.  Regenerate (and justify)
+    with::
 
         PYTHONPATH=src python tests/test_simulation_golden.py --regen
     """
@@ -172,12 +138,8 @@ def main(argv=None) -> int:  # pragma: no cover - regeneration helper
     args = parser.parse_args(argv)
     if not args.regen:
         parser.error("nothing to do (pass --regen to rewrite the snapshot)")
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(run_and_capture(), indent=2) + "\n")
-    print(f"golden snapshot written to {GOLDEN_PATH}")
-    GOLDEN_FLEET_PATH.write_text(
-        json.dumps(run_and_capture(batched_fleet=True), indent=2) + "\n"
-    )
+    GOLDEN_FLEET_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_FLEET_PATH.write_text(json.dumps(run_and_capture(), indent=2) + "\n")
     print(f"fleet golden snapshot written to {GOLDEN_FLEET_PATH}")
     return 0
 

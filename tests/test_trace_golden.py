@@ -3,10 +3,9 @@
 A short seeded dynamic run's full event trace — normalized by dropping the
 wall-clock timing fields (:data:`repro.utils.recorder.WALL_CLOCK_FIELDS`),
 which are the only nondeterministic ones — is locked against a checked-in
-snapshot for both the scalar and the batched-fleet pipeline.  The goldens
-pin event order, kinds, sim-times, per-frame state and admission outcomes
-bit for bit, so any change to what the hooks emit (or when) is a visible,
-reviewed diff.  Intentional changes regenerate with::
+snapshot.  The golden pins event order, kinds, sim-times, per-frame state
+and admission outcomes bit for bit, so any change to what the hooks emit (or
+when) is a visible, reviewed diff.  Intentional changes regenerate with::
 
     PYTHONPATH=src python tests/test_trace_golden.py --regen
 """
@@ -30,18 +29,14 @@ from repro.utils.recorder import (
 )
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
-GOLDEN_PATHS = {
-    False: DATA_DIR / "golden_trace_scalar.json",
-    True: DATA_DIR / "golden_trace_fleet.json",
-}
+GOLDEN_PATH = DATA_DIR / "golden_trace_fleet.json"
 
 
-def trace_scenario(batched_fleet: bool) -> ScenarioConfig:
+def trace_scenario() -> ScenarioConfig:
     """20 frames with enough traffic to exercise every event kind."""
     return ScenarioConfig.fast_test(
         duration_s=0.3,
         warmup_s=0.1,
-        batched_fleet=batched_fleet,
         traffic=TrafficConfig(
             mean_reading_time_s=1.0,
             packet_call_min_bits=24_000,
@@ -50,11 +45,11 @@ def trace_scenario(batched_fleet: bool) -> ScenarioConfig:
     )
 
 
-def record_trace(batched_fleet: bool) -> list:
+def record_trace() -> list:
     """Raw event stream of one seeded run (normalize before comparing)."""
     sink = MemorySink()
     simulator = DynamicSystemSimulator(
-        trace_scenario(batched_fleet),
+        trace_scenario(),
         JabaSdScheduler("J1"),
         hooks=RecorderHooks(EventRecorder(sink)),
     )
@@ -62,25 +57,21 @@ def record_trace(batched_fleet: bool) -> list:
     return sink.events
 
 
-@pytest.mark.parametrize(
-    "batched_fleet", [False, True], ids=["scalar", "batched_fleet"]
-)
 class TestTraceGolden:
-    def test_trace_matches_golden(self, batched_fleet):
-        golden_path = GOLDEN_PATHS[batched_fleet]
-        if not golden_path.exists():  # pragma: no cover - bootstrap guard
+    def test_trace_matches_golden(self):
+        if not GOLDEN_PATH.exists():  # pragma: no cover - bootstrap guard
             pytest.fail(
-                f"missing golden {golden_path.name}; regenerate with "
+                f"missing golden {GOLDEN_PATH.name}; regenerate with "
                 "PYTHONPATH=src python tests/test_trace_golden.py --regen"
             )
-        golden = json.loads(golden_path.read_text())
-        trace = [normalize_event(event) for event in record_trace(batched_fleet)]
+        golden = json.loads(GOLDEN_PATH.read_text())
+        trace = [normalize_event(event) for event in record_trace()]
         assert len(trace) == len(golden["events"])
         for index, (got, want) in enumerate(zip(trace, golden["events"])):
             assert got == want, f"event {index} diverged from golden"
 
-    def test_trace_is_schema_valid_and_ordered(self, batched_fleet):
-        trace = record_trace(batched_fleet)
+    def test_trace_is_schema_valid_and_ordered(self):
+        trace = record_trace()
         for event in trace:
             assert validate_event(event) == []
         assert [event["seq"] for event in trace] == list(range(len(trace)))
@@ -93,15 +84,10 @@ class TestTraceGolden:
 
 def _regen() -> None:  # pragma: no cover - manual tool
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    for batched_fleet, path in GOLDEN_PATHS.items():
-        trace = [normalize_event(event) for event in record_trace(batched_fleet)]
-        payload = {
-            "scenario": "fast_test duration_s=0.3 warmup_s=0.1 "
-            f"batched_fleet={batched_fleet}",
-            "events": trace,
-        }
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        print(f"wrote {path} ({len(trace)} events)")
+    trace = [normalize_event(event) for event in record_trace()]
+    payload = {"scenario": "fast_test duration_s=0.3 warmup_s=0.1", "events": trace}
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH} ({len(trace)} events)")
 
 
 if __name__ == "__main__":  # pragma: no cover

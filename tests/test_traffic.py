@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.traffic.arrivals import PoissonArrivals, exponential_interarrival
 from repro.traffic.data import PacketCall, PacketCallDataSource, TruncatedParetoSize
 from repro.traffic.voice import OnOffVoiceSource
 
@@ -106,28 +105,3 @@ class TestPacketCallDataSource:
             PacketCallDataSource(mean_reading_time_s=0.0)
         with pytest.raises(ValueError):
             PacketCallDataSource(initial_delay_s=-1.0)
-
-
-class TestPoissonArrivals:
-    def test_rate(self):
-        process = PoissonArrivals(rate_per_s=5.0, rng=np.random.default_rng(0))
-        arrivals = process.pull_arrivals(1000.0)
-        assert len(arrivals) == pytest.approx(5000, rel=0.05)
-
-    def test_incremental(self):
-        process = PoissonArrivals(rate_per_s=1.0, rng=np.random.default_rng(1))
-        first = process.pull_arrivals(10.0)
-        second = process.pull_arrivals(20.0)
-        assert all(t <= 10.0 for t in first)
-        assert all(10.0 < t <= 20.0 for t in second)
-
-    def test_exponential_interarrival_mean(self):
-        rng = np.random.default_rng(2)
-        samples = [exponential_interarrival(rng, 4.0) for _ in range(50_000)]
-        assert np.mean(samples) == pytest.approx(0.25, rel=0.03)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            exponential_interarrival(np.random.default_rng(0), -1.0)
