@@ -10,12 +10,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.campaign import clear_shared_replications
+
 
 def pytest_configure(config):  # pragma: no cover - harness glue
     # The experiment functions dominate the run time; a single round is both
     # representative and affordable.
     config.option.benchmark_min_rounds = 1
     config.option.benchmark_warmup = False
+
+
+@pytest.fixture(autouse=True)
+def empty_replication_store():
+    """Start every benchmark with an empty process-wide replication store.
+
+    The T1, T2 and F5 harnesses then time their own experiment instead of
+    replications an earlier F2/F3 harness left behind.
+    """
+    clear_shared_replications()
 
 
 @pytest.fixture

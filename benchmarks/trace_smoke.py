@@ -1,8 +1,8 @@
 """CI telemetry smoke: traced campaigns stay correct and schema-valid.
 
-Runs the smoke-scale F4 coverage grid twice — untraced, then with a
-``trace_dir`` capturing structured telemetry through a ``JsonlSink`` — and
-requires:
+Runs the smoke-scale F4 coverage grid three times — untraced, then with a
+``trace_dir`` capturing structured telemetry through a ``JsonlSink``, then
+traced again under another campaign name — and requires:
 
 * **observe-only** — the traced run's aggregates are bit-identical to the
   untraced run's (tracing must never perturb the numerics);
@@ -12,7 +12,12 @@ requires:
   passes :func:`repro.utils.recorder.validate_event` against the versioned
   event schema;
 * **ordered** — within each stream, ``seq`` is dense from 0 and ``time_s``
-  is non-decreasing.
+  is non-decreasing;
+* **shared, not rerun** — the third run is served every replication from
+  the process-wide store: its ``campaign.jsonl`` holds one schema-valid
+  ``task_shared`` event per (point, replication) coordinate, it writes no
+  per-replication trace, and its aggregates are bit-identical to the
+  untraced run's.
 
 A short dynamic run via ``ScenarioConfig(trace_path=...)`` is validated the
 same way, so the single-run tracing entry point stays covered too.
@@ -100,6 +105,34 @@ def main() -> int:
         total = sum(check_stream(path, failures) for path in rep_traces)
         print(f"{len(rep_traces)} replication traces: {total} events")
 
+        # The same grid under another name is served from the store.
+        shared_dir = Path(tmp) / "shared"
+        campaign = build_campaign()
+        campaign.name = "F4-coverage-shared"
+        shared = campaign.run(trace_dir=str(shared_dir))
+        observed = [sorted(point.replications.items()) for point in shared.points]
+        if observed != expected:
+            failures.append("shared campaign aggregates diverge from the untraced run")
+        check_stream(shared_dir / "campaign.jsonl", failures)
+        keys = sorted(
+            event["key"]
+            for event in read_jsonl(str(shared_dir / "campaign.jsonl"))
+            if event["kind"] == "task_shared"
+        )
+        coordinates = sorted(
+            f"{pi}/{rep}"
+            for pi in range(len(shared.points))
+            for rep in range(shared.replications)
+        )
+        if keys != coordinates:
+            failures.append(
+                f"expected one task_shared event per coordinate {coordinates}, "
+                f"found {keys}"
+            )
+        if list(shared_dir.glob("point*_rep*.jsonl")):
+            failures.append("served replications wrote per-replication traces")
+        print(f"shared run: {len(keys)} task_shared events, no replication traces")
+
         # Single-run entry point: a dynamic run traced via the scenario.
         run_trace = Path(tmp) / "dynamic_run.jsonl"
         scenario = ScenarioConfig.fast_test(
@@ -117,8 +150,8 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\ntelemetry smoke passed: traced aggregates bit-identical, "
-          "all streams schema-valid")
+    print("\ntelemetry smoke passed: traced and shared aggregates "
+          "bit-identical, all streams schema-valid")
     return 0
 
 

@@ -33,6 +33,31 @@ from repro.geometry.mobility import MobilityBatch
 
 __all__ = ["CdmaNetwork", "NetworkSnapshot"]
 
+#: Relative float tolerance of a burst-power release: a release may exceed
+#: the committed power by at most ``RELEASE_RTOL * max(1 W, committed,
+#: released)``, the rounding left by summing and subtracting the grants.
+RELEASE_RTOL = 1e-9
+
+
+def _released(committed: float, power_w: float, link: str, cell_index: int) -> float:
+    """Committed burst power left after releasing ``power_w``.
+
+    A rounding residue within :data:`RELEASE_RTOL` is clamped to exactly
+    0.0; a negative release, or one beyond that tolerance (a double
+    release), raises ``ValueError`` instead of being hidden by a clamp.
+    """
+    if power_w < 0.0:
+        raise ValueError("power_w must be non-negative")
+    remaining = committed - power_w
+    if remaining < 0.0:
+        if -remaining > RELEASE_RTOL * max(1.0, committed, power_w):
+            raise ValueError(
+                f"{link}-link release of {power_w!r} W at cell {cell_index} "
+                f"exceeds the {committed!r} W committed there"
+            )
+        remaining = 0.0
+    return remaining
+
 
 @dataclass
 class NetworkSnapshot:
@@ -526,9 +551,13 @@ class CdmaNetwork:
         self.forward_burst_power_w[cell_index] += power_w
 
     def release_forward_burst_power(self, cell_index: int, power_w: float) -> None:
-        """Release previously committed forward-link SCH power."""
-        self.forward_burst_power_w[cell_index] = max(
-            0.0, self.forward_burst_power_w[cell_index] - power_w
+        """Release previously committed forward-link SCH power.
+
+        Raises ``ValueError`` on a negative ``power_w`` or on a release
+        beyond what the cell has committed (see :func:`_released`).
+        """
+        self.forward_burst_power_w[cell_index] = _released(
+            self.forward_burst_power_w[cell_index], power_w, "forward", cell_index
         )
 
     def commit_reverse_burst_power(self, cell_index: int, power_w: float) -> None:
@@ -538,9 +567,12 @@ class CdmaNetwork:
         self.reverse_burst_power_w[cell_index] += power_w
 
     def release_reverse_burst_power(self, cell_index: int, power_w: float) -> None:
-        """Release previously accounted reverse-link burst power."""
-        self.reverse_burst_power_w[cell_index] = max(
-            0.0, self.reverse_burst_power_w[cell_index] - power_w
+        """Release previously accounted reverse-link burst power.
+
+        Raises ``ValueError`` like :meth:`release_forward_burst_power`.
+        """
+        self.reverse_burst_power_w[cell_index] = _released(
+            self.reverse_burst_power_w[cell_index], power_w, "reverse", cell_index
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -31,6 +31,12 @@ production-scale estimator:
   point: the failure count is carried on :class:`PointResult` /
   :class:`MetricSummary` and the experiment reducers flag the degraded
   cells, the campaign itself completes;
+* completed replications are published to a process-wide store, so a
+  replication that another campaign of the same process already computed
+  (T1 and T2 repeat F2/F3's runs, F5's ``lambda = 0`` point is F2/F3's
+  JABA-SD(J1) point) is served from memory instead of simulated again —
+  bit-identically, because a replication is a pure function of its runner,
+  its point and its seed-tree coordinates (see :meth:`Campaign.run`);
 * a seeded chaos harness (:mod:`repro.experiments.faults`) injects worker
   crashes, runner exceptions and delays at chosen ``(point, replication)``
   coordinates so the fault-tolerance layer is provable, not assumed;
@@ -53,6 +59,7 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -91,6 +98,7 @@ __all__ = [
     "is_antithetic",
     "rng_for_leaf",
     "grid_points",
+    "clear_shared_replications",
     "MetricSummary",
     "DeltaSummary",
     "PointResult",
@@ -228,6 +236,39 @@ def grid_points(
         seed_groups.append(group_of.setdefault(key, len(group_of)))
         points.append(point)
     return points, seed_groups
+
+
+# ---------------------------------------------------------------------------
+# Process-wide store of completed replications
+# ---------------------------------------------------------------------------
+#: Every replication completed by a successful :meth:`Campaign.run` in this
+#: process: share key (see :meth:`Campaign._share_prefixes`) -> (name of the
+#: campaign that produced it, metrics).  An entry is one metrics dict — 12
+#: floats, about 1 KB, for the dynamic runner; the quick report stores 42
+#: entries and the full report 158.  There is no eviction.
+_SHARED: Dict[tuple, Tuple[str, MetricDict]] = {}
+
+
+def clear_shared_replications() -> None:
+    """Empty the process-wide store of completed replications.
+
+    Later campaigns compute every replication again.  The test suites call
+    it before each test, so hook, trace and executor counts never depend on
+    test order.
+    """
+    _SHARED.clear()
+
+
+def _importable(fn: object) -> bool:
+    """Whether ``fn`` is reachable by its qualified name (pickles by reference).
+
+    Only such callables are named uniquely by :meth:`Campaign._stable_repr`:
+    two lambdas, closures or partials of one module share a name.
+    """
+    target = sys.modules.get(getattr(fn, "__module__", None) or "")
+    for part in (getattr(fn, "__qualname__", None) or "<").split("."):
+        target = getattr(target, part, None)
+    return target is fn
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +446,9 @@ class CampaignResult:
     realised per-point replication counts (``realised_replications``), the
     number of issuance waves and the stopping rule (``ci_target`` /
     ``ci_metric``); fixed-count campaigns leave them at their defaults.
+    ``reused_replications`` counts replications resumed from the checkpoint,
+    ``shared_replications`` those served from the process-wide store because
+    another campaign of this process had computed them.
     """
 
     name: str
@@ -412,6 +456,7 @@ class CampaignResult:
     replications: int
     points: List[PointResult]
     reused_replications: int = 0
+    shared_replications: int = 0
     elapsed_s: float = 0.0
     executor_name: str = "serial"
     executor_stats: Dict[str, int] = field(default_factory=dict)
@@ -755,10 +800,40 @@ class Campaign:
         if self.antithetic:
             parts.append("antithetic=True")
         for point in self.points:
-            parts.append(
-                repr(sorted((str(k), self._stable_repr(v)) for k, v in point.items()))
-            )
+            parts.append(repr(self._params_repr(point)))
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+    @classmethod
+    def _params_repr(cls, point: Mapping[str, object]) -> List[Tuple[str, str]]:
+        """A point's params as sorted ``(key, stable repr)`` pairs."""
+        return sorted((str(k), cls._stable_repr(v)) for k, v in point.items())
+
+    def _share_prefixes(self) -> List[Optional[tuple]]:
+        """Per-point prefix of the replication-store key (``None``: never shared).
+
+        The key of replication ``r`` is the prefix plus ``r`` and whether
+        ``r`` runs on the mirrored (antithetic) leaf.  With the runner, the
+        point's params as :meth:`fingerprint` hashes them, the root seed and
+        the seed group, that is exactly what :func:`_execute_task` derives
+        the replication's seed from.  A runner not reachable by its name and
+        a point holding a callable are never shared, because
+        :meth:`_stable_repr` names callables by their qualified name, which
+        two lambdas share.
+        """
+        if not _importable(self.runner):
+            return [None] * len(self.points)
+        runner = self._stable_repr(self.runner)
+        return [
+            None
+            if any(callable(value) for value in point.values())
+            else (
+                runner,
+                tuple(self._params_repr(point)),
+                self.root_seed,
+                group,
+            )
+            for point, group in zip(self.points, self.seed_groups)
+        ]
 
     def _load_checkpoint(self, path: str) -> Dict[str, MetricDict]:
         if not os.path.exists(path):
@@ -928,15 +1003,38 @@ class Campaign:
         hooks:
             Optional :class:`repro.utils.hooks.SimHooks` observer of the
             executor's task lifecycle (issue / completion / retry /
-            quarantine).
+            quarantine) and of replications served from the store
+            (``task_shared``).
         trace_dir:
             When set, the campaign writes structured telemetry under this
             directory (created if needed): ``campaign.jsonl`` with the
             campaign envelope and every task-lifecycle event, plus one
-            ``point<PI>_rep<R>.jsonl`` per replication carrying the events
-            of that replication's simulation (see
+            ``point<PI>_rep<R>.jsonl`` per executed replication carrying the
+            events of that replication's simulation (see
             :mod:`repro.utils.recorder`).  Tracing only observes; the
             aggregated results are bit-identical to an untraced run.
+
+        **One replication, many campaigns.**  A replication is a pure
+        function of its runner, its point's params and its seed-tree
+        coordinates ``(root_seed, seed_group, replication)`` plus whether
+        it runs on the mirrored leaf.  Every replication completed by a
+        successful run — computed, resumed from the checkpoint or served —
+        is published under that key to a process-wide store; an existing
+        entry keeps its producer.  Before each wave is issued, every
+        missing replication found in the store is served from it through
+        the same path as a computed one: it is journaled, reported to
+        ``progress`` and counted in
+        :attr:`CampaignResult.shared_replications`, and it never reaches
+        the executor.  The ``task_shared`` hook names the producing
+        campaign, and a served replication writes no per-replication trace.
+        A campaign is never served an entry produced under its own
+        ``name``: rerunning an experiment recomputes it (resuming one is the
+        checkpoint's job).  Failed or quarantined replications are never
+        stored, and a point holding a callable (or a runner that is not
+        importable by name) is never stored or served.  Metric dicts are
+        copied in and out.  The store has no eviction: an entry is one
+        metrics dict, about 1 KB for the dynamic runner.
+        :func:`clear_shared_replications` empties it.
 
         A SIGINT/SIGTERM received while running flushes a final checkpoint,
         terminates the workers promptly and re-raises ``KeyboardInterrupt``,
@@ -993,6 +1091,33 @@ class Campaign:
         total = sum(realised)
         done = len(completed)
         failed: Dict[str, str] = {}
+        prefixes = self._share_prefixes()
+        shared = 0
+
+        def share_key(pi: int, rep: int) -> Optional[tuple]:
+            # None for a point that is never shared: no entry has that key.
+            prefix = prefixes[pi]
+            if prefix is None:
+                return None
+            return prefix + (rep, self.antithetic and rep % 2 == 1)
+
+        def serve_from_store() -> None:
+            # A missing replication another campaign of this process has
+            # computed is served, never issued to the executor.
+            nonlocal shared
+            for pi in range(len(self.points)):
+                for rep in range(realised[pi]):
+                    key = f"{pi}/{rep}"
+                    entry = _SHARED.get(share_key(pi, rep))
+                    if key in completed or key in failed or entry is None:
+                        continue
+                    source, metrics = entry
+                    if source == self.name:
+                        continue
+                    if backend.hooks is not None:
+                        backend.hooks.task_shared(key, source)
+                    store(key, dict(metrics))
+                    shared += 1
 
         def wave_tasks() -> List[TaskSpec]:
             return [
@@ -1052,6 +1177,7 @@ class Campaign:
         try:
             while True:
                 waves += 1
+                serve_from_store()
                 for outcome in backend.run(_execute_task, wave_tasks()):
                     if outcome.metrics is not None:
                         store(outcome.task.key, outcome.metrics)
@@ -1102,6 +1228,7 @@ class Campaign:
                     "campaign_end",
                     completed=len(completed),
                     failed=len(failed),
+                    shared=shared,
                     executor_stats=backend.stats.as_dict(),
                 )
                 campaign_recorder.close()
@@ -1118,6 +1245,9 @@ class Campaign:
         for key, metrics in completed.items():
             point_index, replication = (int(part) for part in key.split("/"))
             points[point_index].replications[replication] = metrics
+            store_key = share_key(point_index, replication)
+            if store_key is not None:
+                _SHARED.setdefault(store_key, (self.name, dict(metrics)))
         for key, reason in failed.items():
             point_index, replication = (int(part) for part in key.split("/"))
             points[point_index].failures[replication] = reason
@@ -1127,6 +1257,7 @@ class Campaign:
             replications=self.replications,
             points=points,
             reused_replications=reused,
+            shared_replications=shared,
             elapsed_s=time.perf_counter() - started,
             executor_name=backend.name,
             executor_stats=backend.stats.as_dict(),
@@ -1159,7 +1290,6 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     (:mod:`repro.experiments.report`).
     """
     import argparse
-    import sys
 
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "report":
@@ -1410,6 +1540,4 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

@@ -15,7 +15,9 @@ hand-rolled loop obtained by reusing ``scenario.seed + offset``).
 
 Experiment T2 reuses the same runs and reports the admission statistics
 (grant rate, mean granted spreading-gain ratio, utilisation, outage) at one
-fixed load.
+fixed load: its campaign is the F2/F3 grid at that load, so in one process
+its replications are served from F2/F3's (see
+:meth:`~repro.experiments.campaign.Campaign.run`).
 
 Expected shape: at light load all schedulers coincide (no contention); beyond
 the knee JABA-SD sustains markedly lower delay and higher carried throughput
@@ -233,15 +235,23 @@ def run_admission_statistics(
     checkpoint_path: Optional[str] = None,
     executor=None,
 ) -> ExperimentResult:
-    """Experiment T2: admission statistics at one fixed (loaded) operating point."""
-    sweep = run_delay_vs_load(
+    """Experiment T2: admission statistics at one fixed (loaded) operating point.
+
+    The campaign is F2/F3's grid at one load under its own name, so after
+    :func:`run_delay_vs_load` at that load and scenario every replication
+    is served from the process-wide store instead of simulated again.
+    """
+    campaign = build_delay_campaign(
         loads=[load],
         scenario=scenario,
         scheduler_factories=scheduler_factories,
         num_seeds=num_seeds,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
+    )
+    campaign.name = "T2-admission-statistics"
+    sweep = reduce_delay(
+        campaign.run(
+            workers=workers, checkpoint_path=checkpoint_path, executor=executor
+        )
     )
     result = ExperimentResult(
         experiment_id="T2",

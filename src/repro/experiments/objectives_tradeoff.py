@@ -10,7 +10,10 @@ J1.
 
 The sweep is a :class:`~repro.experiments.campaign.Campaign` with one grid
 point per ``lambda`` and a shared seed group (every ``lambda`` replays the
-same traffic sample paths, so the trade-off curve is paired).
+same traffic sample paths, so the trade-off curve is paired).  The
+``lambda = 0`` point is F2/F3's JABA-SD(J1) point at the same load, so after
+:func:`~repro.experiments.delay_vs_load.run_delay_vs_load` in one process its
+replications are served from F2/F3's instead of simulated again.
 
 Expected shape: increasing ``lambda`` shortens the delay tail (p90) at the
 cost of a small loss in carried throughput, because the scheduler
@@ -43,23 +46,29 @@ def build_objectives_campaign(
         list(penalty_scales) if penalty_scales is not None else [0.0, 0.5, 1.0, 2.0, 4.0]
     )
     base = scenario if scenario is not None else paper_scenario()
-    base = base.with_load(load)
+    base = base.with_load(int(load))
 
     points = []
     for scale in penalty_scales:
-        mac = replace(
-            base.system.mac,
-            delay_penalty_scale=float(scale),
-            delay_forgetting_factor=forgetting_factor if scale > 0 else 0.0,
-        )
-        objective = "J1" if scale == 0 else "J2"
+        if scale == 0:
+            # lambda = 0 is JABA-SD(J1), which reads neither MAC delay field:
+            # the point is F2/F3's J1 point at this load, so a report runs
+            # its replications once.
+            label, point_scenario = "JABA-SD(J1)", base
+        else:
+            mac = replace(
+                base.system.mac,
+                delay_penalty_scale=float(scale),
+                delay_forgetting_factor=forgetting_factor,
+            )
+            label = "JABA-SD(J2)"
+            point_scenario = replace(base, system=base.system.with_overrides(mac=mac))
         points.append(
             {
-                "scheduler": f"JABA-SD({objective})",
-                "scheduler_spec": f"JABA-SD({objective})",
-                "objective": objective,
-                "delay_penalty_scale": float(scale),
-                "scenario": replace(base, system=base.system.with_overrides(mac=mac)),
+                "scheduler": label,
+                "scheduler_spec": label,
+                "load": int(load),
+                "scenario": point_scenario,
             }
         )
     return Campaign(
@@ -89,9 +98,11 @@ def reduce_objectives(
     for point in campaign_result.points:
         summary = point.summary()
         delay = summary["mean_delay_s"]
+        j1 = point.params["scheduler"] == "JABA-SD(J1)"
+        mac = point.params["scenario"].system.mac
         result.add(
-            objective=point.params["objective"],
-            delay_penalty_scale=float(point.params["delay_penalty_scale"]),
+            objective="J1" if j1 else "J2",
+            delay_penalty_scale=0.0 if j1 else float(mac.delay_penalty_scale),
             mean_delay_s=delay.mean,
             delay_ci_s=delay.ci_half_width,
             p90_delay_s=summary["p90_delay_s"].mean,

@@ -12,6 +12,13 @@ count (``n_seeds`` / ``n_reps``) and the 95% confidence-interval half-width
 (``delay_ci_s`` / ``coverage_ci``) of the headline metric, instead of bare
 means.
 
+Each replication runs once per report.  T1 and T2 are read off the same
+delay-vs-load simulations as F2/F3, and F5's ``lambda = 0`` point is F2/F3's
+JABA-SD(J1) point; the campaign engine serves those replications from its
+process-wide store instead of simulating them again, bit-identically (see
+:meth:`repro.experiments.campaign.Campaign.run`).  The quick report executes
+33 of its 42 campaign replications, the full report 112 of 158.
+
 ``--compare A B`` switches to the paired head-to-head mode: a two-scheduler
 delay campaign on shared replication streams, reduced to per-load paired
 deltas (``A - B``) with both the paired-t and the Welch half-width, so the

@@ -10,7 +10,8 @@ stack call into at well-defined points:
 * the **admission path** reports every scheduling decision (queue depth,
   grants, solver objective and optimality);
 * the **campaign executors** (:mod:`repro.experiments.executors`) report task
-  issue, completion, retry and quarantine.
+  issue, completion, retry and quarantine, and the campaign engine reports
+  the replications it serves from another campaign's results.
 
 The base class is a complete no-op, so installing ``SimHooks()`` observes
 nothing and costs one method call per dispatch point.  The hot paths guard
@@ -85,6 +86,9 @@ class SimHooks:
 
     def task_quarantined(self, key: str, attempts: int, reason: str) -> None:
         """Task ``key`` exhausted its retries and was quarantined."""
+
+    def task_shared(self, key: str, source: str) -> None:
+        """Task ``key`` was served from the replications of campaign ``source``."""
 
     # -- swarm lifecycle (distributed executor) ----------------------------
     def worker_joined(self, worker_id: str) -> None:
@@ -163,6 +167,10 @@ class CompositeHooks(SimHooks):
     def task_quarantined(self, key, attempts, reason):
         for child in self.children:
             child.task_quarantined(key, attempts, reason)
+
+    def task_shared(self, key, source):
+        for child in self.children:
+            child.task_shared(key, source)
 
     def worker_joined(self, worker_id):
         for child in self.children:

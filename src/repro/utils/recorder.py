@@ -93,6 +93,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "task_completed": ("key", "attempts", "duration_s"),
     "task_retry": ("key", "attempt", "delay_s", "reason"),
     "task_quarantined": ("key", "attempts", "reason"),
+    "task_shared": ("key", "source"),
     # swarm lifecycle (distributed executor)
     "worker_joined": ("worker_id",),
     "worker_left": ("worker_id", "reason"),
@@ -436,6 +437,9 @@ class RecorderHooks(SimHooks):
         self.recorder.record(
             "task_quarantined", key=key, attempts=attempts, reason=reason
         )
+
+    def task_shared(self, key, source):
+        self.recorder.record("task_shared", key=key, source=source)
 
     # -- swarm lifecycle ---------------------------------------------------
     def worker_joined(self, worker_id):

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.experiments.campaign import clear_shared_replications
 from repro.geometry.hexgrid import HexagonalCellLayout
+
+
+@pytest.fixture(autouse=True)
+def empty_replication_store():
+    """Start every test with an empty process-wide replication store.
+
+    Hook, trace and executor counts then never depend on which campaigns
+    earlier tests ran.
+    """
+    clear_shared_replications()
 
 
 @pytest.fixture

@@ -108,11 +108,52 @@ class TestBurstPowerBookkeeping:
         assert after == pytest.approx(base, rel=0.1)
 
     def test_release_never_goes_negative(self):
+        # Releasing three grants in another order than they were committed
+        # leaves a -5.6e-17 W rounding residue: it becomes exactly 0.0.
         network, _ = build_network()
-        network.release_forward_burst_power(0, 100.0)
-        assert network.forward_burst_power_w[0] == 0.0
-        network.release_reverse_burst_power(0, 100.0)
-        assert network.reverse_burst_power_w[0] == 0.0
+        for commit, release, committed in (
+            (
+                network.commit_forward_burst_power,
+                network.release_forward_burst_power,
+                network.forward_burst_power_w,
+            ),
+            (
+                network.commit_reverse_burst_power,
+                network.release_reverse_burst_power,
+                network.reverse_burst_power_w,
+            ),
+        ):
+            for power in (0.1, 0.2, 1.1):
+                commit(0, power)
+            for power in (0.1, 1.1, 0.2):
+                release(0, power)
+            assert committed[0] == 0.0
+
+    def test_negative_release_rejected(self):
+        network, _ = build_network()
+        network.commit_forward_burst_power(0, 2.0)
+        network.commit_reverse_burst_power(0, 2.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            network.release_forward_burst_power(0, -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            network.release_reverse_burst_power(0, -1.0)
+        assert network.forward_burst_power_w[0] == 2.0
+        assert network.reverse_burst_power_w[0] == 2.0
+
+    def test_double_release_raises(self):
+        network, _ = build_network()
+        network.commit_forward_burst_power(0, 2.0)
+        network.release_forward_burst_power(0, 2.0)
+        with pytest.raises(ValueError, match="forward-link release"):
+            network.release_forward_burst_power(0, 2.0)
+        network.commit_reverse_burst_power(1, 2.0)
+        network.release_reverse_burst_power(1, 2.0)
+        with pytest.raises(ValueError, match="reverse-link release"):
+            network.release_reverse_burst_power(1, 2.0)
+        # Beyond the float tolerance is an over-release too, however small.
+        network.commit_forward_burst_power(2, 1.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            network.release_forward_burst_power(2, 1.0 + 1e-6)
 
     def test_negative_commit_rejected(self):
         network, _ = build_network()
