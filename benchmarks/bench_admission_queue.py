@@ -4,10 +4,10 @@ Sweeps the pending-queue length Q (default Q ∈ {4, 16, 64, 256}) on a K=19
 cell system and times the forward + reverse admissible-region builders
 (eqs. (6)–(18)) in two implementations:
 
-* ``scalar`` — the per-request / per-cell oracle loop
-  (``build_scalar``, the seed implementation's semantics);
-* ``batched`` — the queue-wide array kernels (``build_batched``, the default
-  production path).
+* ``scalar`` — the per-request / per-cell oracle loop kept in
+  ``tests/oracles/measurement.py`` (the seed implementation's semantics);
+* ``batched`` — the queue-wide array kernels (``ForwardLinkMeasurement.build``
+  and ``ReverseLinkMeasurement.build``, the production path).
 
 Every timed queue is also checked for **bit-identical** parity
 (``np.array_equal`` on the region matrix and bounds) between the two
@@ -30,14 +30,19 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 try:
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - script invocation without PYTHONPATH
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+try:
+    import tests.oracles  # noqa: F401
+except ImportError:  # pragma: no cover - the repo root is not on sys.path
+    sys.path.insert(0, str(ROOT))
 
 from repro.cdma.entities import MobileStation, UserClass
 from repro.cdma.network import CdmaNetwork, NetworkSnapshot
@@ -46,6 +51,7 @@ from repro.geometry.hexgrid import HexagonalCellLayout
 from repro.geometry.mobility import RandomDirectionMobility
 from repro.mac.measurement import ForwardLinkMeasurement, ReverseLinkMeasurement
 from repro.mac.requests import BurstRequest, LinkDirection
+from tests.oracles.measurement import forward_build, reverse_build
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_admission.json"
 DEFAULT_QUEUES = (4, 16, 64, 256)
@@ -108,8 +114,8 @@ def make_requests(
 # measurement and parity
 # --------------------------------------------------------------------------
 def _time_builds(
-    forward: ForwardLinkMeasurement,
-    reverse: ReverseLinkMeasurement,
+    forward: Callable,
+    reverse: Callable,
     snapshot: NetworkSnapshot,
     fwd_requests: List[BurstRequest],
     rev_requests: List[BurstRequest],
@@ -119,8 +125,8 @@ def _time_builds(
     ms_per_build = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        forward.build(snapshot, fwd_requests)
-        reverse.build(snapshot, rev_requests)
+        forward(snapshot, fwd_requests)
+        reverse(snapshot, rev_requests)
         ms_per_build.append(1000.0 * (time.perf_counter() - t0))
     return ms_per_build
 
@@ -144,18 +150,14 @@ def check_parity(
     scrm_max_pilots: int,
 ) -> Dict:
     """Bit-identical comparison of the two implementations on one queue."""
-    fwd_scalar = ForwardLinkMeasurement(config.phy, config.mac, batched=False)
-    fwd_batched = ForwardLinkMeasurement(config.phy, config.mac, batched=True)
-    rev_scalar = ReverseLinkMeasurement(
-        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=False
+    forward = ForwardLinkMeasurement(config.phy, config.mac)
+    reverse = ReverseLinkMeasurement(
+        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
     )
-    rev_batched = ReverseLinkMeasurement(
-        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=True
-    )
-    fa = fwd_scalar.build(snapshot, fwd_requests)
-    fb = fwd_batched.build(snapshot, fwd_requests)
-    ra = rev_scalar.build(snapshot, rev_requests)
-    rb = rev_batched.build(snapshot, rev_requests)
+    fa = forward_build(forward, snapshot, fwd_requests)
+    fb = forward.build(snapshot, fwd_requests)
+    ra = reverse_build(reverse, snapshot, rev_requests)
+    rb = reverse.build(snapshot, rev_requests)
     return {
         "forward_matrix_equal": bool(np.array_equal(fa.matrix, fb.matrix)),
         "forward_bounds_equal": bool(np.array_equal(fa.bounds, fb.bounds)),
@@ -193,19 +195,16 @@ def run_bench(
         "parity_all_equal": True,
     }
 
+    forward = ForwardLinkMeasurement(config.phy, config.mac)
+    reverse = ReverseLinkMeasurement(
+        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
+    )
     builders = {
         "scalar": (
-            ForwardLinkMeasurement(config.phy, config.mac, batched=False),
-            ReverseLinkMeasurement(
-                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=False
-            ),
+            lambda snap, requests: forward_build(forward, snap, requests),
+            lambda snap, requests: reverse_build(reverse, snap, requests),
         ),
-        "batched": (
-            ForwardLinkMeasurement(config.phy, config.mac, batched=True),
-            ReverseLinkMeasurement(
-                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=True
-            ),
-        ),
+        "batched": (forward.build, reverse.build),
     }
 
     for queue_length in queue_lengths:

@@ -5,14 +5,15 @@ Sweeps the concurrent-request count Q (default Q ∈ {16, 64, 256}) on
 network drops, exactly as experiment F6 builds them) and times every solver
 back-end of ``repro.opt`` in both implementations:
 
-* ``scalar`` — the per-index / per-row oracle loops (the seed semantics);
-* ``batched`` — the vectorized kernels (matrix-wide greedy ranking, batched
-  simplex pivots with scratch reuse, child-sweep branch-and-bound bounding).
+* ``scalar`` — the per-index / per-row oracle loops kept in
+  ``tests/oracles/opt.py`` (the seed semantics);
+* ``batched`` — the vectorized kernels of ``repro.opt``, the production path
+  (matrix-wide greedy ranking, batched simplex pivots with scratch reuse,
+  child-sweep branch-and-bound bounding).
 
 Back-ends: ``greedy``, ``lp`` (dense simplex relaxation), ``near_optimal``,
-``bnb`` (node-budgeted branch-and-bound, nodes recorded), ``bnb_warm``
-(branch-and-bound seeded with a previous-frame-style incumbent) and
-``exhaustive`` (on a binary-capped companion instance, small Q only).
+``bnb`` (node-budgeted branch-and-bound, nodes recorded) and ``exhaustive``
+(on a binary-capped companion instance, small Q only).
 
 Every timed instance is also checked for **identical** assignments
 (``np.array_equal`` on ``IntegerSolution.values``, LP values compared
@@ -40,10 +41,15 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 try:
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - script invocation without PYTHONPATH
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+try:
+    import tests.oracles  # noqa: F401
+except ImportError:  # pragma: no cover - the repo root is not on sys.path
+    sys.path.insert(0, str(ROOT))
 
 from repro.config import SystemConfig
 from repro.experiments.solver_ablation import _build_instance
@@ -56,6 +62,7 @@ from repro.opt import (
     solve_near_optimal,
 )
 from repro.opt.exhaustive import MAX_ENUMERATION_POINTS
+from tests.oracles import opt as oracle
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_solvers.json"
 DEFAULT_QUEUES = (16, 64, 256)
@@ -157,67 +164,43 @@ def run_bench(
         }
 
         backend_entry, _, _ = _bench_backend(
-            lambda: solve_greedy(problem, batched=False),
-            lambda: solve_greedy(problem, batched=True),
+            lambda: oracle.solve_greedy(problem),
+            lambda: solve_greedy(problem),
             repeats,
             _values_equal,
         )
         entry["greedy"] = backend_entry
 
         backend_entry, _, _ = _bench_backend(
-            lambda: solve_lp_relaxation(problem, use_scipy=False, batched=False),
-            lambda: solve_lp_relaxation(problem, use_scipy=False, batched=True),
+            lambda: oracle.solve_lp_relaxation(problem, use_scipy=False),
+            lambda: solve_lp_relaxation(problem, use_scipy=False),
             repeats,
             lambda a, b: np.array_equal(a.values, b.values),
         )
         entry["lp"] = backend_entry
 
         backend_entry, _, _ = _bench_backend(
-            lambda: solve_near_optimal(problem, batched=False),
-            lambda: solve_near_optimal(problem, batched=True),
+            lambda: oracle.solve_near_optimal(problem),
+            lambda: solve_near_optimal(problem),
             repeats,
             _values_equal,
         )
         entry["near_optimal"] = backend_entry
 
         backend_entry, _, bnb_solution = _bench_backend(
-            lambda: solve_branch_and_bound(
-                problem, max_nodes=bnb_max_nodes, batched=False
-            ),
-            lambda: solve_branch_and_bound(
-                problem, max_nodes=bnb_max_nodes, batched=True
-            ),
+            lambda: oracle.solve_branch_and_bound(problem, max_nodes=bnb_max_nodes),
+            lambda: solve_branch_and_bound(problem, max_nodes=bnb_max_nodes),
             bnb_repeats,
             lambda a, b: _values_equal(a, b) and a.nodes_explored == b.nodes_explored,
         )
         backend_entry["nodes_explored"] = int(bnb_solution.nodes_explored)
         entry["bnb"] = backend_entry
 
-        # Warm-started branch-and-bound: the previous frame's surviving
-        # assignment (here: the converged solution itself) seeds the
-        # incumbent, so pruning tightens and fewer nodes are explored.
-        warm = bnb_solution.values
-        backend_entry, _, warm_solution = _bench_backend(
-            lambda: solve_branch_and_bound(
-                problem, max_nodes=bnb_max_nodes, batched=False, warm_start=warm
-            ),
-            lambda: solve_branch_and_bound(
-                problem, max_nodes=bnb_max_nodes, batched=True, warm_start=warm
-            ),
-            bnb_repeats,
-            lambda a, b: _values_equal(a, b) and a.nodes_explored == b.nodes_explored,
-        )
-        backend_entry["nodes_explored"] = int(warm_solution.nodes_explored)
-        backend_entry["nodes_saved_vs_cold"] = int(
-            entry["bnb"]["nodes_explored"] - warm_solution.nodes_explored
-        )
-        entry["bnb_warm"] = backend_entry
-
         capped = binary_capped(problem)
         if capped.search_space_size() <= MAX_ENUMERATION_POINTS:
             backend_entry, _, exhaustive_solution = _bench_backend(
-                lambda: solve_exhaustive(capped, batched=False),
-                lambda: solve_exhaustive(capped, batched=True),
+                lambda: oracle.solve_exhaustive(capped),
+                lambda: solve_exhaustive(capped),
                 max(1, repeats // 2),
                 lambda a, b: _values_equal(a, b)
                 and a.nodes_explored == b.nodes_explored,
@@ -248,7 +231,7 @@ def run_bench(
 
 def format_table(report: Dict) -> str:
     config = report["config"]
-    backends = ("greedy", "lp", "near_optimal", "bnb", "bnb_warm", "exhaustive")
+    backends = ("greedy", "lp", "near_optimal", "bnb", "exhaustive")
     lines = [
         "Solver back-ends — batched kernels vs scalar oracles "
         f"({config['repeats']} decisions per point, "

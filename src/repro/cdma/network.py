@@ -159,12 +159,6 @@ class CdmaNetwork:
         Random generator for the propagation processes.
     layout:
         Optional pre-built cell layout (built from ``config`` when omitted).
-    warm_start_power_control:
-        Seed each frame's forward/reverse power-control fixed point with the
-        previous frame's solution.  On quasi-static frames this cuts the
-        Yates iterations substantially; the solution agrees with a cold
-        start to within the solver tolerance (cold start stays the default
-        so snapshot numerics are reproducible bit-for-bit across versions).
     mobility_fleet:
         Optional structure-of-arrays mobility back-end (e.g.
         :class:`repro.geometry.mobility.RandomDirectionFleet`) adopted
@@ -189,7 +183,6 @@ class CdmaNetwork:
         mobiles: Sequence[MobileStation],
         rng: np.random.Generator,
         layout: Optional[HexagonalCellLayout] = None,
-        warm_start_power_control: bool = False,
         mobility_fleet=None,
     ) -> None:
         self.config = config
@@ -320,11 +313,6 @@ class CdmaNetwork:
         #: simulator so network stages join its hooked frame pipeline.
         self.hooks = None
 
-        # Warm-start state for the power-control solvers.
-        self.warm_start_power_control = bool(warm_start_power_control)
-        self._prev_forward_totals: Optional[np.ndarray] = None
-        self._prev_reverse_totals: Optional[np.ndarray] = None
-
         self._time_s = 0.0
         # Initialise positions/gains and hand-off from the starting locations.
         self.link_gains.set_positions(self._positions_arr)
@@ -440,7 +428,6 @@ class CdmaNetwork:
         bs_noise = self._bs_noise_power_w
         bs_pilot = self._bs_pilot_power_w
         max_link_power = self._max_link_power_w
-        warm = self.warm_start_power_control
 
         # -- reverse link FCH power control -------------------------------------
         reverse_result = self.reverse_pc.solve(
@@ -450,7 +437,6 @@ class CdmaNetwork:
             noise_power_w=bs_noise,
             extra_received_power_w=self.reverse_burst_power_w,
             rate_factor=rate_factors,
-            initial_total_power_w=self._prev_reverse_totals if warm else None,
         )
         # -- forward link FCH power control -------------------------------------
         forward_result = self.forward_pc.solve(
@@ -462,11 +448,7 @@ class CdmaNetwork:
             extra_traffic_power_w=self.forward_burst_power_w,
             max_link_power_w=max_link_power,
             rate_factor=rate_factors,
-            initial_total_power_w=self._prev_forward_totals if warm else None,
         )
-        if warm:
-            self._prev_reverse_totals = reverse_result.total_power_w.copy()
-            self._prev_forward_totals = forward_result.total_power_w.copy()
 
         # -- pilot measurements ----------------------------------------------------
         forward_pilots = forward_pilot_ec_io(

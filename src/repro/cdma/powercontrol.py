@@ -6,7 +6,9 @@ the system level we model the closed-loop power control in its quasi-static
 are set so every link just meets its Eb/Io target given the interference
 created by everybody else.  This fixed point is computed with the standard
 interference-function iteration (Yates), which converges monotonically and is
-vectorised over all mobiles/cells.
+vectorised over all mobiles/cells.  Every solve starts cold, from the noise
+floor (reverse) or the common-channel power (forward), so a frame's powers
+depend on that frame's inputs alone.
 
 Only mobiles whose FCH carries traffic take part in the fixed point (about
 a fifth of the population in the paper's scenarios), so both solvers gather
@@ -71,157 +73,6 @@ class PowerControlResult:
     iterations: int
 
 
-def _reverse_direct_seed(
-    gains: np.ndarray,
-    serving: np.ndarray,
-    connectable: np.ndarray,
-    coeff: np.ndarray,
-    tx_cap: float,
-    overhead: float,
-    noise_extra: np.ndarray,
-    initial: np.ndarray,
-    max_passes: int = 4,
-) -> np.ndarray:
-    """Direct active-set solve of the reverse-link fixed point.
-
-    With the set of power-capped mobiles fixed, the Yates iteration is the
-    affine map ``L = c + A L`` over the per-cell totals — a ``K x K``
-    linear system solved exactly here.  The cap set is detected from the
-    warm guess and re-checked for a few passes.  Used only to *seed* the
-    plain iteration (which still certifies convergence), so any numerical
-    bail-out simply falls back to the unrefined guess.
-    """
-    num_cells = gains.shape[1]
-    eye = np.eye(num_cells)
-    cells = np.arange(num_cells)
-    weighted = gains * (overhead * coeff)[:, np.newaxis]
-    totals = initial
-    capped = connectable & (coeff * totals[serving] >= tx_cap)
-    for _ in range(max_passes):
-        free = connectable & ~capped
-        constant = noise_extra
-        if capped.any():
-            constant = constant + gains[capped].sum(axis=0) * (tx_cap * overhead)
-        onehot = (serving[free] == cells[:, np.newaxis]).astype(float)
-        coupling = (onehot @ weighted[free]).T
-        try:
-            solved = np.linalg.solve(eye - coupling, constant)
-        except np.linalg.LinAlgError:
-            return initial
-        if not (np.all(np.isfinite(solved)) and np.all(solved > 0.0)):
-            return initial
-        totals = solved
-        new_capped = connectable & (coeff * totals[serving] >= tx_cap)
-        if np.array_equal(new_capped, capped):
-            break
-        capped = new_capped
-    return totals
-
-
-def _forward_direct_seed(
-    gains: np.ndarray,
-    serving: np.ndarray,
-    allocatable: np.ndarray,
-    q: np.ndarray,
-    legs: np.ndarray,
-    own_fraction: float,
-    mobile_noise_power_w: float,
-    base_extra: np.ndarray,
-    budget: np.ndarray,
-    extra: np.ndarray,
-    max_link_power_w: Optional[float],
-    initial: np.ndarray,
-    max_passes: int = 6,
-) -> np.ndarray:
-    """Direct active-set solve of the forward-link fixed point.
-
-    With the per-link-capped allocations and the budget-saturated cells
-    held fixed, the per-cell totals satisfy an affine ``K x K`` system:
-    capped links contribute a constant, and a saturated cell's total is
-    pinned at the value the Yates iteration's proportional down-scaling
-    converges to.  The iteration scales only the *controlled* allocations
-    ``s_k`` (committed SCH burst power ``extra`` is held), so the pinned
-    total is ``base + extra + budget * s / (s + extra)`` — computed here
-    from the raw allocation sums of the current pass, which makes the pin
-    exact for nonzero committed power too (``base + budget`` when
-    ``extra == 0``).  Cap membership is detected from the warm guess and
-    re-checked for a few passes.  Like the reverse-link seed this only
-    provides the starting point — the Yates loop still certifies the
-    solution — so any numerical bail-out falls back to the unrefined guess.
-    """
-    num_mobiles, num_cells = gains.shape
-    rows = np.arange(num_mobiles)
-    own = gains[rows, serving]
-    per_unit_all = np.where(
-        allocatable, (q / legs)[:, np.newaxis] / np.maximum(gains, 1e-300), 0.0
-    )
-    interference_of = gains.copy()
-    interference_of[rows, serving] -= own_fraction * own
-    eye = np.eye(num_cells)
-    totals = initial
-    prev_capped = None
-    prev_saturated = None
-    prev_pinned = None
-    for _ in range(max_passes):
-        interference = interference_of @ totals + mobile_noise_power_w
-        alloc = per_unit_all * interference[:, np.newaxis]
-        if max_link_power_w is not None:
-            capped = allocatable & (alloc >= max_link_power_w)
-            alloc = np.minimum(alloc, max_link_power_w)
-        else:
-            capped = np.zeros_like(allocatable)
-        raw_traffic = alloc.sum(axis=0)
-        saturated = raw_traffic + extra > budget
-        # Fixed point of the down-scaled totals of a saturated cell; the
-        # scale budget/(s + extra) applies to the controlled allocations s
-        # only, never to the committed burst power.
-        pinned_value = base_extra + budget * raw_traffic / np.maximum(
-            raw_traffic + extra, 1e-300
-        )
-        if (
-            prev_capped is not None
-            and np.array_equal(capped, prev_capped)
-            and np.array_equal(saturated, prev_saturated)
-            and (
-                not saturated.any()
-                or np.allclose(
-                    pinned_value[saturated], prev_pinned[saturated], rtol=1e-9
-                )
-            )
-        ):
-            break
-        prev_capped, prev_saturated = capped, saturated
-        prev_pinned = pinned_value
-
-        free_units = np.where(capped, 0.0, per_unit_all)
-        coupling = free_units.T @ interference_of
-        constant = base_extra + mobile_noise_power_w * free_units.sum(axis=0)
-        if max_link_power_w is not None and capped.any():
-            constant = constant + max_link_power_w * capped.sum(axis=0)
-        try:
-            if saturated.any():
-                unknown = ~saturated
-                if not unknown.any():
-                    solved = pinned_value.copy()
-                else:
-                    sub = np.ix_(unknown, unknown)
-                    rhs = constant[unknown] + (
-                        coupling[np.ix_(unknown, saturated)]
-                        @ pinned_value[saturated]
-                    )
-                    part = np.linalg.solve(eye[sub] - coupling[sub], rhs)
-                    solved = pinned_value.copy()
-                    solved[unknown] = part
-            else:
-                solved = np.linalg.solve(eye - coupling, constant)
-        except np.linalg.LinAlgError:
-            return initial
-        if not (np.all(np.isfinite(solved)) and np.all(solved > 0.0)):
-            return initial
-        totals = solved
-    return totals
-
-
 class ReverseLinkPowerControl:
     """Reverse-link (uplink) FCH power control.
 
@@ -269,7 +120,6 @@ class ReverseLinkPowerControl:
         noise_power_w: np.ndarray,
         extra_received_power_w: Optional[np.ndarray] = None,
         rate_factor: Optional[np.ndarray] = None,
-        initial_total_power_w: Optional[np.ndarray] = None,
     ) -> PowerControlResult:
         """Solve the reverse-link power-control fixed point.
 
@@ -291,13 +141,6 @@ class ReverseLinkPowerControl:
             (1.0 = full rate, e.g. 0.125 for the low-rate control channel a
             data user keeps while waiting between bursts); scales the user's
             load factor accordingly.
-        initial_total_power_w:
-            Optional warm start: total received power ``L_k`` per cell to
-            seed the fixed-point iteration with (typically the previous
-            frame's solution), shape ``(K,)``.  The iteration converges to
-            the same fixed point from any non-negative start; a warm start
-            merely cuts the number of Yates iterations on quasi-static
-            frames.  Omitted = cold start from the noise floor.
 
         Notes
         -----
@@ -329,12 +172,7 @@ class ReverseLinkPowerControl:
 
         q = self.ebio_target * rate / self.processing_gain
         own_gain = gains[np.arange(num_mobiles), serving]
-        if initial_total_power_w is None:
-            totals = noise + extra
-        else:
-            totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
-            if np.any(totals < 0.0):
-                raise ValueError("initial_total_power_w must be non-negative")
+        totals = noise + extra
         iterations_done = 0
         overhead = 1.0 + self.pilot_overhead
         # Loop invariants.
@@ -343,26 +181,6 @@ class ReverseLinkPowerControl:
         own_gain_safe = np.maximum(own_gain, 1e-300)
         tx_cap = self.max_tx_power_w / overhead
         noise_extra = noise + extra
-        # Warm-started solves additionally accelerate the linear contraction
-        # with a geometric (Aitken-style) extrapolation of the totals; cold
-        # starts run the plain Yates iteration so their numerics stay
-        # reproducible bit-for-bit.
-        accelerate = initial_total_power_w is not None
-        prev_delta: Optional[float] = None
-        if accelerate and num_mobiles > 0:
-            # Refine the warm guess with the direct active-set solve of the
-            # (piecewise) linear fixed point; the Yates loop below then
-            # typically certifies convergence within one or two iterations.
-            totals = _reverse_direct_seed(
-                gains=gains,
-                serving=serving,
-                connectable=connectable,
-                coeff=np.where(connectable, q_fraction / own_gain_safe, 0.0),
-                tx_cap=tx_cap,
-                overhead=overhead,
-                noise_extra=noise_extra,
-                initial=totals,
-            )
 
         # The rows that transmit, gathered once for the whole iteration.
         rows = np.flatnonzero(connectable)
@@ -382,24 +200,9 @@ class ReverseLinkPowerControl:
             np.multiply(row_gains, (new_tx * overhead)[:, np.newaxis], out=received)
             new_totals = noise_extra + received.sum(axis=0)
             delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
-            step = new_totals - totals
             row_tx, totals = new_tx, new_totals
             if delta < self.tolerance:
                 break
-            # Never extrapolate on the final iteration: a capped solve must
-            # return a consistent (tx, totals) Yates pair, not a jumped total.
-            if accelerate and iterations_done < self.iterations:
-                if prev_delta is not None and delta < 0.95 * prev_delta:
-                    # Contraction ratio r = delta/prev estimates the linear
-                    # regime; jump the remaining geometric series r/(1-r)
-                    # ahead, clamped to the physical noise floor.
-                    ratio = delta / prev_delta
-                    totals = np.maximum(
-                        totals + step * (ratio / (1.0 - ratio)), noise_extra
-                    )
-                    prev_delta = None  # re-measure contraction after the jump
-                else:
-                    prev_delta = delta
 
         tx = np.zeros(num_mobiles)
         tx[rows] = row_tx
@@ -476,7 +279,6 @@ class ForwardLinkPowerControl:
         extra_traffic_power_w: Optional[np.ndarray] = None,
         max_link_power_w: Optional[float] = None,
         rate_factor: Optional[np.ndarray] = None,
-        initial_total_power_w: Optional[np.ndarray] = None,
     ) -> PowerControlResult:
         """Solve the forward-link power-allocation fixed point.
 
@@ -504,12 +306,6 @@ class ForwardLinkPowerControl:
         rate_factor:
             Per-mobile dedicated-channel rate relative to the full-rate FCH;
             scales the per-link power requirement.
-        initial_total_power_w:
-            Optional warm start: total transmit power ``P_k`` per cell to
-            seed the fixed-point iteration with (typically the previous
-            frame's solution), shape ``(K,)``.  Converges to the same fixed
-            point; cuts iterations on quasi-static frames.  Omitted = cold
-            start from the common-channel floor.
 
         Notes
         -----
@@ -538,33 +334,10 @@ class ForwardLinkPowerControl:
         if np.any(rate <= 0.0) or np.any(rate > 1.0):
             raise ValueError("rate_factor entries must lie in (0, 1]")
 
-        if initial_total_power_w is None:
-            totals = base + extra
-        else:
-            totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
-            if np.any(totals < 0.0):
-                raise ValueError("initial_total_power_w must be non-negative")
+        totals = base + extra
         iterations_done = 0
         own_fraction = 1.0 - self.orthogonality_factor
         base_extra = base + extra
-        # Same warm-start acceleration as the reverse link (see there).
-        accelerate = initial_total_power_w is not None
-        prev_delta: Optional[float] = None
-        if accelerate and num_mobiles > 0:
-            totals = _forward_direct_seed(
-                gains=gains,
-                serving=np.argmax(np.where(active_set, gains, -np.inf), axis=1),
-                allocatable=active_set & active[:, np.newaxis] & (gains > 0.0),
-                q=self.ebio_target * rate / self.processing_gain,
-                legs=np.maximum(active_set.sum(axis=1), 1),
-                own_fraction=own_fraction,
-                mobile_noise_power_w=self.mobile_noise_power_w,
-                base_extra=base_extra,
-                budget=budget,
-                extra=extra,
-                max_link_power_w=max_link_power_w,
-                initial=totals,
-            )
 
         # The active rows, gathered once; loop invariants and reused buffers.
         rows = np.flatnonzero(active)
@@ -611,21 +384,9 @@ class ForwardLinkPowerControl:
                 delta = (
                     np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)
                 ).max()
-                step = new_totals - totals
                 row_alloc, totals = new_alloc, new_totals
                 if delta < self.tolerance:
                     break
-                # See the reverse link: no jump on the final iteration, so a
-                # capped solve returns a consistent (alloc, totals) pair.
-                if accelerate and iterations_done < self.iterations:
-                    if prev_delta is not None and delta < 0.95 * prev_delta:
-                        ratio = delta / prev_delta
-                        totals = np.maximum(
-                            totals + step * (ratio / (1.0 - ratio)), base_extra
-                        )
-                        prev_delta = None
-                    else:
-                        prev_delta = delta
 
         # Achieved Eb/Io with the final allocation.
         received_all = row_gains * totals[np.newaxis, :]

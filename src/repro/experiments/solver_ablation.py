@@ -15,18 +15,10 @@ Expected shape: the near-optimal solver stays within a fraction of a percent
 of the optimum at negligible cost, while the exact solver's run time grows
 quickly with the number of requests; the greedy heuristic loses a few percent
 of objective value.
-
-:func:`run_heavy_load_ablation` grows the sweep into the heavy-load regime
-(Q >= 64 concurrent requests, where the paper's JABA-SD experiments stress
-the system) and times each back-end's vectorized kernels against the scalar
-oracles on the same instances, asserting assignment parity along the way —
-the end-to-end view of the ``repro.opt`` solver batching (run ``python -m
-repro.experiments.solver_ablation --heavy``).
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 from typing import Optional, Sequence
 
@@ -47,7 +39,7 @@ from repro.opt import (
 from repro.simulation.snapshot import SnapshotSimulator
 from repro.utils.stats import RunningStats
 
-__all__ = ["run_solver_ablation", "run_heavy_load_ablation", "main"]
+__all__ = ["run_solver_ablation", "main"]
 
 
 def _build_instance(
@@ -166,99 +158,8 @@ def run_solver_ablation(
     return result
 
 
-def run_heavy_load_ablation(
-    request_counts: Optional[Sequence[int]] = None,
-    instances_per_count: int = 3,
-    burst_size_bits: float = 400_000.0,
-    config: Optional[SystemConfig] = None,
-    bnb_max_nodes: int = 60,
-    seed: int = 33,
-) -> ExperimentResult:
-    """Heavy-load (Q >= 64) timing of the vectorized kernels vs the oracles.
-
-    For each request count the same realistic scheduling instances are solved
-    by the greedy, near-optimal and (node-budgeted) branch-and-bound back-ends
-    with ``batched=True`` and ``batched=False``; assignments must agree
-    exactly, and the reported columns are the per-decision speedups.
-
-    Parameters
-    ----------
-    request_counts:
-        Numbers of concurrent burst requests (default 64, 96).
-    bnb_max_nodes:
-        Node budget of the branch-and-bound runs (a per-frame refinement
-        budget; keeps the scalar oracle affordable at Q >= 64).
-    """
-    request_counts = (
-        list(request_counts) if request_counts is not None else [64, 96]
-    )
-    config = config if config is not None else SystemConfig()
-
-    result = ExperimentResult(
-        experiment_id="F6-heavy",
-        title="Heavy-load solver batching: per-decision speedup vs request count",
-    )
-    for count in request_counts:
-        speedups = {"greedy": RunningStats(), "near_optimal": RunningStats(),
-                    "bnb": RunningStats()}
-        nodes = RunningStats()
-        parity_ok = True
-        for instance_idx in range(instances_per_count):
-            problem = _build_instance(
-                config, count, seed + 1000 * instance_idx + count, burst_size_bits
-            )
-            backends = {
-                "greedy": lambda batched: solve_greedy(problem, batched=batched),
-                "near_optimal": lambda batched: solve_near_optimal(
-                    problem, batched=batched
-                ),
-                "bnb": lambda batched: solve_branch_and_bound(
-                    problem, max_nodes=bnb_max_nodes, batched=batched
-                ),
-            }
-            for name, solve in backends.items():
-                t0 = time.perf_counter()
-                scalar = solve(False)
-                scalar_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                batched = solve(True)
-                batched_s = time.perf_counter() - t0
-                if not np.array_equal(scalar.values, batched.values):
-                    raise RuntimeError(
-                        f"batched/scalar assignment mismatch ({name}, "
-                        f"Q={count}, instance {instance_idx})"
-                    )
-                speedups[name].add(scalar_s / max(batched_s, 1e-12))
-                if name == "bnb":
-                    nodes.add(batched.nodes_explored)
-        result.add(
-            num_requests=int(count),
-            greedy_speedup=speedups["greedy"].mean,
-            near_optimal_speedup=speedups["near_optimal"].mean,
-            bnb_speedup=speedups["bnb"].mean,
-            bnb_nodes=nodes.mean,
-            parity_ok=parity_ok,
-        )
-    result.notes = (
-        "Speedup columns are scalar-oracle time over vectorized-kernel time "
-        "on identical instances (assignment parity asserted per run); "
-        f"branch-and-bound uses a {bnb_max_nodes}-node per-decision budget."
-    )
-    return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="F6 solver ablation")
-    parser.add_argument(
-        "--heavy",
-        action="store_true",
-        help="run the heavy-load (Q >= 64) batched-vs-scalar timing sweep",
-    )
-    args = parser.parse_args(argv)
-    if args.heavy:
-        print(run_heavy_load_ablation().to_table())
-    else:
-        print(run_solver_ablation().to_table())
+def main() -> None:  # pragma: no cover - CLI entry point
+    print(run_solver_ablation().to_table())
 
 
 if __name__ == "__main__":  # pragma: no cover

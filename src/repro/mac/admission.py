@@ -7,7 +7,9 @@ scheduling frame and per link.  It
    from the current :class:`~repro.cdma.network.NetworkSnapshot` — the
    admissible region (measurement sub-layer), the per-request relative VTAOC
    throughput ``delta_rho_j``, the burst-duration upper bounds and the
-   overall request delays ``w_j = t_w + D_s``;
+   overall request delays ``w_j = t_w + D_s`` — each evaluated queue-wide in
+   array operations (the per-request references are kept as parity oracles
+   in ``tests/oracles/measurement.py``);
 2. invokes the configured scheduling policy (JABA-SD or a baseline); and
 3. converts the resulting assignment into :class:`~repro.mac.requests.BurstGrant`
    objects, including the per-cell power/interference commitments that the
@@ -99,10 +101,6 @@ class BurstAdmissionController:
         from the PHY configuration when omitted.
     scrm_max_pilots:
         Number of neighbour pilots carried in the SCRM message.
-    batched:
-        Build the admissible regions and the per-request problem vectors with
-        the queue-wide array kernels (default).  ``False`` selects the scalar
-        oracle path; both are bit-identical.
     """
 
     def __init__(
@@ -111,11 +109,9 @@ class BurstAdmissionController:
         scheduler: BurstScheduler,
         vtaoc: Optional[VtaocCodec] = None,
         scrm_max_pilots: int = 8,
-        batched: bool = True,
     ) -> None:
         self.config = config
         self.scheduler = scheduler
-        self.batched = bool(batched)
         self.vtaoc = (
             vtaoc
             if vtaoc is not None
@@ -125,11 +121,9 @@ class BurstAdmissionController:
                 coding_gain_db=config.phy.coding_gain_db,
             )
         )
-        self.forward_measurement = ForwardLinkMeasurement(
-            config.phy, config.mac, batched=self.batched
-        )
+        self.forward_measurement = ForwardLinkMeasurement(config.phy, config.mac)
         self.reverse_measurement = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=self.batched
+            config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
         )
         self.duration_constraint = BurstDurationConstraint(
             config.mac, config.radio.fch_bit_rate_bps
@@ -139,38 +133,27 @@ class BurstAdmissionController:
     def _delta_rho(
         self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
     ) -> np.ndarray:
-        if self.batched and requests:
-            # One gather + one vectorised VTAOC evaluation for the whole
-            # queue (bit-identical to the per-request loop below).
-            j_idx = _mobile_indices(requests)
-            forward = np.fromiter(
-                (r.link is LinkDirection.FORWARD for r in requests),
-                dtype=bool,
-                count=len(requests),
-            )
-            mean_csi = np.where(
-                forward,
-                snapshot.sch_mean_csi_forward[j_idx],
-                snapshot.sch_mean_csi_reverse[j_idx],
-            )
-            return np.asarray(
-                self.vtaoc.relative_average_throughput(
-                    mean_csi, self.config.phy.fch_throughput
-                ),
-                dtype=float,
-            )
-        values = np.zeros(len(requests), dtype=float)
-        for i, request in enumerate(requests):
-            j = request.mobile_index
-            mean_csi = (
-                snapshot.sch_mean_csi_forward[j]
-                if request.link is LinkDirection.FORWARD
-                else snapshot.sch_mean_csi_reverse[j]
-            )
-            values[i] = self.vtaoc.relative_average_throughput(
-                float(mean_csi), self.config.phy.fch_throughput
-            )
-        return values
+        if not requests:
+            return np.zeros(0, dtype=float)
+        # One gather + one vectorised VTAOC evaluation for the whole queue
+        # (bit-identical to the per-request loop of tests/oracles).
+        j_idx = _mobile_indices(requests)
+        forward = np.fromiter(
+            (r.link is LinkDirection.FORWARD for r in requests),
+            dtype=bool,
+            count=len(requests),
+        )
+        mean_csi = np.where(
+            forward,
+            snapshot.sch_mean_csi_forward[j_idx],
+            snapshot.sch_mean_csi_reverse[j_idx],
+        )
+        return np.asarray(
+            self.vtaoc.relative_average_throughput(
+                mean_csi, self.config.phy.fch_throughput
+            ),
+            dtype=float,
+        )
 
     def build_input(
         self,

@@ -20,20 +20,15 @@ each burst request into the linear constraints of the scheduling problem:
 Both regions are represented by :class:`AdmissibleRegion`, whose matrix/bound
 pair feeds directly into :class:`repro.opt.problem.BoundedIntegerProgram`.
 
-Each builder ships two implementations selected by the ``batched`` switch:
-
-* the **scalar oracle** (``build_scalar``) walks the pending queue one
-  request and one cell at a time — a direct transcription of
-  eqs. (6)–(18) kept as the reference semantics;
-* the **batched kernel** (``build_batched``, the default) evaluates the same
-  equations for the *whole* pending queue in a handful of NumPy operations
-  (one gather of per-request rows, boolean membership matrices, a row-wise
-  top-``scrm_max_pilots`` selection and one vectorised relative-path-loss
-  matrix), so the per-frame admission cost no longer scales with the queue
-  length in Python.  The batched kernels are maintained bit-identical
-  (``np.array_equal``) to the scalar oracle; the parity suite in
-  ``tests/test_mac_measurement.py`` and ``benchmarks/bench_admission_queue.py``
-  enforce this.
+Each builder evaluates its equations for the *whole* pending queue in a
+handful of NumPy operations (one gather of per-request rows, boolean
+membership matrices, a row-wise top-``scrm_max_pilots`` selection and one
+vectorised relative-path-loss matrix), so the per-frame admission cost does
+not scale with the queue length in Python.  The kernels must stay
+bit-identical (``np.array_equal``) to the per-request transcription of
+eqs. (6)–(18) kept as a parity oracle in ``tests/oracles/measurement.py``;
+``tests/test_mac_measurement.py`` and ``benchmarks/bench_admission_queue.py``
+compare against it.
 """
 
 from __future__ import annotations
@@ -161,66 +156,19 @@ class ForwardLinkMeasurement:
     ----------
     phy / mac:
         Configuration sections providing ``gamma_s`` and ``alpha``.
-    batched:
-        Use the queue-wide array kernel (default).  ``False`` selects the
-        per-request scalar oracle; both produce bit-identical regions.
     """
 
-    def __init__(self, phy: PhyConfig, mac: MacConfig, batched: bool = True) -> None:
+    def __init__(self, phy: PhyConfig, mac: MacConfig) -> None:
         self.phy = phy
         self.mac = mac
-        self.batched = bool(batched)
-
-    def build(
-        self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
-    ) -> AdmissibleRegion:
-        """Admissible region of the given forward-link requests."""
-        if self.batched:
-            return self.build_batched(snapshot, requests)
-        return self.build_scalar(snapshot, requests)
 
     def _bounds(self, snapshot: NetworkSnapshot) -> np.ndarray:
         return snapshot.forward_load.headroom_w() * self.mac.forward_admission_margin
 
-    def build_scalar(
+    def build(
         self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
     ) -> AdmissibleRegion:
-        """Reference implementation: one request and one cell at a time.
-
-        Reads the hand-off membership through the same snapshot accessors as
-        the batched kernel so the two paths cannot silently diverge on a
-        snapshot whose ``handoff_states`` and membership matrices disagree.
-        """
-        _check_links(requests, LinkDirection.FORWARD)
-        num_cells = snapshot.num_cells
-        num_requests = len(requests)
-        matrix = np.zeros((num_cells, num_requests), dtype=float)
-        fch_power = snapshot.forward_load.fch_power_w
-        gamma_s = self.phy.gamma_s_forward
-        alpha = self.mac.alpha_forward
-        reduced_membership = snapshot.reduced_membership()
-
-        for col, request in enumerate(requests):
-            j = request.mobile_index
-            reduced_set = [int(k) for k in np.nonzero(reduced_membership[j])[0]]
-            for k in reduced_set:
-                # Eq. (6): one unit of m costs gamma_s * P_{j,k} * alpha at
-                # every reduced-active-set cell.  When the FCH allocation of
-                # a leg is zero (e.g. the leg was just added), fall back to
-                # the serving-cell allocation so the cost is never free.
-                p_jk = float(fch_power[j, k])
-                if p_jk <= 0.0:
-                    p_jk = float(fch_power[j, snapshot.serving_cells[j]])
-                matrix[k, col] = gamma_s * p_jk * alpha
-
-        return AdmissibleRegion(
-            matrix=matrix, bounds=self._bounds(snapshot), link=LinkDirection.FORWARD
-        )
-
-    def build_batched(
-        self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
-    ) -> AdmissibleRegion:
-        """Queue-wide kernel: eq. (6) for all pending requests at once."""
+        """Admissible region of the given forward-link requests (eq. (6))."""
         _check_links(requests, LinkDirection.FORWARD)
         num_cells = snapshot.num_cells
         num_requests = len(requests)
@@ -235,9 +183,11 @@ class ForwardLinkMeasurement:
             power = fch_power[j_idx]  # (n, K)
             serving = np.asarray(snapshot.serving_cells, dtype=np.int64)[j_idx]
             serving_power = fch_power[j_idx, serving]  # (n,)
-            # Zero-power legs fall back to the serving-cell allocation; the
-            # `<=` mask mirrors the scalar oracle exactly (including the
-            # propagation of non-finite values).
+            # Eq. (6): one unit of m costs gamma_s * P_{j,k} * alpha at every
+            # reduced-active-set cell.  A zero-power leg (e.g. one just added)
+            # falls back to the serving-cell allocation so the cost is never
+            # free; the `<=` mask mirrors the per-request oracle exactly
+            # (including the propagation of non-finite values).
             effective = np.where(power <= 0.0, serving_power[:, np.newaxis], power)
             matrix = np.where(membership, gamma_s * effective * alpha, 0.0).T
         return AdmissibleRegion(
@@ -254,101 +204,24 @@ class ReverseLinkMeasurement:
         Configuration sections providing ``gamma_s``, ``alpha`` and ``kappa``.
     scrm_max_pilots:
         Number of neighbour pilots carried in the SCRM message.
-    batched:
-        Use the queue-wide array kernel (default).  ``False`` selects the
-        per-request scalar oracle; both produce bit-identical regions.
     """
 
     def __init__(
-        self,
-        phy: PhyConfig,
-        mac: MacConfig,
-        scrm_max_pilots: int = 8,
-        batched: bool = True,
+        self, phy: PhyConfig, mac: MacConfig, scrm_max_pilots: int = 8
     ) -> None:
         if scrm_max_pilots < 1:
             raise ValueError("scrm_max_pilots must be at least 1")
         self.phy = phy
         self.mac = mac
         self.scrm_max_pilots = int(scrm_max_pilots)
-        self.batched = bool(batched)
-
-    def build(
-        self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
-    ) -> AdmissibleRegion:
-        """Admissible region of the given reverse-link requests."""
-        if self.batched:
-            return self.build_batched(snapshot, requests)
-        return self.build_scalar(snapshot, requests)
 
     def _bounds(self, snapshot: NetworkSnapshot) -> np.ndarray:
         return snapshot.reverse_load.headroom_w() * self.mac.reverse_admission_margin
 
-    def build_scalar(
+    def build(
         self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
     ) -> AdmissibleRegion:
-        """Reference implementation: one request and one cell at a time.
-
-        Reads the host cell and hand-off membership through the same snapshot
-        accessors as the batched kernel so the two paths cannot silently
-        diverge on a snapshot whose ``handoff_states`` and
-        ``serving_cells``/membership matrices disagree.
-        """
-        _check_links(requests, LinkDirection.REVERSE)
-        num_cells = snapshot.num_cells
-        num_requests = len(requests)
-        matrix = np.zeros((num_cells, num_requests), dtype=float)
-
-        reverse_load = snapshot.reverse_load
-        l_k = reverse_load.current_interference_w
-        t_rl = reverse_load.reverse_pilot_strength
-        t_fl = reverse_load.forward_pilot_strength
-        xi = reverse_load.fch_pilot_power_ratio
-        gamma_s = self.phy.gamma_s_reverse
-        alpha = self.mac.alpha_reverse
-        kappa = self.mac.neighbor_margin
-        active_membership = snapshot.active_membership()
-
-        for col, request in enumerate(requests):
-            j = request.mobile_index
-            host = int(snapshot.serving_cells[j])
-            soft_handoff_cells = set(
-                int(k) for k in np.nonzero(active_membership[j])[0]
-            )
-            # Eq. (10): FCH received power at the host cell reconstructed from
-            # the reverse pilot measurement and the FCH/pilot power ratio.
-            x_fch_host = l_k[host] * xi[j] * t_rl[j, host]
-            # A deep-shadowed mobile may report a zero forward pilot for its
-            # own host cell; eq. (14)'s relative path loss is then undefined
-            # and the base station has no usable neighbour estimate, so the
-            # projected terms are skipped rather than raising.
-            host_pilot_usable = not t_fl[j, host] <= 0.0
-
-            # Neighbour cells considered: those whose forward pilot the mobile
-            # reports in its SCRM message (the strongest `scrm_max_pilots`).
-            reported = np.argsort(t_fl[j])[::-1][: self.scrm_max_pilots]
-
-            for k in range(num_cells):
-                if k in soft_handoff_cells:
-                    # Eq. (12): same-cell / soft-hand-off measurement.
-                    matrix[k, col] = gamma_s * l_k[k] * xi[j] * t_rl[j, k] * alpha
-                elif k in reported and host_pilot_usable:
-                    # Eq. (15): projected interference through the relative
-                    # path loss of eq. (14), with shadowing margin kappa.
-                    delta_p = relative_path_loss(t_fl[j], host, k)
-                    matrix[k, col] = gamma_s * x_fch_host * alpha * delta_p * kappa
-                # Cells that are neither in soft hand-off nor reported in the
-                # SCRM are not constrained (the base station has no estimate
-                # for them) — exactly as in the paper.
-
-        return AdmissibleRegion(
-            matrix=matrix, bounds=self._bounds(snapshot), link=LinkDirection.REVERSE
-        )
-
-    def build_batched(
-        self, snapshot: NetworkSnapshot, requests: Sequence[BurstRequest]
-    ) -> AdmissibleRegion:
-        """Queue-wide kernel: eqs. (9)–(15) for all pending requests at once."""
+        """Admissible region of the given reverse-link requests (eqs. (9)–(18))."""
         _check_links(requests, LinkDirection.REVERSE)
         num_cells = snapshot.num_cells
         num_requests = len(requests)

@@ -7,10 +7,8 @@ branch-and-bound on the variable box:
   bound for each node — solved with the package's own dense simplex by
   default, which is faster than calling out to SciPy for the tiny problems
   produced by burst scheduling;
-* the incumbent is seeded with the greedy heuristic, the rounded LP optimum
-  and (optionally) a caller-supplied warm start — the previous scheduling
-  frame's surviving assignment, which makes the initial gap small and the
-  pruning aggressive under heavy load;
+* the incumbent is seeded with the greedy heuristic and the rounded LP
+  optimum;
 * nodes whose bound does not beat the incumbent (by more than the optional
   relative ``gap_tolerance``) are pruned;
 * branching splits on the most fractional variable of the node's LP optimum.
@@ -20,12 +18,15 @@ a node budget still protects the dynamic simulation against pathological
 instances; when it is exhausted the best incumbent is returned with
 ``optimal=False``.
 
-``batched=True`` (default) runs the vectorized back-end: node relaxations
-use the batched simplex with a shared :class:`~repro.opt.lp.SimplexScratch`,
-both child bounds of a branching level are evaluated in one
-:func:`~repro.opt.lp.solve_children_lp` sweep, and the incumbent repairs use
-the vectorized rounding kernels.  ``batched=False`` is the original scalar
-oracle; the two paths visit the same nodes and return identical solutions.
+The back-end is vectorized: node relaxations use the batched simplex with a
+shared :class:`~repro.opt.lp.SimplexScratch`, both child bounds of a
+branching level are evaluated in one :func:`~repro.opt.lp.solve_children_lp`
+sweep, and the incumbent repairs use the vectorized rounding kernels.  It
+visits the same nodes in the same order as the per-node scalar
+implementation kept as a parity oracle in ``tests/oracles/opt.py`` and
+returns identical solutions: the kernels evaluate the same floating-point
+expressions, and children are pushed in the oracle's (down, up) tie-break
+order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,34 +50,11 @@ def _is_integral(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(values - np.round(values)) <= _INTEGRALITY_TOL))
 
 
-def _warm_incumbent(
-    problem: BoundedIntegerProgram, warm_start: Optional[np.ndarray]
-) -> Optional[Tuple[np.ndarray, float]]:
-    """Validate a warm-start assignment into an incumbent candidate.
-
-    The candidate is clipped to the variable box; it seeds the incumbent only
-    when it is feasible for the *current* problem (the admissible region
-    moves between scheduling frames), otherwise it is silently dropped and
-    the search starts cold.
-    """
-    if warm_start is None:
-        return None
-    values = np.asarray(warm_start, dtype=float).ravel()
-    if values.shape != (problem.num_variables,):
-        raise ValueError("warm_start has the wrong length")
-    values = np.clip(np.round(values), 0.0, problem.upper_bounds.astype(float))
-    if not problem.is_feasible(values):
-        return None
-    return values, problem.objective_value(values)
-
-
 def solve_branch_and_bound(
     problem: BoundedIntegerProgram,
     max_nodes: int = 20_000,
     gap_tolerance: float = 0.0,
     use_scipy_lp: bool = False,
-    batched: bool = True,
-    warm_start: Optional[np.ndarray] = None,
 ) -> IntegerSolution:
     """Solve ``problem`` by LP-based branch-and-bound.
 
@@ -97,51 +74,29 @@ def solve_branch_and_bound(
         Use SciPy's HiGHS for the node relaxations instead of the built-in
         dense simplex (the built-in solver is faster on these small
         instances).
-    batched:
-        Run the vectorized back-end (default).  ``False`` selects the scalar
-        oracle; both visit the same nodes and return identical solutions.
-    warm_start:
-        Optional integer assignment seeding the incumbent (e.g. the previous
-        scheduling frame's solution).  Infeasible warm starts are ignored.
     """
     if gap_tolerance < 0.0:
         raise ValueError("gap_tolerance must be non-negative")
     n = problem.num_variables
     if n == 0:
         return IntegerSolution(values=np.zeros(0, dtype=int), objective=0.0, optimal=True)
-    incumbent0 = _warm_incumbent(problem, warm_start)
-    if batched:
-        return _solve_batched(problem, max_nodes, gap_tolerance, use_scipy_lp, incumbent0)
-    return _solve_scalar(problem, max_nodes, gap_tolerance, use_scipy_lp, incumbent0)
-
-
-def _solve_scalar(
-    problem: BoundedIntegerProgram,
-    max_nodes: int,
-    gap_tolerance: float,
-    use_scipy_lp: bool,
-    incumbent0: Optional[Tuple[np.ndarray, float]],
-) -> IntegerSolution:
-    """The original per-node implementation (parity oracle)."""
-    n = problem.num_variables
+    scratch = SimplexScratch()
 
     # Incumbents: greedy and rounded LP.  Both are always feasible.
-    incumbent = solve_greedy(problem, batched=False)
+    incumbent = solve_greedy(problem)
     best_values = incumbent.values.astype(float)
     best_objective = incumbent.objective
-    if incumbent0 is not None and incumbent0[1] > best_objective:
-        best_values, best_objective = incumbent0[0].copy(), incumbent0[1]
 
     root_lo = np.zeros(n)
     root_hi = problem.upper_bounds.astype(float)
     root_lp = solve_lp_relaxation(
-        problem, root_lo, root_hi, use_scipy=use_scipy_lp, batched=False
+        problem, root_lo, root_hi, use_scipy=use_scipy_lp, scratch=scratch
     )
     if root_lp.status == "infeasible":  # cannot happen with a valid problem box
         return IntegerSolution(
             values=np.zeros(n, dtype=int), objective=0.0, optimal=True
         )
-    rounded = round_lp_solution(problem, root_lp.values, batched=False)
+    rounded = round_lp_solution(problem, root_lp.values)
     if rounded.objective > best_objective:
         best_objective = rounded.objective
         best_values = rounded.values.astype(float)
@@ -179,122 +134,12 @@ def _solve_scalar(
             continue
 
         # Cheap incumbent update from the fractional point.
-        repaired = round_lp_solution(problem, values, batched=False)
+        repaired = round_lp_solution(problem, values)
         if repaired.objective > best_objective + 1e-12:
             best_objective = repaired.objective
             best_values = repaired.values.astype(float)
 
         # Branch on the most fractional variable.
-        fractional = np.abs(values - np.round(values))
-        branch_var = int(np.argmax(fractional))
-        floor_val = math.floor(values[branch_var] + _INTEGRALITY_TOL)
-
-        # Down branch: x_branch <= floor.
-        hi_down = hi.copy()
-        hi_down[branch_var] = float(floor_val)
-        if hi_down[branch_var] >= lo[branch_var] - 1e-12:
-            lp_down = solve_lp_relaxation(
-                problem, lo, hi_down, use_scipy=use_scipy_lp, batched=False
-            )
-            if lp_down.status == "optimal" and accept(lp_down.objective):
-                heapq.heappush(
-                    heap, (-lp_down.objective, next(counter), lo, hi_down, lp_down)
-                )
-
-        # Up branch: x_branch >= floor + 1.
-        lo_up = lo.copy()
-        lo_up[branch_var] = float(floor_val + 1)
-        if lo_up[branch_var] <= hi[branch_var] + 1e-12:
-            lp_up = solve_lp_relaxation(
-                problem, lo_up, hi, use_scipy=use_scipy_lp, batched=False
-            )
-            if lp_up.status == "optimal" and accept(lp_up.objective):
-                heapq.heappush(
-                    heap, (-lp_up.objective, next(counter), lo_up, hi, lp_up)
-                )
-
-    proven_optimal = (not exhausted) and gap_tolerance == 0.0
-    return IntegerSolution(
-        values=np.round(best_values).astype(int),
-        objective=float(best_objective),
-        optimal=proven_optimal,
-        nodes_explored=nodes,
-    )
-
-
-def _solve_batched(
-    problem: BoundedIntegerProgram,
-    max_nodes: int,
-    gap_tolerance: float,
-    use_scipy_lp: bool,
-    incumbent0: Optional[Tuple[np.ndarray, float]],
-) -> IntegerSolution:
-    """Vectorized back-end: batched simplex, child sweeps, scratch reuse.
-
-    Visits the same nodes in the same order as :func:`_solve_scalar` and
-    returns identical solutions — the vectorized kernels evaluate the same
-    floating-point expressions, and children are pushed in the oracle's
-    (down, up) tie-break order.
-    """
-    n = problem.num_variables
-    scratch = SimplexScratch()
-
-    incumbent = solve_greedy(problem, batched=True)
-    best_values = incumbent.values.astype(float)
-    best_objective = incumbent.objective
-    if incumbent0 is not None and incumbent0[1] > best_objective:
-        best_values, best_objective = incumbent0[0].copy(), incumbent0[1]
-
-    root_lo = np.zeros(n)
-    root_hi = problem.upper_bounds.astype(float)
-    root_lp = solve_lp_relaxation(
-        problem, root_lo, root_hi, use_scipy=use_scipy_lp, batched=True, scratch=scratch
-    )
-    if root_lp.status == "infeasible":  # cannot happen with a valid problem box
-        return IntegerSolution(
-            values=np.zeros(n, dtype=int), objective=0.0, optimal=True
-        )
-    rounded = round_lp_solution(problem, root_lp.values, batched=True)
-    if rounded.objective > best_objective:
-        best_objective = rounded.objective
-        best_values = rounded.values.astype(float)
-
-    def accept(bound: float) -> bool:
-        threshold = best_objective * (1.0 + gap_tolerance) if best_objective > 0 else (
-            best_objective + gap_tolerance
-        )
-        return bound > threshold + 1e-12
-
-    counter = itertools.count()
-    heap = [(-root_lp.objective, next(counter), root_lo, root_hi, root_lp)]
-    nodes = 0
-    exhausted = False
-
-    while heap:
-        neg_bound, _, lo, hi, lp = heapq.heappop(heap)
-        bound = -neg_bound
-        if not accept(bound):
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            exhausted = True
-            break
-
-        values = np.clip(lp.values, lo, hi)
-        if _is_integral(values):
-            candidate = np.round(values)
-            if problem.is_feasible(candidate) and (
-                problem.objective_value(candidate) > best_objective + 1e-12
-            ):
-                best_objective = problem.objective_value(candidate)
-                best_values = candidate
-            continue
-
-        repaired = round_lp_solution(problem, values, batched=True)
-        if repaired.objective > best_objective + 1e-12:
-            best_objective = repaired.objective
-            best_values = repaired.values.astype(float)
-
         fractional = np.abs(values - np.round(values))
         branch_var = int(np.argmax(fractional))
         floor_val = math.floor(values[branch_var] + _INTEGRALITY_TOL)
@@ -308,9 +153,7 @@ def _solve_batched(
         # shared scratch template (children pushed in the oracle's order).
         if use_scipy_lp:
             children = [
-                solve_lp_relaxation(
-                    problem, c_lo, c_hi, use_scipy=True, batched=True, scratch=scratch
-                )
+                solve_lp_relaxation(problem, c_lo, c_hi, use_scipy=True, scratch=scratch)
                 if not np.any(c_lo > c_hi + 1e-12)
                 else None
                 for c_lo, c_hi in ((lo, hi_down), (lo_up, hi))

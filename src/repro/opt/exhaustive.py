@@ -4,17 +4,14 @@ Used as ground truth in the solver tests and, at run time, for very small
 scheduling instances where enumeration is cheaper than branch-and-bound
 bookkeeping.
 
-``batched=True`` (default) enumerates the integer box in vectorized chunks:
-candidate blocks come from ``np.unravel_index`` over a flat point range (the
-same lexicographic order as ``itertools.product``), feasibility is one
-matrix product per block, and the oracle's first-strict-improver selection
-rule is replayed inside each block.  ``batched=False`` is the original
-per-point loop.
+The integer box is enumerated in vectorized chunks: candidate blocks come
+from ``np.unravel_index`` over a flat point range (the same lexicographic
+order as ``itertools.product``), feasibility is one matrix product per block,
+and the first-strict-improver selection rule of the per-point loop kept as a
+parity oracle in ``tests/oracles/opt.py`` is replayed inside each block.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -29,9 +26,7 @@ MAX_ENUMERATION_POINTS = 2_000_000
 _CHUNK = 65_536
 
 
-def solve_exhaustive(
-    problem: BoundedIntegerProgram, batched: bool = True
-) -> IntegerSolution:
+def solve_exhaustive(problem: BoundedIntegerProgram) -> IntegerSolution:
     """Enumerate every feasible integer point and return the best one.
 
     Raises
@@ -45,35 +40,15 @@ def solve_exhaustive(
             "search space too large for exhaustive enumeration "
             f"({problem.search_space_size():.3g} points)"
         )
-    if batched and problem.num_variables:
-        return _solve_exhaustive_batched(problem)
-    return _solve_exhaustive_scalar(problem)
-
-
-def _solve_exhaustive_scalar(problem: BoundedIntegerProgram) -> IntegerSolution:
-    """The original per-point loop (parity oracle)."""
-    ranges = [range(int(u) + 1) for u in problem.upper_bounds]
-    best_values = np.zeros(problem.num_variables, dtype=int)
-    best_objective = problem.objective_value(best_values)
-    explored = 0
-    for candidate in itertools.product(*ranges):
-        explored += 1
-        values = np.asarray(candidate, dtype=float)
-        if not problem.is_feasible(values):
-            continue
-        objective = problem.objective_value(values)
-        if objective > best_objective + 1e-12:
-            best_objective = objective
-            best_values = np.asarray(candidate, dtype=int)
-    return IntegerSolution(
-        values=best_values,
-        objective=best_objective,
-        optimal=True,
-        nodes_explored=explored,
-    )
-
-
-def _solve_exhaustive_batched(problem: BoundedIntegerProgram) -> IntegerSolution:
+    if not problem.num_variables:
+        # The empty box holds one point, the empty assignment, which the
+        # chunked enumeration below cannot represent.
+        return IntegerSolution(
+            values=np.zeros(0, dtype=int),
+            objective=0.0,
+            optimal=True,
+            nodes_explored=1,
+        )
     dims = problem.upper_bounds + 1
     total = int(np.prod(dims))
     matrix_t = problem.constraint_matrix.T

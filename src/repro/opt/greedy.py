@@ -7,13 +7,12 @@ that order.  The result is always feasible and is used both as a stand-alone
 scheduler (the "greedy" entry of experiment F6) and as the incumbent that
 seeds the branch-and-bound solver.
 
-Both entry points carry a ``batched=`` switch (mirroring the PR 1/PR 2
-pattern): the default is the vectorized kernel — the efficiency ranking is
-one matrix reduction instead of ``n`` per-index Python calls, and the
-sequential raise loop only visits variables that can still move — while
-``batched=False`` selects the original scalar oracle.  The two paths return
-**identical** ``IntegerSolution.values`` (the vectorized kernels evaluate the
-same floating-point expressions in the same order).
+Both entry points are vectorized: the efficiency ranking is one matrix
+reduction instead of ``n`` per-index Python calls, and the sequential raise
+loop only visits variables that can still move.  They return values
+**identical** to the per-index scalar implementations kept as parity oracles
+in ``tests/oracles/opt.py`` (the kernels evaluate the same floating-point
+expressions in the same order).
 """
 
 from __future__ import annotations
@@ -25,23 +24,13 @@ from repro.opt.problem import BoundedIntegerProgram, IntegerSolution
 __all__ = ["solve_greedy", "round_lp_solution", "solve_near_optimal"]
 
 
-def _efficiency(problem: BoundedIntegerProgram, index: int) -> float:
-    """Objective gain per unit of normalised resource consumption."""
-    gain = problem.objective[index]
-    if gain <= 0.0:
-        return -np.inf
-    column = problem.constraint_matrix[:, index]
-    bounds = np.maximum(problem.constraint_bounds, 1e-300)
-    # Normalised cost: the largest fraction of any single resource consumed
-    # by one unit of this variable.
-    cost = float(np.max(column / bounds)) if column.size else 0.0
-    if cost <= 0.0:
-        return np.inf
-    return gain / cost
-
-
 def _efficiencies(problem: BoundedIntegerProgram) -> np.ndarray:
-    """Vectorized :func:`_efficiency` over all variables (identical floats)."""
+    """Objective gain per unit of normalised resource consumption, per variable.
+
+    The normalised cost of a variable is the largest fraction of any single
+    resource consumed by one unit of it.  Identical floats to the per-index
+    oracle.
+    """
     gains = problem.objective
     if problem.num_constraints:
         bounds = np.maximum(problem.constraint_bounds, 1e-300)
@@ -79,40 +68,12 @@ def _raise_greedily(
         rooms = None
 
 
-def solve_greedy(
-    problem: BoundedIntegerProgram, batched: bool = True
-) -> IntegerSolution:
+def solve_greedy(problem: BoundedIntegerProgram) -> IntegerSolution:
     """Greedy marginal-efficiency heuristic (always feasible, not optimal).
 
-    ``batched=True`` (default) ranks all variables with one matrix reduction
-    and prunes dead variables from the raise loop; ``batched=False`` is the
-    scalar oracle.  Both return identical values.
+    Ranks all variables with one matrix reduction and prunes dead variables
+    from the raise loop.
     """
-    if batched:
-        return _solve_greedy_batched(problem)
-    return _solve_greedy_scalar(problem)
-
-
-def _solve_greedy_scalar(problem: BoundedIntegerProgram) -> IntegerSolution:
-    """The original per-index implementation (parity oracle)."""
-    n = problem.num_variables
-    values = np.zeros(n, dtype=float)
-    order = sorted(range(n), key=lambda j: -_efficiency(problem, j))
-    for j in order:
-        if problem.objective[j] <= 0.0:
-            continue
-        room = problem.max_increment(values, j)
-        if room > 0:
-            values[j] += room
-    return IntegerSolution(
-        values=values.astype(int),
-        objective=problem.objective_value(values),
-        optimal=False,
-        nodes_explored=0,
-    )
-
-
-def _solve_greedy_batched(problem: BoundedIntegerProgram) -> IntegerSolution:
     n = problem.num_variables
     values = np.zeros(n, dtype=float)
     if n:
@@ -131,9 +92,7 @@ def _solve_greedy_batched(problem: BoundedIntegerProgram) -> IntegerSolution:
     )
 
 
-def solve_near_optimal(
-    problem: BoundedIntegerProgram, batched: bool = True
-) -> IntegerSolution:
+def solve_near_optimal(problem: BoundedIntegerProgram) -> IntegerSolution:
     """Best of the greedy heuristic and the rounded LP relaxation.
 
     This is the solver the dynamic simulations use for JABA-SD: on the burst
@@ -147,16 +106,16 @@ def solve_near_optimal(
     """
     from repro.opt.lp import SimplexIterationLimitError, solve_lp_relaxation
 
-    greedy = solve_greedy(problem, batched=batched)
+    greedy = solve_greedy(problem)
     if problem.num_variables == 0:
         return greedy
     try:
-        lp = solve_lp_relaxation(problem, use_scipy=False, batched=batched)
+        lp = solve_lp_relaxation(problem, use_scipy=False)
     except SimplexIterationLimitError:
         return greedy
     if lp.status != "optimal":  # pragma: no cover - box relaxation is always feasible
         return greedy
-    rounded = round_lp_solution(problem, lp.values, batched=batched)
+    rounded = round_lp_solution(problem, lp.values)
     best = rounded if rounded.objective >= greedy.objective else greedy
     return IntegerSolution(
         values=best.values,
@@ -167,15 +126,14 @@ def solve_near_optimal(
 
 
 def round_lp_solution(
-    problem: BoundedIntegerProgram, lp_values: np.ndarray, batched: bool = True
+    problem: BoundedIntegerProgram, lp_values: np.ndarray
 ) -> IntegerSolution:
     """Round an LP-relaxation point down, then greedily repair upwards.
 
     Flooring a feasible continuous point keeps it feasible (the constraint
     matrix is non-negative); the repair pass then re-invests any slack
     created by the rounding, visiting variables in decreasing fractional
-    part.  ``batched=True`` (default) prunes the repair loop with one
-    queue-wide room evaluation; ``batched=False`` is the scalar oracle.
+    part, pruned with one queue-wide room evaluation.
     """
     lp_values = np.asarray(lp_values, dtype=float).ravel()
     if lp_values.shape != (problem.num_variables,):
@@ -185,16 +143,8 @@ def round_lp_solution(
         values = np.zeros_like(values)
     fractions = lp_values - np.floor(lp_values)
     order = np.argsort(-fractions)
-    if batched:
-        order = order[problem.objective[order] > 0.0]
-        _raise_greedily(problem, values, order)
-    else:
-        for j in order:
-            if problem.objective[j] <= 0.0:
-                continue
-            room = problem.max_increment(values, int(j))
-            if room > 0:
-                values[int(j)] += room
+    order = order[problem.objective[order] > 0.0]
+    _raise_greedily(problem, values, order)
     return IntegerSolution(
         values=values.astype(int),
         objective=problem.objective_value(values),

@@ -7,21 +7,17 @@ revised-simplex implementation is provided as a fallback so the package keeps
 working if SciPy's LP backend is unavailable, and as an independent
 cross-check in the tests.
 
-The built-in simplex has two code paths behind the ``batched=`` switch:
-
-* ``batched=True`` (default) — the hot path used by branch-and-bound.  The
-  pivot elimination is a single rank-1 matrix update instead of a Python loop
-  over tableau rows, the basic-solution extraction is one fancy-indexed
-  gather, and the tableau is carved out of a reusable
-  :class:`SimplexScratch` buffer whose constant block (constraint rows,
-  slack identity, objective row) is assembled once per problem and copied
-  per node instead of rebuilt with ``vstack``/``eye`` allocations.
-* ``batched=False`` — the original row-loop oracle.
-
-Both paths perform the same floating-point operations in the same order and
-return identical solutions.  :func:`solve_children_lp` evaluates all child
-relaxations of one branch-and-bound level in one sweep over the shared
-scratch template.
+The built-in simplex is the hot path of branch-and-bound.  The pivot
+elimination is a single rank-1 matrix update instead of a Python loop over
+tableau rows, the basic-solution extraction is one fancy-indexed gather, and
+the tableau is carved out of a reusable :class:`SimplexScratch` buffer whose
+constant block (constraint rows, slack identity, objective row) is assembled
+once per problem and copied per node instead of rebuilt with
+``vstack``/``eye`` allocations.  It performs the same floating-point
+operations in the same order as the row-loop simplex kept as a parity oracle
+in ``tests/oracles/opt.py``, and returns identical solutions.
+:func:`solve_children_lp` evaluates all child relaxations of one
+branch-and-bound level in one sweep over the shared scratch template.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ __all__ = [
 class SimplexIterationLimitError(RuntimeError):
     """The simplex pivot budget ran out before optimality was certified.
 
-    Both simplex paths bound their pivot loop at ``200 * (n + m)`` iterations
+    The simplex bounds its pivot loop at ``200 * (n + m)`` iterations
     (a degenerate-cycling guard far above the typical pivot count for these
     box-constrained relaxations).  Exhausting the budget means the tableau's
     final basic solution is feasible but *not certified optimal*, so instead
@@ -113,15 +109,13 @@ def solve_lp_relaxation(
     lower_bounds: Optional[np.ndarray] = None,
     upper_bounds: Optional[np.ndarray] = None,
     use_scipy: bool = True,
-    batched: bool = True,
     scratch: Optional[SimplexScratch] = None,
 ) -> LpSolution:
     """Solve the continuous relaxation of ``problem``.
 
     ``lower_bounds`` / ``upper_bounds`` override the box (used by
-    branch-and-bound to impose branching decisions).  ``batched`` selects the
-    vectorized simplex hot path (identical results to the scalar oracle);
-    ``scratch`` optionally reuses tableau buffers across repeated solves.
+    branch-and-bound to impose branching decisions); ``scratch`` optionally
+    reuses tableau buffers across repeated solves.
     """
     lo = (
         np.zeros(problem.num_variables)
@@ -157,7 +151,7 @@ def solve_lp_relaxation(
                 )
         except Exception:  # pragma: no cover - fall back to the simplex below
             pass
-    return simplex_lp(problem, lo, hi, batched=batched, scratch=scratch)
+    return simplex_lp(problem, lo, hi, scratch=scratch)
 
 
 def solve_children_lp(
@@ -180,7 +174,7 @@ def solve_children_lp(
         if np.any(lo > hi + 1e-12):
             solutions.append(LpSolution(values=lo, objective=-np.inf, status="infeasible"))
             continue
-        solutions.append(simplex_lp(problem, lo, hi, batched=True, scratch=scratch))
+        solutions.append(simplex_lp(problem, lo, hi, scratch=scratch))
     return solutions
 
 
@@ -188,7 +182,6 @@ def simplex_lp(
     problem: BoundedIntegerProgram,
     lower_bounds: np.ndarray,
     upper_bounds: np.ndarray,
-    batched: bool = True,
     scratch: Optional[SimplexScratch] = None,
     max_iterations: Optional[int] = None,
 ) -> LpSolution:
@@ -204,92 +197,17 @@ def simplex_lp(
     ``max_iterations`` overrides the default ``200 * (n + m)`` pivot budget;
     exhausting the budget raises :class:`SimplexIterationLimitError` rather
     than returning an uncertified solution.
+
+    The eliminations of one pivot are a rank-1 update over the whole tableau
+    with the row-loop oracle's small-coefficient skip (factors below its
+    1e-14 threshold are zeroed, making their row update an exact no-op), so
+    every intermediate tableau equals the oracle's.
     """
     lo = np.asarray(lower_bounds, dtype=float)
     hi = np.asarray(upper_bounds, dtype=float)
     b = problem.constraint_bounds - problem.constraint_matrix @ lo
     if np.any(b < -1e-9):
         return LpSolution(values=lo, objective=-np.inf, status="infeasible")
-    if batched:
-        return _simplex_batched(problem, lo, hi, b, scratch, max_iterations)
-    return _simplex_scalar(problem, lo, hi, b, max_iterations)
-
-
-def _simplex_scalar(
-    problem: BoundedIntegerProgram,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    b: np.ndarray,
-    max_iterations: Optional[int] = None,
-) -> LpSolution:
-    """The original row-loop implementation (parity oracle)."""
-    c = problem.objective
-    a = problem.constraint_matrix
-    b = np.maximum(b, 0.0)
-    box = hi - lo
-
-    n = problem.num_variables
-    # Constraint rows: resource constraints plus upper-bound rows.
-    a_full = np.vstack([a, np.eye(n)])
-    b_full = np.concatenate([b, box])
-    m = a_full.shape[0]
-
-    # Simplex tableau with slack variables (standard form, origin feasible).
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_full
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_full
-    tableau[-1, :n] = -c  # maximise c'x  <=>  minimise -c'x
-    basis = list(range(n, n + m))
-
-    budget = 200 * (n + m) if max_iterations is None else max_iterations
-    for _ in range(budget):
-        reduced = tableau[-1, :-1]
-        pivot_col = int(np.argmin(reduced))
-        if reduced[pivot_col] >= -1e-10:
-            break  # optimal
-        column = tableau[:m, pivot_col]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(column > 1e-12, tableau[:m, -1] / column, np.inf)
-        pivot_row = int(np.argmin(ratios))
-        if not np.isfinite(ratios[pivot_row]):
-            break  # unbounded cannot happen with the explicit box; be safe
-        pivot = tableau[pivot_row, pivot_col]
-        tableau[pivot_row, :] /= pivot
-        for row in range(m + 1):
-            if row != pivot_row and abs(tableau[row, pivot_col]) > 1e-14:
-                tableau[row, :] -= tableau[row, pivot_col] * tableau[pivot_row, :]
-        basis[pivot_row] = pivot_col
-    else:
-        raise SimplexIterationLimitError(
-            f"simplex exhausted its {budget}-pivot budget without certifying "
-            f"optimality (n={n}, m={m})"
-        )
-
-    x_shifted = np.zeros(n + m)
-    for row, var in enumerate(basis):
-        x_shifted[var] = tableau[row, -1]
-    values = lo + x_shifted[:n]
-    return LpSolution(
-        values=values, objective=float(problem.objective @ values), status="optimal"
-    )
-
-
-def _simplex_batched(
-    problem: BoundedIntegerProgram,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    b: np.ndarray,
-    scratch: Optional[SimplexScratch],
-    max_iterations: Optional[int] = None,
-) -> LpSolution:
-    """Vectorized pivot/ratio-test hot path (identical floats to the oracle).
-
-    The eliminations of one pivot are a rank-1 update over the whole tableau
-    with the same small-coefficient skip (factors below the oracle's 1e-14
-    threshold are zeroed, making their row update an exact no-op), so every
-    intermediate tableau equals the scalar oracle's.
-    """
     scratch = scratch if scratch is not None else SimplexScratch()
     n = problem.num_variables
     m = problem.num_constraints + n

@@ -172,7 +172,8 @@ class BoundedIntegerProgram:
             return 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(column > 0.0, slack / np.where(column > 0.0, column, 1.0), np.inf)
-        room_resources = np.floor(np.min(ratios) + 1e-12)
+        # ``initial=inf``: with no resource rows only the box limits the raise.
+        room_resources = np.floor(np.min(ratios, initial=np.inf) + 1e-12)
         return int(max(0, min(room_bound, room_resources)))
 
     def max_increments(self, values: np.ndarray) -> np.ndarray:

@@ -48,6 +48,9 @@ Spec format (TOML spelling; JSON is the same shape)::
 Every section is optional; an empty spec builds the library-default scenario
 with the paper's JABA-SD(J1) scheduler.  Unknown sections, component names
 and kwargs all fail fast with errors that list the accepted alternatives.
+The one allowance is for saved specs: a ``scenario`` key of a retired
+``ScenarioConfig`` field is dropped with a :class:`DeprecationWarning` (see
+:func:`validate_spec`).
 """
 
 from __future__ import annotations
@@ -419,13 +422,27 @@ def load_scenario_spec(path: str) -> Dict[str, Any]:
     return spec
 
 
+#: ``scenario`` keys of :class:`~repro.simulation.scenario.ScenarioConfig`
+#: fields that no longer exist, with the reason each is ignored.  Every spec
+#: :func:`spec_from_scenario` wrote while a field existed carries its key.
+_RETIRED_SCENARIO_KEYS = {
+    "batched_fleet": "the per-user layer always runs on the structure-of-arrays fleets",
+    "batched_admission": "the admission builders always run the queue-wide kernels",
+    "warm_start_power_control": "every power-control solve starts cold",
+    "warm_start_solver": "the scheduler carries no state from one decision to the next",
+    "power_control_tolerance": "system.radio.power_control_tolerance sets the tolerance",
+}
+
+
 def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Normalise a spec: check sections, fill the version, copy mutables.
 
-    Every spec :func:`spec_from_scenario` wrote before the per-user layer
-    became fleet-only carries a ``batched_fleet`` key in its ``scenario``
-    section; it is dropped with a :class:`DeprecationWarning`, so such a spec
-    builds, and fingerprints, like the same spec without it.
+    A ``scenario`` key of :data:`_RETIRED_SCENARIO_KEYS` is dropped with a
+    :class:`DeprecationWarning`, so a saved spec that carries it builds, and
+    fingerprints, like the same spec without it.  The one exception is a
+    numeric ``power_control_tolerance``: ignoring it would change the
+    numerics, so it is refused in favour of
+    ``system.radio.power_control_tolerance``.
     """
     allowed = set(KINDS) | set(_PLAIN_SECTIONS)
     normalized: Dict[str, Any] = {}
@@ -437,14 +454,21 @@ def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
             )
         normalized[key] = dict(value) if isinstance(value, Mapping) else value
     scenario = normalized.get("scenario")
-    if isinstance(scenario, dict) and "batched_fleet" in scenario:
-        legacy = scenario.pop("batched_fleet")
-        warnings.warn(
-            f"scenario-spec key batched_fleet={legacy!r} is ignored: the "
-            "per-user layer always runs on the structure-of-arrays fleets",
-            DeprecationWarning,
-            stacklevel=3,
-        )
+    if isinstance(scenario, dict):
+        tolerance = scenario.get("power_control_tolerance")
+        if tolerance is not None:
+            raise SpecError(
+                f"scenario-spec key power_control_tolerance={tolerance!r} is "
+                "retired; set system.radio.power_control_tolerance instead"
+            )
+        for key, reason in _RETIRED_SCENARIO_KEYS.items():
+            if key in scenario:
+                legacy = scenario.pop(key)
+                warnings.warn(
+                    f"scenario-spec key {key}={legacy!r} is ignored: {reason}",
+                    DeprecationWarning,
+                    stacklevel=3,
+                )
     version = normalized.setdefault("version", SCENARIO_SPEC_VERSION)
     if version != SCENARIO_SPEC_VERSION:
         raise SpecError(

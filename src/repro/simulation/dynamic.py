@@ -116,7 +116,7 @@ class DynamicSystemSimulator:
                     hooks = RecorderHooks(ambient)
         self.hooks = hooks
         self._rng_factory = RngFactory(scenario.seed)
-        system = scenario.effective_system()
+        system = scenario.system
         self.system = system
         radio = system.radio
 
@@ -192,23 +192,10 @@ class DynamicSystemSimulator:
             mobiles=self.mobiles,
             rng=propagation_rng,
             layout=self.layout,
-            warm_start_power_control=scenario.warm_start_power_control,
             mobility_fleet=self.mobility_fleet,
         )
         self.network.hooks = self.hooks
-        self.controller = BurstAdmissionController(
-            system, scheduler, batched=scenario.batched_admission
-        )
-        # Opt-in cross-frame incumbent warm starts: the scheduler keeps the
-        # surviving assignment of each link between frames.  The flag is
-        # always (re)assigned and the memory always cleared so a scheduler
-        # instance reused across simulators cannot leak warm-start state
-        # into a cold run.  Policies without warm-start support (the
-        # baselines) ignore the flag.
-        if hasattr(scheduler, "warm_start"):
-            scheduler.warm_start = scenario.warm_start_solver
-        if hasattr(scheduler, "reset_warm_start"):
-            scheduler.reset_warm_start()
+        self.controller = BurstAdmissionController(system, scheduler)
 
         # -- traffic ----------------------------------------------------------------
         size_distribution = TruncatedParetoSize(

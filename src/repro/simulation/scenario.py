@@ -120,25 +120,6 @@ class ScenarioConfig:
         Master random seed.
     traffic / mobility / placement:
         Traffic-mix, mobility and user-placement parameters.
-    warm_start_power_control:
-        Seed each frame's power-control fixed point with the previous
-        frame's solution (see :class:`repro.cdma.network.CdmaNetwork`).
-        Cold start stays the default so seed numerics remain bit-for-bit
-        reproducible; warm start agrees within the solver tolerance.
-    warm_start_solver:
-        Seed each scheduling decision's incumbent with the previous frame's
-        surviving assignment (see
-        :class:`repro.mac.schedulers.JabaSdScheduler`); tightens
-        branch-and-bound pruning under heavy load.  Cold start stays the
-        default and is bit-identical; schedulers without warm-start support
-        ignore the flag.
-    power_control_tolerance:
-        Override of ``system.radio.power_control_tolerance`` for this
-        scenario; ``None`` keeps the radio-config value.
-    batched_admission:
-        Build the burst-admission measurement matrices with the queue-wide
-        batched kernels (default).  ``False`` selects the scalar oracle
-        path; both are bit-identical.
     trace_path:
         When set, the dynamic simulator records its telemetry event stream
         (run/frame/stage/admission events, see
@@ -158,10 +139,6 @@ class ScenarioConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
-    warm_start_power_control: bool = False
-    warm_start_solver: bool = False
-    power_control_tolerance: Optional[float] = None
-    batched_admission: bool = True
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -169,19 +146,6 @@ class ScenarioConfig:
         check_non_negative_int("num_voice_users_per_cell", self.num_voice_users_per_cell)
         check_positive("duration_s", self.duration_s)
         check_non_negative("warmup_s", self.warmup_s)
-        if self.power_control_tolerance is not None:
-            check_positive("power_control_tolerance", self.power_control_tolerance)
-
-    def effective_system(self) -> SystemConfig:
-        """The system configuration with the scenario-level overrides applied."""
-        if self.power_control_tolerance is None:
-            return self.system
-        return self.system.with_overrides(
-            radio=replace(
-                self.system.radio,
-                power_control_tolerance=self.power_control_tolerance,
-            )
-        )
 
     def with_load(self, num_data_users_per_cell: int) -> "ScenarioConfig":
         """Copy of the scenario with a different data-user population."""

@@ -1,8 +1,11 @@
 """Reference power-control solves: every Yates sweep runs over all ``J`` rows.
 
 These are the solvers' ``solve`` bodies from before they gathered the active
-rows, kept verbatim as parity oracles.  Call them with a controller instance
-as the first argument: ``reverse_solve(pc, gains, serving, active, noise)``.
+rows, kept verbatim as parity oracles except for the warm start: the
+production solvers lost ``initial_total_power_w``, the direct seeds and the
+Aitken extrapolation, so the oracles lost their warm branch too and always
+start cold.  Call them with a controller instance as the first argument:
+``reverse_solve(pc, gains, serving, active, noise)``.
 """
 
 from __future__ import annotations
@@ -11,11 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cdma.powercontrol import (
-    PowerControlResult,
-    _forward_direct_seed,
-    _reverse_direct_seed,
-)
+from repro.cdma.powercontrol import PowerControlResult
 
 __all__ = ["reverse_solve", "forward_solve"]
 
@@ -28,7 +27,6 @@ def reverse_solve(
     noise_power_w: np.ndarray,
     extra_received_power_w: Optional[np.ndarray] = None,
     rate_factor: Optional[np.ndarray] = None,
-    initial_total_power_w: Optional[np.ndarray] = None,
 ) -> PowerControlResult:
     """The solve before the row gather (verbatim)."""
     gains = np.asarray(gains, dtype=float)
@@ -52,12 +50,7 @@ def reverse_solve(
     q = pc.ebio_target * rate / pc.processing_gain
     own_gain = gains[np.arange(num_mobiles), serving]
     tx = np.zeros(num_mobiles, dtype=float)
-    if initial_total_power_w is None:
-        totals = noise + extra
-    else:
-        totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
-        if np.any(totals < 0.0):
-            raise ValueError("initial_total_power_w must be non-negative")
+    totals = noise + extra
     iterations_done = 0
     overhead = 1.0 + pc.pilot_overhead
     # Loop invariants.
@@ -66,27 +59,7 @@ def reverse_solve(
     own_gain_safe = np.maximum(own_gain, 1e-300)
     tx_cap = pc.max_tx_power_w / overhead
     noise_extra = noise + extra
-    # Warm-started solves additionally accelerate the linear contraction
-    # with a geometric (Aitken-style) extrapolation of the totals; cold
-    # starts run the plain Yates iteration so their numerics stay
-    # reproducible bit-for-bit.
-    accelerate = initial_total_power_w is not None
-    prev_delta: Optional[float] = None
     received = np.empty_like(gains)
-    if accelerate and num_mobiles > 0:
-        # Refine the warm guess with the direct active-set solve of the
-        # (piecewise) linear fixed point; the Yates loop below then
-        # typically certifies convergence within one or two iterations.
-        totals = _reverse_direct_seed(
-            gains=gains,
-            serving=serving,
-            connectable=connectable,
-            coeff=np.where(connectable, q_fraction / own_gain_safe, 0.0),
-            tx_cap=tx_cap,
-            overhead=overhead,
-            noise_extra=noise_extra,
-            initial=totals,
-        )
 
     for iteration in range(pc.iterations):
         iterations_done = iteration + 1
@@ -99,24 +72,9 @@ def reverse_solve(
         np.multiply(gains, (new_tx * overhead)[:, np.newaxis], out=received)
         new_totals = noise_extra + received.sum(axis=0)
         delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
-        step = new_totals - totals
         tx, totals = new_tx, new_totals
         if delta < pc.tolerance:
             break
-        # Never extrapolate on the final iteration: a capped solve must
-        # return a consistent (tx, totals) Yates pair, not a jumped total.
-        if accelerate and iterations_done < pc.iterations:
-            if prev_delta is not None and delta < 0.95 * prev_delta:
-                # Contraction ratio r = delta/prev estimates the linear
-                # regime; jump the remaining geometric series r/(1-r)
-                # ahead, clamped to the physical noise floor.
-                ratio = delta / prev_delta
-                totals = np.maximum(
-                    totals + step * (ratio / (1.0 - ratio)), noise_extra
-                )
-                prev_delta = None  # re-measure contraction after the jump
-            else:
-                prev_delta = delta
 
     received = tx * own_gain
     interference = totals[serving] - received
@@ -150,7 +108,6 @@ def forward_solve(
     extra_traffic_power_w: Optional[np.ndarray] = None,
     max_link_power_w: Optional[float] = None,
     rate_factor: Optional[np.ndarray] = None,
-    initial_total_power_w: Optional[np.ndarray] = None,
 ) -> PowerControlResult:
     """The solve before the row gather (verbatim)."""
     gains = np.asarray(gains, dtype=float)
@@ -175,12 +132,7 @@ def forward_solve(
     legs = active_set.sum(axis=1)
     legs = np.maximum(legs, 1)
     alloc = np.zeros((num_mobiles, num_cells), dtype=float)
-    if initial_total_power_w is None:
-        totals = base + extra
-    else:
-        totals = np.asarray(initial_total_power_w, dtype=float).reshape(num_cells)
-        if np.any(totals < 0.0):
-            raise ValueError("initial_total_power_w must be non-negative")
+    totals = base + extra
     serving = np.argmax(np.where(active_set, gains, -np.inf), axis=1)
     iterations_done = 0
     q = pc.ebio_target * rate / pc.processing_gain
@@ -191,24 +143,6 @@ def forward_solve(
     own_fraction = 1.0 - pc.orthogonality_factor
     base_extra = base + extra
     received_all = np.empty_like(gains)
-    # Same warm-start acceleration as the reverse link (see there).
-    accelerate = initial_total_power_w is not None
-    prev_delta: Optional[float] = None
-    if accelerate and num_mobiles > 0:
-        totals = _forward_direct_seed(
-            gains=gains,
-            serving=serving,
-            allocatable=allocatable,
-            q=q,
-            legs=legs,
-            own_fraction=own_fraction,
-            mobile_noise_power_w=pc.mobile_noise_power_w,
-            base_extra=base_extra,
-            budget=budget,
-            extra=extra,
-            max_link_power_w=max_link_power_w,
-            initial=totals,
-        )
 
     with np.errstate(divide="ignore"):
         for iteration in range(pc.iterations):
@@ -241,21 +175,9 @@ def forward_solve(
             delta = (
                 np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)
             ).max()
-            step = new_totals - totals
             alloc, totals = new_alloc, new_totals
             if delta < pc.tolerance:
                 break
-            # See the reverse link: no jump on the final iteration, so a
-            # capped solve returns a consistent (alloc, totals) pair.
-            if accelerate and iterations_done < pc.iterations:
-                if prev_delta is not None and delta < 0.95 * prev_delta:
-                    ratio = delta / prev_delta
-                    totals = np.maximum(
-                        totals + step * (ratio / (1.0 - ratio)), base_extra
-                    )
-                    prev_delta = None
-                else:
-                    prev_delta = delta
 
     # Achieved Eb/Io with the final allocation.
     received_all = gains * totals[np.newaxis, :]

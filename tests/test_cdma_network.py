@@ -254,34 +254,6 @@ class TestFramePipelineRegressions:
         expected = np.vstack([m.position for m in network.mobiles])
         assert np.array_equal(network._positions(), expected)
 
-    def test_warm_start_matches_cold_within_tolerance(self):
-        from dataclasses import replace
-
-        config = SystemConfig.small_test_system()
-        config = replace(
-            config,
-            radio=replace(
-                config.radio,
-                power_control_iterations=300,
-                power_control_tolerance=1e-10,
-            ),
-        )
-        cold, _ = build_network(seed=5, config=config)
-        warm_net, _ = build_network(seed=5, config=config)
-        warm_net.warm_start_power_control = True
-        for _ in range(6):
-            a = cold.step(0.02)
-            b = warm_net.step(0.02)
-            np.testing.assert_allclose(
-                b.reverse_pc.total_power_w, a.reverse_pc.total_power_w, rtol=1e-6
-            )
-            np.testing.assert_allclose(
-                b.forward_pc.total_power_w, a.forward_pc.total_power_w, rtol=1e-6
-            )
-            np.testing.assert_allclose(
-                b.sch_mean_csi_forward, a.sch_mean_csi_forward, rtol=1e-5
-            )
-
     def test_snapshot_gains_stable_across_frames(self):
         # Each frame publishes a fresh gain matrix; earlier snapshots must
         # not be mutated by later frames.

@@ -199,242 +199,3 @@ class TestForwardLinkPowerControl:
         with pytest.raises(ValueError):
             ForwardLinkPowerControl(processing_gain=128.0, ebio_target=5.0,
                                     mobile_noise_power_w=0.0)
-
-
-class TestWarmStart:
-    """Warm-started solves: same fixed point, fewer (or equal) iterations."""
-
-    def _reverse(self, iterations=300, tolerance=1e-10):
-        return ReverseLinkPowerControl(
-            processing_gain=128.0, ebio_target=5.0, pilot_overhead=0.25,
-            max_tx_power_w=0.2, iterations=iterations, tolerance=tolerance,
-        )
-
-    def _forward(self, iterations=300, tolerance=1e-10):
-        return ForwardLinkPowerControl(
-            processing_gain=128.0, ebio_target=5.0, orthogonality_factor=0.6,
-            mobile_noise_power_w=1e-13, iterations=iterations, tolerance=tolerance,
-        )
-
-    def _random_scenario(self, seed, num_mobiles=24, num_cells=4):
-        rng = np.random.default_rng(seed)
-        gains = 10.0 ** rng.uniform(-14.0, -11.0, size=(num_mobiles, num_cells))
-        serving = np.argmax(gains, axis=1)
-        active_set = np.zeros_like(gains, dtype=bool)
-        active_set[np.arange(num_mobiles), serving] = True
-        # Some users in two-leg soft hand-off.
-        second = np.argsort(gains, axis=1)[:, -2]
-        soft = rng.random(num_mobiles) < 0.3
-        active_set[np.flatnonzero(soft), second[soft]] = True
-        active = rng.random(num_mobiles) < 0.85
-        rate = np.where(rng.random(num_mobiles) < 0.3, 0.125, 1.0)
-        return gains, serving, active_set, active, rate
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reverse_warm_start_reaches_same_fixed_point(self, seed):
-        pc = self._reverse()
-        gains, serving, _, active, rate = self._random_scenario(seed)
-        noise = np.full(gains.shape[1], 1e-13)
-        cold = pc.solve(gains, serving, active, noise, rate_factor=rate)
-        warm = pc.solve(
-            gains, serving, active, noise, rate_factor=rate,
-            initial_total_power_w=cold.total_power_w,
-        )
-        np.testing.assert_allclose(
-            warm.tx_power_w, cold.tx_power_w, rtol=1e-6, atol=0.0
-        )
-        np.testing.assert_allclose(
-            warm.total_power_w, cold.total_power_w, rtol=1e-6, atol=0.0
-        )
-        assert warm.iterations <= cold.iterations
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_forward_warm_start_reaches_same_fixed_point(self, seed):
-        pc = self._forward()
-        gains, _, active_set, active, rate = self._random_scenario(seed)
-        num_cells = gains.shape[1]
-        kwargs = dict(
-            active_set=active_set,
-            active=active,
-            base_power_w=np.full(num_cells, 2.0),
-            max_traffic_power_w=np.full(num_cells, 16.0),
-            rate_factor=rate,
-        )
-        cold = pc.solve(gains=gains, **kwargs)
-        warm = pc.solve(
-            gains=gains, initial_total_power_w=cold.total_power_w, **kwargs
-        )
-        np.testing.assert_allclose(
-            warm.total_power_w, cold.total_power_w, rtol=1e-6, atol=0.0
-        )
-        np.testing.assert_allclose(
-            warm.tx_power_w, cold.tx_power_w, rtol=1e-6, atol=1e-18
-        )
-        assert warm.iterations <= cold.iterations
-
-    def test_warm_start_from_perturbed_solution_converges(self):
-        """A stale (previous-frame-like) guess still lands on the fixed point."""
-        pc = self._reverse()
-        gains, serving, _, active, rate = self._random_scenario(3)
-        noise = np.full(gains.shape[1], 1e-13)
-        cold = pc.solve(gains, serving, active, noise, rate_factor=rate)
-        stale = cold.total_power_w * 1.05  # ~a frame's worth of drift
-        warm = pc.solve(
-            gains, serving, active, noise, rate_factor=rate,
-            initial_total_power_w=stale,
-        )
-        np.testing.assert_allclose(
-            warm.total_power_w, cold.total_power_w, rtol=1e-6, atol=0.0
-        )
-
-    def _saturated_committed_power_scenario(self):
-        """Cell 0 saturates its traffic budget *with* committed SCH power."""
-        rng = np.random.default_rng(7)
-        weak = np.column_stack(
-            [10 ** rng.uniform(-14.5, -14.0, 40), 10 ** rng.uniform(-16.0, -15.5, 40)]
-        )
-        light = np.column_stack(
-            [10 ** rng.uniform(-16.0, -15.5, 6), 10 ** rng.uniform(-12.5, -12.0, 6)]
-        )
-        gains = np.vstack([weak, light])
-        num_mobiles = gains.shape[0]
-        serving = np.argmax(gains, axis=1)
-        active_set = np.zeros_like(gains, dtype=bool)
-        active_set[np.arange(num_mobiles), serving] = True
-        kwargs = dict(
-            active_set=active_set,
-            active=np.full(num_mobiles, True),
-            base_power_w=np.full(2, 2.0),
-            max_traffic_power_w=np.full(2, 16.0),
-            extra_traffic_power_w=np.array([8.0, 0.0]),
-        )
-        return gains, serving, kwargs
-
-    def test_forward_seed_exact_for_saturated_cell_with_committed_power(self):
-        """Regression: the direct seed models ``extra_traffic_power_w`` exactly.
-
-        With committed SCH burst power the proportional down-scaling of a
-        saturated cell converges to ``base + extra + budget*s/(s+extra)``,
-        *not* to ``base + budget`` (the former approximation, off by ~25%
-        in this scenario).  The seed must land on the Yates fixed point so
-        the warm-started solve only certifies.
-        """
-        from repro.cdma.powercontrol import _forward_direct_seed
-
-        pc = self._forward(iterations=500, tolerance=1e-12)
-        gains, serving, kwargs = self._saturated_committed_power_scenario()
-        cold = pc.solve(gains=gains, **kwargs)
-        extra = kwargs["extra_traffic_power_w"]
-        budget = kwargs["max_traffic_power_w"]
-        traffic = cold.tx_power_w.sum(axis=0)
-        # The scenario must actually exercise the regression: cell 0
-        # saturated with nonzero committed power, totals beyond base+budget.
-        assert traffic[0] + extra[0] >= budget[0] - 1e-9
-        assert cold.total_power_w[0] > kwargs["base_power_w"][0] + budget[0] + 1.0
-
-        num_mobiles = gains.shape[0]
-        active_set = kwargs["active_set"]
-        seed = _forward_direct_seed(
-            gains=gains,
-            serving=serving,
-            allocatable=active_set & kwargs["active"][:, np.newaxis] & (gains > 0.0),
-            q=pc.ebio_target * np.ones(num_mobiles) / pc.processing_gain,
-            legs=np.maximum(active_set.sum(axis=1), 1),
-            own_fraction=1.0 - pc.orthogonality_factor,
-            mobile_noise_power_w=pc.mobile_noise_power_w,
-            base_extra=kwargs["base_power_w"] + extra,
-            budget=budget,
-            extra=extra,
-            max_link_power_w=None,
-            initial=cold.total_power_w * 1.05,
-        )
-        np.testing.assert_allclose(seed, cold.total_power_w, rtol=1e-8)
-
-    def test_forward_warm_start_with_committed_power_certifies_quickly(self):
-        pc = self._forward(iterations=500, tolerance=1e-12)
-        gains, _, kwargs = self._saturated_committed_power_scenario()
-        cold = pc.solve(gains=gains, **kwargs)
-        warm = pc.solve(
-            gains=gains, initial_total_power_w=cold.total_power_w * 1.05, **kwargs
-        )
-        np.testing.assert_allclose(
-            warm.total_power_w, cold.total_power_w, rtol=1e-9, atol=0.0
-        )
-        # An exact pin leaves the Yates loop only the certification passes.
-        assert warm.iterations <= 5 < cold.iterations
-
-    def test_negative_initial_guess_rejected(self):
-        pc = self._reverse(iterations=10, tolerance=1e-6)
-        gains = two_cell_gains()
-        with pytest.raises(ValueError):
-            pc.solve(
-                gains, np.array([0, 1]), np.array([True, True]),
-                np.full(2, 1e-13), initial_total_power_w=np.array([-1.0, 1e-13]),
-            )
-        fpc = self._forward(iterations=10, tolerance=1e-6)
-        with pytest.raises(ValueError):
-            fpc.solve(
-                gains=gains,
-                active_set=np.eye(2, dtype=bool),
-                active=np.array([True, True]),
-                base_power_w=np.full(2, 2.0),
-                max_traffic_power_w=np.full(2, 16.0),
-                initial_total_power_w=np.array([-1.0, 2.0]),
-            )
-
-    def test_cold_start_unaffected_by_warm_support(self):
-        """Cold solves ignore the warm machinery entirely (same result twice)."""
-        pc = self._reverse(iterations=40, tolerance=1e-6)
-        gains, serving, _, active, rate = self._random_scenario(4)
-        noise = np.full(gains.shape[1], 1e-13)
-        first = pc.solve(gains, serving, active, noise, rate_factor=rate)
-        second = pc.solve(gains, serving, active, noise, rate_factor=rate)
-        assert np.array_equal(first.tx_power_w, second.tx_power_w)
-        assert first.iterations == second.iterations
-
-
-class TestCappedWarmSolveConsistency:
-    """An iteration-capped warm solve still returns a consistent pair."""
-
-    def test_reverse_totals_consistent_with_tx_at_cap(self):
-        pc = ReverseLinkPowerControl(
-            processing_gain=128.0, ebio_target=5.0, pilot_overhead=0.25,
-            max_tx_power_w=0.2, iterations=4, tolerance=1e-12,
-        )
-        rng = np.random.default_rng(8)
-        gains = 10.0 ** rng.uniform(-14.0, -11.0, size=(30, 3))
-        serving = np.argmax(gains, axis=1)
-        active = np.full(30, True)
-        noise = np.full(3, 1e-13)
-        warm = pc.solve(
-            gains, serving, active, noise,
-            initial_total_power_w=np.full(3, 5e-13),
-        )
-        assert warm.iterations <= 4
-        overhead = 1.0 + pc.pilot_overhead
-        recomputed = noise + (gains * (warm.tx_power_w * overhead)[:, None]).sum(
-            axis=0
-        )
-        np.testing.assert_allclose(warm.total_power_w, recomputed, rtol=1e-12)
-
-    def test_forward_totals_consistent_with_alloc_at_cap(self):
-        pc = ForwardLinkPowerControl(
-            processing_gain=128.0, ebio_target=5.0, orthogonality_factor=0.6,
-            mobile_noise_power_w=1e-13, iterations=4, tolerance=1e-12,
-        )
-        rng = np.random.default_rng(9)
-        gains = 10.0 ** rng.uniform(-14.0, -11.0, size=(30, 3))
-        active_set = np.zeros_like(gains, dtype=bool)
-        active_set[np.arange(30), np.argmax(gains, axis=1)] = True
-        base = np.full(3, 2.0)
-        warm = pc.solve(
-            gains=gains,
-            active_set=active_set,
-            active=np.full(30, True),
-            base_power_w=base,
-            max_traffic_power_w=np.full(3, 16.0),
-            initial_total_power_w=np.full(3, 3.0),
-        )
-        assert warm.iterations <= 4
-        recomputed = base + warm.tx_power_w.sum(axis=0)
-        np.testing.assert_allclose(warm.total_power_w, recomputed, rtol=1e-12)

@@ -83,7 +83,6 @@ def pc_cases(draw):
         with_rate=draw(st.booleans()),
         with_extra=draw(st.booleans()),
         link_cap=draw(st.sampled_from([None, 0.02, 0.1])),
-        warm=draw(st.booleans()),
     )
 
 
@@ -101,10 +100,6 @@ def solve_both(case):
     if case["with_extra"]:
         reverse_extra = rng.uniform(0.0, 5.0, size=num_cells) * noise
         forward_extra = rng.uniform(0.0, 0.3, size=num_cells) * budget
-    reverse_initial = forward_initial = None
-    if case["warm"]:
-        reverse_initial = noise * rng.uniform(1.0, 20.0, size=num_cells)
-        forward_initial = base + budget * rng.uniform(0.0, 1.0, size=num_cells)
     reverse_pc = ReverseLinkPowerControl(
         processing_gain=RADIO.fch_processing_gain,
         ebio_target=RADIO.fch_ebio_target,
@@ -124,14 +119,13 @@ def solve_both(case):
     reverse_args = dict(
         gains=gains, serving_cells=serving, active=active, noise_power_w=noise,
         extra_received_power_w=reverse_extra, rate_factor=rate,
-        initial_total_power_w=reverse_initial,
     )
     link_cap = case["link_cap"]
     forward_args = dict(
         gains=gains, active_set=active_set, active=active, base_power_w=base,
         max_traffic_power_w=budget, extra_traffic_power_w=forward_extra,
         max_link_power_w=None if link_cap is None else link_cap * budget.min(),
-        rate_factor=rate, initial_total_power_w=forward_initial,
+        rate_factor=rate,
     )
     return (
         (reverse_pc.solve(**reverse_args), reverse_solve(reverse_pc, **reverse_args)),
@@ -152,7 +146,7 @@ class TestPowerControlParity:
         # iterations and the forward cells saturate.
         case = dict(num_mobiles=2500, num_cells=7, seed=11, activity="all",
                     iterations=iterations, with_rate=True, with_extra=True,
-                    link_cap=0.1, warm=False)
+                    link_cap=0.1)
         (reverse, reverse_old), (forward, forward_old) = solve_both(case)
         assert reverse.iterations == iterations
         assert forward.power_limited.any()
@@ -165,7 +159,7 @@ class TestPowerControlParity:
         # inactive rows may move the last bits of the per-cell totals.
         case = dict(num_mobiles=400, num_cells=1, seed=seed, activity="random",
                     iterations=25, with_rate=True, with_extra=True,
-                    link_cap=0.1, warm=bool(seed % 2))
+                    link_cap=0.1)
         for new, old in solve_both(case):
             for name in ("tx_power_w", "total_power_w", "achieved_sir"):
                 np.testing.assert_allclose(

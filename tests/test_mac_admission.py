@@ -6,6 +6,7 @@ import pytest
 from repro.mac.admission import BurstAdmissionController
 from repro.mac.requests import BurstRequest, LinkDirection
 from repro.mac.schedulers import FcfsScheduler, JabaSdScheduler
+from tests.oracles.measurement import delta_rho, forward_build, reverse_build
 from tests.test_cdma_network import build_network
 
 
@@ -57,26 +58,35 @@ class TestBuildInput:
 
     @pytest.mark.parametrize("link", [LinkDirection.FORWARD, LinkDirection.REVERSE])
     def test_batched_assembly_matches_scalar_oracle(self, environment, link):
-        # The whole scheduling problem — region, delta_rho, upper bounds,
-        # waiting times — is bit-identical between the two paths.
+        # The queue-wide parts of the scheduling problem — region, delta_rho
+        # and the upper bounds derived from it — are bit-identical to the
+        # per-request oracles, for a full and for an empty queue.
         _, snapshot, config = environment
+        controller = BurstAdmissionController(config, JabaSdScheduler("J1"))
+        builder, oracle_build = (
+            (controller.forward_measurement, forward_build)
+            if link is LinkDirection.FORWARD
+            else (controller.reverse_measurement, reverse_build)
+        )
         requests = [
             BurstRequest(mobile_index=j % snapshot.num_mobiles, link=link,
                          size_bits=250_000.0, arrival_time_s=-0.5 * j)
             for j in range(9)
         ]
-        batched = BurstAdmissionController(
-            config, JabaSdScheduler("J1"), batched=True
-        ).build_input(snapshot, requests, link)
-        scalar = BurstAdmissionController(
-            config, JabaSdScheduler("J1"), batched=False
-        ).build_input(snapshot, requests, link)
-        assert np.array_equal(batched.region.matrix, scalar.region.matrix)
-        assert np.array_equal(batched.region.bounds, scalar.region.bounds)
-        assert np.array_equal(batched.delta_rho, scalar.delta_rho)
-        assert np.array_equal(batched.upper_bounds, scalar.upper_bounds)
-        assert np.array_equal(batched.waiting_times_s, scalar.waiting_times_s)
-        assert np.array_equal(batched.priorities, scalar.priorities)
+        for queue in (requests, []):
+            problem = controller.build_input(snapshot, queue, link)
+            region = oracle_build(builder, snapshot, queue)
+            rho = delta_rho(controller, snapshot, queue)
+            assert np.array_equal(problem.region.matrix, region.matrix)
+            assert np.array_equal(problem.region.bounds, region.bounds)
+            assert problem.delta_rho.dtype == rho.dtype == np.float64
+            assert np.array_equal(problem.delta_rho, rho)
+            if queue:
+                sizes = np.array([r.remaining_bits for r in queue])
+                assert np.array_equal(
+                    problem.upper_bounds,
+                    controller.duration_constraint.upper_bounds(sizes, rho),
+                )
 
 
 class TestDecide:

@@ -1,4 +1,8 @@
-"""Tests for the measurement sub-layer (admissible regions)."""
+"""Tests for the measurement sub-layer (admissible regions).
+
+The parity tests compare the queue-wide builders with the per-request
+references in :mod:`tests.oracles.measurement`.
+"""
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from repro.mac.measurement import (
     relative_path_loss,
 )
 from repro.mac.requests import BurstRequest, LinkDirection
+from tests.oracles.measurement import forward_build, reverse_build
 from tests.test_cdma_network import build_network
 
 
@@ -293,66 +298,53 @@ class TestBatchedScalarParity:
         fwd_requests = random_queue(rng, num_mobiles, LinkDirection.FORWARD)
         rev_requests = random_queue(rng, num_mobiles, LinkDirection.REVERSE)
 
-        fwd_scalar = ForwardLinkMeasurement(config.phy, config.mac, batched=False)
-        fwd_batched = ForwardLinkMeasurement(config.phy, config.mac, batched=True)
+        fwd = ForwardLinkMeasurement(config.phy, config.mac)
         assert_regions_identical(
-            fwd_scalar.build(snapshot, fwd_requests),
-            fwd_batched.build(snapshot, fwd_requests),
+            forward_build(fwd, snapshot, fwd_requests),
+            fwd.build(snapshot, fwd_requests),
         )
 
-        rev_scalar = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm, batched=False
-        )
-        rev_batched = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm, batched=True
-        )
+        rev = ReverseLinkMeasurement(config.phy, config.mac, scrm_max_pilots=scrm)
         assert_regions_identical(
-            rev_scalar.build(snapshot, rev_requests),
-            rev_batched.build(snapshot, rev_requests),
+            reverse_build(rev, snapshot, rev_requests),
+            rev.build(snapshot, rev_requests),
         )
 
     def test_real_network_snapshot(self, snapshot_and_config):
         snapshot, config = snapshot_and_config
         rng = np.random.default_rng(99)
+        forward = ForwardLinkMeasurement(config.phy, config.mac)
+        reverse = ReverseLinkMeasurement(config.phy, config.mac)
         for _ in range(3):
             fwd = random_queue(rng, snapshot.num_mobiles, LinkDirection.FORWARD)
             rev = random_queue(rng, snapshot.num_mobiles, LinkDirection.REVERSE)
             assert_regions_identical(
-                ForwardLinkMeasurement(config.phy, config.mac, batched=False).build(
-                    snapshot, fwd
-                ),
-                ForwardLinkMeasurement(config.phy, config.mac, batched=True).build(
-                    snapshot, fwd
-                ),
+                forward_build(forward, snapshot, fwd), forward.build(snapshot, fwd)
             )
             assert_regions_identical(
-                ReverseLinkMeasurement(config.phy, config.mac, batched=False).build(
-                    snapshot, rev
-                ),
-                ReverseLinkMeasurement(config.phy, config.mac, batched=True).build(
-                    snapshot, rev
-                ),
+                reverse_build(reverse, snapshot, rev), reverse.build(snapshot, rev)
             )
 
     def test_empty_queue(self, snapshot_and_config):
         snapshot, config = snapshot_and_config
-        for cls, link in (
-            (ForwardLinkMeasurement, LinkDirection.FORWARD),
-            (ReverseLinkMeasurement, LinkDirection.REVERSE),
+        for cls, oracle_build in (
+            (ForwardLinkMeasurement, forward_build),
+            (ReverseLinkMeasurement, reverse_build),
         ):
-            scalar = cls(config.phy, config.mac, batched=False).build(snapshot, [])
-            batched = cls(config.phy, config.mac, batched=True).build(snapshot, [])
+            builder = cls(config.phy, config.mac)
+            scalar = oracle_build(builder, snapshot, [])
+            batched = builder.build(snapshot, [])
             assert batched.matrix.shape == (snapshot.num_cells, 0)
             assert_regions_identical(scalar, batched)
 
     def test_batched_rejects_wrong_link(self, snapshot_and_config):
         snapshot, config = snapshot_and_config
         with pytest.raises(ValueError):
-            ForwardLinkMeasurement(config.phy, config.mac, batched=True).build(
+            ForwardLinkMeasurement(config.phy, config.mac).build(
                 snapshot, make_requests(LinkDirection.REVERSE, [0])
             )
         with pytest.raises(ValueError):
-            ReverseLinkMeasurement(config.phy, config.mac, batched=True).build(
+            ReverseLinkMeasurement(config.phy, config.mac).build(
                 snapshot, make_requests(LinkDirection.FORWARD, [0])
             )
 
@@ -393,11 +385,15 @@ class TestZeroHostPilotRegression:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_build_does_not_raise(self, shadowed_snapshot, small_config, batched):
+        # batched=False runs the per-request oracle, True the production kernel.
         snapshot, host = shadowed_snapshot
         requests = make_requests(LinkDirection.REVERSE, [0])
-        region = ReverseLinkMeasurement(
-            small_config.phy, small_config.mac, batched=batched
-        ).build(snapshot, requests)
+        builder = ReverseLinkMeasurement(small_config.phy, small_config.mac)
+        region = (
+            builder.build(snapshot, requests)
+            if batched
+            else reverse_build(builder, snapshot, requests)
+        )
         # Soft-hand-off cells are still constrained through the reverse
         # pilot; the projected (non-soft-hand-off) cells stay unconstrained.
         soft = set(snapshot.handoff_states[0].active_set)
@@ -410,13 +406,10 @@ class TestZeroHostPilotRegression:
     def test_paths_agree(self, shadowed_snapshot, small_config):
         snapshot, _ = shadowed_snapshot
         requests = make_requests(LinkDirection.REVERSE, [0, 1, 2])
+        builder = ReverseLinkMeasurement(small_config.phy, small_config.mac)
         assert_regions_identical(
-            ReverseLinkMeasurement(
-                small_config.phy, small_config.mac, batched=False
-            ).build(snapshot, requests),
-            ReverseLinkMeasurement(
-                small_config.phy, small_config.mac, batched=True
-            ).build(snapshot, requests),
+            reverse_build(builder, snapshot, requests),
+            builder.build(snapshot, requests),
         )
 
     def test_relative_path_loss_still_guards(self):

@@ -18,6 +18,8 @@ from repro.mac.schedulers import (
     RoundRobinScheduler,
     TemporalExtensionScheduler,
 )
+from repro.opt import BoundedIntegerProgram
+from tests.oracles import opt as oracle
 
 
 def make_problem(
@@ -168,11 +170,11 @@ class TestJabaSd:
             JabaSdScheduler("J1", solver="magic")
         with pytest.raises(ValueError):
             JabaSdScheduler("J1", max_nodes=0)
-        with pytest.raises(ValueError):
-            JabaSdScheduler("J1", refine_nodes=-1)
 
 
 class TestJabaSdBatchedAndWarmStart:
+    """JABA-SD's vectorized solver back-ends against the scalar oracles."""
+
     def _problem(self, seed=3, num_requests=6):
         rng = np.random.default_rng(seed)
         costs = rng.uniform(0.05, 1.0, size=(3, num_requests))
@@ -189,59 +191,28 @@ class TestJabaSdBatchedAndWarmStart:
         upper = 2 if solver == "exhaustive" else 16
         problem = self._problem()
         problem.upper_bounds = np.full(len(problem.requests), upper, dtype=int)
-        batched = JabaSdScheduler("J1", solver=solver).assign(problem)
-        scalar = JabaSdScheduler("J1", solver=solver, batched=False).assign(problem)
-        assert np.array_equal(batched.assignment, scalar.assignment)
-
-    def test_cold_default_keeps_no_memory(self):
-        scheduler = JabaSdScheduler("J1", solver="optimal")
-        scheduler.assign(self._problem())
-        assert scheduler.warm_start is False
-        assert scheduler._last_assignment == {}
-
-    def test_warm_start_remembers_surviving_assignment(self):
-        scheduler = JabaSdScheduler("J1", solver="optimal", warm_start=True)
-        problem = self._problem()
-        first = scheduler.assign(problem)
-        link = problem.requests[0].link
-        granted = {
-            request.mobile_index: m
-            for request, m in zip(problem.requests, first.assignment)
-            if m > 0
-        }
-        assert scheduler._last_assignment[link] == granted
-        # The warm vector maps the remembered grants onto the new columns.
-        warm = scheduler._warm_values(problem)
-        assert warm is not None
-        assert np.array_equal(warm, np.minimum(first.assignment, problem.upper_bounds))
-
-    def test_warm_start_decision_stays_optimal(self):
-        cold = JabaSdScheduler("J1", solver="optimal")
-        warm = JabaSdScheduler("J1", solver="optimal", warm_start=True)
-        problem = self._problem(seed=9)
-        cold_decision = cold.assign(problem)
-        warm.assign(problem)  # populate the memory
-        warm_decision = warm.assign(problem)  # second frame, seeded
-        assert warm_decision.objective_value == pytest.approx(
-            cold_decision.objective_value, rel=1e-9
+        scheduler = JabaSdScheduler("J1", solver=solver)
+        batched = scheduler.assign(problem)
+        ip = BoundedIntegerProgram(
+            objective=scheduler.objective.weights(
+                problem.delta_rho,
+                problem.priorities,
+                problem.waiting_times_s,
+                problem.config,
+            ),
+            constraint_matrix=problem.region.matrix,
+            constraint_bounds=problem.region.bounds,
+            upper_bounds=problem.upper_bounds,
         )
-        assert warm_decision.optimal
-
-    def test_warm_start_near_optimal_never_worse_than_cold(self):
-        cold = JabaSdScheduler("J1", solver="near-optimal")
-        warm = JabaSdScheduler("J1", solver="near-optimal", warm_start=True)
-        problem = self._problem(seed=13, num_requests=8)
-        cold_decision = cold.assign(problem)
-        warm.assign(problem)
-        warm_decision = warm.assign(problem)
-        assert warm_decision.objective_value >= cold_decision.objective_value - 1e-9
-
-    def test_reset_warm_start_clears_memory(self):
-        scheduler = JabaSdScheduler("J1", solver="optimal", warm_start=True)
-        scheduler.assign(self._problem())
-        assert scheduler._last_assignment
-        scheduler.reset_warm_start()
-        assert scheduler._last_assignment == {}
+        scalar = {
+            "greedy": oracle.solve_greedy,
+            "near-optimal": oracle.solve_near_optimal,
+            "optimal": lambda program: oracle.solve_branch_and_bound(
+                program, max_nodes=scheduler.max_nodes
+            ),
+            "exhaustive": oracle.solve_exhaustive,
+        }[solver](ip)
+        assert np.array_equal(batched.assignment, scalar.values)
 
 
 class TestFcfs:

@@ -117,6 +117,7 @@ class TestMaxIncrements:
             upper_bounds=[3, 5],
         )
         assert np.array_equal(problem.max_increments(np.zeros(2)), [3, 5])
+        assert [problem.max_increment(np.zeros(2), j) for j in range(2)] == [3, 5]
 
     def test_zero_column_variable_limited_by_box(self):
         problem = BoundedIntegerProgram(

@@ -1,9 +1,14 @@
-"""Tests for the integer-program solvers (exhaustive, B&B, greedy, LP)."""
+"""Tests for the integer-program solvers (exhaustive, B&B, greedy, LP).
+
+The parity tests compare every solver with its scalar reference in
+:mod:`tests.oracles.opt`.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.opt
 from repro.opt import (
     BoundedIntegerProgram,
     round_lp_solution,
@@ -16,6 +21,11 @@ from repro.opt import (
 from repro.opt import SimplexIterationLimitError, SimplexScratch, solve_children_lp
 from repro.opt.exhaustive import MAX_ENUMERATION_POINTS
 from repro.opt.lp import simplex_lp
+from tests.oracles import opt as oracle
+
+#: The solvers of each path, by the ``batched`` test parameter: the
+#: production kernels (``True``) and their scalar oracles (``False``).
+SOLVERS = {True: repro.opt, False: oracle}
 
 
 def random_problem(rng, num_vars, num_constraints=3, max_bound=5):
@@ -73,6 +83,14 @@ class TestBranchAndBound:
         solution = solve_branch_and_bound(problem)
         assert solution.objective == 0.0
         assert solution.optimal
+        for solve in (solve_greedy, solve_near_optimal, solve_exhaustive):
+            solution = solve(problem)
+            assert solution.values.shape == (0,)
+            assert solution.objective == 0.0
+        # The empty box holds exactly one point, the empty assignment.
+        exhaustive = solve_exhaustive(problem)
+        assert exhaustive.optimal
+        assert exhaustive.nodes_explored == 1
 
     def test_zero_capacity_gives_zero(self):
         problem = BoundedIntegerProgram(
@@ -183,35 +201,41 @@ class TestBatchedParity:
 
     def test_all_backends_agree_with_scalar_oracles(self):
         rng = np.random.default_rng(20)
-        for _ in range(30):
-            num_vars = int(rng.integers(1, 10))
-            problem = random_problem(
-                rng, num_vars=num_vars, num_constraints=int(rng.integers(1, 6))
+        problems = [
+            random_problem(
+                rng,
+                num_vars=int(rng.integers(1, 10)),
+                num_constraints=int(rng.integers(1, 6)),
             )
-            greedy_s = solve_greedy(problem, batched=False)
-            greedy_b = solve_greedy(problem, batched=True)
+            for _ in range(30)
+        ]
+        # No resource rows: only the variable box limits a raise.
+        problems.append(BoundedIntegerProgram([1.0, 2.0], np.zeros((0, 2)), [], [3, 1]))
+        for problem in problems:
+            greedy_s = oracle.solve_greedy(problem)
+            greedy_b = solve_greedy(problem)
             assert np.array_equal(greedy_s.values, greedy_b.values)
 
-            lp_s = solve_lp_relaxation(problem, use_scipy=False, batched=False)
-            lp_b = solve_lp_relaxation(problem, use_scipy=False, batched=True)
+            lp_s = oracle.solve_lp_relaxation(problem, use_scipy=False)
+            lp_b = solve_lp_relaxation(problem, use_scipy=False)
             assert np.array_equal(lp_s.values, lp_b.values)
 
-            round_s = round_lp_solution(problem, lp_s.values, batched=False)
-            round_b = round_lp_solution(problem, lp_b.values, batched=True)
+            round_s = oracle.round_lp_solution(problem, lp_s.values)
+            round_b = round_lp_solution(problem, lp_b.values)
             assert np.array_equal(round_s.values, round_b.values)
 
-            near_s = solve_near_optimal(problem, batched=False)
-            near_b = solve_near_optimal(problem, batched=True)
+            near_s = oracle.solve_near_optimal(problem)
+            near_b = solve_near_optimal(problem)
             assert np.array_equal(near_s.values, near_b.values)
 
-            bnb_s = solve_branch_and_bound(problem, batched=False)
-            bnb_b = solve_branch_and_bound(problem, batched=True)
+            bnb_s = oracle.solve_branch_and_bound(problem)
+            bnb_b = solve_branch_and_bound(problem)
             assert np.array_equal(bnb_s.values, bnb_b.values)
             assert bnb_s.nodes_explored == bnb_b.nodes_explored
 
             if problem.search_space_size() <= 50_000:
-                exhaustive_s = solve_exhaustive(problem, batched=False)
-                exhaustive_b = solve_exhaustive(problem, batched=True)
+                exhaustive_s = oracle.solve_exhaustive(problem)
+                exhaustive_b = solve_exhaustive(problem)
                 assert np.array_equal(exhaustive_s.values, exhaustive_b.values)
                 assert exhaustive_s.nodes_explored == exhaustive_b.nodes_explored
 
@@ -227,7 +251,7 @@ class TestBatchedParity:
             boxes.append((lo, hi))
         shared = solve_children_lp(problem, boxes, scratch=scratch)
         for (lo, hi), solution in zip(boxes, shared):
-            fresh = simplex_lp(problem, lo, hi, batched=False)
+            fresh = oracle.simplex_lp(problem, lo, hi)
             assert solution.status == fresh.status
             if solution.status == "optimal":
                 assert np.array_equal(solution.values, fresh.values)
@@ -252,8 +276,8 @@ class TestBatchedParity:
             constraint_bounds=[0.0],
             upper_bounds=[4, 4, 4],
         )
-        scalar = solve_greedy(problem, batched=False)
-        batched = solve_greedy(problem, batched=True)
+        scalar = oracle.solve_greedy(problem)
+        batched = solve_greedy(problem)
         assert np.array_equal(scalar.values, batched.values)
         assert np.all(batched.values == 0)
 
@@ -267,26 +291,26 @@ class TestNodeBudgetAndGap:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_node_budget_exhaustion_returns_incumbent(self, batched):
+        solvers = SOLVERS[batched]
         problem = self._hard_problem()
-        unbounded = solve_branch_and_bound(problem, batched=batched)
+        unbounded = solvers.solve_branch_and_bound(problem)
         assert unbounded.nodes_explored > 3  # the budget below really binds
         budget = 2
-        solution = solve_branch_and_bound(problem, max_nodes=budget, batched=batched)
+        solution = solvers.solve_branch_and_bound(problem, max_nodes=budget)
         assert not solution.optimal
         # The exhausting pop is counted before the loop breaks.
         assert solution.nodes_explored == budget + 1
         assert problem.is_feasible(solution.values)
-        greedy = solve_greedy(problem, batched=batched)
+        greedy = solvers.solve_greedy(problem)
         assert solution.objective >= greedy.objective - 1e-9
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_gap_tolerance_early_stop_bounds_the_gap(self, batched):
+        solvers = SOLVERS[batched]
         problem = self._hard_problem()
-        exact = solve_branch_and_bound(problem, batched=batched)
+        exact = solvers.solve_branch_and_bound(problem)
         tolerance = 0.25
-        relaxed = solve_branch_and_bound(
-            problem, gap_tolerance=tolerance, batched=batched
-        )
+        relaxed = solvers.solve_branch_and_bound(problem, gap_tolerance=tolerance)
         assert not relaxed.optimal
         assert relaxed.nodes_explored <= exact.nodes_explored
         assert problem.is_feasible(relaxed.values)
@@ -295,51 +319,10 @@ class TestNodeBudgetAndGap:
 
     def test_gap_tolerance_paths_agree(self):
         problem = self._hard_problem()
-        scalar = solve_branch_and_bound(problem, gap_tolerance=0.1, batched=False)
-        batched = solve_branch_and_bound(problem, gap_tolerance=0.1, batched=True)
+        scalar = oracle.solve_branch_and_bound(problem, gap_tolerance=0.1)
+        batched = solve_branch_and_bound(problem, gap_tolerance=0.1)
         assert np.array_equal(scalar.values, batched.values)
         assert scalar.nodes_explored == batched.nodes_explored
-
-
-class TestWarmStart:
-    def test_feasible_warm_start_preserves_optimality(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            problem = random_problem(rng, num_vars=5, max_bound=4)
-            exact = solve_exhaustive(problem)
-            for batched in (False, True):
-                warm = solve_branch_and_bound(
-                    problem, batched=batched, warm_start=exact.values
-                )
-                assert warm.objective == pytest.approx(exact.objective, rel=1e-9)
-                assert warm.optimal
-
-    def test_warm_start_never_below_seed_objective(self):
-        rng = np.random.default_rng(24)
-        problem = random_problem(rng, num_vars=10, num_constraints=4, max_bound=6)
-        seed = solve_greedy(problem)
-        # Even with a budget of one node, the warm seed survives as incumbent.
-        solution = solve_branch_and_bound(
-            problem, max_nodes=1, warm_start=seed.values
-        )
-        assert solution.objective >= seed.objective - 1e-9
-
-    def test_infeasible_warm_start_is_dropped(self):
-        problem = BoundedIntegerProgram(
-            objective=[1.0, 1.0],
-            constraint_matrix=[[1.0, 1.0]],
-            constraint_bounds=[2.0],
-            upper_bounds=[5, 5],
-        )
-        cold = solve_branch_and_bound(problem)
-        warm = solve_branch_and_bound(problem, warm_start=np.array([5, 5]))
-        assert np.array_equal(cold.values, warm.values)
-        assert cold.nodes_explored == warm.nodes_explored
-
-    def test_warm_start_wrong_length_raises(self):
-        problem = BoundedIntegerProgram([1.0], [[1.0]], [1.0], [1])
-        with pytest.raises(ValueError):
-            solve_branch_and_bound(problem, warm_start=np.array([1, 2]))
 
 
 class TestSolverAgreementSmallQ:
@@ -351,10 +334,10 @@ class TestSolverAgreementSmallQ:
             num_vars = int(rng.integers(2, 7))
             problem = random_problem(rng, num_vars=num_vars, max_bound=3)
             exact = solve_exhaustive(problem)
-            for batched in (False, True):
-                bnb = solve_branch_and_bound(problem, batched=batched)
-                greedy = solve_greedy(problem, batched=batched)
-                near = solve_near_optimal(problem, batched=batched)
+            for solvers in SOLVERS.values():
+                bnb = solvers.solve_branch_and_bound(problem)
+                greedy = solvers.solve_greedy(problem)
+                near = solvers.solve_near_optimal(problem)
                 assert bnb.objective == pytest.approx(exact.objective, rel=1e-9, abs=1e-9)
                 assert greedy.objective <= bnb.objective + 1e-9
                 assert greedy.objective <= near.objective + 1e-9
@@ -423,22 +406,20 @@ class TestSimplexIterationLimit:
     def test_zero_budget_raises(self, batched):
         problem = self._problem()
         with pytest.raises(SimplexIterationLimitError, match="pivot budget"):
-            simplex_lp(
+            SOLVERS[batched].simplex_lp(
                 problem,
                 np.zeros(2),
                 problem.upper_bounds.astype(float),
-                batched=batched,
                 max_iterations=0,
             )
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_sufficient_budget_certifies(self, batched):
         problem = self._problem()
-        solution = simplex_lp(
+        solution = SOLVERS[batched].simplex_lp(
             problem,
             np.zeros(2),
             problem.upper_bounds.astype(float),
-            batched=batched,
             max_iterations=50,
         )
         assert solution.status == "optimal"

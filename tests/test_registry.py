@@ -186,16 +186,75 @@ class TestScenarioSpecs:
     def test_saved_spec_with_batched_fleet_loads_with_a_warning(self, value, tmp_path):
         # Specs saved before the per-user layer became fleet-only carry a
         # batched_fleet key in their scenario section.
+        self._assert_retired_key_loads_with_a_warning("batched_fleet", value, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            *[
+                (key, value)
+                for key in (
+                    "batched_admission",
+                    "warm_start_power_control",
+                    "warm_start_solver",
+                )
+                for value in (True, False)
+            ],
+            ("power_control_tolerance", None),
+        ],
+    )
+    def test_saved_spec_with_retired_key_loads_with_a_warning(
+        self, key, value, tmp_path
+    ):
+        # Specs saved while a since-retired ScenarioConfig field existed
+        # carry its key in their scenario section.
+        self._assert_retired_key_loads_with_a_warning(key, value, tmp_path)
+
+    @staticmethod
+    def _assert_retired_key_loads_with_a_warning(key, value, tmp_path):
         current = spec_from_scenario(golden_scenario(), {"name": "fcfs"})
         saved = tmp_path / "saved.json"
         saved.write_text(json.dumps(
-            {**current, "scenario": {**current["scenario"], "batched_fleet": value}}
+            {**current, "scenario": {**current["scenario"], key: value}}
         ))
-        with pytest.warns(DeprecationWarning, match="batched_fleet"):
+        with pytest.warns(DeprecationWarning, match=key):
             built = build_scenario(load_scenario_spec(str(saved)))
         assert built.scenario == build_scenario(current).scenario == golden_scenario()
-        assert "batched_fleet" not in built.spec["scenario"]
+        assert key not in built.spec["scenario"]
         assert built.fingerprint == spec_fingerprint(current)
+
+    def test_parent_era_dump_builds_and_fingerprints_like_the_new_one(self):
+        # A spec_from_scenario dump written before the warm-start, batched
+        # admission and tolerance-override fields were retired: every
+        # retired key at its default.
+        current = spec_from_scenario(paper_scenario(), {"name": "jaba-sd"})
+        parent = {
+            **current,
+            "scenario": {
+                **current["scenario"],
+                "warm_start_power_control": False,
+                "warm_start_solver": False,
+                "power_control_tolerance": None,
+                "batched_admission": True,
+            },
+        }
+        with pytest.warns(DeprecationWarning, match="is ignored"):
+            built = build_scenario(parent)
+        assert built.scenario == build_scenario(current).scenario == paper_scenario()
+        assert built.fingerprint == spec_fingerprint(current)
+
+    def test_numeric_power_control_tolerance_refused(self):
+        spec = spec_from_scenario(golden_scenario())
+        spec["scenario"]["power_control_tolerance"] = 1e-9
+        with pytest.raises(SpecError, match="system.radio.power_control_tolerance"):
+            build_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "key, value", [("warm_start", True), ("batched", False), ("refine_nodes", 8)]
+    )
+    def test_retired_scheduler_parameters_refused(self, key, value):
+        with pytest.raises(SpecError, match="accepted"):
+            build_scenario({"scheduler": {"name": "jaba-sd", key: value}})
 
     def test_unknown_scenario_key_still_rejected(self):
         spec = spec_from_scenario(golden_scenario())

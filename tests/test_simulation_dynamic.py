@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import MacConfig, RadioConfig, SystemConfig
+from repro.config import RadioConfig
 from repro.mac import (
     EqualShareScheduler,
     FcfsScheduler,
@@ -106,159 +106,22 @@ class TestDynamicSimulator:
         )
         assert result.offered_load_bps > expected_min
 
-    def test_scalar_admission_path_matches_batched(self, fast_scenario):
-        # The batched_admission switch changes the implementation, never the
-        # decisions: full runs agree bit for bit.
-        batched = DynamicSystemSimulator(
-            fast_scenario, JabaSdScheduler("J1")
-        ).run()
-        scalar = DynamicSystemSimulator(
-            replace(fast_scenario, batched_admission=False), JabaSdScheduler("J1")
-        ).run()
-        assert batched.completed_packet_calls == scalar.completed_packet_calls
-        assert batched.mean_packet_delay_s == scalar.mean_packet_delay_s
-        assert batched.carried_throughput_bps == scalar.carried_throughput_bps
-        assert batched.mean_granted_m == scalar.mean_granted_m
-        assert batched.forward_utilisation == scalar.forward_utilisation
-
 
 class TestPowerControlWiring:
-    """ScenarioConfig wiring of warm start and the solver tolerance."""
-
-    SUMMARY_FIELDS = (
-        "mean_packet_delay_s",
-        "completed_packet_calls",
-        "carried_throughput_bps",
-        "mean_granted_m",
-        "grant_rate",
-        "forward_utilisation",
-        "reverse_rise_db",
-        "fch_outage_fraction",
-        "handoff_events",
-    )
-
-    @staticmethod
-    def _tolerance_scenario(warm_start: bool) -> ScenarioConfig:
-        # A tight fixed-point tolerance (with enough iteration headroom) so
-        # the warm/cold comparison measures the warm start itself, not the
-        # successive-delta truncation error of the default solver settings.
-        system = SystemConfig(
-            radio=RadioConfig(
-                num_rings=1, cell_radius_m=800.0, power_control_iterations=400
-            ),
-            mac=MacConfig(),
-        )
-        return ScenarioConfig.fast_test(
-            system=system,
-            duration_s=1.5,
-            warmup_s=0.25,
-            traffic=TrafficConfig(
-                mean_reading_time_s=1.0,
-                packet_call_min_bits=24_000,
-                packet_call_max_bits=200_000,
-            ),
-            warm_start_power_control=warm_start,
-            power_control_tolerance=1e-10,
-        )
+    """The radio config's solver tolerance reaches both power-control solvers."""
 
     def test_settings_reach_the_network(self):
-        scenario = ScenarioConfig.fast_test(
-            warm_start_power_control=True, power_control_tolerance=1e-9
+        base = ScenarioConfig.fast_test()
+        system = base.system.with_overrides(
+            radio=replace(base.system.radio, power_control_tolerance=1e-9)
         )
-        simulator = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"))
-        assert simulator.network.warm_start_power_control is True
-        assert simulator.system.radio.power_control_tolerance == 1e-9
+        simulator = DynamicSystemSimulator(
+            replace(base, system=system), JabaSdScheduler("J1")
+        )
+        assert simulator.system is system
         assert simulator.network.reverse_pc.tolerance == 1e-9
         assert simulator.network.forward_pc.tolerance == 1e-9
-        # The scenario's own system config is left untouched.
-        assert scenario.system.radio.power_control_tolerance != 1e-9
 
     def test_tolerance_override_validated(self):
         with pytest.raises(ValueError):
-            ScenarioConfig.fast_test(power_control_tolerance=0.0)
-
-    def test_cold_start_defaults_bit_identical(self, fast_scenario):
-        # The new fields default to the pre-wiring behaviour: an untouched
-        # scenario and an explicitly-cold scenario produce the same run.
-        default = DynamicSystemSimulator(fast_scenario, JabaSdScheduler("J1")).run()
-        explicit = DynamicSystemSimulator(
-            replace(
-                fast_scenario,
-                warm_start_power_control=False,
-                power_control_tolerance=(
-                    fast_scenario.system.radio.power_control_tolerance
-                ),
-            ),
-            JabaSdScheduler("J1"),
-        ).run()
-        for field in self.SUMMARY_FIELDS:
-            assert getattr(default, field) == getattr(explicit, field), field
-
-    def test_warm_start_within_tolerance(self):
-        cold = DynamicSystemSimulator(
-            self._tolerance_scenario(False), JabaSdScheduler("J1")
-        ).run()
-        warm = DynamicSystemSimulator(
-            self._tolerance_scenario(True), JabaSdScheduler("J1")
-        ).run()
-        for field in self.SUMMARY_FIELDS:
-            a, b = getattr(cold, field), getattr(warm, field)
-            if isinstance(a, float):
-                assert b == pytest.approx(a, rel=1e-6, abs=1e-9), field
-            else:
-                assert a == b, field
-
-
-class TestSolverWarmStartWiring:
-    """ScenarioConfig(warm_start_solver=...) reaches the scheduler."""
-
-    def test_flag_defaults_to_cold(self):
-        scheduler = JabaSdScheduler("J1", solver="optimal")
-        DynamicSystemSimulator(ScenarioConfig.fast_test(), scheduler)
-        assert scheduler.warm_start is False
-
-    def test_flag_reaches_scheduler_and_resets_memory(self):
-        scheduler = JabaSdScheduler("J1", solver="optimal")
-        scheduler._last_assignment["stale"] = {0: 1}
-        DynamicSystemSimulator(
-            ScenarioConfig.fast_test(warm_start_solver=True), scheduler
-        )
-        assert scheduler.warm_start is True
-        assert scheduler._last_assignment == {}
-
-    def test_reused_scheduler_is_cooled_down_by_cold_scenario(self):
-        """A warm run must not leak warm-start state into a later cold run."""
-        scheduler = JabaSdScheduler("J1", solver="optimal")
-        DynamicSystemSimulator(
-            ScenarioConfig.fast_test(warm_start_solver=True), scheduler
-        ).run()
-        assert scheduler.warm_start is True
-        assert scheduler._last_assignment
-        DynamicSystemSimulator(ScenarioConfig.fast_test(), scheduler)
-        assert scheduler.warm_start is False
-        assert scheduler._last_assignment == {}
-
-    def test_baseline_scheduler_ignores_flag(self):
-        simulator = DynamicSystemSimulator(
-            ScenarioConfig.fast_test(warm_start_solver=True), FcfsScheduler()
-        )
-        result = simulator.run()
-        assert result.completed_packet_calls >= 0
-
-    def test_warm_run_matches_cold_with_optimal_solver(self):
-        """Warm starts only seed the incumbent: the proven optima agree."""
-        cold = DynamicSystemSimulator(
-            ScenarioConfig.fast_test(), JabaSdScheduler("J1", solver="optimal")
-        ).run()
-        warm_scheduler = JabaSdScheduler("J1", solver="optimal")
-        warm = DynamicSystemSimulator(
-            ScenarioConfig.fast_test(warm_start_solver=True), warm_scheduler
-        ).run()
-        assert warm_scheduler._last_assignment  # memory was exercised
-        assert warm.completed_packet_calls == cold.completed_packet_calls
-        assert warm.carried_throughput_bps == pytest.approx(
-            cold.carried_throughput_bps, rel=1e-9
-        )
-        assert warm.mean_packet_delay_s == pytest.approx(
-            cold.mean_packet_delay_s, rel=1e-9
-        )
+            RadioConfig(power_control_tolerance=0.0)
