@@ -8,7 +8,9 @@ Measures ``CdmaNetwork.step`` throughput (frames/sec) at configurable scale
   loop, double local-mean gain build, cold-start power control) monkey-patched
   onto the current classes.  Where the transcription cannot reach (the solver
   kernels themselves were micro-optimised in place), the baseline silently
-  benefits, so the reported speedups are *conservative*.
+  benefits, so the reported speedups are *conservative*.  Its channel
+  follows the current link-gain formula (path loss in dB, one ``exp``), so
+  that its snapshots stay comparable bit for bit.
 * ``optimized_cold`` — the vectorised pipeline (power control starts cold
   every frame); snapshot numerics are bit-identical to the seed
   implementation.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import types
@@ -328,12 +331,12 @@ def _seed_set_positions(self, positions):
     positions = np.asarray(positions, dtype=float).reshape(self.num_mobiles, 2)
     for j in range(self.num_mobiles):
         self._distances[j, :] = self.layout.distances_to_all(positions[j])
-    self._path_gain = np.asarray(self.path_loss.gain(self._distances), dtype=float)
+    self._loss_db = np.asarray(self.path_loss.loss_db(self._distances), dtype=float)
     self._local_mean_cache = None
 
 
 def _seed_local_mean_gain(self):
-    return self._path_gain * 10.0 ** (self.shadowing_db() / 10.0)
+    return np.exp((self.shadowing_db() - self._loss_db) * (math.log(10.0) / 10.0))
 
 
 def _seed_positions(self):
@@ -350,7 +353,7 @@ def _seed_advance(self, dt_s):
         moved[i] = mobile.mobility.advance(dt_s)
     positions = _seed_positions(self)
     if self.num_mobiles > 0:
-        self.link_gains.advance(positions, moved, dt_s)
+        self.link_gains.advance(positions, moved)
     self._time_s += dt_s
     self._update_handoff()
 

@@ -10,8 +10,11 @@ The top-level namespace re-exports the most commonly used entry points; see
 the sub-packages for the full API:
 
 * :mod:`repro.phy` — variable-throughput adaptive physical layer (VTAOC).
-* :mod:`repro.channel` — fading / shadowing / path-loss models.
-* :mod:`repro.cdma` — multi-cell wideband CDMA network substrate.
+* :mod:`repro.channel` — path-loss models and scalar single-link fading /
+  shadowing / CSI models, which the dynamic simulator does not use.
+* :mod:`repro.cdma` — multi-cell wideband CDMA network substrate; its
+  :class:`~repro.cdma.linkgain.LinkGainMap` (local-mean path loss ×
+  shadowing of every mobile–cell pair) is the dynamic simulator's channel.
 * :mod:`repro.mac` — burst admission control (measurement + scheduling),
   including the JABA-SD scheduler and the FCFS / equal-share baselines.
 * :mod:`repro.simulation` — dynamic and snapshot system simulators.

@@ -4,8 +4,9 @@ This package provides everything the burst admission layer measures and
 controls (Section 3.1 of the paper):
 
 * base stations and mobiles (:mod:`~repro.cdma.entities`),
-* vectorised link gains combining path loss, correlated shadowing and fast
-  fading for every mobile–cell pair (:mod:`~repro.cdma.linkgain`),
+* vectorised local-mean link gains combining path loss and correlated
+  shadowing for every mobile–cell pair (:mod:`~repro.cdma.linkgain`; the
+  fast fading is averaged analytically by the VTAOC layer),
 * pilot Ec/Io measurements (:mod:`~repro.cdma.pilot`),
 * soft hand-off active sets and the *reduced* active set used by the SCH
   (:mod:`~repro.cdma.handoff`),

@@ -222,7 +222,6 @@ class CdmaNetwork:
             shadowing_std_db=radio.shadowing_std_db,
             decorrelation_distance_m=radio.shadowing_decorrelation_m,
             site_correlation=radio.shadowing_site_correlation,
-            doppler_hz=radio.doppler_hz,
         )
         self.handoff = SoftHandoffController(
             num_mobiles=len(self.mobiles),
@@ -395,7 +394,7 @@ class CdmaNetwork:
             self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
             hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
         if self.num_mobiles > 0:
-            self.link_gains.advance(self._positions_arr, self._moved_buf, dt_s)
+            self.link_gains.advance(self._positions_arr, self._moved_buf)
         self._time_s += dt_s
         self._update_handoff()
 

@@ -12,6 +12,12 @@ combined by :class:`repro.channel.composite.CompositeChannel` according to
 eq. (1) of the paper, ``X(t) = Xl(t) * Xs(t)``.  Channel state information
 (CSI) estimation and its low-capacity delayed feedback to the transmitter are
 modelled in :mod:`repro.channel.csi`.
+
+These are scalar, single-link models.  The dynamic system simulator does not
+run them: its channel is :class:`repro.cdma.linkgain.LinkGainMap`, which keeps
+the local-mean gain (path loss from this package × shadowing) of every
+mobile–cell pair as arrays.  The fast fading is left to the VTAOC physical
+layer, whose throughput :mod:`repro.phy.vtaoc` averages over it analytically.
 """
 
 from repro.channel.pathloss import LogDistancePathLoss, HataPathLoss, PathLossModel

@@ -7,8 +7,9 @@ uses a distance-power-law path loss; two standard variants are provided:
 * :class:`HataPathLoss` — COST-231/Hata urban macro-cell formula, useful to
   check that the conclusions do not depend on the particular exponent model.
 
-All models expose *gain* (linear, <= 1) and *loss in dB* so that the link-gain
-bookkeeping in :mod:`repro.cdma.linkgain` can stay in linear units.
+All models expose *gain* (linear, <= 1) and *loss in dB*;
+:mod:`repro.cdma.linkgain` adds the loss in dB to the shadowing before its
+single conversion to linear units.
 """
 
 from __future__ import annotations

@@ -89,8 +89,6 @@ class RadioConfig:
     shadowing_decorrelation_m: float = constants.SHADOWING_DECORRELATION_DISTANCE_M
     #: Inter-site shadowing correlation for the same mobile.
     shadowing_site_correlation: float = 0.5
-    #: Maximum Doppler frequency of the fast fading, Hz.
-    doppler_hz: float = 10.0
 
     #: Base-station power budget and overheads.
     bs_max_tx_power_w: float = constants.BS_MAX_TX_POWER_W

@@ -49,8 +49,9 @@ Every section is optional; an empty spec builds the library-default scenario
 with the paper's JABA-SD(J1) scheduler.  Unknown sections, component names
 and kwargs all fail fast with errors that list the accepted alternatives.
 The one allowance is for saved specs: a ``scenario`` key of a retired
-``ScenarioConfig`` field is dropped with a :class:`DeprecationWarning` (see
-:func:`validate_spec`).
+``ScenarioConfig`` field, and a ``system.radio`` or ``channel`` key of a
+retired ``RadioConfig`` field, is dropped with a :class:`DeprecationWarning`
+(see :func:`validate_spec`).
 """
 
 from __future__ import annotations
@@ -433,15 +434,33 @@ _RETIRED_SCENARIO_KEYS = {
     "power_control_tolerance": "system.radio.power_control_tolerance sets the tolerance",
 }
 
+#: ``system.radio`` and ``channel`` keys of :class:`~repro.config.RadioConfig`
+#: fields that no longer exist, with the reason each is ignored.
+_RETIRED_RADIO_KEYS = {
+    "doppler_hz": "the link gains are local means; VTAOC averages over the fast fading",
+}
+
+
+def _drop_retired_keys(section: Dict[str, Any], retired: Mapping[str, str], where: str) -> None:
+    for key, reason in retired.items():
+        if key in section:
+            legacy = section.pop(key)
+            warnings.warn(
+                f"{where}-spec key {key}={legacy!r} is ignored: {reason}",
+                DeprecationWarning,
+                stacklevel=4,
+            )
+
 
 def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Normalise a spec: check sections, fill the version, copy mutables.
 
-    A ``scenario`` key of :data:`_RETIRED_SCENARIO_KEYS` is dropped with a
-    :class:`DeprecationWarning`, so a saved spec that carries it builds, and
-    fingerprints, like the same spec without it.  The one exception is a
-    numeric ``power_control_tolerance``: ignoring it would change the
-    numerics, so it is refused in favour of
+    A ``scenario`` key of :data:`_RETIRED_SCENARIO_KEYS`, and a
+    ``system.radio`` or ``channel`` key of :data:`_RETIRED_RADIO_KEYS`, is
+    dropped with a :class:`DeprecationWarning`, so a saved spec that carries
+    it builds, and fingerprints, like the same spec without it.  The one
+    exception is a numeric ``power_control_tolerance``: ignoring it would
+    change the numerics, so it is refused in favour of
     ``system.radio.power_control_tolerance``.
     """
     allowed = set(KINDS) | set(_PLAIN_SECTIONS)
@@ -461,14 +480,13 @@ def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
                 f"scenario-spec key power_control_tolerance={tolerance!r} is "
                 "retired; set system.radio.power_control_tolerance instead"
             )
-        for key, reason in _RETIRED_SCENARIO_KEYS.items():
-            if key in scenario:
-                legacy = scenario.pop(key)
-                warnings.warn(
-                    f"scenario-spec key {key}={legacy!r} is ignored: {reason}",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
+        _drop_retired_keys(scenario, _RETIRED_SCENARIO_KEYS, "scenario")
+    system = normalized.get("system")
+    if isinstance(system, dict) and isinstance(system.get("radio"), Mapping):
+        system["radio"] = dict(system["radio"])
+        _drop_retired_keys(system["radio"], _RETIRED_RADIO_KEYS, "system.radio")
+    if isinstance(normalized.get("channel"), dict):
+        _drop_retired_keys(normalized["channel"], _RETIRED_RADIO_KEYS, "channel")
     version = normalized.setdefault("version", SCENARIO_SPEC_VERSION)
     if version != SCENARIO_SPEC_VERSION:
         raise SpecError(

@@ -14,8 +14,9 @@ of the user mobility, power control, and soft hand-off."
   channel and at which spreading-gain ratio; the committed SCH powers are
   held in the network for the burst duration and therefore shape the power
   control and interference of the following frames;
-* users move, shadowing and fast fading evolve, soft hand-off active sets are
-  updated, FCH power control runs every frame.
+* users move, shadowing evolves, soft hand-off active sets are updated, FCH
+  power control runs every frame (the fast fading is averaged analytically
+  by the VTAOC layer, so the frame carries only local-mean gains).
 
 The per-user layer (voice activity, packet-call traffic, MAC states,
 mobility) runs as structure-of-arrays fleets

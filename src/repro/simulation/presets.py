@@ -22,8 +22,8 @@ Mobility models (kind ``"mobility"``)
 
 Channel profiles (kind ``"channel"``)
     ``default``     — the cdma2000 SR1 macro-cell radio configuration.
-    ``dense-urban`` — small cells, heavier shadowing, lower downlink
-                      orthogonality and slow fading (dense-urban canyon).
+    ``dense-urban`` — small cells, heavier shadowing and lower downlink
+                      orthogonality (dense-urban canyon).
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ registry.add(
         shadowing_std_db=10.0,
         shadowing_site_correlation=0.3,
         orthogonality_factor=0.4,
-        doppler_hz=5.0,
     ),
     summary="Dense-urban small cells: heavy shadowing, low orthogonality",
 )

@@ -7,6 +7,11 @@
 * Geometry: distances taken to the recorded nearest wrap-around images must
   equal the per-position minimum over every image, row by row, however the
   positions move.
+* Link gains: the one-state shadowing and the single-``exp`` local-mean gain
+  must track the two-state ``10.0 **`` map kept in
+  :mod:`tests.oracles.linkgain` from the same seed, frame after frame, to
+  ``rtol=1e-12`` on the gains and 1e-12 dB on the shadowing (the two round
+  differently: one AR(1) sum instead of two, ``exp`` instead of ``pow``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.geometry.hexgrid import HexagonalCellLayout, NearestImages
 from repro.mac.schedulers import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator
 from tests.oracles import hexgrid as hexgrid_oracle
+from tests.oracles.linkgain import TwoStateLinkGainMap
 from tests.oracles.powercontrol import forward_solve, reverse_solve
 from tests.test_fleet_parity import fleet_scenario
 
@@ -309,6 +315,42 @@ class TestLinkGainMapImages:
         gains = LinkGainMap(HexagonalCellLayout(num_rings=1), 0, np.random.default_rng(0))
         gains.set_positions(np.zeros((0, 2)))
         assert gains.image_refreshes == 0
+
+
+class TestLinkGainMapOracle:
+    @pytest.mark.parametrize(
+        "sigma_db, site_correlation", [(8.0, 0.5), (0.0, 0.5), (8.0, 0.0)]
+    )
+    def test_tracks_the_two_state_map(self, sigma_db, site_correlation):
+        layout = HexagonalCellLayout(num_rings=2, cell_radius_m=1000.0)
+        num_mobiles, frames = 500, 300
+        kwargs = dict(shadowing_std_db=sigma_db, site_correlation=site_correlation)
+        gains = LinkGainMap(layout, num_mobiles, np.random.default_rng(77), **kwargs)
+        oracle = TwoStateLinkGainMap(
+            layout, num_mobiles, np.random.default_rng(77), **kwargs
+        )
+        walk = np.random.default_rng(78)
+        positions = walk.uniform(-2500.0, 2500.0, size=(num_mobiles, 2))
+        gains.set_positions(positions)
+        oracle.set_positions(positions)
+        for frame in range(frames + 1):
+            assert_bit_identical(gains.distances_m, oracle._distances)
+            shadow_gap = np.abs(gains.shadowing_db() - oracle.shadowing_db()).max()
+            assert shadow_gap <= 1e-12, frame
+            np.testing.assert_allclose(
+                gains.local_mean_gain(), oracle.local_mean_gain(), rtol=1e-12, atol=0.0
+            )
+            # About 30 % of the mobiles stand still every frame.
+            moved = walk.uniform(0.0, 30.0, size=num_mobiles)
+            moved[walk.random(num_mobiles) < 0.3] = 0.0
+            heading = walk.uniform(0.0, 2.0 * np.pi, size=num_mobiles)
+            positions = positions + moved[:, np.newaxis] * np.column_stack(
+                (np.cos(heading), np.sin(heading))
+            )
+            gains.advance(positions, moved)
+            oracle.advance(positions, moved)
+        # Both maps drew the same numbers from their streams.
+        assert gains._rng.bit_generator.state == oracle._rng.bit_generator.state
 
 
 def test_fleet_run_refreshes_few_images_per_frame():

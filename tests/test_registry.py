@@ -10,6 +10,7 @@ reproduces the checked-in golden snapshots bit-for-bit).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,32 @@ class TestScenarioSpecs:
             built = build_scenario(parent)
         assert built.scenario == build_scenario(current).scenario == paper_scenario()
         assert built.fingerprint == spec_fingerprint(current)
+
+    def test_saved_system_radio_with_doppler_loads_with_a_warning(self, tmp_path):
+        # A spec_from_scenario dump of a non-default system, written while
+        # RadioConfig had a doppler_hz field, carries it in system.radio.
+        config = replace(golden_scenario(), system=SystemConfig().with_overrides(
+            radio=replace(SystemConfig().radio, num_rings=2)))
+        current = spec_from_scenario(config, {"name": "fcfs"})
+        parent = json.loads(json.dumps(current))
+        parent["system"]["radio"]["doppler_hz"] = 10.0
+        saved = tmp_path / "saved.json"
+        saved.write_text(json.dumps(parent))
+        with pytest.warns(DeprecationWarning, match="doppler_hz"):
+            built = build_scenario(load_scenario_spec(str(saved)))
+        assert built.scenario == build_scenario(current).scenario == config
+        assert "doppler_hz" not in built.spec["system"]["radio"]
+        assert built.fingerprint == spec_fingerprint(current)
+
+    def test_channel_section_with_doppler_loads_with_a_warning(self):
+        parent = {"channel": {"name": "dense-urban", "doppler_hz": 5.0}}
+        with pytest.warns(DeprecationWarning, match="doppler_hz"):
+            built = build_scenario(parent)
+        assert parent["channel"]["doppler_hz"] == 5.0  # the caller's spec is untouched
+        current = build_scenario({"channel": {"name": "dense-urban"}})
+        assert built.scenario == current.scenario
+        assert built.scenario.system.radio.cell_radius_m == 500.0
+        assert built.fingerprint == current.fingerprint
 
     def test_numeric_power_control_tolerance_refused(self):
         spec = spec_from_scenario(golden_scenario())
