@@ -25,7 +25,20 @@ import numpy as np
 
 from repro import constants
 
-__all__ = ["ActiveSetState", "SoftHandoffController"]
+__all__ = ["ActiveSetState", "SoftHandoffController", "membership_matrix"]
+
+
+def membership_matrix(ordered: np.ndarray, num_cells: int) -> np.ndarray:
+    """Boolean membership ``(n, num_cells)`` of ``-1``-padded cell-index rows.
+
+    The matrix is returned read-only: the controller caches and shares it
+    between per-frame consumers.
+    """
+    out = np.zeros((ordered.shape[0], num_cells), dtype=bool)
+    rows, slots = np.nonzero(ordered >= 0)
+    out[rows, ordered[rows, slots]] = True
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -185,23 +198,32 @@ class SoftHandoffController:
         # outage, but the bookkeeping remains well-defined).
         member = self.active_set_matrix(num_cells)
         eligible = (member & (pilots >= drop_lin)) | (pilots >= add_lin)
-        strongest = np.argmax(pilots, axis=1)
-        orphaned = ~eligible.any(axis=1)
-        if np.any(orphaned):
-            eligible[orphaned, strongest[orphaned]] = True
+        num_eligible = eligible.sum(axis=1)
+        orphaned = np.flatnonzero(num_eligible == 0)
+        if orphaned.size:
+            eligible[orphaned, np.argmax(pilots[orphaned], axis=1)] = True
+            num_eligible[orphaned] = 1
+        counts = np.minimum(num_eligible, self.max_active_set_size)
 
         # Rank eligible cells by current pilot strength and keep the top
         # max_active_set_size of them, -1 padded.  Matches the per-mobile
         # reference loop for continuous pilot values; on *exactly* tied
         # pilots (measure zero under shadowing) ties resolve by lowest cell
         # index, where the reference loop's ordering was itself unspecified.
-        score = np.where(eligible, pilots, -np.inf)
-        width = min(self.max_active_set_size, num_cells)
-        top = np.argsort(-score, axis=1, kind="stable")[:, :width]
-        counts = np.minimum(eligible.sum(axis=1), self.max_active_set_size)
+        # Only the soft-hand-off candidates (two or more eligible cells) need
+        # the sort; a single eligible cell is the whole set.
         new_ordered = np.full_like(self._ordered, -1)
-        slots = np.arange(width)[np.newaxis, :]
-        new_ordered[:, :width] = np.where(slots < counts[:, np.newaxis], top, -1)
+        single = np.flatnonzero(num_eligible == 1)
+        new_ordered[single, 0] = np.argmax(eligible[single], axis=1)
+        ranked = np.flatnonzero(num_eligible > 1)
+        if ranked.size:
+            score = np.where(eligible[ranked], pilots[ranked], -np.inf)
+            width = min(self.max_active_set_size, num_cells)
+            top = np.argsort(-score, axis=1, kind="stable")[:, :width]
+            slots = np.arange(width)[np.newaxis, :]
+            new_ordered[ranked, :width] = np.where(
+                slots < counts[ranked, np.newaxis], top, -1
+            )
 
         changed = (new_ordered != self._ordered).any(axis=1)
         self.handoff_events += int(np.count_nonzero(changed))
@@ -214,7 +236,7 @@ class SoftHandoffController:
         cache = self._active_matrix_cache
         if cache is not None and cache[0] == num_cells:
             return cache[1]
-        out = self._scatter_membership(self._ordered, num_cells)
+        out = membership_matrix(self._ordered, num_cells)
         self._active_matrix_cache = (num_cells, out)
         return out
 
@@ -223,20 +245,18 @@ class SoftHandoffController:
         cache = self._reduced_matrix_cache
         if cache is not None and cache[0] == num_cells:
             return cache[1]
-        out = self._scatter_membership(
-            self._ordered[:, : self.reduced_active_set_size], num_cells
-        )
+        out = membership_matrix(self.reduced_active_sets(), num_cells)
         self._reduced_matrix_cache = (num_cells, out)
         return out
 
-    @staticmethod
-    def _scatter_membership(ordered: np.ndarray, num_cells: int) -> np.ndarray:
-        out = np.zeros((ordered.shape[0], num_cells), dtype=bool)
-        rows, slots = np.nonzero(ordered >= 0)
-        out[rows, ordered[rows, slots]] = True
-        # The matrix is cached and shared between per-frame consumers.
-        out.flags.writeable = False
-        return out
+    def reduced_active_sets(self) -> np.ndarray:
+        """Reduced active sets (SCH legs) as cell indices, strongest first.
+
+        Shape ``(num_mobiles, reduced_active_set_size)``, ``-1`` padded.  A
+        view of the ordered index matrix, which :meth:`update` replaces and
+        never mutates, so it stays a snapshot of the current frame.
+        """
+        return self._ordered[:, : self.reduced_active_set_size]
 
     def serving_cells(self) -> np.ndarray:
         """Serving (strongest-pilot) cell of each mobile."""

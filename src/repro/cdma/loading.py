@@ -1,6 +1,6 @@
 """Forward-link power-budget and reverse-link interference bookkeeping.
 
-These two snapshot dataclasses bundle exactly the quantities the measurement
+These two snapshot classes bundle exactly the quantities the measurement
 sub-layer of the burst admission algorithm consumes (Figure 2 of the paper):
 
 * forward link: the current cell loading ``P_k``, the per-mobile FCH forward
@@ -9,18 +9,26 @@ sub-layer of the burst admission algorithm consumes (Figure 2 of the paper):
   strengths ``t^{RL}_{j,k}`` from soft-hand-off cells, the forward pilot
   strengths ``t^{FL}_{j,k}`` reported in the SCRM message, the FCH-to-pilot
   power ratio ``xi_j`` and the interference ceiling ``L_max``.
+
+Admission reads the ``(J, K)`` quantities only for the mobiles with a pending
+burst request.  A load built by the network (:meth:`ForwardLinkLoad.measured`,
+:meth:`ReverseLinkLoad.measured`) therefore keeps their inputs and computes
+the requested rows on demand (``fch_power_rows``, ``reverse_pilot_rows``,
+``forward_pilot_rows``); the whole matrix is computed on first access of its
+attribute and cached.  A load built by hand keeps the matrices it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+
+from repro.cdma.pilot import forward_pilot_ec_io_rows, reverse_pilot_ec_io
 
 __all__ = ["ForwardLinkLoad", "ReverseLinkLoad"]
 
 
-@dataclass
 class ForwardLinkLoad:
     """Forward-link loading snapshot (inputs of eqs. (6)–(8)).
 
@@ -32,23 +40,69 @@ class ForwardLinkLoad:
         ``P_k`` per cell: currently committed transmit power (common channels
         + FCH allocations + already-granted SCH bursts), shape ``(K,)``.
     fch_power_w:
-        ``P_{j,k}``: FCH forward power allocated to mobile ``j`` by cell
-        ``k`` (0 when ``k`` is not serving the mobile), shape ``(J, K)``.
+        ``P_{j,k}``: full-rate-equivalent FCH forward power allocated to
+        mobile ``j`` by cell ``k`` (0 when ``k`` is not serving the mobile),
+        shape ``(J, K)``.  Computed on first access for a :meth:`measured`
+        load.
     """
 
-    max_traffic_power_w: np.ndarray
-    current_power_w: np.ndarray
-    fch_power_w: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.max_traffic_power_w = np.asarray(self.max_traffic_power_w, dtype=float)
-        self.current_power_w = np.asarray(self.current_power_w, dtype=float)
-        self.fch_power_w = np.asarray(self.fch_power_w, dtype=float)
+    def __init__(
+        self,
+        max_traffic_power_w: np.ndarray,
+        current_power_w: np.ndarray,
+        fch_power_w: np.ndarray,
+    ) -> None:
+        self.max_traffic_power_w = np.asarray(max_traffic_power_w, dtype=float)
+        self.current_power_w = np.asarray(current_power_w, dtype=float)
+        self._fch_power_w: Optional[np.ndarray] = np.asarray(fch_power_w, dtype=float)
+        self._allocation_w: Optional[np.ndarray] = None
+        self._rate_factor: Optional[np.ndarray] = None
         k = self.max_traffic_power_w.shape[0]
         if self.current_power_w.shape != (k,):
             raise ValueError("current_power_w must have one entry per cell")
-        if self.fch_power_w.ndim != 2 or self.fch_power_w.shape[1] != k:
+        if self._fch_power_w.ndim != 2 or self._fch_power_w.shape[1] != k:
             raise ValueError("fch_power_w must have shape (num_mobiles, num_cells)")
+        self._num_mobiles = self._fch_power_w.shape[0]
+
+    @classmethod
+    def measured(
+        cls,
+        max_traffic_power_w: np.ndarray,
+        current_power_w: np.ndarray,
+        fch_allocation_w: np.ndarray,
+        rate_factor: np.ndarray,
+    ) -> "ForwardLinkLoad":
+        """Load whose ``P_{j,k}`` rows are computed on demand.
+
+        ``fch_allocation_w`` is the forward power-control allocation at the
+        rate each mobile currently holds, shape ``(J, K)``; ``rate_factor``
+        that rate relative to the full-rate FCH, shape ``(J,)``.  Both are
+        kept by reference and must not change afterwards.
+        """
+        # The allocation has the (J, K) shape of the matrix it stands in for.
+        load = cls(max_traffic_power_w, current_power_w, fch_allocation_w)
+        load._allocation_w, load._fch_power_w = load._fch_power_w, None
+        load._rate_factor = np.asarray(rate_factor, dtype=float).reshape(
+            load._num_mobiles
+        )
+        return load
+
+    @property
+    def fch_power_w(self) -> np.ndarray:
+        """``P_{j,k}`` of every mobile, shape ``(J, K)``."""
+        if self._fch_power_w is None:
+            self._fch_power_w = self.fch_power_rows(slice(None))
+        return self._fch_power_w
+
+    def fch_power_rows(self, mobiles) -> np.ndarray:
+        """``P_{j,k}`` of the ``mobiles`` (an index array or slice), shape ``(n, K)``."""
+        if self._fch_power_w is not None:
+            return self._fch_power_w[mobiles]
+        # Eq. (6) assumes the measured P_{j,k} refers to a full-rate FCH.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._allocation_w[mobiles] / np.maximum(
+                self._rate_factor[mobiles, np.newaxis], 1e-12
+            )
 
     @property
     def num_cells(self) -> int:
@@ -58,7 +112,7 @@ class ForwardLinkLoad:
     @property
     def num_mobiles(self) -> int:
         """Number of mobiles ``J``."""
-        return self.fch_power_w.shape[0]
+        return self._num_mobiles
 
     def headroom_w(self) -> np.ndarray:
         """Available forward-link power per cell, ``max(P_max - P_k, 0)``."""
@@ -69,7 +123,6 @@ class ForwardLinkLoad:
         return self.current_power_w / self.max_traffic_power_w
 
 
-@dataclass
 class ReverseLinkLoad:
     """Reverse-link loading snapshot (inputs of eqs. (9)–(18)).
 
@@ -82,38 +135,117 @@ class ReverseLinkLoad:
         granted reverse bursts), shape ``(K,)``.
     reverse_pilot_strength:
         ``t^{RL}_{j,k}``: reverse pilot Ec/Io of mobile ``j`` at cell ``k``,
-        shape ``(J, K)``.
+        shape ``(J, K)``.  Computed on first access for a :meth:`measured`
+        load.
     forward_pilot_strength:
         ``t^{FL}_{j,k}``: forward pilot Ec/Io of cell ``k`` measured and
-        reported by mobile ``j`` (SCRM content), shape ``(J, K)``.
+        reported by mobile ``j`` (SCRM content), shape ``(J, K)``.  Computed
+        on first access for a :meth:`measured` load.
     fch_pilot_power_ratio:
         ``xi_j``: FCH-to-pilot transmit power ratio per mobile, shape ``(J,)``.
     """
 
-    max_interference_w: np.ndarray
-    current_interference_w: np.ndarray
-    reverse_pilot_strength: np.ndarray
-    forward_pilot_strength: np.ndarray
-    fch_pilot_power_ratio: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.max_interference_w = np.asarray(self.max_interference_w, dtype=float)
-        self.current_interference_w = np.asarray(
-            self.current_interference_w, dtype=float
+    def __init__(
+        self,
+        max_interference_w: np.ndarray,
+        current_interference_w: np.ndarray,
+        reverse_pilot_strength: np.ndarray,
+        forward_pilot_strength: np.ndarray,
+        fch_pilot_power_ratio: np.ndarray,
+    ) -> None:
+        self.max_interference_w = np.asarray(max_interference_w, dtype=float)
+        self.current_interference_w = np.asarray(current_interference_w, dtype=float)
+        self._reverse_pilot: Optional[np.ndarray] = np.asarray(
+            reverse_pilot_strength, dtype=float
         )
-        self.reverse_pilot_strength = np.asarray(self.reverse_pilot_strength, dtype=float)
-        self.forward_pilot_strength = np.asarray(self.forward_pilot_strength, dtype=float)
-        self.fch_pilot_power_ratio = np.asarray(self.fch_pilot_power_ratio, dtype=float)
+        self._forward_pilot: Optional[np.ndarray] = np.asarray(
+            forward_pilot_strength, dtype=float
+        )
+        self.fch_pilot_power_ratio = np.asarray(fch_pilot_power_ratio, dtype=float)
         k = self.max_interference_w.shape[0]
-        j = self.reverse_pilot_strength.shape[0]
+        j = self._reverse_pilot.shape[0]
         if self.current_interference_w.shape != (k,):
             raise ValueError("current_interference_w must have one entry per cell")
-        if self.reverse_pilot_strength.shape != (j, k):
+        if self._reverse_pilot.shape != (j, k):
             raise ValueError("reverse_pilot_strength must have shape (J, K)")
-        if self.forward_pilot_strength.shape != (j, k):
+        if self._forward_pilot.shape != (j, k):
             raise ValueError("forward_pilot_strength must have shape (J, K)")
         if self.fch_pilot_power_ratio.shape != (j,):
             raise ValueError("fch_pilot_power_ratio must have one entry per mobile")
+        self._gains: Optional[np.ndarray] = None
+        self._mobile_pilot_tx_w: Optional[np.ndarray] = None
+        self._bs_pilot_power_w: Optional[np.ndarray] = None
+        self._mobile_received_power_w: Optional[np.ndarray] = None
+
+    @classmethod
+    def measured(
+        cls,
+        max_interference_w: np.ndarray,
+        current_interference_w: np.ndarray,
+        fch_pilot_power_ratio: np.ndarray,
+        gains: np.ndarray,
+        mobile_pilot_tx_power_w: np.ndarray,
+        bs_pilot_power_w: np.ndarray,
+        mobile_received_power_w: np.ndarray,
+    ) -> "ReverseLinkLoad":
+        """Load whose pilot Ec/Io rows are computed on demand.
+
+        ``gains`` are the local-mean link gains, shape ``(J, K)``;
+        ``mobile_pilot_tx_power_w`` the reverse pilot power of each mobile,
+        shape ``(J,)``; ``bs_pilot_power_w`` the forward pilot power of each
+        cell, shape ``(K,)``; ``mobile_received_power_w`` the total received
+        power ``Io`` of each mobile, shape ``(J,)`` (see
+        :func:`repro.cdma.pilot.mobile_received_power_w`).  All are kept by
+        reference and must not change afterwards.
+        """
+        gains = np.asarray(gains, dtype=float)
+        # The gains have the (J, K) shape of the pilot matrices they stand in for.
+        load = cls(
+            max_interference_w, current_interference_w, gains, gains,
+            fch_pilot_power_ratio,
+        )
+        if np.any(load.current_interference_w <= 0.0):
+            raise ValueError("current_interference_w must be strictly positive")
+        load._reverse_pilot = load._forward_pilot = None
+        load._gains = gains
+        load._mobile_pilot_tx_w = np.asarray(mobile_pilot_tx_power_w, dtype=float)
+        load._bs_pilot_power_w = np.asarray(bs_pilot_power_w, dtype=float)
+        load._mobile_received_power_w = np.asarray(mobile_received_power_w, dtype=float)
+        return load
+
+    @property
+    def reverse_pilot_strength(self) -> np.ndarray:
+        """``t^{RL}_{j,k}`` of every mobile, shape ``(J, K)``."""
+        if self._reverse_pilot is None:
+            self._reverse_pilot = self.reverse_pilot_rows(slice(None))
+        return self._reverse_pilot
+
+    @property
+    def forward_pilot_strength(self) -> np.ndarray:
+        """``t^{FL}_{j,k}`` of every mobile, shape ``(J, K)``."""
+        if self._forward_pilot is None:
+            self._forward_pilot = self.forward_pilot_rows(slice(None))
+        return self._forward_pilot
+
+    def reverse_pilot_rows(self, mobiles) -> np.ndarray:
+        """``t^{RL}`` of the ``mobiles`` (an index array or slice), shape ``(n, K)``."""
+        if self._reverse_pilot is not None:
+            return self._reverse_pilot[mobiles]
+        return reverse_pilot_ec_io(
+            self._gains[mobiles],
+            self._mobile_pilot_tx_w[mobiles],
+            self.current_interference_w,
+        )
+
+    def forward_pilot_rows(self, mobiles) -> np.ndarray:
+        """``t^{FL}`` of the ``mobiles`` (an index array or slice), shape ``(n, K)``."""
+        if self._forward_pilot is not None:
+            return self._forward_pilot[mobiles]
+        return forward_pilot_ec_io_rows(
+            self._gains[mobiles],
+            self._bs_pilot_power_w,
+            self._mobile_received_power_w[mobiles],
+        )
 
     @property
     def num_cells(self) -> int:
@@ -123,7 +255,7 @@ class ReverseLinkLoad:
     @property
     def num_mobiles(self) -> int:
         """Number of mobiles ``J``."""
-        return self.reverse_pilot_strength.shape[0]
+        return self.fch_pilot_power_ratio.shape[0]
 
     def headroom_w(self) -> np.ndarray:
         """Available reverse-link interference margin per cell."""

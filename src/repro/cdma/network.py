@@ -17,10 +17,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cdma.entities import BaseStation, MobileStation, UserClass
-from repro.cdma.handoff import ActiveSetState, SoftHandoffController
+from repro.cdma.handoff import ActiveSetState, SoftHandoffController, membership_matrix
 from repro.cdma.linkgain import LinkGainMap
 from repro.cdma.loading import ForwardLinkLoad, ReverseLinkLoad
-from repro.cdma.pilot import forward_pilot_ec_io, reverse_pilot_ec_io
+from repro.cdma.pilot import forward_pilot_ec_io, mobile_received_power_w
 from repro.cdma.powercontrol import (
     ForwardLinkPowerControl,
     PowerControlResult,
@@ -85,7 +85,18 @@ class NetworkSnapshot:
         by the batched measurement kernels.  Optional: snapshots built by
         hand (tests, transcribed baselines) may omit them, in which case
         :meth:`active_membership` / :meth:`reduced_membership` materialise
-        them from ``handoff_states`` on first use.
+        them on first use, from ``reduced_active_sets`` when given and from
+        ``handoff_states`` otherwise.
+    reduced_active_sets:
+        Optional reduced active sets as cell indices, strongest pilot first,
+        ``-1`` padded, shape ``(J, R)``.  The network passes these instead of
+        the reduced-set matrix, so :meth:`reduced_membership_rows` scatters
+        only the requesters' rows.
+
+    A snapshot taken by :class:`CdmaNetwork` computes the per-mobile
+    ``(J, K)`` measurements the admission layer reads per request (the full-
+    rate FCH allocations, both pilot Ec/Io matrices and the reduced-set
+    membership) on demand; see :mod:`repro.cdma.loading`.
     """
 
     time_s: float
@@ -100,6 +111,7 @@ class NetworkSnapshot:
     reverse_pc: PowerControlResult
     active_set_matrix: Optional[np.ndarray] = None
     reduced_active_set_matrix: Optional[np.ndarray] = None
+    reduced_active_sets: Optional[np.ndarray] = None
 
     @property
     def num_mobiles(self) -> int:
@@ -128,8 +140,18 @@ class NetworkSnapshot:
     def reduced_membership(self) -> np.ndarray:
         """Boolean reduced-active-set (SCH legs) membership, shape ``(J, K)``."""
         if self.reduced_active_set_matrix is None:
-            self.reduced_active_set_matrix = self._membership_from_states(reduced=True)
+            self.reduced_active_set_matrix = (
+                self._membership_from_states(reduced=True)
+                if self.reduced_active_sets is None
+                else membership_matrix(self.reduced_active_sets, self.num_cells)
+            )
         return self.reduced_active_set_matrix
+
+    def reduced_membership_rows(self, mobiles) -> np.ndarray:
+        """Reduced-active-set membership of the ``mobiles``, shape ``(n, K)``."""
+        if self.reduced_active_set_matrix is None and self.reduced_active_sets is not None:
+            return membership_matrix(self.reduced_active_sets[mobiles], self.num_cells)
+        return self.reduced_membership()[mobiles]
 
     def fch_outage_fraction(self) -> float:
         """Fraction of active FCH links that failed to reach their SIR target."""
@@ -449,13 +471,9 @@ class CdmaNetwork:
             rate_factor=rate_factors,
         )
 
-        # -- pilot measurements ----------------------------------------------------
-        forward_pilots = forward_pilot_ec_io(
-            gains,
-            forward_result.total_power_w,
-            bs_pilot,
-            self._mobile_noise_power_w,
-        )
+        # -- loading snapshots ---------------------------------------------------------
+        # Admission reads the (J, K) measurements only for the requesters, so
+        # the loads keep their inputs and compute those rows on demand.
         xi = self._xi
         # The reverse pilot tracks the channel the way a *full-rate* FCH
         # would, so the burst measurements (eq. (10)) reconstruct the
@@ -465,32 +483,24 @@ class CdmaNetwork:
             active, reverse_result.tx_power_w / np.maximum(rate_factors, 1e-12), 0.0
         )
         mobile_pilot_tx = fullrate_tx / np.maximum(xi, 1e-12)
-        reverse_pilots = reverse_pilot_ec_io(
-            gains, mobile_pilot_tx, reverse_result.total_power_w
-        )
-
-        # -- loading snapshots ---------------------------------------------------------
-        forward_traffic = (
-            forward_result.total_power_w - bs_common
-        )  # FCH allocations + committed bursts
-        # Full-rate-equivalent FCH forward power per link (eq. (6) assumes the
-        # measured P_{j,k} refers to a full-rate FCH).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fullrate_fch = forward_result.tx_power_w / np.maximum(
-                rate_factors[:, np.newaxis], 1e-12
-            )
-        forward_load = ForwardLinkLoad(
+        forward_load = ForwardLinkLoad.measured(
             max_traffic_power_w=bs_budget,
-            current_power_w=forward_traffic,
-            fch_power_w=fullrate_fch,
+            # FCH allocations + committed bursts.
+            current_power_w=forward_result.total_power_w - bs_common,
+            fch_allocation_w=forward_result.tx_power_w,
+            # set_fch_state rewrites the network's array in place.
+            rate_factor=rate_factors.copy(),
         )
-        l_max = self._bs_max_reverse_interference_w
-        reverse_load = ReverseLinkLoad(
-            max_interference_w=l_max,
+        reverse_load = ReverseLinkLoad.measured(
+            max_interference_w=self._bs_max_reverse_interference_w,
             current_interference_w=reverse_result.total_power_w,
-            reverse_pilot_strength=reverse_pilots,
-            forward_pilot_strength=forward_pilots,
             fch_pilot_power_ratio=xi,
+            gains=gains,
+            mobile_pilot_tx_power_w=mobile_pilot_tx,
+            bs_pilot_power_w=bs_pilot,
+            mobile_received_power_w=mobile_received_power_w(
+                gains, forward_result.total_power_w, self._mobile_noise_power_w
+            ),
         )
 
         # -- SCH local-mean CSI per mobile -----------------------------------------------
@@ -519,9 +529,7 @@ class CdmaNetwork:
             forward_pc=forward_result,
             reverse_pc=reverse_result,
             active_set_matrix=active_set,
-            reduced_active_set_matrix=self.handoff.reduced_active_set_matrix(
-                self.num_cells
-            ),
+            reduced_active_sets=self.handoff.reduced_active_sets(),
         )
 
     # -- burst power bookkeeping --------------------------------------------------------

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["forward_pilot_ec_io", "reverse_pilot_ec_io"]
+__all__ = [
+    "forward_pilot_ec_io",
+    "forward_pilot_ec_io_rows",
+    "mobile_received_power_w",
+    "reverse_pilot_ec_io",
+]
 
 
 def forward_pilot_ec_io(
@@ -54,9 +59,33 @@ def forward_pilot_ec_io(
         raise ValueError("power vectors must have one entry per cell")
     if mobile_noise_power_w < 0.0:
         raise ValueError("mobile_noise_power_w must be non-negative")
-    received_total = gains @ total + mobile_noise_power_w  # (num_mobiles,)
-    received_pilot = gains * pilot[np.newaxis, :]
-    return received_pilot / received_total[:, np.newaxis]
+    return forward_pilot_ec_io_rows(
+        gains, pilot, mobile_received_power_w(gains, total, mobile_noise_power_w)
+    )
+
+
+def mobile_received_power_w(
+    gains: np.ndarray, bs_total_tx_power_w: np.ndarray, mobile_noise_power_w: float
+) -> np.ndarray:
+    """Total received power ``Io`` at every mobile (all cells plus noise), shape ``(J,)``.
+
+    One product over all ``J`` rows: a product over a subset of the rows may
+    round differently, so per-request pilot rows divide by this vector.
+    """
+    return gains @ bs_total_tx_power_w + mobile_noise_power_w
+
+
+def forward_pilot_ec_io_rows(
+    gains: np.ndarray, bs_pilot_power_w: np.ndarray, received_power_w: np.ndarray
+) -> np.ndarray:
+    """Forward pilot Ec/Io of the mobiles whose gain rows and ``Io`` are given.
+
+    ``gains`` has shape ``(n, num_cells)`` and ``received_power_w`` shape
+    ``(n,)`` (rows of :func:`mobile_received_power_w`); elementwise, so any
+    subset of the rows equals the same rows of the full matrix bit for bit.
+    """
+    received_pilot = gains * bs_pilot_power_w[np.newaxis, :]
+    return received_pilot / received_power_w[:, np.newaxis]
 
 
 def reverse_pilot_ec_io(

@@ -24,7 +24,9 @@ Each builder evaluates its equations for the *whole* pending queue in a
 handful of NumPy operations (one gather of per-request rows, boolean
 membership matrices, a row-wise top-``scrm_max_pilots`` selection and one
 vectorised relative-path-loss matrix), so the per-frame admission cost does
-not scale with the queue length in Python.  The kernels must stay
+not scale with the queue length in Python.  The per-request rows come from
+the snapshot's row accessors, which compute only those rows for a snapshot
+taken by the network (the whole ``(J, K)`` matrices are never built there).  The kernels must stay
 bit-identical (``np.array_equal``) to the per-request transcription of
 eqs. (6)–(18) kept as a parity oracle in ``tests/oracles/measurement.py``;
 ``tests/test_mac_measurement.py`` and ``benchmarks/bench_admission_queue.py``
@@ -175,14 +177,13 @@ class ForwardLinkMeasurement:
         if num_requests == 0:
             matrix = np.zeros((num_cells, 0), dtype=float)
         else:
-            fch_power = snapshot.forward_load.fch_power_w
             gamma_s = self.phy.gamma_s_forward
             alpha = self.mac.alpha_forward
             j_idx = _mobile_indices(requests)
-            membership = snapshot.reduced_membership()[j_idx]  # (n, K)
-            power = fch_power[j_idx]  # (n, K)
+            membership = snapshot.reduced_membership_rows(j_idx)  # (n, K)
+            power = snapshot.forward_load.fch_power_rows(j_idx)  # (n, K)
             serving = np.asarray(snapshot.serving_cells, dtype=np.int64)[j_idx]
-            serving_power = fch_power[j_idx, serving]  # (n,)
+            serving_power = power[np.arange(num_requests), serving]  # (n,)
             # Eq. (6): one unit of m costs gamma_s * P_{j,k} * alpha at every
             # reduced-active-set cell.  A zero-power leg (e.g. one just added)
             # falls back to the serving-cell allocation so the cost is never
@@ -242,8 +243,8 @@ class ReverseLinkMeasurement:
         rows = np.arange(num_requests)
         host = np.asarray(snapshot.serving_cells, dtype=np.int64)[j_idx]
         soft = snapshot.active_membership()[j_idx]  # (n, K)
-        t_rl = reverse_load.reverse_pilot_strength[j_idx]  # (n, K)
-        t_fl = reverse_load.forward_pilot_strength[j_idx]  # (n, K)
+        t_rl = reverse_load.reverse_pilot_rows(j_idx)  # (n, K)
+        t_fl = reverse_load.forward_pilot_rows(j_idx)  # (n, K)
         xi = reverse_load.fch_pilot_power_ratio[j_idx]  # (n,)
 
         # Eq. (12): soft-hand-off cells measure the requester directly.

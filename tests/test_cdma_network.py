@@ -1,13 +1,23 @@
 """Tests for the assembled CDMA network substrate."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cdma.entities import MobileStation, UserClass
 from repro.cdma.network import CdmaNetwork
 from repro.config import SystemConfig
+from repro.experiments.common import paper_scenario
 from repro.geometry.hexgrid import HexagonalCellLayout
 from repro.geometry.mobility import RandomDirectionMobility
+from repro.mac.measurement import ForwardLinkMeasurement, ReverseLinkMeasurement
+from repro.mac.requests import BurstRequest, LinkDirection
+from repro.mac.schedulers import JabaSdScheduler
+from repro.simulation import DynamicSystemSimulator
+from tests.oracles.snapshot import eager_measurements
+from tests.test_fleet_parity import fleet_scenario
 
 
 def build_network(num_data=6, num_voice=6, seed=0, config=None):
@@ -265,3 +275,109 @@ class TestFramePipelineRegressions:
         before = held.copy()
         network.step(0.02)
         assert np.array_equal(held, before)
+
+
+# -- measurements computed on demand ---------------------------------------------------
+
+
+def on_demand_views(snapshot):
+    """Rows accessor and whole matrix of each on-demand measurement.
+
+    The whole matrices are read from shallow copies, so the snapshot the
+    admission layer goes on to use keeps computing rows on demand.
+    """
+    forward, reverse = snapshot.forward_load, snapshot.reverse_load
+    return {
+        "fch_power_w": (forward.fch_power_rows, copy.copy(forward).fch_power_w),
+        "reverse_pilot_strength": (
+            reverse.reverse_pilot_rows, copy.copy(reverse).reverse_pilot_strength
+        ),
+        "forward_pilot_strength": (
+            reverse.forward_pilot_rows, copy.copy(reverse).forward_pilot_strength
+        ),
+        "reduced_membership": (
+            snapshot.reduced_membership_rows, copy.copy(snapshot).reduced_membership()
+        ),
+    }
+
+
+def assert_not_materialised(snapshot):
+    assert snapshot.forward_load._fch_power_w is None
+    assert snapshot.reverse_load._reverse_pilot is None
+    assert snapshot.reverse_load._forward_pilot is None
+    assert snapshot.reduced_active_set_matrix is None
+
+
+class TestOnDemandMeasurements:
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(
+                lambda: paper_scenario(
+                    num_data_users_per_cell=16, duration_s=1.5, warmup_s=0.25, seed=31
+                ),
+                id="paper-scale",
+            ),
+            pytest.param(
+                lambda: fleet_scenario(
+                    system=SystemConfig().with_overrides(
+                        radio=replace(SystemConfig().radio, num_rings=2)
+                    ),
+                    num_data_users_per_cell=53,
+                    num_voice_users_per_cell=53,
+                    duration_s=0.5,
+                    warmup_s=0.0,
+                ),
+                id="J2e3-K19",
+            ),
+        ],
+    )
+    def test_dynamic_run_matches_eager_matrices(self, scenario, monkeypatch):
+        # Every frame of a dynamic run: the whole on-demand matrices and random
+        # rows of them equal the eager matrices the snapshot used to build,
+        # bit for bit, while the snapshot itself never builds them.
+        simulator = DynamicSystemSimulator(scenario(), JabaSdScheduler("J1"))
+        network = simulator.network
+        rng = np.random.default_rng(5)
+        original = CdmaNetwork.snapshot
+        frames = []
+
+        def checked_snapshot(self):
+            snapshot = original(self)
+            assert_not_materialised(snapshot)
+            eager = eager_measurements(self, snapshot)
+            rows = rng.integers(0, snapshot.num_mobiles, size=12)
+            for name, (take, whole) in on_demand_views(snapshot).items():
+                assert whole.dtype == eager[name].dtype, name
+                assert whole.tobytes() == eager[name].tobytes(), name
+                assert take(rows).tobytes() == eager[name][rows].tobytes(), name
+            assert_not_materialised(snapshot)
+            frames.append(snapshot.time_s)
+            return snapshot
+
+        monkeypatch.setattr(CdmaNetwork, "snapshot", checked_snapshot)
+        simulator.run()
+        assert len(frames) >= 25
+        assert network.num_mobiles in (16 * 7 + 8 * 7, 2 * 53 * 19)
+
+    def test_snapshot_builds_no_requester_matrix(self):
+        # snapshot() keeps the inputs of the per-request measurements; a
+        # measurement build reads rows only.  Reading an attribute builds
+        # the whole matrix once and caches it.
+        network, config = build_network(num_data=20, num_voice=20, seed=3)
+        snapshot = network.snapshot()
+        assert_not_materialised(snapshot)
+        requests = {
+            link: [BurstRequest(mobile_index=j, link=link, size_bits=1e5) for j in (0, 3, 3)]
+            for link in LinkDirection
+        }
+        ForwardLinkMeasurement(config.phy, config.mac).build(
+            snapshot, requests[LinkDirection.FORWARD]
+        )
+        ReverseLinkMeasurement(config.phy, config.mac).build(
+            snapshot, requests[LinkDirection.REVERSE]
+        )
+        assert_not_materialised(snapshot)
+        full = snapshot.forward_load.fch_power_w
+        assert snapshot.forward_load.fch_power_w is full
+        assert snapshot.reduced_membership() is snapshot.reduced_membership()

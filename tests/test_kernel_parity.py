@@ -4,6 +4,10 @@
   their :class:`PowerControlResult` must equal, bit for bit, the full-row
   reference solve kept in :mod:`tests.oracles.powercontrol` (``K >= 2``; a
   single cell is checked to ``rtol=1e-12``, see the solver docstrings).
+* Soft hand-off: ranking only the mobiles with two or more eligible cells
+  must give the ordered active sets, set sizes and hand-off event count of
+  the full-row stable argsort kept in :mod:`tests.oracles.handoff`, bit for
+  bit, including exact pilot ties and orphaned rows.
 * Geometry: distances taken to the recorded nearest wrap-around images must
   equal the per-position minimum over every image, row by row, however the
   positions move.
@@ -23,12 +27,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdma.handoff import SoftHandoffController
 from repro.cdma.linkgain import LinkGainMap
 from repro.cdma.powercontrol import ForwardLinkPowerControl, ReverseLinkPowerControl
 from repro.config import RadioConfig, SystemConfig
 from repro.geometry.hexgrid import HexagonalCellLayout, NearestImages
 from repro.mac.schedulers import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator
+from tests.oracles import handoff as handoff_oracle
 from tests.oracles import hexgrid as hexgrid_oracle
 from tests.oracles.linkgain import TwoStateLinkGainMap
 from tests.oracles.powercontrol import forward_solve, reverse_solve
@@ -173,6 +179,65 @@ class TestPowerControlParity:
                 )
             assert np.array_equal(new.power_limited, old.power_limited)
             assert new.iterations == old.iterations
+
+
+# -- soft hand-off ----------------------------------------------------------------------
+
+
+@st.composite
+def handoff_cases(draw):
+    max_size = draw(st.integers(1, 6))
+    return dict(
+        num_mobiles=draw(st.integers(0, 300)),
+        num_cells=draw(st.sampled_from([1, 7, 19])),
+        max_size=max_size,
+        reduced=draw(st.integers(1, max_size)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        frames=draw(st.integers(1, 6)),
+    )
+
+
+def draw_pilots(rng, num_mobiles, num_cells):
+    """Pilots around the add/drop thresholds, with exact ties and orphaned rows."""
+    pilots = 10.0 ** rng.uniform(-2.5, -0.5, size=(num_mobiles, num_cells))
+    # Rows quantised to a few levels tie exactly, also across the thresholds.
+    tied = rng.random(num_mobiles) < 0.2
+    levels = np.array([0.0, 10.0 ** -1.6, 10.0 ** -1.4, 0.05])
+    pilots[tied] = rng.choice(levels, size=(int(tied.sum()), num_cells))
+    # Rows far below the drop threshold leave no cell eligible (orphans);
+    # some of them are flat or zero, so the strongest cell is itself a tie.
+    orphaned = rng.random(num_mobiles) < 0.15
+    pilots[orphaned] *= 1e-3
+    flat = orphaned & (rng.random(num_mobiles) < 0.3)
+    pilots[flat] = rng.choice([0.0, 1e-5])
+    return pilots
+
+
+class TestHandoffParity:
+    @settings(max_examples=80, deadline=None)
+    @given(case=handoff_cases())
+    def test_candidate_rank_matches_full_sort(self, case):
+        # Same pilots, frame after frame, into the production update and the
+        # full-row stable argsort it replaced: the ordered sets, their sizes
+        # and the hand-off event count must agree exactly.
+        kwargs = dict(
+            num_mobiles=case["num_mobiles"],
+            max_active_set_size=case["max_size"],
+            reduced_active_set_size=case["reduced"],
+        )
+        new, old = SoftHandoffController(**kwargs), SoftHandoffController(**kwargs)
+        rng = np.random.default_rng(case["seed"])
+        for _ in range(case["frames"]):
+            pilots = draw_pilots(rng, case["num_mobiles"], case["num_cells"])
+            new.update(pilots)
+            handoff_oracle.update(old, pilots)
+            assert_bit_identical(new._ordered, old._ordered)
+            assert_bit_identical(new._count, old._count)
+            assert new.handoff_events == old.handoff_events
+            assert np.array_equal(
+                new.reduced_active_set_matrix(case["num_cells"]),
+                old.reduced_active_set_matrix(case["num_cells"]),
+            )
 
 
 # -- geometry ---------------------------------------------------------------------------
