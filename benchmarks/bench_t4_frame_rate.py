@@ -5,15 +5,17 @@ Measures ``CdmaNetwork.step`` throughput (frames/sec) at configurable scale
 
 * ``seed_baseline`` — a faithful transcription of the seed implementation
   (per-mobile distance loops, per-frame list comprehensions, Python hand-off
-  loop, double local-mean gain build, cold-start power control) monkey-patched
-  onto the current classes.  Where the transcription cannot reach (the solver
-  kernels themselves were micro-optimised in place), the baseline silently
-  benefits, so the reported speedups are *conservative*.  Its channel
-  follows the current link-gain formula (path loss in dB, one ``exp``), so
-  that its snapshots stay comparable bit for bit.
+  loop, double local-mean gain build, eager measurement matrices)
+  monkey-patched onto the current classes.  Where the transcription cannot
+  reach, the baseline silently benefits, so the reported speedups are
+  *conservative*: it calls the production power-control solvers (their
+  arithmetic is checked against the full-row oracle by
+  ``tests/test_kernel_parity.py``).  Its channel follows the current
+  link-gain formula (path loss in dB, one ``exp``), so that its snapshots
+  stay comparable bit for bit.
 * ``optimized_cold`` — the vectorised pipeline (power control starts cold
-  every frame); snapshot numerics are bit-identical to the seed
-  implementation.
+  every frame); snapshot numerics, the on-demand measurement matrices
+  included, are bit-identical to the seed transcription.
 
 Emits ``BENCH_frame_rate.json`` (repo root by default) with the per-frame
 timing trajectories, the speedups and the parity verdicts.  Run standalone::
@@ -160,171 +162,6 @@ class _SeedHandoffController:
         if not self._states:
             return 0.0
         return float(np.mean([s.in_soft_handoff for s in self._states]))
-
-
-def _seed_reverse_solve(
-    self,
-    gains,
-    serving_cells,
-    active,
-    noise_power_w,
-    extra_received_power_w=None,
-    rate_factor=None,
-):
-    from repro.cdma.powercontrol import PowerControlResult
-
-    gains = np.asarray(gains, dtype=float)
-    num_mobiles, num_cells = gains.shape
-    serving = np.asarray(serving_cells, dtype=int).reshape(num_mobiles)
-    active = np.asarray(active, dtype=bool).reshape(num_mobiles)
-    noise = np.asarray(noise_power_w, dtype=float).reshape(num_cells)
-    extra = (
-        np.zeros(num_cells)
-        if extra_received_power_w is None
-        else np.asarray(extra_received_power_w, dtype=float).reshape(num_cells)
-    )
-    rate = (
-        np.ones(num_mobiles)
-        if rate_factor is None
-        else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
-    )
-    if np.any(rate <= 0.0) or np.any(rate > 1.0):
-        raise ValueError("rate_factor entries must lie in (0, 1]")
-
-    q = self.ebio_target * rate / self.processing_gain
-    own_gain = gains[np.arange(num_mobiles), serving]
-    tx = np.zeros(num_mobiles, dtype=float)
-    totals = noise + extra
-    iterations_done = 0
-    overhead = 1.0 + self.pilot_overhead
-
-    for iteration in range(self.iterations):
-        iterations_done = iteration + 1
-        required_rx = (q / (1.0 + q)) * totals[serving]
-        new_tx = np.where(
-            active & (own_gain > 0.0), required_rx / np.maximum(own_gain, 1e-300), 0.0
-        )
-        new_tx = np.minimum(new_tx, self.max_tx_power_w / overhead)
-        new_totals = noise + extra + (gains * (new_tx * overhead)[:, np.newaxis]).sum(
-            axis=0
-        )
-        delta = np.max(np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300))
-        tx, totals = new_tx, new_totals
-        if delta < self.tolerance:
-            break
-
-    received = tx * own_gain
-    interference = totals[serving] - received
-    with np.errstate(divide="ignore", invalid="ignore"):
-        achieved = np.where(
-            active & (interference > 0.0),
-            (self.processing_gain / rate) * received / np.maximum(interference, 1e-300),
-            np.nan,
-        )
-    limited = active & (tx >= self.max_tx_power_w / overhead - 1e-12) & (
-        achieved < self.ebio_target * (1.0 - 1e-6)
-    )
-    return PowerControlResult(
-        tx_power_w=tx,
-        total_power_w=totals,
-        achieved_sir=achieved,
-        power_limited=limited,
-        iterations=iterations_done,
-    )
-
-
-def _seed_forward_solve(
-    self,
-    gains,
-    active_set,
-    active,
-    base_power_w,
-    max_traffic_power_w,
-    extra_traffic_power_w=None,
-    max_link_power_w=None,
-    rate_factor=None,
-):
-    from repro.cdma.powercontrol import PowerControlResult
-
-    gains = np.asarray(gains, dtype=float)
-    num_mobiles, num_cells = gains.shape
-    active_set = np.asarray(active_set, dtype=bool).reshape(num_mobiles, num_cells)
-    active = np.asarray(active, dtype=bool).reshape(num_mobiles)
-    base = np.asarray(base_power_w, dtype=float).reshape(num_cells)
-    budget = np.asarray(max_traffic_power_w, dtype=float).reshape(num_cells)
-    extra = (
-        np.zeros(num_cells)
-        if extra_traffic_power_w is None
-        else np.asarray(extra_traffic_power_w, dtype=float).reshape(num_cells)
-    )
-    rate = (
-        np.ones(num_mobiles)
-        if rate_factor is None
-        else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
-    )
-    if np.any(rate <= 0.0) or np.any(rate > 1.0):
-        raise ValueError("rate_factor entries must lie in (0, 1]")
-
-    legs = active_set.sum(axis=1)
-    legs = np.maximum(legs, 1)
-    alloc = np.zeros((num_mobiles, num_cells), dtype=float)
-    totals = base + extra
-    serving = np.argmax(np.where(active_set, gains, -np.inf), axis=1)
-    iterations_done = 0
-    q = self.ebio_target * rate / self.processing_gain
-
-    for iteration in range(self.iterations):
-        iterations_done = iteration + 1
-        received_all = gains * totals[np.newaxis, :]
-        own = received_all[np.arange(num_mobiles), serving]
-        interference = (
-            received_all.sum(axis=1)
-            - (1.0 - self.orthogonality_factor) * own
-            + self.mobile_noise_power_w
-        )
-        required_rx = q * interference
-        per_leg_rx = required_rx / legs
-        with np.errstate(divide="ignore"):
-            new_alloc = np.where(
-                active_set & active[:, np.newaxis] & (gains > 0.0),
-                per_leg_rx[:, np.newaxis] / np.maximum(gains, 1e-300),
-                0.0,
-            )
-        if max_link_power_w is not None:
-            new_alloc = np.minimum(new_alloc, max_link_power_w)
-        traffic = new_alloc.sum(axis=0) + extra
-        scale = np.where(traffic > budget, budget / np.maximum(traffic, 1e-300), 1.0)
-        new_alloc = new_alloc * scale[np.newaxis, :]
-        new_totals = base + extra + new_alloc.sum(axis=0)
-        delta = np.max(np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300))
-        alloc, totals = new_alloc, new_totals
-        if delta < self.tolerance:
-            break
-
-    received_all = gains * totals[np.newaxis, :]
-    own = received_all[np.arange(num_mobiles), serving]
-    interference = (
-        received_all.sum(axis=1)
-        - (1.0 - self.orthogonality_factor) * own
-        + self.mobile_noise_power_w
-    )
-    received_fch = (alloc * gains).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        achieved = np.where(
-            active,
-            (self.processing_gain / rate)
-            * received_fch
-            / np.maximum(interference, 1e-300),
-            np.nan,
-        )
-    limited = active & (achieved < 0.75 * self.ebio_target)
-    return PowerControlResult(
-        tx_power_w=alloc,
-        total_power_w=totals,
-        achieved_sir=achieved,
-        power_limited=limited,
-        iterations=iterations_done,
-    )
 
 
 def _seed_set_positions(self, positions):
@@ -479,8 +316,6 @@ def make_seed_baseline(net: CdmaNetwork) -> CdmaNetwork:
     net.advance = types.MethodType(_seed_advance, net)
     net._update_handoff = types.MethodType(_seed_update_handoff, net)
     net.snapshot = types.MethodType(_seed_snapshot, net)
-    net.reverse_pc.solve = types.MethodType(_seed_reverse_solve, net.reverse_pc)
-    net.forward_pc.solve = types.MethodType(_seed_forward_solve, net.forward_pc)
     # Replace the vectorised hand-off controller with the seed's Python-loop
     # one and rebuild its state from the current (t=0) pilots — the resulting
     # active sets are identical, since both derive from the same measurement.
@@ -652,6 +487,9 @@ def _snapshot_arrays(snapshot: NetworkSnapshot) -> Dict[str, np.ndarray]:
         "sch_csi_reverse": snapshot.sch_mean_csi_reverse,
         "reverse_pilots": snapshot.reverse_load.reverse_pilot_strength,
         "forward_pilots": snapshot.reverse_load.forward_pilot_strength,
+        "forward_fch": snapshot.forward_load.fch_power_w,
+        "active_membership": snapshot.active_membership(),
+        "reduced_membership": snapshot.reduced_membership(),
     }
 
 

@@ -4,8 +4,12 @@ These are the solvers' ``solve`` bodies from before they gathered the active
 rows, kept verbatim as parity oracles except for the warm start: the
 production solvers lost ``initial_total_power_w``, the direct seeds and the
 Aitken extrapolation, so the oracles lost their warm branch too and always
-start cold.  Call them with a controller instance as the first argument:
-``reverse_solve(pc, gains, serving, active, noise)``.
+start cold.  Until the sweeps became BLAS matrix-vector products, the
+row-gathered solvers matched these bit for bit (``K >= 2``); the products sum
+in another order, so the parity tests now match them to ``rtol=1e-12``.
+Both oracles also report the last sweep's ``residual`` and ``converged``, as
+the production results do.  Call them with a controller instance as the
+first argument: ``reverse_solve(pc, gains, serving, active, noise)``.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ def reverse_solve(
         achieved_sir=achieved,
         power_limited=limited,
         iterations=iterations_done,
+        residual=float(delta),
+        converged=bool(delta < pc.tolerance),
     )
 
 
@@ -207,4 +213,6 @@ def forward_solve(
         achieved_sir=achieved,
         power_limited=limited,
         iterations=iterations_done,
+        residual=float(delta),
+        converged=bool(delta < pc.tolerance),
     )

@@ -199,3 +199,37 @@ class TestForwardLinkPowerControl:
         with pytest.raises(ValueError):
             ForwardLinkPowerControl(processing_gain=128.0, ebio_target=5.0,
                                     mobile_noise_power_w=0.0)
+
+
+class TestConvergenceReport:
+    def test_paper_scale_snapshot_converges(self):
+        # Both links of the paper's scenario reach the fixed point well inside
+        # the iteration cap, and say so.
+        from repro.experiments.common import paper_scenario
+        from repro.mac.schedulers import JabaSdScheduler
+        from repro.simulation import DynamicSystemSimulator
+
+        simulator = DynamicSystemSimulator(
+            paper_scenario(num_data_users_per_cell=16, duration_s=1.0, warmup_s=0.0),
+            JabaSdScheduler("J1"),
+        )
+        simulator.run()
+        network = simulator.network
+        snapshot = network.snapshot()
+        for result, pc in ((snapshot.reverse_pc, network.reverse_pc),
+                           (snapshot.forward_pc, network.forward_pc)):
+            assert result.converged
+            assert result.residual < pc.tolerance
+            assert result.iterations < pc.iterations
+
+    def test_iteration_cap_reports_not_converged(self):
+        pc = ReverseLinkPowerControl(processing_gain=128.0, ebio_target=5.0, iterations=1)
+        result = pc.solve(
+            gains=two_cell_gains(),
+            serving_cells=np.array([0, 1]),
+            active=np.array([True, True]),
+            noise_power_w=np.full(2, 1e-13),
+        )
+        assert result.iterations == 1
+        assert not result.converged
+        assert result.residual >= pc.tolerance
