@@ -400,11 +400,14 @@ class ForwardLinkPowerControl:
                 fch = np.minimum(
                     weight * interference[:, np.newaxis], max_link_power_w
                 ).sum(axis=0)
-            traffic = fch + extra
-            # If a cell exceeds its budget, scale its allocations down
-            # proportionally (the overloaded users will show as power
-            # limited).
-            scale = np.where(traffic > budget, budget / np.maximum(traffic, 1e-300), 1.0)
+            # If a cell exceeds its budget, scale its FCH allocations down
+            # proportionally into the room its committed SCH power leaves
+            # (the overloaded users will show as power limited).
+            scale = np.where(
+                fch + extra > budget,
+                np.maximum(budget - extra, 0.0) / np.maximum(fch, 1e-300),
+                1.0,
+            )
             new_totals = base_extra + scale * fch
             delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
             totals = new_totals

@@ -8,7 +8,9 @@ start cold.  Until the sweeps became BLAS matrix-vector products, the
 row-gathered solvers matched these bit for bit (``K >= 2``); the products sum
 in another order, so the parity tests now match them to ``rtol=1e-12``.
 Both oracles also report the last sweep's ``residual`` and ``converged``, as
-the production results do.  Call them with a controller instance as the
+the production results do, and ``forward_solve`` scales a saturated cell's
+FCH allocations into the room its committed SCH power leaves, as the
+production solver does.  Call them with a controller instance as the
 first argument: ``reverse_solve(pc, gains, serving, active, noise)``.
 """
 
@@ -169,12 +171,14 @@ def forward_solve(
             )
             if max_link_power_w is not None:
                 np.minimum(new_alloc, max_link_power_w, out=new_alloc)
-            traffic = new_alloc.sum(axis=0) + extra
-            # If a cell exceeds its budget, scale its allocations down
-            # proportionally (the overloaded users will show as power
-            # limited).
+            fch = new_alloc.sum(axis=0)
+            # If a cell exceeds its budget, scale its FCH allocations down
+            # proportionally into the room its committed SCH power leaves
+            # (the overloaded users will show as power limited).
             scale = np.where(
-                traffic > budget, budget / np.maximum(traffic, 1e-300), 1.0
+                fch + extra > budget,
+                np.maximum(budget - extra, 0.0) / np.maximum(fch, 1e-300),
+                1.0,
             )
             new_alloc *= scale[np.newaxis, :]
             new_totals = base_extra + new_alloc.sum(axis=0)

@@ -166,6 +166,27 @@ class TestForwardLinkPowerControl:
         assert traffic_power <= 16.0 + 1e-6
         assert result.power_limited.any()
 
+    def test_saturated_cell_keeps_committed_power_within_budget(self):
+        # Far users saturate both cells while granted SCH bursts hold part of
+        # the budget: the FCH allocations shrink into the room the bursts
+        # leave, so the cell power stays at P_max (the FCH scale used to be
+        # budget / (fch + extra), which left it above P_max).
+        pc = self.make()
+        base, budget, extra = 2.0, 16.0, np.array([5.0, 12.0])
+        result = pc.solve(
+            gains=np.full((300, 2), 3e-15),
+            active_set=np.ones((300, 2), dtype=bool),
+            active=np.ones(300, dtype=bool),
+            base_power_w=np.full(2, base),
+            max_traffic_power_w=np.full(2, budget),
+            extra_traffic_power_w=extra,
+        )
+        p_max = base + budget
+        assert np.all(result.total_power_w <= p_max * (1.0 + 1e-12))
+        assert np.all(result.total_power_w >= p_max * (1.0 - 1e-12))
+        np.testing.assert_allclose(result.tx_power_w.sum(axis=0), budget - extra, rtol=1e-12)
+        assert result.power_limited.all()
+
     def test_extra_traffic_power_reduces_headroom(self):
         pc = self.make()
         gains = two_cell_gains()
