@@ -214,12 +214,17 @@ class SoftHandoffController:
         # the sort; a single eligible cell is the whole set.
         new_ordered = np.full_like(self._ordered, -1)
         single = np.flatnonzero(num_eligible == 1)
-        new_ordered[single, 0] = np.argmax(eligible[single], axis=1)
+        new_ordered[single, 0] = np.argmax(np.take(eligible, single, axis=0), axis=1)
         ranked = np.flatnonzero(num_eligible > 1)
         if ranked.size:
-            score = np.where(eligible[ranked], pilots[ranked], -np.inf)
+            # Ascending in -pilot (ineligible cells last), stable on ties.
+            key = np.where(
+                np.take(eligible, ranked, axis=0),
+                -np.take(pilots, ranked, axis=0),
+                np.inf,
+            )
             width = min(self.max_active_set_size, num_cells)
-            top = np.argsort(-score, axis=1, kind="stable")[:, :width]
+            top = np.argsort(key, axis=1, kind="stable")[:, :width]
             slots = np.arange(width)[np.newaxis, :]
             new_ordered[ranked, :width] = np.where(
                 slots < counts[ranked, np.newaxis], top, -1

@@ -1,9 +1,14 @@
 """Parity oracles: earlier implementations of kernels that were replaced.
 
 Each module keeps the replaced code verbatim so tests can assert that the
-production kernel returns the same results, bit for bit.  One exception:
-:mod:`tests.oracles.linkgain` is matched to ``rtol=1e-12`` on the gains and
-1e-12 dB on the shadowing, because the production map sums the shadowing in
-one AR(1) state instead of two and builds the gain with ``exp`` instead of
-``10.0 **``, which round differently.
+production kernel returns the same results, bit for bit.  Two exceptions:
+
+* :mod:`tests.oracles.linkgain` is matched to ``rtol=1e-12`` on the gains and
+  1e-12 dB on the shadowing, because the production map sums the shadowing
+  in one AR(1) state instead of two and builds the gain with ``exp`` instead
+  of ``10.0 **``, which round differently;
+* :mod:`tests.oracles.powercontrol` is matched to ``rtol=1e-12`` (``atol=0``)
+  on the powers and Eb/Io, with equal outage flags, iteration counts and
+  convergence verdicts, because the production sweeps sum with BLAS
+  matrix-vector products, in another order than the elementwise sweeps.
 """
