@@ -153,14 +153,12 @@ class SoftHandoffController:
         self._count = np.zeros(self.num_mobiles, dtype=np.int64)
         self._states_cache: Optional[_LazyActiveSetStates] = None
         self._active_matrix_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._reduced_matrix_cache: Optional[Tuple[int, np.ndarray]] = None
         #: Count of hand-off events (active-set changes), for reporting.
         self.handoff_events = 0
 
     def _invalidate_caches(self) -> None:
         self._states_cache = None
         self._active_matrix_cache = None
-        self._reduced_matrix_cache = None
 
     def state(self, mobile_index: int) -> ActiveSetState:
         """Hand-off state of mobile ``mobile_index``."""
@@ -243,15 +241,6 @@ class SoftHandoffController:
             return cache[1]
         out = membership_matrix(self._ordered, num_cells)
         self._active_matrix_cache = (num_cells, out)
-        return out
-
-    def reduced_active_set_matrix(self, num_cells: int) -> np.ndarray:
-        """Boolean matrix of *reduced* active-set membership (SCH legs)."""
-        cache = self._reduced_matrix_cache
-        if cache is not None and cache[0] == num_cells:
-            return cache[1]
-        out = membership_matrix(self.reduced_active_sets(), num_cells)
-        self._reduced_matrix_cache = (num_cells, out)
         return out
 
     def reduced_active_sets(self) -> np.ndarray:

@@ -56,7 +56,7 @@ class ForwardLinkLoad:
         self.current_power_w = np.asarray(current_power_w, dtype=float)
         self._fch_power_w: Optional[np.ndarray] = np.asarray(fch_power_w, dtype=float)
         self._allocation_w: Optional[np.ndarray] = None
-        self._rate_factor: Optional[np.ndarray] = None
+        self._rate_divisor: Optional[np.ndarray] = None
         k = self.max_traffic_power_w.shape[0]
         if self.current_power_w.shape != (k,):
             raise ValueError("current_power_w must have one entry per cell")
@@ -75,15 +75,17 @@ class ForwardLinkLoad:
         """Load whose ``P_{j,k}`` rows are computed on demand.
 
         ``fch_allocation_w`` is the forward power-control allocation at the
-        rate each mobile currently holds, shape ``(J, K)``; ``rate_factor``
-        that rate relative to the full-rate FCH, shape ``(J,)``.  Both are
-        kept by reference and must not change afterwards.
+        rate each mobile currently holds, shape ``(J, K)``, kept by reference
+        (it must not change afterwards); ``rate_factor`` that rate relative
+        to the full-rate FCH, shape ``(J,)``.
         """
         # The allocation has the (J, K) shape of the matrix it stands in for.
         load = cls(max_traffic_power_w, current_power_w, fch_allocation_w)
         load._allocation_w, load._fch_power_w = load._fch_power_w, None
-        load._rate_factor = np.asarray(rate_factor, dtype=float).reshape(
-            load._num_mobiles
+        # Eq. (6) assumes the measured P_{j,k} refers to a full-rate FCH: the
+        # allocation is divided by the current rate (floored, never zero).
+        load._rate_divisor = np.maximum(
+            np.asarray(rate_factor, dtype=float).reshape(load._num_mobiles), 1e-12
         )
         return load
 
@@ -98,11 +100,7 @@ class ForwardLinkLoad:
         """``P_{j,k}`` of the ``mobiles`` (an index array or slice), shape ``(n, K)``."""
         if self._fch_power_w is not None:
             return self._fch_power_w[mobiles]
-        # Eq. (6) assumes the measured P_{j,k} refers to a full-rate FCH.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._allocation_w[mobiles] / np.maximum(
-                self._rate_factor[mobiles, np.newaxis], 1e-12
-            )
+        return self._allocation_w[mobiles] / self._rate_divisor[mobiles, np.newaxis]
 
     @property
     def num_cells(self) -> int:
@@ -204,8 +202,6 @@ class ReverseLinkLoad:
             max_interference_w, current_interference_w, gains, gains,
             fch_pilot_power_ratio,
         )
-        if np.any(load.current_interference_w <= 0.0):
-            raise ValueError("current_interference_w must be strictly positive")
         load._reverse_pilot = load._forward_pilot = None
         load._gains = gains
         load._mobile_pilot_tx_w = np.asarray(mobile_pilot_tx_power_w, dtype=float)

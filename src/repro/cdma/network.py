@@ -93,10 +93,10 @@ class NetworkSnapshot:
         the reduced-set matrix, so :meth:`reduced_membership_rows` scatters
         only the requesters' rows.
 
-    A snapshot taken by :class:`CdmaNetwork` computes the per-mobile
-    ``(J, K)`` measurements the admission layer reads per request (the full-
-    rate FCH allocations, both pilot Ec/Io matrices and the reduced-set
-    membership) on demand; see :mod:`repro.cdma.loading`.
+    A snapshot taken by :class:`CdmaNetwork` computes the ``(J, K)``
+    measurements the admission layer reads per request on demand: the
+    full-rate FCH allocations, both pilot Ec/Io matrices (see
+    :mod:`repro.cdma.loading`) and the reduced-set membership.
     """
 
     time_s: float
@@ -488,8 +488,7 @@ class CdmaNetwork:
             # FCH allocations + committed bursts.
             current_power_w=forward_result.total_power_w - bs_common,
             fch_allocation_w=forward_result.tx_power_w,
-            # set_fch_state rewrites the network's array in place.
-            rate_factor=rate_factors.copy(),
+            rate_factor=rate_factors,
         )
         reverse_load = ReverseLinkLoad.measured(
             max_interference_w=self._bs_max_reverse_interference_w,

@@ -378,12 +378,11 @@ class ForwardLinkPowerControl:
         interference_gains[own_index, serving] *= self.orthogonality_factor
         # FCH power of each leg per watt of interference: the total received
         # FCH power needed is q * interference, split evenly over the legs.
-        with np.errstate(divide="ignore"):
-            weight = np.where(
-                row_set & (row_gains > 0.0),
-                (q / legs)[:, np.newaxis] / np.maximum(row_gains, 1e-300),
-                0.0,
-            )
+        weight = np.where(
+            row_set & (row_gains > 0.0),
+            (q / legs)[:, np.newaxis] / np.maximum(row_gains, 1e-300),
+            0.0,
+        )
         # A per-link cap binds on a row only if its largest leg reaches it.
         max_weight = weight.max(axis=1, initial=0.0)
 

@@ -26,11 +26,11 @@ membership matrices, a row-wise top-``scrm_max_pilots`` selection and one
 vectorised relative-path-loss matrix), so the per-frame admission cost does
 not scale with the queue length in Python.  The per-request rows come from
 the snapshot's row accessors, which compute only those rows for a snapshot
-taken by the network (the whole ``(J, K)`` matrices are never built there).  The kernels must stay
-bit-identical (``np.array_equal``) to the per-request transcription of
-eqs. (6)–(18) kept as a parity oracle in ``tests/oracles/measurement.py``;
-``tests/test_mac_measurement.py`` and ``benchmarks/bench_admission_queue.py``
-compare against it.
+taken by the network (the whole ``(J, K)`` matrices are never built there).
+The kernels must stay bit-identical (``np.array_equal``) to the per-request
+transcription of eqs. (6)–(18) kept as a parity oracle in
+``tests/oracles/measurement.py``; ``tests/test_mac_measurement.py`` and
+``benchmarks/bench_admission_queue.py`` compare against it.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cdma.handoff import SoftHandoffController
+from repro.cdma.handoff import SoftHandoffController, membership_matrix
 from repro.cdma.linkgain import LinkGainMap
 from repro.geometry.hexgrid import HexagonalCellLayout
 
@@ -159,7 +159,7 @@ class TestSoftHandoffController:
         pilots = self._pilot_matrix([[0.08, 0.07], [0.08, 0.001]])
         controller.update(pilots)
         active = controller.active_set_matrix(2)
-        reduced = controller.reduced_active_set_matrix(2)
+        reduced = membership_matrix(controller.reduced_active_sets(), 2)
         assert active[0].sum() == 2 and active[1].sum() == 1
         assert reduced.shape == (2, 2)
         assert controller.soft_handoff_fraction() == pytest.approx(0.5)
@@ -278,7 +278,7 @@ class TestVectorisedHandoffParity:
         pilots = 10.0 ** rng.uniform(-2.5, -0.5, size=(10, 7))
         controller.update(pilots)
         active = controller.active_set_matrix(7)
-        reduced = controller.reduced_active_set_matrix(7)
+        reduced = membership_matrix(controller.reduced_active_sets(), 7)
         for j in range(10):
             state = controller.state(j)
             assert sorted(np.flatnonzero(active[j])) == sorted(state.active_set)

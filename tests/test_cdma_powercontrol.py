@@ -169,8 +169,8 @@ class TestForwardLinkPowerControl:
     def test_saturated_cell_keeps_committed_power_within_budget(self):
         # Far users saturate both cells while granted SCH bursts hold part of
         # the budget: the FCH allocations shrink into the room the bursts
-        # leave, so the cell power stays at P_max (the FCH scale used to be
-        # budget / (fch + extra), which left it above P_max).
+        # leave, so the cell power stays at P_max (a scale of
+        # budget / (fch + extra) would leave it above P_max).
         pc = self.make()
         base, budget, extra = 2.0, 16.0, np.array([5.0, 12.0])
         result = pc.solve(
