@@ -13,13 +13,14 @@ depend on that frame's inputs alone.
 Only mobiles whose FCH carries traffic take part in the fixed point (about
 a fifth of the population in the paper's scenarios), so both solvers gather
 those rows once per solve, iterate on them alone and scatter the result back
-into the full-size outputs.  Each sum of a sweep over those rows is one BLAS
-matrix-vector product: the per-cell received power on the reverse link, and
-on the forward link the per-mobile interference and (unless a per-link cap
-can bind) the per-cell FCH power.  The products sum in another order than
-the elementwise sweeps they replaced, kept as the parity oracle in
-``tests/oracles/powercontrol.py`` and matched to ``rtol=1e-12``.  Every
-result reports the last sweep's ``residual`` and whether it ``converged``.
+into the full-size outputs.  Each sweep's product over those rows is one
+BLAS matrix-vector product: the per-cell received power on the reverse link,
+the per-mobile interference on the forward link, whose per-leg allocations
+are then capped and summed per cell elementwise.  The products sum in
+another order than the elementwise sweeps they replaced, kept as the parity
+oracle in ``tests/oracles/powercontrol.py`` and matched to ``rtol=1e-12``.
+Every result reports the last sweep's ``residual`` and whether it
+``converged``.
 
 Forward and reverse links are power-limited and interference-limited
 respectively (Section 3.1), and are therefore handled by separate solvers:
@@ -334,11 +335,9 @@ class ForwardLinkPowerControl:
         The Yates iterations and the final Eb/Io run on the active rows only;
         inactive mobiles get no allocation and a ``nan`` Eb/Io.  Each sweep
         takes the interference of every mobile as one matrix-vector product
-        (gains with the serving column scaled by the orthogonality factor)
-        and the FCH power of every cell as a second one (per-leg power per
-        watt of interference).  When a per-link cap can bind, i.e. some
-        row's largest weight times its interference exceeds it, the capped
-        allocations are summed elementwise instead.
+        (gains with the serving column scaled by the orthogonality factor);
+        the per-leg allocations it implies are capped and summed per cell
+        elementwise.
         """
         gains = np.asarray(gains, dtype=float)
         num_mobiles, num_cells = gains.shape
@@ -383,22 +382,14 @@ class ForwardLinkPowerControl:
             (q / legs)[:, np.newaxis] / np.maximum(row_gains, 1e-300),
             0.0,
         )
-        # A per-link cap binds on a row only if its largest leg reaches it.
-        max_weight = weight.max(axis=1, initial=0.0)
 
         for iteration in range(self.iterations):
             iterations_done = iteration + 1
             interference = interference_gains @ totals + self.mobile_noise_power_w
-            # FCH power per cell: one matrix-vector product unless a per-link
-            # cap can bind (then the capped allocations are summed).
-            if max_link_power_w is None or np.all(
-                max_weight * interference <= max_link_power_w
-            ):
-                fch = weight.T @ interference
-            else:
-                fch = np.minimum(
-                    weight * interference[:, np.newaxis], max_link_power_w
-                ).sum(axis=0)
+            row_alloc = weight * interference[:, np.newaxis]
+            if max_link_power_w is not None:
+                np.minimum(row_alloc, max_link_power_w, out=row_alloc)
+            fch = row_alloc.sum(axis=0)
             # If a cell exceeds its budget, scale its FCH allocations down
             # proportionally into the room its committed SCH power leaves
             # (the overloaded users will show as power limited).
@@ -415,9 +406,6 @@ class ForwardLinkPowerControl:
 
         # The allocation of the last iteration, and the Eb/Io it achieves
         # against the final cell powers.
-        row_alloc = weight * interference[:, np.newaxis]
-        if max_link_power_w is not None:
-            np.minimum(row_alloc, max_link_power_w, out=row_alloc)
         row_alloc *= scale[np.newaxis, :]
         interference = interference_gains @ totals + self.mobile_noise_power_w
         received_fch = (row_alloc * row_gains).sum(axis=1)

@@ -1,7 +1,8 @@
 """Parity of the frame kernels with the implementations they replaced.
 
-* Power control: the solvers iterate on the active rows only, one BLAS
-  matrix-vector product per sum; their :class:`PowerControlResult` must
+* Power control: the solvers iterate on the active rows only, the reverse
+  received power and the forward interference as BLAS matrix-vector
+  products; their :class:`PowerControlResult` must
   match the full-row reference solve kept in :mod:`tests.oracles.powercontrol`
   to ``rtol=1e-12`` (``atol=0``) on the powers and Eb/Io, with equal outage
   flags, iteration counts and convergence verdicts.  The products sum in
