@@ -247,10 +247,13 @@ class SoftHandoffController:
         """Reduced active sets (SCH legs) as cell indices, strongest first.
 
         Shape ``(num_mobiles, reduced_active_set_size)``, ``-1`` padded.  A
-        view of the ordered index matrix, which :meth:`update` replaces and
-        never mutates, so it stays a snapshot of the current frame.
+        read-only view of the ordered index matrix, which :meth:`update`
+        replaces and never mutates, so it stays a snapshot of the current
+        frame.
         """
-        return self._ordered[:, : self.reduced_active_set_size]
+        view = self._ordered[:, : self.reduced_active_set_size]
+        view.flags.writeable = False
+        return view
 
     def serving_cells(self) -> np.ndarray:
         """Serving (strongest-pilot) cell of each mobile."""

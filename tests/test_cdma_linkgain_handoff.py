@@ -165,6 +165,15 @@ class TestSoftHandoffController:
         assert controller.soft_handoff_fraction() == pytest.approx(0.5)
         assert list(controller.serving_cells()) == [0, 0]
 
+    def test_shared_views_are_read_only(self):
+        # Snapshots hold these; a write would corrupt the next update's
+        # change detection and the serving cells.
+        controller = SoftHandoffController(num_mobiles=2)
+        controller.update(self._pilot_matrix([[0.08, 0.07], [0.08, 0.001]]))
+        for shared in (controller.reduced_active_sets(), controller.active_set_matrix(2)):
+            with pytest.raises(ValueError):
+                shared[:] = shared[::-1]
+
     def test_handoff_event_counter(self):
         controller = SoftHandoffController(num_mobiles=1)
         controller.update(self._pilot_matrix([[0.08, 0.001]]))
