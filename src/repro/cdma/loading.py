@@ -20,13 +20,21 @@ attribute and cached.  A load built by hand keeps the matrices it is given.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cdma.pilot import forward_pilot_ec_io_rows, reverse_pilot_ec_io
 
 __all__ = ["ForwardLinkLoad", "ReverseLinkLoad"]
+
+
+def _checked(name: str, values, shape: Tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array, refused unless its shape is ``shape``."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {array.shape}")
+    return array
 
 
 class ForwardLinkLoad:
@@ -52,17 +60,15 @@ class ForwardLinkLoad:
         current_power_w: np.ndarray,
         fch_power_w: np.ndarray,
     ) -> None:
-        self.max_traffic_power_w = np.asarray(max_traffic_power_w, dtype=float)
-        self.current_power_w = np.asarray(current_power_w, dtype=float)
-        self._fch_power_w: Optional[np.ndarray] = np.asarray(fch_power_w, dtype=float)
+        self._set_cells(max_traffic_power_w, current_power_w)
+        fch = np.asarray(fch_power_w, dtype=float)
+        # (J, K), with J the matrix's own row count.
+        self._fch_power_w: Optional[np.ndarray] = _checked(
+            "fch_power_w", fch, fch.shape[:1] + (self.num_cells,)
+        )
+        self._num_mobiles = fch.shape[0]
         self._allocation_w: Optional[np.ndarray] = None
         self._rate_divisor: Optional[np.ndarray] = None
-        k = self.max_traffic_power_w.shape[0]
-        if self.current_power_w.shape != (k,):
-            raise ValueError("current_power_w must have one entry per cell")
-        if self._fch_power_w.ndim != 2 or self._fch_power_w.shape[1] != k:
-            raise ValueError("fch_power_w must have shape (num_mobiles, num_cells)")
-        self._num_mobiles = self._fch_power_w.shape[0]
 
     @classmethod
     def measured(
@@ -79,15 +85,25 @@ class ForwardLinkLoad:
         (it must not change afterwards); ``rate_factor`` that rate relative
         to the full-rate FCH, shape ``(J,)``.
         """
-        # The allocation has the (J, K) shape of the matrix it stands in for.
-        load = cls(max_traffic_power_w, current_power_w, fch_allocation_w)
-        load._allocation_w, load._fch_power_w = load._fch_power_w, None
+        load = cls.__new__(cls)
+        load._set_cells(max_traffic_power_w, current_power_w)
+        allocation = np.asarray(fch_allocation_w, dtype=float)
+        load._allocation_w = _checked(
+            "fch_allocation_w", allocation, allocation.shape[:1] + (load.num_cells,)
+        )
+        load._num_mobiles = allocation.shape[0]
         # Eq. (6) assumes the measured P_{j,k} refers to a full-rate FCH: the
         # allocation is divided by the current rate (floored, never zero).
-        load._rate_divisor = np.maximum(
-            np.asarray(rate_factor, dtype=float).reshape(load._num_mobiles), 1e-12
-        )
+        rate = _checked("rate_factor", rate_factor, (load._num_mobiles,))
+        load._rate_divisor = np.maximum(rate, 1e-12)
+        load._fch_power_w = None
         return load
+
+    def _set_cells(self, max_traffic_power_w, current_power_w) -> None:
+        self.max_traffic_power_w = np.asarray(max_traffic_power_w, dtype=float)
+        self.current_power_w = _checked(
+            "current_power_w", current_power_w, (self.num_cells,)
+        )
 
     @property
     def fch_power_w(self) -> np.ndarray:
@@ -151,25 +167,16 @@ class ReverseLinkLoad:
         forward_pilot_strength: np.ndarray,
         fch_pilot_power_ratio: np.ndarray,
     ) -> None:
-        self.max_interference_w = np.asarray(max_interference_w, dtype=float)
-        self.current_interference_w = np.asarray(current_interference_w, dtype=float)
-        self._reverse_pilot: Optional[np.ndarray] = np.asarray(
-            reverse_pilot_strength, dtype=float
+        self._set_common(
+            max_interference_w, current_interference_w, fch_pilot_power_ratio
         )
-        self._forward_pilot: Optional[np.ndarray] = np.asarray(
-            forward_pilot_strength, dtype=float
+        shape = (self.num_mobiles, self.num_cells)
+        self._reverse_pilot: Optional[np.ndarray] = _checked(
+            "reverse_pilot_strength", reverse_pilot_strength, shape
         )
-        self.fch_pilot_power_ratio = np.asarray(fch_pilot_power_ratio, dtype=float)
-        k = self.max_interference_w.shape[0]
-        j = self._reverse_pilot.shape[0]
-        if self.current_interference_w.shape != (k,):
-            raise ValueError("current_interference_w must have one entry per cell")
-        if self._reverse_pilot.shape != (j, k):
-            raise ValueError("reverse_pilot_strength must have shape (J, K)")
-        if self._forward_pilot.shape != (j, k):
-            raise ValueError("forward_pilot_strength must have shape (J, K)")
-        if self.fch_pilot_power_ratio.shape != (j,):
-            raise ValueError("fch_pilot_power_ratio must have one entry per mobile")
+        self._forward_pilot: Optional[np.ndarray] = _checked(
+            "forward_pilot_strength", forward_pilot_strength, shape
+        )
         self._gains: Optional[np.ndarray] = None
         self._mobile_pilot_tx_w: Optional[np.ndarray] = None
         self._bs_pilot_power_w: Optional[np.ndarray] = None
@@ -196,18 +203,31 @@ class ReverseLinkLoad:
         :func:`repro.cdma.pilot.mobile_received_power_w`).  All are kept by
         reference and must not change afterwards.
         """
-        gains = np.asarray(gains, dtype=float)
-        # The gains have the (J, K) shape of the pilot matrices they stand in for.
-        load = cls(
-            max_interference_w, current_interference_w, gains, gains,
-            fch_pilot_power_ratio,
+        load = cls.__new__(cls)
+        load._set_common(
+            max_interference_w, current_interference_w, fch_pilot_power_ratio
+        )
+        j, k = load.num_mobiles, load.num_cells
+        load._gains = _checked("gains", gains, (j, k))
+        load._mobile_pilot_tx_w = _checked(
+            "mobile_pilot_tx_power_w", mobile_pilot_tx_power_w, (j,)
+        )
+        load._bs_pilot_power_w = _checked("bs_pilot_power_w", bs_pilot_power_w, (k,))
+        load._mobile_received_power_w = _checked(
+            "mobile_received_power_w", mobile_received_power_w, (j,)
         )
         load._reverse_pilot = load._forward_pilot = None
-        load._gains = gains
-        load._mobile_pilot_tx_w = np.asarray(mobile_pilot_tx_power_w, dtype=float)
-        load._bs_pilot_power_w = np.asarray(bs_pilot_power_w, dtype=float)
-        load._mobile_received_power_w = np.asarray(mobile_received_power_w, dtype=float)
         return load
+
+    def _set_common(
+        self, max_interference_w, current_interference_w, fch_pilot_power_ratio
+    ) -> None:
+        self.max_interference_w = np.asarray(max_interference_w, dtype=float)
+        self.current_interference_w = _checked(
+            "current_interference_w", current_interference_w, (self.num_cells,)
+        )
+        xi = np.asarray(fch_pilot_power_ratio, dtype=float)
+        self.fch_pilot_power_ratio = _checked("fch_pilot_power_ratio", xi, (xi.size,))
 
     @property
     def reverse_pilot_strength(self) -> np.ndarray:

@@ -125,3 +125,21 @@ class TestLoadingSnapshots:
         with pytest.raises(ValueError):
             ReverseLinkLoad(np.ones(1), np.ones(1), np.zeros((2, 2)),
                             np.zeros((2, 1)), np.ones(2))
+
+    def test_measured_loads_check_their_own_inputs(self):
+        # J = 3 mobiles, K = 2 cells; each case mis-shapes one input, which
+        # must be refused when the load is built, not broadcast at row time.
+        forward = dict(max_traffic_power_w=np.ones(2), current_power_w=np.ones(2),
+                       fch_allocation_w=np.zeros((3, 2)), rate_factor=np.ones(3))
+        reverse = dict(max_interference_w=np.ones(2), current_interference_w=np.ones(2),
+                       fch_pilot_power_ratio=np.ones(3), gains=np.ones((3, 2)),
+                       mobile_pilot_tx_power_w=np.ones(3), bs_pilot_power_w=np.ones(2),
+                       mobile_received_power_w=np.ones(3))
+        assert ForwardLinkLoad.measured(**forward).fch_power_w.shape == (3, 2)
+        assert ReverseLinkLoad.measured(**reverse).forward_pilot_strength.shape == (3, 2)
+        wrong = {(3,): np.ones(2), (2,): np.ones(3), (3, 2): np.ones((3, 3))}
+        for build, inputs in ((ForwardLinkLoad.measured, forward),
+                              (ReverseLinkLoad.measured, reverse)):
+            for name, value in inputs.items():
+                with pytest.raises(ValueError):
+                    build(**{**inputs, name: wrong[value.shape]})
