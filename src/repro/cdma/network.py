@@ -257,16 +257,12 @@ class CdmaNetwork:
             ebio_target=radio.fch_ebio_target,
             pilot_overhead=radio.reverse_pilot_overhead,
             max_tx_power_w=radio.ms_max_tx_power_w,
-            iterations=radio.power_control_iterations,
-            tolerance=radio.power_control_tolerance,
         )
         self.forward_pc = ForwardLinkPowerControl(
             processing_gain=radio.fch_processing_gain,
             ebio_target=radio.fch_ebio_target,
             orthogonality_factor=radio.orthogonality_factor,
             mobile_noise_power_w=radio.mobile_noise_power_w,
-            iterations=radio.power_control_iterations,
-            tolerance=radio.power_control_tolerance,
         )
         #: Committed SCH burst transmit power per cell (forward link), watts.
         self.forward_burst_power_w = np.zeros(self.num_cells)

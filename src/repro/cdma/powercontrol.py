@@ -4,23 +4,50 @@ The paper's dynamic simulation "takes into account of ... power control".  At
 the system level we model the closed-loop power control in its quasi-static
 (per-frame) form: at each scheduling frame the transmit powers of all FCHs
 are set so every link just meets its Eb/Io target given the interference
-created by everybody else.  This fixed point is computed with the standard
-interference-function iteration (Yates), which converges monotonically and is
-vectorised over all mobiles/cells.  Every solve starts cold, from the noise
-floor (reverse) or the common-channel power (forward), so a frame's powers
-depend on that frame's inputs alone.
+created by everybody else.  Every solve starts from that frame's inputs
+alone.
 
-Only mobiles whose FCH carries traffic take part in the fixed point (about
-a fifth of the population in the paper's scenarios), so both solvers gather
-those rows once per solve, iterate on them alone and scatter the result back
-into the full-size outputs.  Each sweep's product over those rows is one
-BLAS matrix-vector product: the per-cell received power on the reverse link,
-the per-mobile interference on the forward link, whose per-leg allocations
-are then capped and summed per cell elementwise.  The products sum in
-another order than the elementwise sweeps they replaced, kept as the parity
-oracle in ``tests/oracles/powercontrol.py`` and matched to ``rtol=1e-12``.
-Every result reports the last sweep's ``residual`` and whether it
-``converged``.
+Both links' map from the ``K`` per-cell totals to the totals they imply is a
+standard interference function (R. D. Yates, "A framework for uplink power
+control in cellular radio systems", IEEE JSAC 13(7), 1995), so it has one
+fixed point.  It is also the pointwise minimum of affine maps, one per
+*piece*: a choice of which links are capped and which cells are saturated.
+
+* Reverse link: a capped mobile transmits at the power-amplifier limit, an
+  uncapped one in proportion to its serving cell's total.
+* Forward link: a capped leg gets the per-link cap, an uncapped one its share
+  of the power its mobile's interference calls for; a saturated cell uses
+  all the room its committed SCH power leaves, ``max(budget - committed,
+  0)``, an unsaturated one the sum over its legs.
+
+With the piece fixed the map is ``x = A x + b`` with ``A >= 0``, one ``K x
+K`` linear solve, and every piece lies above the true map, so a positive
+solution of a piece bounds the fixed point from above.  The solvers run
+policy iteration (R. A. Howard, *Dynamic Programming and Markov Processes*,
+1960) over the pieces:
+
+1. Round 1 solves the piece with nothing capped and nothing saturated.  Its
+   solution is positive exactly when the active links are below pole
+   capacity.  If it is not, the result is flagged ``infeasible`` and the
+   rounds start instead from the all-capped, all-saturated point, an upper
+   bound that needs no solve.
+2. The next round solves the piece that binds at that point: the links over
+   their cap and the cells over their budget.  Every later round solves the
+   binding piece intersected with the current one.  Each such piece maps
+   the current point to or below itself, so its solution is again positive
+   and lies at or below the current point: the iterates fall, links and
+   cells only leave the capped and saturated sets, and the rounds stop when
+   the sets repeat.  The map then equals the piece there, so the point is
+   the fixed point itself, not an approximation of it.
+
+That takes at most one round per link (per leg on the forward link) and per
+cell, plus two; 1-3 at the paper's scale.  Each round builds ``A`` as a
+segmented sum over the rows that its piece leaves free: the uncapped
+mobiles, grouped by serving cell, on the reverse link; the uncapped legs of
+unsaturated cells, grouped by cell, on the forward link.  Past pole capacity
+most rows are capped, so the later rounds are cheap, and no ``A`` carries
+the rounding of rows added and taken out again.  The Yates sweeps the
+solvers replaced are the parity oracle in ``tests/oracles/powercontrol.py``.
 
 Forward and reverse links are power-limited and interference-limited
 respectively (Section 3.1), and are therefore handled by separate solvers:
@@ -37,7 +64,7 @@ respectively (Section 3.1), and are therefore handled by separate solvers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -70,12 +97,11 @@ class PowerControlResult:
         Boolean per-mobile flag set when the power limit prevented the link
         from reaching its target (outage).
     iterations:
-        Number of fixed-point iterations performed.
-    residual:
-        Largest relative change of a per-cell total in the last iteration.
-    converged:
-        ``residual < tolerance``: the iteration stopped at the fixed point,
-        not at its iteration cap.
+        Number of rounds (pieces whose fixed point was taken).
+    infeasible:
+        The active links were past pole capacity: with no link capped and no
+        cell saturated they would have no positive fixed point, so the caps
+        and budgets decide the powers.
     """
 
     tx_power_w: np.ndarray
@@ -83,8 +109,86 @@ class PowerControlResult:
     achieved_sir: np.ndarray
     power_limited: np.ndarray
     iterations: int
-    residual: float
-    converged: bool
+    infeasible: bool
+
+
+def _grouped_sum(values: np.ndarray, groups: np.ndarray, num_groups: int) -> np.ndarray:
+    """Row sums of ``values`` per group; ``groups`` must be sorted."""
+    out = np.zeros((num_groups, values.shape[1]))
+    if groups.size:
+        first = np.empty(groups.size, dtype=bool)
+        first[0] = True
+        np.not_equal(groups[1:], groups[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        out[groups[starts]] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+def _solve_piece(coupling: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The solution of ``x = coupling @ x + offset``, ``nan`` if singular."""
+    num_cells = offset.size
+    try:
+        return np.linalg.solve(np.eye(num_cells) - coupling, offset)
+    except np.linalg.LinAlgError:
+        return np.full(num_cells, np.nan)
+
+
+def _certified(point: np.ndarray, offset: np.ndarray) -> bool:
+    """Whether a piece's solution certifies that its ``A`` has spectral radius < 1.
+
+    Every cell whose row of ``A`` is nonzero has a positive offset, so the
+    solution must be positive there; a cell with a zero offset and a zero
+    row sits at exactly zero.
+    """
+    return bool((point[offset > 0.0] > 0.0).all() and np.isfinite(point).all())
+
+
+def _fixed_point(
+    link: str,
+    max_rounds: int,
+    num_switches: int,
+    piece_map: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    binding_at: Callable[[np.ndarray], Tuple[np.ndarray, Any]],
+) -> Tuple[np.ndarray, Any, int, bool]:
+    """The fixed point of a power-control map, by policy iteration over its pieces.
+
+    A piece is a boolean vector over the map's switches (capped links, then
+    saturated cells); ``piece_map(piece)`` returns the ``(A, b)`` of the
+    affine map ``x -> A x + b`` it selects (``A`` is zero when every switch
+    is on), and ``binding_at(x)`` the piece that attains the map at ``x``
+    together with the map's intermediate values there.  Returns the fixed
+    point, those values at it, the number of rounds and whether round 1
+    found the links past pole capacity.
+    """
+    piece = np.zeros(num_switches, dtype=bool)
+    coupling, offset = piece_map(piece)
+    point = _solve_piece(coupling, offset)
+    rounds = 1
+    infeasible = not _certified(point, offset)
+    if infeasible:
+        piece = np.ones(num_switches, dtype=bool)
+        point = piece_map(piece)[1]
+        rounds = 2
+    binding, evaluation = binding_at(point)
+    if infeasible:
+        binding &= piece
+    while not (binding == piece).all():
+        if rounds >= max_rounds:
+            raise RuntimeError(
+                f"{link} power control did not reach its fixed point "
+                f"within {max_rounds} rounds"
+            )
+        piece = binding
+        coupling, offset = piece_map(piece)
+        point = _solve_piece(coupling, offset)
+        rounds += 1
+        if not _certified(point, offset):
+            # Each piece maps the previous point to or below itself, so its
+            # solution is positive; only a rounding breakdown gets here.
+            raise RuntimeError(f"{link} power control lost its bound in round {rounds}")
+        binding, evaluation = binding_at(point)
+        binding &= piece
+    return point, evaluation, rounds, infeasible
 
 
 class ReverseLinkPowerControl:
@@ -102,19 +206,23 @@ class ReverseLinkPowerControl:
         notation); included in the interference the mobile generates.
     max_tx_power_w:
         Mobile power amplifier limit (applied to FCH + pilot).
-    iterations / tolerance:
-        Fixed-point iteration controls.
+    iterations:
+        Cap on the rounds of one solve; a solve that would need more raises
+        :class:`RuntimeError`.
 
     Notes
     -----
-    A solve that ends at the iteration cap (``converged=False``) is not
-    necessarily slow.  At J≈2e4 on 19 cells (frame 11 of the ``fleet-20k``
-    benchmark, seed 2001), 3 749 of the 3 953 active FCH rows end at the
-    mobile power cap and the largest rise over thermal is 51.0 dB.  The
-    residual shrinks about ×0.65 per sweep (3.2e-4 at sweep 25, below 1e-12
-    at sweep 71), to a fixed point where those links are power limited: the
-    load is past pole capacity, so the link is infeasible, not slow, and
-    more iterations would not serve it.
+    A piece is the set of mobiles at the power cap.  Uncapped mobile ``j``
+    transmits ``q_j / (1 + q_j) * L_s / g_js`` into its serving cell ``s``,
+    so column ``s`` of ``A`` sums, over the uncapped mobiles that ``s``
+    serves, the power every cell receives per watt of ``L_s``; a capped
+    mobile adds its received power to ``b``.
+
+    On the ``fleet-20k`` benchmark (J≈2e4 on 19 cells) every solve is
+    ``infeasible`` and takes 6-8 rounds: the failed round 1, the all-capped
+    start and 4-6 solves.  About 95 % of the active FCH rows end at the
+    mobile power cap and the rise over thermal reaches ~50 dB: the load is
+    past pole capacity, so the caps, not the targets, set the powers.
     """
 
     def __init__(
@@ -124,7 +232,6 @@ class ReverseLinkPowerControl:
         pilot_overhead: float = 0.25,
         max_tx_power_w: float = 0.2,
         iterations: int = 30,
-        tolerance: float = 1e-6,
     ) -> None:
         self.processing_gain = check_positive("processing_gain", processing_gain)
         self.ebio_target = check_positive("ebio_target", ebio_target)
@@ -135,7 +242,6 @@ class ReverseLinkPowerControl:
         if iterations < 1:
             raise ValueError("iterations must be at least 1")
         self.iterations = int(iterations)
-        self.tolerance = check_positive("tolerance", tolerance)
 
     def solve(
         self,
@@ -157,10 +263,11 @@ class ReverseLinkPowerControl:
         active:
             Boolean mask of mobiles whose FCH currently carries traffic.
         noise_power_w:
-            Thermal noise power at each base station, shape ``(K,)``.
+            Thermal noise power at each base station, shape ``(K,)``; must be
+            positive, or the all-zero powers would be a fixed point too.
         extra_received_power_w:
             Additional received power per cell not controlled here (granted
-            reverse SCH bursts), shape ``(K,)``.
+            reverse SCH bursts), shape ``(K,)``; non-negative.
         rate_factor:
             Per-mobile dedicated-channel rate relative to the full-rate FCH
             (1.0 = full rate, e.g. 0.125 for the low-rate control channel a
@@ -169,10 +276,8 @@ class ReverseLinkPowerControl:
 
         Notes
         -----
-        The Yates iterations run on the connectable rows only (active, with
-        a nonzero serving-cell gain); every other mobile transmits nothing.
-        Each sweep sums the received power per cell as one matrix-vector
-        product over those rows.
+        Only the connectable rows (active, with a nonzero serving-cell gain)
+        take part; every other mobile transmits nothing.
         """
         gains = np.asarray(gains, dtype=float)
         num_mobiles, num_cells = gains.shape
@@ -189,45 +294,59 @@ class ReverseLinkPowerControl:
             if rate_factor is None
             else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
         )
-        if np.any(rate <= 0.0) or np.any(rate > 1.0):
+        if not ((rate > 0.0) & (rate <= 1.0)).all():
             raise ValueError("rate_factor entries must lie in (0, 1]")
+        if not (noise > 0.0).all():
+            raise ValueError("noise_power_w must be positive in every cell")
+        if not (extra >= 0.0).all():
+            raise ValueError("extra_received_power_w must be non-negative")
 
-        q = self.ebio_target * rate / self.processing_gain
-        own_gain = gains[np.arange(num_mobiles), serving]
-        totals = noise + extra
-        iterations_done = 0
         overhead = 1.0 + self.pilot_overhead
-        # Loop invariants.
-        q_fraction = q / (1.0 + q)
-        connectable = active & (own_gain > 0.0)
-        own_gain_safe = np.maximum(own_gain, 1e-300)
         tx_cap = self.max_tx_power_w / overhead
         noise_extra = noise + extra
 
-        # The rows that transmit, gathered once for the whole iteration.
-        rows = np.flatnonzero(connectable)
-        row_gains = gains[rows]
+        # The rows that transmit (active, with a nonzero serving-cell gain),
+        # gathered once and grouped by serving cell.
+        rows = np.flatnonzero(active)
+        own_gain = gains[rows, serving[rows]]
+        connectable = own_gain > 0.0
+        rows, own_gain = rows[connectable], own_gain[connectable]
+        order = np.argsort(serving[rows], kind="stable")
+        rows, own_gain = rows[order], own_gain[order]
+        row_gains = np.take(gains, rows, axis=0)
         row_serving = serving[rows]
-        row_q_fraction = q_fraction[rows]
-        row_own_gain_safe = own_gain_safe[rows]
-        row_tx = np.zeros(rows.size)
-        for iteration in range(self.iterations):
-            iterations_done = iteration + 1
-            # Received FCH power needed at the serving cell so that
-            # (pg / rate) * S / (L - S) = target  =>  S = (q / (1 + q)) * L.
-            required_rx = row_q_fraction * totals[row_serving]
-            # Power limit applies to FCH plus pilot overhead.
-            new_tx = np.minimum(required_rx / row_own_gain_safe, tx_cap)
-            # Received power per cell: one matrix-vector product over the rows.
-            new_totals = noise_extra + row_gains.T @ (new_tx * overhead)
-            delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
-            row_tx, totals = new_tx, new_totals
-            if delta < self.tolerance:
-                break
+        # Received FCH power needed at the serving cell so that
+        # (pg / rate) * S / (L - S) = target  =>  S = (q / (1 + q)) * L: an
+        # uncapped row transmits ``slope * L_s``.
+        q = self.ebio_target * rate[rows] / self.processing_gain
+        slope = q / (1.0 + q) / own_gain
+        emitted_per_watt = overhead * slope
 
+        def piece_map(capped):
+            # Column s of A: the power every cell receives per watt of L_s
+            # from the uncapped rows that s serves.
+            uncapped = ~capped
+            received = row_gains[uncapped]
+            received *= emitted_per_watt[uncapped][:, np.newaxis]
+            coupling_t = _grouped_sum(received, row_serving[uncapped], num_cells)
+            offset = noise_extra + (overhead * tx_cap) * (row_gains.T @ capped)
+            return coupling_t.T, offset
+
+        def binding_at(totals):
+            need = slope * totals[row_serving]
+            return need > tx_cap, need
+
+        totals, need, rounds, infeasible = _fixed_point(
+            "reverse", self.iterations, rows.size, piece_map, binding_at
+        )
+
+        # The powers at the fixed point, by the map's own formulas.
+        row_tx = np.minimum(need, tx_cap)
+        totals = noise_extra + row_gains.T @ (row_tx * overhead)
         tx = np.zeros(num_mobiles)
         tx[rows] = row_tx
-        received = tx * own_gain
+        received = np.zeros(num_mobiles)
+        received[rows] = row_tx * own_gain
         interference = totals[serving] - received
         with np.errstate(divide="ignore", invalid="ignore"):
             achieved = np.where(
@@ -237,7 +356,7 @@ class ReverseLinkPowerControl:
                 / np.maximum(interference, 1e-300),
                 np.nan,
             )
-        limited = active & (tx >= self.max_tx_power_w / overhead - 1e-12) & (
+        limited = active & (tx >= tx_cap - 1e-12) & (
             achieved < self.ebio_target * (1.0 - 1e-6)
         )
         return PowerControlResult(
@@ -245,9 +364,8 @@ class ReverseLinkPowerControl:
             total_power_w=totals,
             achieved_sir=achieved,
             power_limited=limited,
-            iterations=iterations_done,
-            residual=float(delta),
-            converged=bool(delta < self.tolerance),
+            iterations=rounds,
+            infeasible=infeasible,
         )
 
 
@@ -266,8 +384,17 @@ class ForwardLinkPowerControl:
         1 = fully non-orthogonal).  Typical urban value ~0.6.
     mobile_noise_power_w:
         Thermal noise power at the mobile receiver.
-    iterations / tolerance:
-        Fixed-point iteration controls.
+    iterations:
+        Cap on the rounds of one solve; a solve that would need more raises
+        :class:`RuntimeError`.
+
+    Notes
+    -----
+    A piece is the set of capped legs and the set of saturated cells.  An
+    uncapped leg of mobile ``j`` on cell ``k`` gets ``w_jk * I_j``, with
+    ``I_j`` the mobile's interference, affine in the cell totals; so row
+    ``k`` of ``A`` sums ``w_jk`` times the mobile's interference gains over
+    the cell's uncapped legs, and is zero for a saturated cell.
     """
 
     def __init__(
@@ -277,7 +404,6 @@ class ForwardLinkPowerControl:
         orthogonality_factor: float = 0.6,
         mobile_noise_power_w: float = 1e-13,
         iterations: int = 30,
-        tolerance: float = 1e-6,
     ) -> None:
         self.processing_gain = check_positive("processing_gain", processing_gain)
         self.ebio_target = check_positive("ebio_target", ebio_target)
@@ -290,7 +416,6 @@ class ForwardLinkPowerControl:
         if iterations < 1:
             raise ValueError("iterations must be at least 1")
         self.iterations = int(iterations)
-        self.tolerance = check_positive("tolerance", tolerance)
 
     def solve(
         self,
@@ -321,23 +446,21 @@ class ForwardLinkPowerControl:
             ``(K,)``.
         extra_traffic_power_w:
             Already-committed traffic power per cell (granted forward SCH
-            bursts), shape ``(K,)``.
+            bursts), shape ``(K,)``; non-negative.
         max_link_power_w:
-            Optional cap on the FCH power of a single link (per leg); links
-            that hit the cap show up as ``power_limited`` (forward-link
-            outage for cell-edge users).
+            Optional non-negative cap on the FCH power of a single link (per
+            leg); links that hit the cap show up as ``power_limited``
+            (forward-link outage for cell-edge users).
         rate_factor:
             Per-mobile dedicated-channel rate relative to the full-rate FCH;
             scales the per-link power requirement.
 
         Notes
         -----
-        The Yates iterations and the final Eb/Io run on the active rows only;
-        inactive mobiles get no allocation and a ``nan`` Eb/Io.  Each sweep
-        takes the interference of every mobile as one matrix-vector product
-        (gains with the serving column scaled by the orthogonality factor);
-        the per-leg allocations it implies are capped and summed per cell
-        elementwise.
+        Only the active rows take part; inactive mobiles get no allocation
+        and a ``nan`` Eb/Io.  A saturated cell scales its legs'
+        allocations into the room its committed SCH power leaves, so its
+        power stays at ``P_max``.
         """
         gains = np.asarray(gains, dtype=float)
         num_mobiles, num_cells = gains.shape
@@ -355,60 +478,81 @@ class ForwardLinkPowerControl:
             if rate_factor is None
             else np.asarray(rate_factor, dtype=float).reshape(num_mobiles)
         )
-        if np.any(rate <= 0.0) or np.any(rate > 1.0):
+        if not ((rate > 0.0) & (rate <= 1.0)).all():
             raise ValueError("rate_factor entries must lie in (0, 1]")
-
-        totals = base + extra
-        iterations_done = 0
+        if not (extra >= 0.0).all():
+            raise ValueError("extra_traffic_power_w must be non-negative")
+        if max_link_power_w is not None and not max_link_power_w >= 0.0:
+            raise ValueError("max_link_power_w must be non-negative")
+        link_cap = np.inf if max_link_power_w is None else float(max_link_power_w)
+        noise = self.mobile_noise_power_w
         base_extra = base + extra
+        room = np.maximum(budget - extra, 0.0)
 
-        # The active rows, gathered once, and the loop invariants.
+        # The active rows, gathered once.
         rows = np.flatnonzero(active)
-        row_gains = gains[rows]
-        row_set = active_set[rows]
+        row_gains = np.take(gains, rows, axis=0)
+        row_set = np.take(active_set, rows, axis=0)
         row_rate = rate[rows]
-        legs = np.maximum(row_set.sum(axis=1), 1)
         serving = np.argmax(np.where(row_set, row_gains, -np.inf), axis=1)
-        q = self.ebio_target * row_rate / self.processing_gain
-        own_index = np.arange(rows.size)
         # Interference seen by each mobile: other-cell power fully, own
         # (strongest-leg) cell scaled by the orthogonality factor.
         interference_gains = row_gains.copy()
-        interference_gains[own_index, serving] *= self.orthogonality_factor
-        # FCH power of each leg per watt of interference: the total received
-        # FCH power needed is q * interference, split evenly over the legs.
-        weight = np.where(
-            row_set & (row_gains > 0.0),
-            (q / legs)[:, np.newaxis] / np.maximum(row_gains, 1e-300),
-            0.0,
+        interference_gains[np.arange(rows.size), serving] *= self.orthogonality_factor
+        # The legs, grouped by cell, and the FCH power of each per watt of
+        # interference: the total received FCH power needed is
+        # q * interference, split evenly over the mobile's active set.
+        leg_cell, leg_row = np.nonzero((row_set & (row_gains > 0.0)).T)
+        num_legs = leg_row.size
+        share = self.ebio_target * row_rate / self.processing_gain
+        share /= np.maximum(row_set.sum(axis=1), 1)
+        leg_gain = row_gains[leg_row, leg_cell]
+        leg_weight = share[leg_row] / leg_gain
+        leg_noise = noise * leg_weight
+
+        def leg_sums(values):
+            return np.bincount(leg_cell, weights=values, minlength=num_cells)
+
+        def piece_map(piece):
+            # The legs before the cells; a saturated cell's legs drop out.
+            capped, saturated = piece[:num_legs], piece[num_legs:]
+            live = ~(capped | saturated[leg_cell])
+            allocated = np.take(interference_gains, leg_row[live], axis=0)
+            allocated *= leg_weight[live][:, np.newaxis]
+            coupling = _grouped_sum(allocated, leg_cell[live], num_cells)
+            offset = base_extra + leg_sums(np.where(capped, link_cap, leg_noise))
+            return coupling, np.where(saturated, base_extra + room, offset)
+
+        def binding_at(totals):
+            interference = interference_gains @ totals + noise
+            demand = leg_weight * interference[leg_row]
+            leg_alloc = np.minimum(demand, link_cap)
+            fch = leg_sums(leg_alloc)
+            overloaded = fch + extra > budget
+            # An overloaded cell's total does not depend on its legs, so they
+            # keep their status until it leaves saturation: a round that
+            # would only move them solves the same map again.
+            capped = (demand > link_cap) | overloaded[leg_cell]
+            piece = np.concatenate((capped, overloaded))
+            return piece, (interference, leg_alloc, fch, overloaded)
+
+        # Without a link cap no leg binds, so the legs of the all-capped
+        # start leave the capped set once their cell leaves saturation.
+        totals, at_fixed_point, rounds, infeasible = _fixed_point(
+            "forward", self.iterations, num_legs + num_cells, piece_map, binding_at
         )
 
-        for iteration in range(self.iterations):
-            iterations_done = iteration + 1
-            interference = interference_gains @ totals + self.mobile_noise_power_w
-            row_alloc = weight * interference[:, np.newaxis]
-            if max_link_power_w is not None:
-                np.minimum(row_alloc, max_link_power_w, out=row_alloc)
-            fch = row_alloc.sum(axis=0)
-            # If a cell exceeds its budget, scale its FCH allocations down
-            # proportionally into the room its committed SCH power leaves
-            # (the overloaded users will show as power limited).
-            scale = np.where(
-                fch + extra > budget,
-                np.maximum(budget - extra, 0.0) / np.maximum(fch, 1e-300),
-                1.0,
-            )
-            new_totals = base_extra + scale * fch
-            delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
-            totals = new_totals
-            if delta < self.tolerance:
-                break
-
-        # The allocation of the last iteration, and the Eb/Io it achieves
-        # against the final cell powers.
-        row_alloc *= scale[np.newaxis, :]
-        interference = interference_gains @ totals + self.mobile_noise_power_w
-        received_fch = (row_alloc * row_gains).sum(axis=1)
+        # The allocations at the fixed point, by the map's own formulas: a
+        # cell over its budget scales its FCH allocations down proportionally
+        # into the room its committed SCH power leaves (the overloaded users
+        # will show as power limited).
+        interference, leg_alloc, fch, overloaded = at_fixed_point
+        scale = np.where(overloaded, room / np.maximum(fch, 1e-300), 1.0)
+        leg_alloc *= scale[leg_cell]
+        totals = base_extra + scale * fch
+        received_fch = np.bincount(
+            leg_row, weights=leg_alloc * leg_gain, minlength=rows.size
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             row_achieved = (
                 (self.processing_gain / row_rate)
@@ -416,7 +560,7 @@ class ForwardLinkPowerControl:
                 / np.maximum(interference, 1e-300)
             )
         alloc = np.zeros((num_mobiles, num_cells))
-        alloc[rows] = row_alloc
+        alloc[rows[leg_row], leg_cell] = leg_alloc
         achieved = np.full(num_mobiles, np.nan)
         achieved[rows] = row_achieved
         # Outage definition: more than ~1.25 dB below the Eb/Io target.  Small
@@ -429,7 +573,6 @@ class ForwardLinkPowerControl:
             total_power_w=totals,
             achieved_sir=achieved,
             power_limited=limited,
-            iterations=iterations_done,
-            residual=float(delta),
-            converged=bool(delta < self.tolerance),
+            iterations=rounds,
+            infeasible=infeasible,
         )

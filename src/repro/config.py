@@ -127,12 +127,6 @@ class RadioConfig:
     active_set_max_size: int = constants.ACTIVE_SET_MAX_SIZE
     reduced_active_set_size: int = constants.REDUCED_ACTIVE_SET_SIZE
 
-    #: Power-control iteration count per frame.
-    power_control_iterations: int = 25
-    #: Power-control fixed-point stopping tolerance (max relative change of
-    #: the per-cell totals between Yates iterations).
-    power_control_tolerance: float = 1e-6
-
     def __post_init__(self) -> None:
         check_positive("cell_radius_m", self.cell_radius_m)
         check_positive("bs_max_tx_power_w", self.bs_max_tx_power_w)
@@ -146,8 +140,6 @@ class RadioConfig:
         check_non_negative("reverse_pilot_overhead", self.reverse_pilot_overhead)
         if not 0.0 < self.control_channel_rate_fraction <= 1.0:
             raise ValueError("control_channel_rate_fraction must lie in (0, 1]")
-        check_positive_int("power_control_iterations", self.power_control_iterations)
-        check_positive("power_control_tolerance", self.power_control_tolerance)
 
     @property
     def num_cells(self) -> int:
@@ -263,6 +255,6 @@ class SystemConfig:
     def small_test_system(cls) -> "SystemConfig":
         """A deliberately small configuration for fast unit/integration tests."""
         return cls(
-            radio=RadioConfig(num_rings=1, cell_radius_m=800.0, power_control_iterations=12),
+            radio=RadioConfig(num_rings=1, cell_radius_m=800.0),
             mac=MacConfig(),
         )

@@ -431,13 +431,15 @@ _RETIRED_SCENARIO_KEYS = {
     "batched_admission": "the admission builders always run the queue-wide kernels",
     "warm_start_power_control": "every power-control solve starts cold",
     "warm_start_solver": "the scheduler carries no state from one decision to the next",
-    "power_control_tolerance": "system.radio.power_control_tolerance sets the tolerance",
+    "power_control_tolerance": "power control solves for its exact fixed point",
 }
 
 #: ``system.radio`` and ``channel`` keys of :class:`~repro.config.RadioConfig`
 #: fields that no longer exist, with the reason each is ignored.
 _RETIRED_RADIO_KEYS = {
     "doppler_hz": "the link gains are local means; VTAOC averages over the fast fading",
+    "power_control_iterations": "power control solves for its exact fixed point",
+    "power_control_tolerance": "power control solves for its exact fixed point",
 }
 
 
@@ -458,10 +460,7 @@ def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     A ``scenario`` key of :data:`_RETIRED_SCENARIO_KEYS`, and a
     ``system.radio`` or ``channel`` key of :data:`_RETIRED_RADIO_KEYS`, is
     dropped with a :class:`DeprecationWarning`, so a saved spec that carries
-    it builds, and fingerprints, like the same spec without it.  The one
-    exception is a numeric ``power_control_tolerance``: ignoring it would
-    change the numerics, so it is refused in favour of
-    ``system.radio.power_control_tolerance``.
+    it builds, and fingerprints, like the same spec without it.
     """
     allowed = set(KINDS) | set(_PLAIN_SECTIONS)
     normalized: Dict[str, Any] = {}
@@ -474,12 +473,6 @@ def validate_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
         normalized[key] = dict(value) if isinstance(value, Mapping) else value
     scenario = normalized.get("scenario")
     if isinstance(scenario, dict):
-        tolerance = scenario.get("power_control_tolerance")
-        if tolerance is not None:
-            raise SpecError(
-                f"scenario-spec key power_control_tolerance={tolerance!r} is "
-                "retired; set system.radio.power_control_tolerance instead"
-            )
         _drop_retired_keys(scenario, _RETIRED_SCENARIO_KEYS, "scenario")
     system = normalized.get("system")
     if isinstance(system, dict) and isinstance(system.get("radio"), Mapping):

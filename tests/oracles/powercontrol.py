@@ -1,28 +1,50 @@
-"""Reference power-control solves: every Yates sweep runs over all ``J`` rows.
+"""Reference power-control solves: Yates sweeps over all ``J`` rows.
 
 These are the solvers' ``solve`` bodies from before they gathered the active
-rows, kept verbatim as parity oracles except for the warm start: the
-production solvers lost ``initial_total_power_w``, the direct seeds and the
-Aitken extrapolation, so the oracles lost their warm branch too and always
-start cold.  Until the sweeps became BLAS matrix-vector products, the
-row-gathered solvers matched these bit for bit (``K >= 2``); the products sum
-in another order, so the parity tests now match them to ``rtol=1e-12``.
-Both oracles also report the last sweep's ``residual`` and ``converged``, as
-the production results do, and ``forward_solve`` scales a saturated cell's
-FCH allocations into the room its committed SCH power leaves, as the
-production solver does.  Call them with a controller instance as the
-first argument: ``reverse_solve(pc, gains, serving, active, noise)``.
+rows, kept as parity oracles for the exact piecewise-linear solves that
+replaced the sweeps.  The sweeps only approach the fixed point, so the
+oracles take their sweep cap and stopping tolerance as arguments and report
+how far they got in a :class:`YatesResult`.  Run to ``tolerance=1e-13``
+with a cap high enough to reach it, they match the production solves to
+``rtol=1e-9``.  ``start_total_power_w`` replaces the cold start (noise floor
+on the reverse link, common-channel plus committed power on the forward
+link); with ``iterations=1`` it applies the map once to a given point.
+``forward_solve`` scales a saturated cell's FCH allocations into the room its
+committed SCH power leaves, as the production solver does.  Call them with a
+controller instance as the first argument:
+``reverse_solve(pc, gains, serving, active, noise, tolerance=1e-13)``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.cdma.powercontrol import PowerControlResult
+__all__ = ["YatesResult", "reverse_solve", "forward_solve"]
 
-__all__ = ["reverse_solve", "forward_solve"]
+#: Sweep cap of the reference solves: far above the ~100 sweeps the slowest
+#: captured solve (J≈2e4 on 19 cells, past pole capacity) needs for 1e-13.
+REFERENCE_ITERATIONS = 100_000
+
+
+@dataclass
+class YatesResult:
+    """A :class:`~repro.cdma.powercontrol.PowerControlResult` of the sweeps.
+
+    ``iterations`` counts sweeps, ``residual`` is the last sweep's largest
+    relative change of a per-cell total and ``converged`` is ``residual <
+    tolerance``.
+    """
+
+    tx_power_w: np.ndarray
+    total_power_w: np.ndarray
+    achieved_sir: np.ndarray
+    power_limited: np.ndarray
+    iterations: int
+    residual: float
+    converged: bool
 
 
 def reverse_solve(
@@ -33,8 +55,12 @@ def reverse_solve(
     noise_power_w: np.ndarray,
     extra_received_power_w: Optional[np.ndarray] = None,
     rate_factor: Optional[np.ndarray] = None,
-) -> PowerControlResult:
-    """The solve before the row gather (verbatim)."""
+    *,
+    tolerance: float,
+    iterations: int = REFERENCE_ITERATIONS,
+    start_total_power_w: Optional[np.ndarray] = None,
+) -> YatesResult:
+    """The solve before the row gather."""
     gains = np.asarray(gains, dtype=float)
     num_mobiles, num_cells = gains.shape
     serving = np.asarray(serving_cells, dtype=int).reshape(num_mobiles)
@@ -56,7 +82,7 @@ def reverse_solve(
     q = pc.ebio_target * rate / pc.processing_gain
     own_gain = gains[np.arange(num_mobiles), serving]
     tx = np.zeros(num_mobiles, dtype=float)
-    totals = noise + extra
+    totals = noise + extra if start_total_power_w is None else start_total_power_w
     iterations_done = 0
     overhead = 1.0 + pc.pilot_overhead
     # Loop invariants.
@@ -67,7 +93,7 @@ def reverse_solve(
     noise_extra = noise + extra
     received = np.empty_like(gains)
 
-    for iteration in range(pc.iterations):
+    for iteration in range(iterations):
         iterations_done = iteration + 1
         # Received FCH power needed at the serving cell so that
         # (pg / rate) * S / (L - S) = target  =>  S = (q / (1 + q)) * L.
@@ -79,7 +105,7 @@ def reverse_solve(
         new_totals = noise_extra + received.sum(axis=0)
         delta = (np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)).max()
         tx, totals = new_tx, new_totals
-        if delta < pc.tolerance:
+        if delta < tolerance:
             break
 
     received = tx * own_gain
@@ -95,14 +121,14 @@ def reverse_solve(
     limited = active & (tx >= pc.max_tx_power_w / overhead - 1e-12) & (
         achieved < pc.ebio_target * (1.0 - 1e-6)
     )
-    return PowerControlResult(
+    return YatesResult(
         tx_power_w=tx,
         total_power_w=totals,
         achieved_sir=achieved,
         power_limited=limited,
         iterations=iterations_done,
         residual=float(delta),
-        converged=bool(delta < pc.tolerance),
+        converged=bool(delta < tolerance),
     )
 
 
@@ -116,8 +142,12 @@ def forward_solve(
     extra_traffic_power_w: Optional[np.ndarray] = None,
     max_link_power_w: Optional[float] = None,
     rate_factor: Optional[np.ndarray] = None,
-) -> PowerControlResult:
-    """The solve before the row gather (verbatim)."""
+    *,
+    tolerance: float,
+    iterations: int = REFERENCE_ITERATIONS,
+    start_total_power_w: Optional[np.ndarray] = None,
+) -> YatesResult:
+    """The solve before the row gather."""
     gains = np.asarray(gains, dtype=float)
     num_mobiles, num_cells = gains.shape
     active_set = np.asarray(active_set, dtype=bool).reshape(num_mobiles, num_cells)
@@ -140,7 +170,7 @@ def forward_solve(
     legs = active_set.sum(axis=1)
     legs = np.maximum(legs, 1)
     alloc = np.zeros((num_mobiles, num_cells), dtype=float)
-    totals = base + extra
+    totals = base + extra if start_total_power_w is None else start_total_power_w
     serving = np.argmax(np.where(active_set, gains, -np.inf), axis=1)
     iterations_done = 0
     q = pc.ebio_target * rate / pc.processing_gain
@@ -153,7 +183,7 @@ def forward_solve(
     received_all = np.empty_like(gains)
 
     with np.errstate(divide="ignore"):
-        for iteration in range(pc.iterations):
+        for iteration in range(iterations):
             iterations_done = iteration + 1
             # Interference seen by each mobile: other-cell power fully,
             # own (strongest-leg) cell scaled by the orthogonality factor.
@@ -186,7 +216,7 @@ def forward_solve(
                 np.abs(new_totals - totals) / np.maximum(new_totals, 1e-300)
             ).max()
             alloc, totals = new_alloc, new_totals
-            if delta < pc.tolerance:
+            if delta < tolerance:
                 break
 
     # Achieved Eb/Io with the final allocation.
@@ -211,12 +241,12 @@ def forward_solve(
     # saturated cell are absorbed by the link margin and interleaving and
     # are not counted as coverage loss.
     limited = active & (achieved < 0.75 * pc.ebio_target)
-    return PowerControlResult(
+    return YatesResult(
         tx_power_w=alloc,
         total_power_w=totals,
         achieved_sir=achieved,
         power_limited=limited,
         iterations=iterations_done,
         residual=float(delta),
-        converged=bool(delta < pc.tolerance),
+        converged=bool(delta < tolerance),
     )

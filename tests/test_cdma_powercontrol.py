@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cdma.powercontrol import ForwardLinkPowerControl, ReverseLinkPowerControl
+from tests.oracles.powercontrol import forward_solve, reverse_solve
 
 
 def two_cell_gains():
@@ -104,6 +105,57 @@ class TestReverseLinkPowerControl:
                                     pilot_overhead=-0.1)
         with pytest.raises(ValueError):
             ReverseLinkPowerControl(processing_gain=128.0, ebio_target=5.0, iterations=0)
+
+    def test_solution_is_the_fixed_point(self):
+        # One Yates sweep from the solved totals returns them: the solve is
+        # exact, not a stopped iteration.
+        pc = self.make()
+        gains = np.vstack([two_cell_gains()] * 20)
+        args = dict(gains=gains, serving_cells=np.tile([0, 1], 20),
+                    active=np.ones(40, dtype=bool), noise_power_w=np.full(2, 1e-13))
+        result = pc.solve(**args)
+        swept = reverse_solve(pc, **args, tolerance=0.0, iterations=1,
+                              start_total_power_w=result.total_power_w)
+        np.testing.assert_allclose(swept.total_power_w, result.total_power_w,
+                                   rtol=1e-12, atol=0.0)
+        assert not result.infeasible
+        assert result.iterations == 1
+
+    def test_past_pole_capacity_is_flagged_infeasible(self):
+        # 400 full-rate users on one cell need more than the cell can take:
+        # every mobile ends at its power cap.
+        pc = self.make()
+        result = pc.solve(
+            gains=np.full((400, 1), 1e-12),
+            serving_cells=np.zeros(400, dtype=int),
+            active=np.ones(400, dtype=bool),
+            noise_power_w=np.array([1e-13]),
+        )
+        assert result.infeasible
+        assert np.all(result.tx_power_w == 0.2 / 1.25)
+        assert result.power_limited.all()
+
+    def test_round_cap_raises(self):
+        # The weak link needs a second round (its cap binds); a cap of one
+        # round refuses to return a point that is not the fixed point.
+        weak = dict(gains=np.array([[1e-16, 1e-18]]), serving_cells=np.array([0]),
+                    active=np.array([True]), noise_power_w=np.full(2, 1e-13))
+        assert self.make(max_tx_power_w=1e-6).solve(**weak).iterations == 2
+        with pytest.raises(RuntimeError, match="1 rounds"):
+            self.make(max_tx_power_w=1e-6, iterations=1).solve(**weak)
+
+    def test_non_positive_noise_refused(self):
+        # With no noise the all-zero powers would be a fixed point as well.
+        pc = self.make()
+        with pytest.raises(ValueError, match="noise_power_w"):
+            pc.solve(two_cell_gains(), np.array([0, 1]), np.array([True, True]),
+                     np.array([1e-13, 0.0]))
+
+    def test_negative_committed_power_refused(self):
+        pc = self.make()
+        with pytest.raises(ValueError, match="extra_received_power_w"):
+            pc.solve(two_cell_gains(), np.array([0, 1]), np.array([True, True]),
+                     np.full(2, 1e-13), extra_received_power_w=np.array([0.0, -1e-14]))
 
 
 class TestForwardLinkPowerControl:
@@ -221,36 +273,47 @@ class TestForwardLinkPowerControl:
             ForwardLinkPowerControl(processing_gain=128.0, ebio_target=5.0,
                                     mobile_noise_power_w=0.0)
 
+    def test_solution_is_the_fixed_point(self):
+        # Ten edge users in soft hand-off hit the per-link cap on both legs.
+        pc = self.make()
+        gains = np.vstack([two_cell_gains(), [[2e-14, 1.5e-14]]] * 10)
+        active_set = gains >= 0.5 * gains.max(axis=1, keepdims=True)
+        args = dict(gains=gains, active_set=active_set, active=np.ones(30, dtype=bool),
+                    base_power_w=np.full(2, 2.0), max_traffic_power_w=np.full(2, 16.0),
+                    extra_traffic_power_w=np.array([1.0, 0.0]), max_link_power_w=0.3)
+        result = pc.solve(**args)
+        swept = forward_solve(pc, **args, tolerance=0.0, iterations=1,
+                              start_total_power_w=result.total_power_w)
+        np.testing.assert_allclose(swept.total_power_w, result.total_power_w,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(swept.tx_power_w, result.tx_power_w,
+                                   rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(result.tx_power_w == 0.3) == 10
+        assert not result.infeasible
 
-class TestConvergenceReport:
-    def test_paper_scale_snapshot_converges(self):
-        # Both links of the paper's scenario reach the fixed point well inside
-        # the iteration cap, and say so.
-        from repro.experiments.common import paper_scenario
-        from repro.mac.schedulers import JabaSdScheduler
-        from repro.simulation import DynamicSystemSimulator
-
-        simulator = DynamicSystemSimulator(
-            paper_scenario(num_data_users_per_cell=16, duration_s=1.0, warmup_s=0.0),
-            JabaSdScheduler("J1"),
-        )
-        simulator.run()
-        network = simulator.network
-        snapshot = network.snapshot()
-        for result, pc in ((snapshot.reverse_pc, network.reverse_pc),
-                           (snapshot.forward_pc, network.forward_pc)):
-            assert result.converged
-            assert result.residual < pc.tolerance
-            assert result.iterations < pc.iterations
-
-    def test_iteration_cap_reports_not_converged(self):
-        pc = ReverseLinkPowerControl(processing_gain=128.0, ebio_target=5.0, iterations=1)
+    def test_idle_cell_without_common_power_stays_at_zero(self):
+        # bs_common_channel_fraction = 0: a cell with no active leg has a
+        # total of exactly zero, which is not a sign of infeasibility.
+        pc = self.make()
         result = pc.solve(
-            gains=two_cell_gains(),
-            serving_cells=np.array([0, 1]),
-            active=np.array([True, True]),
-            noise_power_w=np.full(2, 1e-13),
+            gains=np.array([[1e-12, 1e-14, 1e-15]]),
+            active_set=np.array([[True, False, False]]),
+            active=np.array([True]),
+            base_power_w=np.zeros(3),
+            max_traffic_power_w=np.full(3, 20.0),
         )
-        assert result.iterations == 1
-        assert not result.converged
-        assert result.residual >= pc.tolerance
+        assert not result.infeasible
+        assert result.total_power_w[1] == 0.0 and result.total_power_w[2] == 0.0
+        assert result.total_power_w[0] > 0.0
+        assert result.achieved_sir[0] == pytest.approx(5.0, rel=1e-12)
+
+    def test_negative_committed_power_refused(self):
+        pc = self.make()
+        with pytest.raises(ValueError, match="extra_traffic_power_w"):
+            self.solve_basic(pc, two_cell_gains(),
+                             extra_traffic_power_w=np.array([-1.0, 0.0]))
+
+    def test_negative_link_cap_refused(self):
+        pc = self.make()
+        with pytest.raises(ValueError, match="max_link_power_w"):
+            self.solve_basic(pc, two_cell_gains(), max_link_power_w=-1.0)

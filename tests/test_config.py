@@ -72,4 +72,4 @@ class TestSystemConfig:
     def test_small_test_system(self):
         config = SystemConfig.small_test_system()
         assert config.radio.num_rings == 1
-        assert config.radio.power_control_iterations <= 15
+        assert config.radio.cell_radius_m == 800.0

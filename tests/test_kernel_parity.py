@@ -1,13 +1,11 @@
 """Parity of the frame kernels with the implementations they replaced.
 
-* Power control: the solvers iterate on the active rows only, the reverse
-  received power and the forward interference as BLAS matrix-vector
-  products; their :class:`PowerControlResult` must
-  match the full-row reference solve kept in :mod:`tests.oracles.powercontrol`
-  to ``rtol=1e-12`` (``atol=0``) on the powers and Eb/Io, with equal outage
-  flags, iteration counts and convergence verdicts.  The products sum in
-  another order than the oracle's row-by-row accumulation, so the last bits
-  may differ.
+* Power control: the solvers take the exact fixed point by a few ``K x K``
+  solves over the pieces of the map; their :class:`PowerControlResult` must
+  match the full-row Yates sweeps kept in :mod:`tests.oracles.powercontrol`,
+  run to ``tolerance=1e-13``, to ``rtol=1e-9`` (``atol=0``) on the powers
+  and the finite Eb/Io, with ``nan`` in the same places and equal outage
+  flags.  Both tolerances were fixed before the comparison was run.
 * Soft hand-off: ranking only the mobiles with two or more eligible cells
   must give the ordered active sets, set sizes and hand-off event count of
   the full-row stable argsort kept in :mod:`tests.oracles.handoff`, bit for
@@ -46,6 +44,8 @@ from tests.test_fleet_parity import fleet_scenario
 
 RESULT_FIELDS = ("tx_power_w", "total_power_w", "achieved_sir")
 RADIO = RadioConfig()
+#: The pre-registered reference: Yates sweeps run to this tolerance.
+REFERENCE_TOLERANCE = 1e-13
 
 
 def assert_bit_identical(new: np.ndarray, old: np.ndarray) -> None:
@@ -55,14 +55,13 @@ def assert_bit_identical(new: np.ndarray, old: np.ndarray) -> None:
 
 
 def assert_same_result(new, old) -> None:
-    """PC results agree: the BLAS sweeps sum in another order than the oracle."""
+    """The exact solve lands where the converged Yates sweeps do."""
+    assert old.converged
     for name in RESULT_FIELDS:
         np.testing.assert_allclose(
-            getattr(new, name), getattr(old, name), rtol=1e-12, atol=0.0
+            getattr(new, name), getattr(old, name), rtol=1e-9, atol=0.0
         )
     assert_bit_identical(new.power_limited, old.power_limited)
-    assert new.iterations == old.iterations
-    assert new.converged == old.converged
 
 
 # -- power control ----------------------------------------------------------------------
@@ -97,18 +96,18 @@ def draw_pc_inputs(num_mobiles, num_cells, seed, activity):
 def pc_cases(draw):
     return dict(
         num_mobiles=draw(st.one_of(st.integers(0, 40), st.integers(41, 3000))),
-        num_cells=draw(st.sampled_from([7, 19, 37])),
+        num_cells=draw(st.sampled_from([1, 7, 19])),
         seed=draw(st.integers(0, 2**32 - 1)),
         activity=draw(st.sampled_from(["none", "all", "random"])),
-        iterations=draw(st.sampled_from([1, 2, 25])),
         with_rate=draw(st.booleans()),
         with_extra=draw(st.booleans()),
-        link_cap=draw(st.sampled_from([None, 0.02, 0.1])),
+        # Per-link cap as a fraction of the budget; at 0.001 every leg binds.
+        link_cap=draw(st.sampled_from([None, 0.001, 0.02, 0.1])),
     )
 
 
-def solve_both(case):
-    """(new, oracle) results of the reverse and of the forward solve of ``case``."""
+def pc_problems(case):
+    """The reverse and the forward ``(solver, solve arguments)`` of ``case``."""
     num_cells = case["num_cells"]
     rng, gains, serving, active_set, active, rate = draw_pc_inputs(
         case["num_mobiles"], num_cells, case["seed"], case["activity"]
@@ -126,16 +125,12 @@ def solve_both(case):
         ebio_target=RADIO.fch_ebio_target,
         pilot_overhead=RADIO.reverse_pilot_overhead,
         max_tx_power_w=RADIO.ms_max_tx_power_w,
-        iterations=case["iterations"],
-        tolerance=RADIO.power_control_tolerance,
     )
     forward_pc = ForwardLinkPowerControl(
         processing_gain=RADIO.fch_processing_gain,
         ebio_target=RADIO.fch_ebio_target,
         orthogonality_factor=RADIO.orthogonality_factor,
         mobile_noise_power_w=RADIO.mobile_noise_power_w,
-        iterations=case["iterations"],
-        tolerance=RADIO.power_control_tolerance,
     )
     reverse_args = dict(
         gains=gains, serving_cells=serving, active=active, noise_power_w=noise,
@@ -148,9 +143,17 @@ def solve_both(case):
         max_link_power_w=None if link_cap is None else link_cap * budget.min(),
         rate_factor=rate,
     )
+    return (reverse_pc, reverse_args), (forward_pc, forward_args)
+
+
+def solve_both(case):
+    """(new, converged oracle) results of the reverse and of the forward solve."""
+    (reverse_pc, reverse_args), (forward_pc, forward_args) = pc_problems(case)
     return (
-        (reverse_pc.solve(**reverse_args), reverse_solve(reverse_pc, **reverse_args)),
-        (forward_pc.solve(**forward_args), forward_solve(forward_pc, **forward_args)),
+        (reverse_pc.solve(**reverse_args),
+         reverse_solve(reverse_pc, **reverse_args, tolerance=REFERENCE_TOLERANCE)),
+        (forward_pc.solve(**forward_args),
+         forward_solve(forward_pc, **forward_args, tolerance=REFERENCE_TOLERANCE)),
     )
 
 
@@ -163,15 +166,19 @@ class TestPowerControlParity:
 
     @pytest.mark.parametrize("iterations", [2, 25])
     def test_capped_heavy_load(self, iterations):
-        # Every mobile active on 7 cells: the reverse link runs out of
-        # iterations and the forward cells saturate.
+        # Every mobile active on 7 cells: the reverse link is past pole
+        # capacity and the forward cells saturate.  Sweeps stopped after
+        # ``iterations`` climb towards the exact fixed point from below
+        # without reaching it; run to convergence they meet it.
         case = dict(num_mobiles=2500, num_cells=7, seed=11, activity="all",
-                    iterations=iterations, with_rate=True, with_extra=True,
-                    link_cap=0.1)
+                    with_rate=True, with_extra=True, link_cap=0.1)
+        (reverse_pc, reverse_args), _ = pc_problems(case)
         (reverse, reverse_old), (forward, forward_old) = solve_both(case)
-        assert reverse.iterations == iterations
-        assert not reverse.converged
-        assert reverse.residual >= RADIO.power_control_tolerance
+        stopped = reverse_solve(reverse_pc, **reverse_args, tolerance=1e-6,
+                                iterations=iterations)
+        assert stopped.iterations == iterations and not stopped.converged
+        assert np.all(stopped.total_power_w <= reverse.total_power_w * (1.0 + 1e-12))
+        assert reverse.infeasible
         assert forward.power_limited.any()
         assert_same_result(reverse, reverse_old)
         assert_same_result(forward, forward_old)
@@ -179,8 +186,7 @@ class TestPowerControlParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_single_cell_close_to_full_row_solve(self, seed):
         case = dict(num_mobiles=400, num_cells=1, seed=seed, activity="random",
-                    iterations=25, with_rate=True, with_extra=True,
-                    link_cap=0.1)
+                    with_rate=True, with_extra=True, link_cap=0.1)
         for new, old in solve_both(case):
             assert_same_result(new, old)
 

@@ -202,6 +202,7 @@ class TestScenarioSpecs:
                 for value in (True, False)
             ],
             ("power_control_tolerance", None),
+            ("power_control_tolerance", 1e-9),
         ],
     )
     def test_saved_spec_with_retired_key_loads_with_a_warning(
@@ -270,11 +271,36 @@ class TestScenarioSpecs:
         assert built.scenario.system.radio.cell_radius_m == 500.0
         assert built.fingerprint == current.fingerprint
 
-    def test_numeric_power_control_tolerance_refused(self):
-        spec = spec_from_scenario(golden_scenario())
-        spec["scenario"]["power_control_tolerance"] = 1e-9
-        with pytest.raises(SpecError, match="system.radio.power_control_tolerance"):
-            build_scenario(spec)
+    def test_numeric_power_control_tolerance_ignored_with_a_warning(self):
+        # Power control solves for its exact fixed point, so no tolerance
+        # changes the numerics any more: a numeric override is dropped.
+        current = spec_from_scenario(golden_scenario())
+        spec = {**current, "scenario": {**current["scenario"],
+                                        "power_control_tolerance": 1e-9}}
+        with pytest.warns(DeprecationWarning, match="power_control_tolerance"):
+            built = build_scenario(spec)
+        assert built.scenario == golden_scenario()
+        assert built.fingerprint == spec_fingerprint(current)
+
+    def test_saved_system_radio_with_power_control_keys_loads_with_a_warning(
+        self, tmp_path
+    ):
+        # A spec_from_scenario dump of a non-default system, written while
+        # RadioConfig had the Yates stopping rule, carries both of its keys.
+        config = replace(golden_scenario(), system=SystemConfig().with_overrides(
+            radio=replace(SystemConfig().radio, num_rings=2)))
+        current = spec_from_scenario(config, {"name": "fcfs"})
+        parent = json.loads(json.dumps(current))
+        parent["system"]["radio"].update(
+            power_control_iterations=25, power_control_tolerance=1e-6
+        )
+        saved = tmp_path / "saved.json"
+        saved.write_text(json.dumps(parent))
+        with pytest.warns(DeprecationWarning, match="power_control_"):
+            built = build_scenario(load_scenario_spec(str(saved)))
+        assert built.scenario == build_scenario(current).scenario == config
+        assert "power_control_tolerance" not in built.spec["system"]["radio"]
+        assert built.fingerprint == spec_fingerprint(current)
 
     @pytest.mark.parametrize(
         "key, value", [("warm_start", True), ("batched", False), ("refine_nodes", 8)]

@@ -108,20 +108,25 @@ class TestDynamicSimulator:
 
 
 class TestPowerControlWiring:
-    """The radio config's solver tolerance reaches both power-control solvers."""
+    """The radio config's power-control settings reach both solvers."""
 
     def test_settings_reach_the_network(self):
         base = ScenarioConfig.fast_test()
         system = base.system.with_overrides(
-            radio=replace(base.system.radio, power_control_tolerance=1e-9)
+            radio=replace(base.system.radio, reverse_pilot_overhead=0.5,
+                          ms_max_tx_power_w=0.1, orthogonality_factor=0.4)
         )
         simulator = DynamicSystemSimulator(
             replace(base, system=system), JabaSdScheduler("J1")
         )
         assert simulator.system is system
-        assert simulator.network.reverse_pc.tolerance == 1e-9
-        assert simulator.network.forward_pc.tolerance == 1e-9
+        assert simulator.network.reverse_pc.pilot_overhead == 0.5
+        assert simulator.network.reverse_pc.max_tx_power_w == 0.1
+        assert simulator.network.forward_pc.orthogonality_factor == 0.4
 
     def test_tolerance_override_validated(self):
-        with pytest.raises(ValueError):
-            RadioConfig(power_control_tolerance=0.0)
+        # The Yates stopping rule is gone: its fields are no longer settable.
+        with pytest.raises(TypeError, match="power_control_tolerance"):
+            RadioConfig(power_control_tolerance=1e-9)
+        with pytest.raises(TypeError, match="power_control_iterations"):
+            RadioConfig(power_control_iterations=12)
