@@ -15,6 +15,8 @@ solver's own inputs:
 
 The runs are the paper's scenario (K=7), the same density on four rings
 (K=61) and a K=19 run with J≈2e3 users, past pole capacity on both links.
+The last solve of each run and link is matched against the converged Yates
+sweeps as in ``tests/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.mac.schedulers import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
 from repro.simulation.scenario import TrafficConfig
 from tests.oracles.powercontrol import forward_solve, reverse_solve
+from tests.test_kernel_parity import REFERENCE_TOLERANCE, assert_same_result
 
 
 def assert_fixed_point(oracle, pc, inputs, result) -> None:
@@ -72,25 +75,38 @@ def check_forward(pc, inputs, result) -> None:
 
 
 def run_checked(scenario: ScenarioConfig) -> dict:
-    """Run ``scenario``, checking every solve; ``link -> (solves, infeasible)``."""
+    """Run ``scenario``, checking every solve; ``link -> (solves, infeasible)``.
+
+    The last solve of each link is also matched against the oracle's sweeps
+    run to convergence, with the parity tests' pre-registered tolerance.
+    """
     simulator = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"))
-    counts = {}
+    counts, last = {}, {}
     for link, pc, check in (
         ("reverse", simulator.network.reverse_pc, check_reverse),
         ("forward", simulator.network.forward_pc, check_forward),
     ):
         counts[link] = [0, 0]
 
-        def checked(_solve=pc.solve, _pc=pc, _check=check, _count=counts[link], **inputs):
+        def checked(_solve=pc.solve, _pc=pc, _check=check, _link=link, **inputs):
             result = _solve(**inputs)
             _check(_pc, inputs, result)
-            _count[0] += 1
-            _count[1] += result.infeasible
+            counts[_link][0] += 1
+            counts[_link][1] += result.infeasible
+            last[_link] = inputs
             return result
 
         pc.solve = checked
     simulator.run()
-    return {link: tuple(count) for link, count in counts.items()}
+    solves = {link: tuple(count) for link, count in counts.items()}
+    for link, oracle in (("reverse", reverse_solve), ("forward", forward_solve)):
+        pc = getattr(simulator.network, f"{link}_pc")
+        inputs = last[link]
+        assert_same_result(
+            type(pc).solve(pc, **inputs),
+            oracle(pc, **inputs, tolerance=REFERENCE_TOLERANCE),
+        )
+    return solves
 
 
 def rings(num_rings: int) -> SystemConfig:
