@@ -44,11 +44,12 @@ try:
 except ImportError:  # pragma: no cover - the repo root is not on sys.path
     sys.path.insert(0, str(ROOT))
 
+from repro import constants
 from repro.cdma.entities import MobileStation, UserClass
 from repro.cdma.network import CdmaNetwork, NetworkSnapshot
 from repro.config import SystemConfig
 from repro.geometry.hexgrid import HexagonalCellLayout
-from repro.geometry.mobility import RandomDirectionMobility
+from repro.geometry.mobility import FleetMemberMobility, RandomDirectionFleet
 from repro.mac.measurement import ForwardLinkMeasurement, ReverseLinkMeasurement
 from repro.mac.requests import BurstRequest, LinkDirection
 from tests.oracles.measurement import forward_build, reverse_build
@@ -72,18 +73,19 @@ def build_snapshot(num_mobiles: int, num_rings: int, seed: int):
         wraparound=config.radio.wraparound,
     )
     rng = np.random.default_rng(seed)
-    bounds = layout.bounding_box()
+    positions = np.array(
+        [layout.random_position(rng) for _ in range(num_mobiles)]
+    ).reshape(num_mobiles, 2)
+    fleet = RandomDirectionFleet(positions, layout.bounding_box(), rng=rng)
     mobiles = [
         MobileStation(
             index=i,
             user_class=UserClass.DATA if i % 2 == 0 else UserClass.VOICE,
-            mobility=RandomDirectionMobility(
-                layout.random_position(rng), bounds, rng=rng
-            ),
+            mobility=FleetMemberMobility(fleet, i),
         )
         for i in range(num_mobiles)
     ]
-    network = CdmaNetwork(config, mobiles, rng, layout)
+    network = CdmaNetwork(config, mobiles, rng, layout, mobility_fleet=fleet)
     # A few frames of mobility/hand-off so the active sets are heterogeneous.
     for _ in range(5):
         network.advance(0.02)
@@ -171,7 +173,7 @@ def run_bench(
     num_rings: int = 2,
     queue_lengths=DEFAULT_QUEUES,
     repeats: int = 20,
-    scrm_max_pilots: int = 8,
+    scrm_max_pilots: int = constants.SCRM_MAX_PILOTS,
     seed: int = 0,
 ) -> Dict:
     """Run the full queue-length sweep and return the report dictionary."""
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
         help="queue lengths to sweep",
     )
     parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--scrm-max-pilots", type=int, default=8)
+    parser.add_argument("--scrm-max-pilots", type=int, default=constants.SCRM_MAX_PILOTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--smoke", action="store_true", help="tiny run for CI (J=60, K=7)"

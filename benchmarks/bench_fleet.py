@@ -16,8 +16,9 @@ point.  The end-to-end speed of the fleet path is measured by the
 
 The fleets own their own seeded random streams (see the fleet RNG contract
 in ``benchmarks/README.md``), so parity with the per-user reference models
-(``OnOffVoiceSource``, ``PacketCallDataSource``, ``MacStateMachine``,
-``RandomDirectionMobility``) is checked *statistically* at kernel level —
+(``OnOffVoiceSource``, ``PacketCallDataSource``, ``MacStateMachine`` and
+``RandomDirectionMobility`` from ``tests/oracles/mobility.py``) is checked
+*statistically* at kernel level —
 voice activity fraction, packet-call rate / size distribution (KS
 distance), mobility speed — plus a bit-exactness check of the deterministic
 MAC fleet.
@@ -44,13 +45,18 @@ from typing import Dict
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 try:
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - script invocation without PYTHONPATH
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+try:
+    import tests.oracles  # noqa: F401
+except ImportError:  # pragma: no cover - the repo root is not on sys.path
+    sys.path.insert(0, str(ROOT))
 
 from repro.config import MacConfig, SystemConfig
-from repro.geometry.mobility import RandomDirectionFleet, RandomDirectionMobility
+from repro.geometry.mobility import RandomDirectionFleet
 from repro.mac import JabaSdScheduler
 from repro.mac.states import MacStateFleet, MacStateMachine
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
@@ -58,8 +64,9 @@ from repro.simulation.scenario import TrafficConfig
 from repro.traffic.data import DataTrafficFleet, PacketCallDataSource, TruncatedParetoSize
 from repro.traffic.voice import OnOffVoiceSource, VoiceFleet
 from repro.utils.hooks import SimHooks, StageTimingHooks
+from tests.oracles.mobility import RandomDirectionMobility
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
+DEFAULT_OUTPUT = ROOT / "BENCH_fleet.json"
 DEFAULT_POPULATIONS = (200, 2000, 20000)
 STAGES = ("voice", "arrivals", "data_activity", "mac", "mobility")
 BASE_READING_TIME_S = 4.0

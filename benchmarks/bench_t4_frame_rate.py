@@ -10,7 +10,9 @@ Measures ``CdmaNetwork.step`` throughput (frames/sec) at configurable scale
   reach, the baseline silently benefits, so the reported speedups are
   *conservative*: it calls the production power-control solvers (their
   arithmetic is checked against the full-row oracle by
-  ``tests/test_kernel_parity.py``).  Its channel follows the current
+  ``tests/test_kernel_parity.py``), and it moves its users with the
+  network's :class:`~repro.geometry.mobility.RandomDirectionFleet` kernel
+  instead of one scalar model per mobile.  Its channel follows the current
   link-gain formula (path loss in dB, one ``exp``), so that its snapshots
   stay comparable bit for bit.
 * ``optimized_cold`` — the vectorised pipeline (power control starts cold
@@ -51,7 +53,7 @@ from repro.cdma.network import CdmaNetwork, NetworkSnapshot
 from repro.cdma.pilot import forward_pilot_ec_io, reverse_pilot_ec_io
 from repro.config import SystemConfig
 from repro.geometry.hexgrid import HexagonalCellLayout
-from repro.geometry.mobility import RandomDirectionMobility
+from repro.geometry.mobility import FleetMemberMobility, RandomDirectionFleet
 from repro.utils.hooks import SimHooks
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_frame_rate.json"
@@ -61,7 +63,11 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_frame_rate.json"
 # network construction
 # --------------------------------------------------------------------------
 def build_network(num_mobiles: int, num_rings: int, seed: int) -> CdmaNetwork:
-    """Build a reproducible network (half data / half voice users)."""
+    """Build a reproducible network (half data / half voice users).
+
+    The users move with a :class:`RandomDirectionFleet` passed to the
+    network as its ``mobility_fleet``, as the dynamic simulator does.
+    """
     config = SystemConfig()
     config = replace(config, radio=replace(config.radio, num_rings=num_rings))
     layout = HexagonalCellLayout(
@@ -70,18 +76,19 @@ def build_network(num_mobiles: int, num_rings: int, seed: int) -> CdmaNetwork:
         wraparound=config.radio.wraparound,
     )
     rng = np.random.default_rng(seed)
-    bounds = layout.bounding_box()
+    positions = np.array(
+        [layout.random_position(rng) for _ in range(num_mobiles)]
+    ).reshape(num_mobiles, 2)
+    fleet = RandomDirectionFleet(positions, layout.bounding_box(), rng=rng)
     mobiles = [
         MobileStation(
             index=i,
             user_class=UserClass.DATA if i % 2 == 0 else UserClass.VOICE,
-            mobility=RandomDirectionMobility(
-                layout.random_position(rng), bounds, rng=rng
-            ),
+            mobility=FleetMemberMobility(fleet, i),
         )
         for i in range(num_mobiles)
     ]
-    return CdmaNetwork(config, mobiles, rng, layout)
+    return CdmaNetwork(config, mobiles, rng, layout, mobility_fleet=fleet)
 
 
 # --------------------------------------------------------------------------
@@ -185,9 +192,9 @@ def _seed_positions(self):
 def _seed_advance(self, dt_s):
     if dt_s < 0.0:
         raise ValueError("dt_s must be non-negative")
-    moved = np.zeros(self.num_mobiles)
-    for i, mobile in enumerate(self.mobiles):
-        moved[i] = mobile.mobility.advance(dt_s)
+    # The seed advanced one scalar model per mobile; the baseline advances
+    # the network's fleet, which only flatters it.
+    moved = self._mobility_fleet.advance(dt_s)
     positions = _seed_positions(self)
     if self.num_mobiles > 0:
         self.link_gains.advance(positions, moved)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.channel import CompositeChannel
+from repro import constants
+from repro.channel import LogDistancePathLoss
 from repro.phy import FixedRatePhy, ModeTable, VtaocCodec, instantaneous_csi
 from repro.utils.tables import format_table
 from repro.utils.units import db_to_linear, linear_to_db
@@ -34,25 +35,35 @@ def main() -> None:
     print()
 
     # --- a mobile driving away from the base station under fading ---------------
+    # The channel of eq. (1), X(t) = Xl(t) * Xs(t): a local mean Xl (path loss
+    # times log-normal shadowing, an AR(1) process in dB whose correlation
+    # decays with the distance travelled) and a unit-mean exponential Rayleigh
+    # power Xs.  At a 20 Hz Doppler the fading decorrelates within a 20 ms
+    # frame, so each frame draws it afresh.
     rng = np.random.default_rng(3)
-    channel = CompositeChannel.standard(rng, doppler_hz=20.0, shadowing_std_db=8.0)
+    path_loss = LogDistancePathLoss()
+    shadowing_std_db = 8.0
     frame_s = 0.02
     speed_m_s = 13.9  # 50 km/h
+    step_m = speed_m_s * frame_s
+    rho = np.exp(-step_m / constants.SHADOWING_DECORRELATION_DISTANCE_M)
+    shadowing_db = shadowing_std_db * rng.standard_normal()
     distance = 400.0
     # Transmit power chosen so the link has ~20 dB local-mean CSI at 400 m.
-    reference_gain = channel.path_loss.gain(400.0)
+    reference_gain = path_loss.gain(400.0)
     tx_scale = db_to_linear(20.0) / reference_gain
 
     log_rows = []
     throughputs = []
     mean_csis = []
     for step in range(500):
-        distance += speed_m_s * frame_s
-        sample = channel.advance(
-            moved_m=speed_m_s * frame_s, dt_s=frame_s, new_distance_m=distance
-        )
-        mean_csi = tx_scale * sample.local_mean_gain
-        csi = instantaneous_csi(sample.fading_gain, mean_csi)
+        distance += step_m
+        shadowing_db = rho * shadowing_db + shadowing_std_db * np.sqrt(
+            1.0 - rho**2
+        ) * rng.standard_normal()
+        local_mean_gain = path_loss.gain(distance) * db_to_linear(shadowing_db)
+        mean_csi = tx_scale * local_mean_gain
+        csi = instantaneous_csi(rng.exponential(1.0), mean_csi)
         mode = codec.select_mode(csi)
         throughput = codec.instantaneous_throughput(csi)
         throughputs.append(throughput)

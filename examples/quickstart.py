@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cdma import CdmaNetwork, MobileStation, UserClass
 from repro.config import SystemConfig
-from repro.geometry import HexagonalCellLayout, RandomDirectionMobility
+from repro.geometry import FleetMemberMobility, HexagonalCellLayout, RandomDirectionFleet
 from repro.mac import (
     BurstAdmissionController,
     BurstRequest,
@@ -32,24 +32,27 @@ from repro.utils.tables import format_table
 
 
 def build_network(config: SystemConfig, seed: int = 42) -> CdmaNetwork:
-    """A 7-cell network with 14 data users and 14 voice users."""
+    """A 7-cell network with 14 data users and 14 voice users.
+
+    The users move with a random-direction fleet, which owns their positions
+    (as in the dynamic simulator); each mobile's model is a view of it.
+    """
     rng = np.random.default_rng(seed)
     layout = HexagonalCellLayout(
         num_rings=config.radio.num_rings, cell_radius_m=config.radio.cell_radius_m
     )
-    bounds = layout.bounding_box()
-    mobiles = []
-    for index in range(28):
-        position = layout.random_position(rng)
-        mobiles.append(
-            MobileStation(
-                index=index,
-                user_class=UserClass.DATA if index < 14 else UserClass.VOICE,
-                mobility=RandomDirectionMobility(position, bounds, rng=rng),
-                fch_pilot_power_ratio=config.radio.fch_pilot_power_ratio,
-            )
+    positions = np.array([layout.random_position(rng) for _ in range(28)])
+    fleet = RandomDirectionFleet(positions, layout.bounding_box(), rng=rng)
+    mobiles = [
+        MobileStation(
+            index=index,
+            user_class=UserClass.DATA if index < 14 else UserClass.VOICE,
+            mobility=FleetMemberMobility(fleet, index),
+            fch_pilot_power_ratio=config.radio.fch_pilot_power_ratio,
         )
-    return CdmaNetwork(config, mobiles, rng, layout)
+        for index in range(28)
+    ]
+    return CdmaNetwork(config, mobiles, rng, layout, mobility_fleet=fleet)
 
 
 def main() -> None:

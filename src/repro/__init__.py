@@ -10,11 +10,12 @@ The top-level namespace re-exports the most commonly used entry points; see
 the sub-packages for the full API:
 
 * :mod:`repro.phy` — variable-throughput adaptive physical layer (VTAOC).
-* :mod:`repro.channel` — path-loss models and scalar single-link fading /
-  shadowing / CSI models, which the dynamic simulator does not use.
+* :mod:`repro.channel` — path-loss models.
+* :mod:`repro.geometry` — the hexagonal cell layout and user mobility.
 * :mod:`repro.cdma` — multi-cell wideband CDMA network substrate; its
   :class:`~repro.cdma.linkgain.LinkGainMap` (local-mean path loss ×
-  shadowing of every mobile–cell pair) is the dynamic simulator's channel.
+  shadowing of every mobile–cell pair) is the simulators' channel, and the
+  VTAOC layer averages over the fast fading analytically.
 * :mod:`repro.mac` — burst admission control (measurement + scheduling),
   including the JABA-SD scheduler and the FCFS / equal-share baselines.
 * :mod:`repro.simulation` — dynamic and snapshot system simulators.

@@ -29,7 +29,7 @@ from repro.cdma.powercontrol import (
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.config import SystemConfig
 from repro.geometry.hexgrid import HexagonalCellLayout
-from repro.geometry.mobility import MobilityBatch
+from repro.geometry.mobility import StaticMobility
 
 __all__ = ["CdmaNetwork", "NetworkSnapshot"]
 
@@ -182,13 +182,16 @@ class CdmaNetwork:
     layout:
         Optional pre-built cell layout (built from ``config`` when omitted).
     mobility_fleet:
-        Optional structure-of-arrays mobility back-end (e.g.
-        :class:`repro.geometry.mobility.RandomDirectionFleet`) adopted
-        instead of building a :class:`MobilityBatch` over the mobiles' model
-        objects.  Must expose ``positions`` of shape ``(J, 2)`` (adopted as
-        the network's position storage) and
-        ``advance(dt_s, out_moved=...)``.  The mobiles' own ``mobility``
-        models are then placement-only and never advanced by the network.
+        The source of the positions of a moving population, e.g. the
+        dynamic simulator's
+        :class:`repro.geometry.mobility.RandomDirectionFleet`.  It must
+        expose ``positions`` of shape ``(J, 2)``, adopted as the network's
+        position storage, and ``advance(dt_s, out_moved=...)``, which
+        :meth:`advance` calls once per frame.  The mobiles' own
+        ``mobility`` models are then only views of the fleet.  Without a
+        fleet the positions are the mobiles' fixed positions: every mobile
+        must have a :class:`~repro.geometry.mobility.StaticMobility` model
+        (``ValueError`` otherwise), and :meth:`advance` moves nobody.
 
     Notes
     -----
@@ -303,7 +306,7 @@ class CdmaNetwork:
 
         # Dynamic per-mobile arrays, updated in place: FCH activity/rate by
         # set_fch_state (the mobiles' fields are only the initial state),
-        # positions by the batched mobility advance.
+        # positions by the mobility fleet's advance.
         num_mobiles = len(self.mobiles)
         self._fch_active = np.asarray(
             [m.fch_active for m in self.mobiles], dtype=bool
@@ -316,16 +319,22 @@ class CdmaNetwork:
                 raise ValueError(
                     "mobility_fleet.positions must have shape (num_mobiles, 2)"
                 )
-            self._mobility_batch = mobility_fleet
+            self._positions_arr = mobility_fleet.positions
         else:
-            self._mobility_batch = MobilityBatch(
-                [m.mobility for m in self.mobiles],
-                positions_out=np.zeros((num_mobiles, 2)),
-            )
-        self._positions_arr = self._mobility_batch.positions
+            self._positions_arr = np.zeros((num_mobiles, 2))
+            for j, mobile in enumerate(self.mobiles):
+                if not isinstance(mobile.mobility, StaticMobility):
+                    raise ValueError(
+                        f"mobile {j} moves ({type(mobile.mobility).__name__}): "
+                        "a network without a mobility_fleet holds static mobiles only"
+                    )
+                self._positions_arr[j] = mobile.mobility.position
+        self._mobility_fleet = mobility_fleet
+        # Distance travelled per mobile in the last advance; all zeros
+        # without a fleet.
         self._moved_buf = np.zeros(num_mobiles)
         #: Optional :class:`repro.utils.hooks.SimHooks` observer; when set,
-        #: :meth:`advance` reports the mobility kernel as a ``"mobility"``
+        #: :meth:`advance` reports the fleet's advance as a ``"mobility"``
         #: stage (enter/exit with wall time).  Assigned by the dynamic
         #: simulator so network stages join its hooked frame pipeline.
         self.hooks = None
@@ -399,18 +408,22 @@ class CdmaNetwork:
 
         Power control is *not* run here; call :meth:`snapshot` to obtain the
         measurements at the new state.  The update order is mobility →
-        propagation → hand-off.
+        propagation → hand-off.  Without a mobility fleet nobody moves, so
+        the shadowing, which decorrelates with the distance travelled, keeps
+        its values.
         """
         if dt_s < 0.0:
             raise ValueError("dt_s must be non-negative")
-        hooks = self.hooks
-        if hooks is None:
-            self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
-        else:
-            hooks.stage_enter("mobility", self._time_s)
-            t0 = time.perf_counter()
-            self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
-            hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
+        fleet = self._mobility_fleet
+        if fleet is not None:
+            hooks = self.hooks
+            if hooks is None:
+                fleet.advance(dt_s, out_moved=self._moved_buf)
+            else:
+                hooks.stage_enter("mobility", self._time_s)
+                t0 = time.perf_counter()
+                fleet.advance(dt_s, out_moved=self._moved_buf)
+                hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
         if self.num_mobiles > 0:
             self.link_gains.advance(self._positions_arr, self._moved_buf)
         self._time_s += dt_s

@@ -1,13 +1,10 @@
 """Deterministic path-loss models.
 
 The paper (and the cdma2000 evaluation methodology it builds on, refs [1,2])
-uses a distance-power-law path loss; two standard variants are provided:
+uses a distance-power-law path loss, :class:`LogDistancePathLoss`:
+``PL(d) = PL0 + 10*n*log10(d/d0)`` dB.
 
-* :class:`LogDistancePathLoss` — ``PL(d) = PL0 + 10*n*log10(d/d0)`` dB.
-* :class:`HataPathLoss` — COST-231/Hata urban macro-cell formula, useful to
-  check that the conclusions do not depend on the particular exponent model.
-
-All models expose *gain* (linear, <= 1) and *loss in dB*;
+A model exposes *gain* (linear, <= 1) and *loss in dB*;
 :mod:`repro.cdma.linkgain` adds the loss in dB to the shadowing before its
 single conversion to linear units.
 """
@@ -15,7 +12,6 @@ single conversion to linear units.
 from __future__ import annotations
 
 import abc
-import math
 from typing import Union
 
 import numpy as np
@@ -25,7 +21,7 @@ from repro.utils.validation import check_positive
 
 ArrayLike = Union[float, np.ndarray]
 
-__all__ = ["PathLossModel", "LogDistancePathLoss", "HataPathLoss"]
+__all__ = ["PathLossModel", "LogDistancePathLoss"]
 
 
 class PathLossModel(abc.ABC):
@@ -94,72 +90,4 @@ class LogDistancePathLoss(PathLossModel):
             f"LogDistancePathLoss(exponent={self.exponent}, "
             f"reference_loss_db={self.reference_loss_db}, "
             f"reference_distance_m={self.reference_distance_m})"
-        )
-
-
-class HataPathLoss(PathLossModel):
-    """COST-231 Hata urban macro-cell path loss.
-
-    Valid for carrier frequencies of 1.5 – 2 GHz, base-station antenna heights
-    of 30 – 200 m and mobile antenna heights of 1 – 10 m.  Outside those
-    ranges the formula is still evaluated (the model degrades gracefully) but
-    a :class:`ValueError` is raised for non-physical inputs.
-
-    Parameters
-    ----------
-    carrier_frequency_hz:
-        Carrier frequency in Hz.
-    base_height_m:
-        Base-station antenna height in metres.
-    mobile_height_m:
-        Mobile antenna height in metres.
-    large_city:
-        Use the large-city correction term when True.
-    """
-
-    def __init__(
-        self,
-        carrier_frequency_hz: float = constants.CARRIER_FREQUENCY_HZ,
-        base_height_m: float = 30.0,
-        mobile_height_m: float = 1.5,
-        large_city: bool = False,
-    ) -> None:
-        self.carrier_frequency_hz = check_positive(
-            "carrier_frequency_hz", carrier_frequency_hz
-        )
-        self.base_height_m = check_positive("base_height_m", base_height_m)
-        self.mobile_height_m = check_positive("mobile_height_m", mobile_height_m)
-        self.large_city = bool(large_city)
-
-    def _mobile_correction_db(self) -> float:
-        f_mhz = self.carrier_frequency_hz / 1e6
-        h = self.mobile_height_m
-        if self.large_city:
-            return 3.2 * (math.log10(11.75 * h)) ** 2 - 4.97
-        return (1.1 * math.log10(f_mhz) - 0.7) * h - (1.56 * math.log10(f_mhz) - 0.8)
-
-    def loss_db(self, distance_m: ArrayLike) -> ArrayLike:
-        dist_km = self._clip_distance(distance_m) / 1000.0
-        dist_km = np.maximum(dist_km, 0.02)  # formula breaks below ~20 m
-        f_mhz = self.carrier_frequency_hz / 1e6
-        hb = self.base_height_m
-        a_hm = self._mobile_correction_db()
-        c_m = 3.0 if self.large_city else 0.0
-        loss = (
-            46.3
-            + 33.9 * math.log10(f_mhz)
-            - 13.82 * math.log10(hb)
-            - a_hm
-            + (44.9 - 6.55 * math.log10(hb)) * np.log10(dist_km)
-            + c_m
-        )
-        if np.isscalar(distance_m) or np.ndim(loss) == 0:
-            return float(loss)
-        return loss
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"HataPathLoss(f={self.carrier_frequency_hz / 1e6:.0f} MHz, "
-            f"hb={self.base_height_m} m, hm={self.mobile_height_m} m, "
-            f"large_city={self.large_city})"
         )

@@ -130,14 +130,20 @@ class RadioConfig:
     def __post_init__(self) -> None:
         check_positive("cell_radius_m", self.cell_radius_m)
         check_positive("bs_max_tx_power_w", self.bs_max_tx_power_w)
-        check_probability("bs_common_channel_fraction", self.bs_common_channel_fraction)
-        check_probability("bs_pilot_fraction", self.bs_pilot_fraction)
+        # The pilot is part of the common channels, which leave the traffic
+        # channels some of the base station's power (BaseStation's rules).
+        if not 0.0 < self.bs_pilot_fraction <= self.bs_common_channel_fraction < 1.0:
+            raise ValueError(
+                "need 0 < bs_pilot_fraction <= bs_common_channel_fraction < 1, got "
+                f"bs_pilot_fraction={self.bs_pilot_fraction!r} and "
+                f"bs_common_channel_fraction={self.bs_common_channel_fraction!r}"
+            )
         check_probability("fch_max_power_fraction", self.fch_max_power_fraction)
         check_positive("ms_max_tx_power_w", self.ms_max_tx_power_w)
         check_positive("bandwidth_hz", self.bandwidth_hz)
         check_positive("fch_bit_rate_bps", self.fch_bit_rate_bps)
         check_probability("orthogonality_factor", self.orthogonality_factor)
-        check_non_negative("reverse_pilot_overhead", self.reverse_pilot_overhead)
+        check_positive("reverse_pilot_overhead", self.reverse_pilot_overhead)
         if not 0.0 < self.control_channel_rate_fraction <= 1.0:
             raise ValueError("control_channel_rate_fraction must lie in (0, 1]")
 

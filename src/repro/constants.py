@@ -50,12 +50,6 @@ SHADOWING_STD_DB: float = 8.0
 #: Default shadowing decorrelation distance in metres (Gudmundson model).
 SHADOWING_DECORRELATION_DISTANCE_M: float = 50.0
 
-#: Default carrier frequency in Hz (cellular band).
-CARRIER_FREQUENCY_HZ: float = 2.0e9
-
-#: Speed of light in m/s.
-SPEED_OF_LIGHT_M_S: float = 299_792_458.0
-
 #: Thermal noise power spectral density in dBm/Hz at 290 K.
 THERMAL_NOISE_DENSITY_DBM_HZ: float = -174.0
 
@@ -92,9 +86,6 @@ VTAOC_NUM_MODES: int = 6
 
 #: Default target bit error rate maintained by the constant-BER adaptation.
 TARGET_BER: float = 1.0e-3
-
-#: Default FCH target bit error rate (voice-grade).
-FCH_TARGET_BER: float = 1.0e-3
 
 #: Default FCH Eb/Io target in dB used by closed-loop power control.
 FCH_EB_IO_TARGET_DB: float = 7.0

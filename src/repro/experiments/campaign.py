@@ -41,8 +41,8 @@ production-scale estimator:
   crashes, runner exceptions and delays at chosen ``(point, replication)``
   coordinates so the fault-tolerance layer is provable, not assumed;
 * per-point aggregation (mean / CI half-width / extremes) goes through
-  :mod:`repro.utils.stats`, and the same module's hypothesis-test battery
-  certifies that the seed tree produces independent streams.
+  :mod:`repro.utils.stats`; ``tests/test_campaign.py`` certifies with
+  ``scipy.stats`` tests that the seed tree produces independent streams.
 
 The engine is deliberately simulator-agnostic: a *runner* is any picklable
 module-level callable ``runner(params, seed_sequence) -> dict[str, float]``.

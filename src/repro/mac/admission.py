@@ -22,7 +22,7 @@ only), as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,35 +96,21 @@ class BurstAdmissionController:
         Full system configuration.
     scheduler:
         Scheduling policy (JABA-SD or a baseline).
-    vtaoc:
-        Adaptive codec used to map local-mean CSI to ``delta_rho``; built
-        from the PHY configuration when omitted.
-    scrm_max_pilots:
-        Number of neighbour pilots carried in the SCRM message.
+
+    The adaptive codec that maps local-mean CSI to ``delta_rho`` is built
+    from the PHY configuration.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        scheduler: BurstScheduler,
-        vtaoc: Optional[VtaocCodec] = None,
-        scrm_max_pilots: int = 8,
-    ) -> None:
+    def __init__(self, config: SystemConfig, scheduler: BurstScheduler) -> None:
         self.config = config
         self.scheduler = scheduler
-        self.vtaoc = (
-            vtaoc
-            if vtaoc is not None
-            else VtaocCodec(
-                mode_table=ModeTable.default(config.phy.num_modes),
-                target_ber=config.phy.target_ber,
-                coding_gain_db=config.phy.coding_gain_db,
-            )
+        self.vtaoc = VtaocCodec(
+            mode_table=ModeTable.default(config.phy.num_modes),
+            target_ber=config.phy.target_ber,
+            coding_gain_db=config.phy.coding_gain_db,
         )
         self.forward_measurement = ForwardLinkMeasurement(config.phy, config.mac)
-        self.reverse_measurement = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
-        )
+        self.reverse_measurement = ReverseLinkMeasurement(config.phy, config.mac)
         self.duration_constraint = BurstDurationConstraint(
             config.mac, config.radio.fch_bit_rate_bps
         )

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import constants
 from repro.cdma.network import NetworkSnapshot
 from repro.config import MacConfig, PhyConfig
 from repro.mac.requests import BurstRequest, LinkDirection
@@ -204,11 +205,15 @@ class ReverseLinkMeasurement:
     phy / mac:
         Configuration sections providing ``gamma_s``, ``alpha`` and ``kappa``.
     scrm_max_pilots:
-        Number of neighbour pilots carried in the SCRM message.
+        Number of neighbour pilots carried in the SCRM (supplemental channel
+        request message); paper footnote 6, :data:`repro.constants.SCRM_MAX_PILOTS`.
     """
 
     def __init__(
-        self, phy: PhyConfig, mac: MacConfig, scrm_max_pilots: int = 8
+        self,
+        phy: PhyConfig,
+        mac: MacConfig,
+        scrm_max_pilots: int = constants.SCRM_MAX_PILOTS,
     ) -> None:
         if scrm_max_pilots < 1:
             raise ValueError("scrm_max_pilots must be at least 1")

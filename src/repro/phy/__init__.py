@@ -21,8 +21,12 @@ Public API
     Adaptive codec: mode selection, instantaneous and average throughput.
 :class:`~repro.phy.fixedrate.FixedRatePhy`
     Non-adaptive baseline used in experiment F1.
-:mod:`~repro.phy.spreading`
-    FCH/SCH spreading-gain and power-ratio relations.
+
+The spreading-stage relations are evaluated where the admission layer needs
+them: the SCH power ``m * gamma_s`` times the FCH power (eq. (5)) in
+:mod:`repro.mac.measurement`, from :class:`repro.config.PhyConfig`'s
+``gamma_s`` fields, and the SCH bit rate ``m * delta_rho * Rf`` (eq. (4)) in
+:mod:`repro.mac.admission` and :mod:`repro.mac.constraints`.
 """
 
 from repro.phy.ber import q_function, ber_adaptive_mode, ber_orthogonal_union
@@ -30,12 +34,6 @@ from repro.phy.modes import TransmissionMode, ModeTable
 from repro.phy.thresholds import constant_ber_thresholds, threshold_for_mode
 from repro.phy.vtaoc import VtaocCodec, instantaneous_csi
 from repro.phy.fixedrate import FixedRatePhy
-from repro.phy.spreading import (
-    SpreadingConfig,
-    processing_gain,
-    sch_relative_bit_rate,
-    sch_power_ratio,
-)
 
 __all__ = [
     "q_function",
@@ -48,8 +46,4 @@ __all__ = [
     "VtaocCodec",
     "instantaneous_csi",
     "FixedRatePhy",
-    "SpreadingConfig",
-    "processing_gain",
-    "sch_relative_bit_rate",
-    "sch_power_ratio",
 ]

@@ -169,7 +169,7 @@ class Registration:
                 )
         try:
             return self.factory(**merged)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(
                 f"{self.kind} {self.name!r} rejected its parameters: {exc}"
             ) from exc
@@ -349,14 +349,6 @@ def parse_component_spec(text: str) -> Tuple[str, Dict[str, Any]]:
                 parsed = value.strip()
             kwargs[key.strip()] = parsed
     return name, kwargs
-
-
-def format_component_spec(name: str, kwargs: Mapping[str, Any]) -> str:
-    """Inverse of :func:`parse_component_spec` (for labels and logs)."""
-    if not kwargs:
-        return name
-    tail = ",".join(f"{key}={kwargs[key]!r}" for key in sorted(kwargs))
-    return f"{name}:{tail}"
 
 
 # ---------------------------------------------------------------------------

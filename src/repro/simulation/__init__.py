@@ -8,14 +8,15 @@
   analysis used for the capacity and coverage experiments.
 * :mod:`~repro.simulation.scenario` — scenario configuration shared by both.
 * :mod:`~repro.simulation.metrics` — metric collectors and result containers.
-* :mod:`~repro.simulation.runner` — multi-seed sweeps.
+
+Runs over several seeds go through the campaign engine
+(:mod:`repro.experiments.campaign`).
 """
 
 from repro.simulation.scenario import ScenarioConfig, TrafficConfig, MobilityConfig
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.dynamic import DynamicSystemSimulator
 from repro.simulation.snapshot import SnapshotSimulator, SnapshotResult
-from repro.simulation.runner import run_scenario, sweep_parameter, average_results
 
 __all__ = [
     "ScenarioConfig",
@@ -26,7 +27,4 @@ __all__ = [
     "DynamicSystemSimulator",
     "SnapshotSimulator",
     "SnapshotResult",
-    "run_scenario",
-    "sweep_parameter",
-    "average_results",
 ]

@@ -1,16 +1,9 @@
 """Shared utilities: unit conversions, random-number handling, statistics."""
 
-from repro.utils.units import (
-    db_to_linear,
-    linear_to_db,
-    dbm_to_watt,
-    watt_to_dbm,
-    ratio_db,
-)
-from repro.utils.rng import AntitheticRng, RngFactory, spawn_rng
+from repro.utils.units import db_to_linear, linear_to_db
+from repro.utils.rng import AntitheticRng, RngFactory
 from repro.utils.stats import (
     RunningStats,
-    TimeWeightedStats,
     Histogram,
     confidence_interval,
     paired_confidence_interval,
@@ -42,14 +35,9 @@ from repro.utils.recorder import (
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_watt",
-    "watt_to_dbm",
-    "ratio_db",
     "AntitheticRng",
     "RngFactory",
-    "spawn_rng",
     "RunningStats",
-    "TimeWeightedStats",
     "Histogram",
     "confidence_interval",
     "paired_confidence_interval",

@@ -1,7 +1,7 @@
 """Deterministic random-number-generator management.
 
-Simulations in this package involve many stochastic subsystems (shadowing,
-fast fading, mobility, traffic).  To make every experiment reproducible and
+Simulations in this package involve many stochastic subsystems (placement,
+shadowing, mobility, traffic).  To make every experiment reproducible and
 every subsystem's stream independent, all randomness flows through
 :class:`RngFactory`, which derives child generators from a single master seed
 using ``numpy``'s :class:`~numpy.random.SeedSequence` spawning mechanism.
@@ -9,7 +9,7 @@ using ``numpy``'s :class:`~numpy.random.SeedSequence` spawning mechanism.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -125,15 +125,3 @@ class AntitheticRng:
             low, high = 0, low
         return low + high - 1 - self._generator.integers(low, high, size)
 
-
-def spawn_rng(seed: SeedLike = None) -> np.random.Generator:
-    """Return a single :class:`numpy.random.Generator` from ``seed``.
-
-    Shorthand used by modules that only need one stream.
-    """
-    return np.random.default_rng(seed)
-
-
-def spawn_many(seed: SeedLike, count: int) -> Iterable[np.random.Generator]:
-    """Return ``count`` independent generators derived from ``seed``."""
-    return RngFactory(seed).children(count)

@@ -6,17 +6,17 @@ SIRs); storing them all would be wasteful, so the collectors in
 this module:
 
 * :class:`RunningStats` — Welford-style running mean/variance/min/max.
-* :class:`TimeWeightedStats` — time-weighted mean for piecewise-constant
-  signals (e.g. cell loading, queue length).
 * :class:`Histogram` — fixed-bin histogram with percentile queries, used for
   delay tail statistics.
+
+The confidence intervals at the end (plain, paired and Welch) are what the
+campaign engine reports per metric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -133,68 +133,6 @@ class RunningStats:
             f"RunningStats(count={self._count}, mean={self.mean:.6g}, "
             f"std={self.std:.6g})"
         )
-
-
-class TimeWeightedStats:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Record transitions with :meth:`record`; the value is assumed to hold from
-    the recorded time until the next call.  :meth:`finalize` (or passing
-    ``until`` to :attr:`mean`) closes the last segment.
-
-    Examples
-    --------
-    >>> tw = TimeWeightedStats()
-    >>> tw.record(0.0, 1.0)
-    >>> tw.record(1.0, 3.0)
-    >>> tw.mean(until=2.0)
-    2.0
-    """
-
-    def __init__(self) -> None:
-        self._last_time: Optional[float] = None
-        self._last_value: float = 0.0
-        self._weighted_sum = 0.0
-        self._elapsed = 0.0
-        self._max = -math.inf
-
-    def record(self, time: float, value: float) -> None:
-        """Record that the signal takes ``value`` from ``time`` onwards."""
-        time = float(time)
-        if self._last_time is not None:
-            if time < self._last_time:
-                raise ValueError("time must be non-decreasing")
-            dt = time - self._last_time
-            self._weighted_sum += dt * self._last_value
-            self._elapsed += dt
-        self._last_time = time
-        self._last_value = float(value)
-        if value > self._max:
-            self._max = float(value)
-
-    def mean(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean up to ``until`` (defaults to last recorded time)."""
-        weighted = self._weighted_sum
-        elapsed = self._elapsed
-        if until is not None and self._last_time is not None:
-            if until < self._last_time:
-                raise ValueError("until must not precede the last recorded time")
-            dt = until - self._last_time
-            weighted += dt * self._last_value
-            elapsed += dt
-        if elapsed <= 0.0:
-            return math.nan
-        return weighted / elapsed
-
-    @property
-    def max(self) -> float:
-        """Maximum recorded value (``nan`` when empty)."""
-        return self._max if self._last_time is not None else math.nan
-
-    @property
-    def current(self) -> float:
-        """Most recently recorded value."""
-        return self._last_value
 
 
 class Histogram:
@@ -362,143 +300,3 @@ def unpaired_confidence_interval(
 
     tval = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
     return mean, tval * math.sqrt(se_sq)
-
-
-@dataclass
-class SummaryStatistics:
-    """Immutable summary snapshot extracted from a :class:`RunningStats`."""
-
-    count: int
-    mean: float
-    std: float
-    min: float
-    max: float
-
-    @classmethod
-    def from_running(cls, rs: RunningStats) -> "SummaryStatistics":
-        """Build a summary from a running accumulator."""
-        return cls(count=rs.count, mean=rs.mean, std=rs.std, min=rs.min, max=rs.max)
-
-
-# ---------------------------------------------------------------------------
-# Statistical test battery
-# ---------------------------------------------------------------------------
-#
-# The Monte-Carlo campaign engine (:mod:`repro.experiments.campaign`) derives
-# every replication's random stream from a deterministic seed tree; the tests
-# below are the battery used to certify that those streams behave like
-# independent uniform sources (no seed collisions, no cross-stream
-# correlation).  They are generic two-sided hypothesis tests, so they are
-# equally usable on simulation outputs (e.g. comparing delay samples of two
-# schedulers).
-
-
-@dataclass(frozen=True)
-class HypothesisTestResult:
-    """Outcome of one statistical hypothesis test.
-
-    Attributes
-    ----------
-    name:
-        Identifier of the test performed.
-    statistic:
-        Value of the test statistic.
-    pvalue:
-        Two-sided p-value under the null hypothesis.
-    """
-
-    name: str
-    statistic: float
-    pvalue: float
-
-    def rejects(self, alpha: float = 0.01) -> bool:
-        """Whether the null hypothesis is rejected at significance ``alpha``."""
-        return self.pvalue < alpha
-
-
-def ks_uniformity_test(samples: Sequence[float]) -> HypothesisTestResult:
-    """Kolmogorov–Smirnov test of ``samples`` against the U(0, 1) null.
-
-    Used to certify that a replication stream's raw draws are uniform.
-    """
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
-        raise ValueError("ks_uniformity_test needs at least two samples")
-    from scipy import stats as scipy_stats
-
-    statistic, pvalue = scipy_stats.kstest(arr, "uniform")
-    return HypothesisTestResult("ks-uniform", float(statistic), float(pvalue))
-
-
-def pearson_independence_test(
-    a: Sequence[float], b: Sequence[float]
-) -> HypothesisTestResult:
-    """Pearson correlation test between two equally long sample streams.
-
-    The null hypothesis is zero linear correlation; a small p-value flags a
-    dependent (e.g. colliding) pair of streams.
-    """
-    x = np.asarray(list(a), dtype=float)
-    y = np.asarray(list(b), dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("streams must have equal length")
-    if x.size < 3:
-        raise ValueError("pearson_independence_test needs at least three samples")
-    from scipy import stats as scipy_stats
-
-    r, pvalue = scipy_stats.pearsonr(x, y)
-    return HypothesisTestResult("pearson-independence", float(r), float(pvalue))
-
-
-def chi_square_uniformity_test(
-    samples: Sequence[float], bins: int = 16
-) -> HypothesisTestResult:
-    """Chi-square goodness-of-fit of ``samples`` in [0, 1) to uniformity."""
-    arr = np.asarray(list(samples), dtype=float)
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    if arr.size < 5 * bins:
-        raise ValueError("need at least 5 samples per bin for the chi-square test")
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("samples must lie in [0, 1]")
-    counts, _ = np.histogram(arr, bins=bins, range=(0.0, 1.0))
-    from scipy import stats as scipy_stats
-
-    statistic, pvalue = scipy_stats.chisquare(counts)
-    return HypothesisTestResult("chi2-uniform", float(statistic), float(pvalue))
-
-
-def max_pairwise_correlation(streams: np.ndarray) -> float:
-    """Largest absolute off-diagonal correlation among row streams.
-
-    ``streams`` is an ``(n_streams, n_samples)`` array; the return value is
-    the worst-case |Pearson r| over all stream pairs — a cheap screen for
-    seed-tree collisions before running per-pair tests.
-    """
-    arr = np.asarray(streams, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 3:
-        raise ValueError("streams must be (n_streams >= 2, n_samples >= 3)")
-    corr = np.corrcoef(arr)
-    off = corr[~np.eye(arr.shape[0], dtype=bool)]
-    return float(np.max(np.abs(off)))
-
-
-def stream_collision_fraction(streams: np.ndarray, prefix: int = 8) -> float:
-    """Fraction of stream pairs sharing an identical leading ``prefix`` draw.
-
-    Two replication streams spawned from distinct seed-tree leaves should
-    never agree on their first ``prefix`` draws; any collision indicates the
-    seed derivation collapsed two leaves onto the same state.
-    """
-    arr = np.asarray(streams, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("streams must be (n_streams >= 2, n_samples)")
-    prefix = min(int(prefix), arr.shape[1])
-    heads = [tuple(row[:prefix].tolist()) for row in arr]
-    n = len(heads)
-    collisions = 0
-    seen: dict = {}
-    for head in heads:
-        collisions += seen.get(head, 0)
-        seen[head] = seen.get(head, 0) + 1
-    return collisions / (n * (n - 1) / 2)

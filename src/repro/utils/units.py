@@ -47,43 +47,3 @@ def linear_to_db(value: ArrayLike) -> ArrayLike:
         return float(out)
     return out
 
-
-def dbm_to_watt(value_dbm: ArrayLike) -> ArrayLike:
-    """Convert a power level from dBm to watts."""
-    arr = np.asarray(value_dbm, dtype=float)
-    out = 10.0 ** ((arr - 30.0) / 10.0)
-    if np.isscalar(value_dbm) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def watt_to_dbm(value_w: ArrayLike) -> ArrayLike:
-    """Convert a power level from watts to dBm.
-
-    Raises
-    ------
-    ValueError
-        If ``value_w`` is not strictly positive.
-    """
-    arr = np.asarray(value_w, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("watt_to_dbm requires strictly positive values")
-    out = 10.0 * np.log10(arr) + 30.0
-    if np.isscalar(value_w) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def ratio_db(numerator: ArrayLike, denominator: ArrayLike) -> ArrayLike:
-    """Return ``10*log10(numerator / denominator)``.
-
-    Convenience for expressing SIR/SNR measurements in dB.
-    """
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
-    if np.any(num <= 0.0) or np.any(den <= 0.0):
-        raise ValueError("ratio_db requires strictly positive operands")
-    out = 10.0 * np.log10(num / den)
-    if np.isscalar(numerator) and np.isscalar(denominator):
-        return float(out)
-    return out

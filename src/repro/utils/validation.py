@@ -29,14 +29,6 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
-def check_in_range(name: str, value: float, low: float, high: float) -> float:
-    """Return ``value`` if within ``[low, high]``, else raise ValueError."""
-    value = float(value)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return value
-
-
 def check_positive_int(name: str, value: Any) -> int:
     """Return ``value`` as int if it is a strictly positive integer."""
     ivalue = int(value)

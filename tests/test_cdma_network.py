@@ -11,31 +11,40 @@ from repro.cdma.network import CdmaNetwork
 from repro.config import SystemConfig
 from repro.experiments.common import paper_scenario
 from repro.geometry.hexgrid import HexagonalCellLayout
-from repro.geometry.mobility import RandomDirectionMobility
+from repro.geometry.mobility import FleetMemberMobility, RandomDirectionFleet
 from repro.mac.measurement import ForwardLinkMeasurement, ReverseLinkMeasurement
 from repro.mac.requests import BurstRequest, LinkDirection
 from repro.mac.schedulers import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator
+from tests.oracles.mobility import RandomDirectionMobility
 from tests.oracles.snapshot import eager_measurements
 from tests.test_fleet_parity import fleet_scenario
 
 
-def build_network(num_data=6, num_voice=6, seed=0, config=None):
+def build_network(num_data=6, num_voice=6, seed=0, config=None, moving=False):
+    """A small network of static mobiles, or of fleet-moved users if ``moving``.
+
+    A moving network is built as :class:`DynamicSystemSimulator` builds its
+    own: a :class:`RandomDirectionFleet` owns the positions and the mobiles
+    are views of it.
+    """
     config = config or SystemConfig.small_test_system()
     layout = HexagonalCellLayout(config.radio.num_rings, config.radio.cell_radius_m)
     rng = np.random.default_rng(seed)
-    bounds = layout.bounding_box()
-    mobiles = []
-    for i in range(num_data + num_voice):
-        position = layout.random_position(rng)
-        mobiles.append(
-            MobileStation(
-                index=i,
-                user_class=UserClass.DATA if i < num_data else UserClass.VOICE,
-                mobility=RandomDirectionMobility(position, bounds, rng=rng),
-            )
-        )
-    return CdmaNetwork(config, mobiles, rng, layout), config
+    num = num_data + num_voice
+    positions = np.array([layout.random_position(rng) for _ in range(num)]).reshape(num, 2)
+    classes = [UserClass.DATA if i < num_data else UserClass.VOICE for i in range(num)]
+    if not moving:
+        mobiles = [
+            MobileStation.static(i, positions[i], user_class=classes[i]) for i in range(num)
+        ]
+        return CdmaNetwork(config, mobiles, rng, layout), config
+    fleet = RandomDirectionFleet(positions, layout.bounding_box(), rng=rng)
+    mobiles = [
+        MobileStation(index=i, user_class=classes[i], mobility=FleetMemberMobility(fleet, i))
+        for i in range(num)
+    ]
+    return CdmaNetwork(config, mobiles, rng, layout, mobility_fleet=fleet), config
 
 
 class TestCdmaNetworkBasics:
@@ -58,7 +67,7 @@ class TestCdmaNetworkBasics:
         assert snapshot.num_cells == 7
 
     def test_step_advances_time(self):
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         assert network.time_s == 0.0
         network.step(0.02)
         assert network.time_s == pytest.approx(0.02)
@@ -66,7 +75,7 @@ class TestCdmaNetworkBasics:
         assert network.time_s == pytest.approx(0.04)
 
     def test_negative_dt_rejected(self):
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         with pytest.raises(ValueError):
             network.advance(-0.1)
 
@@ -187,7 +196,7 @@ class TestBurstPowerBookkeeping:
 
 class TestMobility:
     def test_users_move_and_gains_change(self):
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         before = network.snapshot().gains.copy()
         for _ in range(50):
             network.advance(0.1)
@@ -197,10 +206,39 @@ class TestMobility:
         assert not np.allclose(before, after, atol=0.0)
 
     def test_handoff_events_accumulate(self):
-        network, _ = build_network(num_data=10, num_voice=10, seed=3)
+        network, _ = build_network(num_data=10, num_voice=10, seed=3, moving=True)
         for _ in range(200):
             network.advance(0.1)
         assert network.handoff.handoff_events > 0
+
+    def test_network_without_fleet_refuses_a_moving_mobile(self):
+        config = SystemConfig.small_test_system()
+        layout = HexagonalCellLayout(config.radio.num_rings, config.radio.cell_radius_m)
+        rng = np.random.default_rng(2)
+        walker = RandomDirectionMobility(np.zeros(2), layout.bounding_box(), rng=rng)
+        fleet = RandomDirectionFleet(np.zeros((1, 2)), layout.bounding_box(), rng=rng)
+        for model in (walker, FleetMemberMobility(fleet, 0)):
+            mobiles = [
+                MobileStation.static(0, np.zeros(2)),
+                MobileStation(index=1, user_class=UserClass.DATA, mobility=model),
+            ]
+            with pytest.raises(ValueError, match="static mobiles only"):
+                CdmaNetwork(config, mobiles, rng, layout)
+
+    def test_static_network_keeps_positions_shadowing_and_active_sets(self):
+        # Without a fleet nobody moves: every frame leaves the positions, the
+        # shadowing (which decorrelates with distance travelled) and the
+        # active sets bit for bit as they were.
+        network, _ = build_network(num_data=10, num_voice=10, seed=3)
+        positions = network._positions().tobytes()
+        shadowing = network.link_gains.shadowing_db().tobytes()
+        active_sets = [list(state.active_set) for state in network.handoff.states]
+        for _ in range(20):
+            network.advance(0.1)
+            assert network._positions().tobytes() == positions
+            assert network.link_gains.shadowing_db().tobytes() == shadowing
+            assert [list(state.active_set) for state in network.handoff.states] == active_sets
+        assert network.time_s == pytest.approx(2.0)
 
 
 class TestFramePipelineRegressions:
@@ -209,7 +247,7 @@ class TestFramePipelineRegressions:
     def test_one_gain_build_per_step(self):
         # Hand-off update and snapshot share a single local-mean gain build
         # per frame (the 10**(dB/10) matrix used to be computed twice).
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         network.snapshot()
         builds = network.link_gains.local_mean_builds
         network.step(0.02)
@@ -261,7 +299,7 @@ class TestFramePipelineRegressions:
         assert snapshot.reverse_pc.tx_power_w[1] < full.reverse_pc.tx_power_w[1]
 
     def test_positions_array_tracks_mobility(self):
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         network.advance(0.5)
         expected = np.vstack([m.position for m in network.mobiles])
         assert np.array_equal(network._positions(), expected)
@@ -269,7 +307,7 @@ class TestFramePipelineRegressions:
     def test_snapshot_gains_stable_across_frames(self):
         # Each frame publishes a fresh gain matrix; earlier snapshots must
         # not be mutated by later frames.
-        network, _ = build_network()
+        network, _ = build_network(moving=True)
         first = network.snapshot()
         held = first.gains
         before = held.copy()

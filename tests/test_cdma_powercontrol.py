@@ -292,8 +292,10 @@ class TestForwardLinkPowerControl:
         assert not result.infeasible
 
     def test_idle_cell_without_common_power_stays_at_zero(self):
-        # bs_common_channel_fraction = 0: a cell with no active leg has a
-        # total of exactly zero, which is not a sign of infeasibility.
+        # No common-channel power (bs_common_channel_fraction = 0, which
+        # RadioConfig now refuses, but the solver takes any base power): a
+        # cell with no active leg has a total of exactly zero, which is not a
+        # sign of infeasibility.
         pc = self.make()
         result = pc.solve(
             gains=np.array([[1e-12, 1e-14, 1e-15]]),

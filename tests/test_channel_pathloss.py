@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.channel.pathloss import HataPathLoss, LogDistancePathLoss
+from repro.channel.pathloss import LogDistancePathLoss
 
 
 class TestLogDistancePathLoss:
@@ -54,39 +54,3 @@ class TestLogDistancePathLoss:
         with pytest.raises(ValueError):
             LogDistancePathLoss(reference_distance_m=0.0)
 
-
-class TestHataPathLoss:
-    def test_increasing_with_distance(self):
-        model = HataPathLoss()
-        assert model.loss_db(500.0) < model.loss_db(2000.0)
-
-    def test_higher_frequency_more_loss(self):
-        low = HataPathLoss(carrier_frequency_hz=1.5e9)
-        high = HataPathLoss(carrier_frequency_hz=2.0e9)
-        assert high.loss_db(1000.0) > low.loss_db(1000.0)
-
-    def test_taller_base_station_less_loss(self):
-        short = HataPathLoss(base_height_m=30.0)
-        tall = HataPathLoss(base_height_m=60.0)
-        assert tall.loss_db(1000.0) < short.loss_db(1000.0)
-
-    def test_large_city_correction(self):
-        small = HataPathLoss(large_city=False)
-        large = HataPathLoss(large_city=True)
-        assert large.loss_db(1000.0) != small.loss_db(1000.0)
-
-    def test_plausible_urban_value(self):
-        # COST-231 at 2 GHz, 1 km, 30 m BS: roughly 130-145 dB.
-        loss = HataPathLoss().loss_db(1000.0)
-        assert 120.0 < loss < 160.0
-
-    def test_array_support(self):
-        model = HataPathLoss()
-        losses = model.loss_db(np.array([200.0, 1000.0]))
-        assert losses.shape == (2,)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HataPathLoss(carrier_frequency_hz=0.0)
-        with pytest.raises(ValueError):
-            HataPathLoss(base_height_m=-1.0)

@@ -2,8 +2,11 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.cdma.entities import MobileStation
+from repro.cdma.network import CdmaNetwork
 from repro.config import MacConfig, PhyConfig, RadioConfig, SystemConfig
 
 
@@ -42,6 +45,34 @@ class TestRadioConfig:
             RadioConfig(control_channel_rate_fraction=0.0)
         with pytest.raises(ValueError):
             RadioConfig(fch_max_power_fraction=1.5)
+
+    # Each of these used to validate and then fail when a network was built:
+    # in BaseStation, or with a ZeroDivisionError in fch_pilot_power_ratio.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"bs_common_channel_fraction": 0.0},
+            {"bs_pilot_fraction": 0.3},
+            {"bs_common_channel_fraction": 1.0},
+            {"bs_pilot_fraction": 0.0},
+            {"reverse_pilot_overhead": 0.0},
+        ],
+        ids=lambda overrides: "=".join(map(str, *overrides.items())),
+    )
+    def test_refuses_values_that_cannot_build_a_network(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=name):
+            RadioConfig(**overrides)
+
+    @pytest.mark.parametrize("pilot, common", [(0.2, 0.2), (0.01, 0.99)])
+    def test_accepted_power_fractions_build_a_network(self, pilot, common):
+        radio = RadioConfig(bs_pilot_fraction=pilot, bs_common_channel_fraction=common)
+        network = CdmaNetwork(
+            SystemConfig().with_overrides(radio=radio),
+            [MobileStation.static(0, np.zeros(2))],
+            np.random.default_rng(0),
+        )
+        assert network.snapshot().num_cells == radio.num_cells
 
 
 class TestMacConfig:

@@ -12,7 +12,7 @@ from tests.test_cdma_network import build_network
 
 @pytest.fixture(scope="module")
 def environment():
-    network, config = build_network(num_data=8, num_voice=6, seed=11)
+    network, config = build_network(num_data=8, num_voice=6, seed=11, moving=True)
     network.advance(0.5)
     return network, network.snapshot(), config
 
@@ -97,14 +97,16 @@ class TestDecide:
         controller = BurstAdmissionController(config, scheduler_factory())
         requests = forward_requests(6)
         decision, grants = controller.decide(snapshot, requests, LinkDirection.FORWARD)
+        delta_rho = controller.build_input(snapshot, requests, LinkDirection.FORWARD).delta_rho
         granted_ids = {g.request.request_id for g in grants}
         assert len(granted_ids) == len(grants)
         for grant in grants:
             column = requests.index(grant.request)
             assert grant.m == decision.assignment[column]
             assert grant.m >= 1
-            # Rate = m * delta_rho * Rf.
+            # Rate = m * delta_rho * Rf (eq. (4)).
             assert grant.rate_bps > 0.0
+            assert grant.rate_bps == grant.m * delta_rho[column] * config.radio.fch_bit_rate_bps
             # Duration is a positive whole number of frames within the cap.
             frames = grant.duration_s / config.mac.frame_duration_s
             assert frames == pytest.approx(round(frames))

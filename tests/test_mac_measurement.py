@@ -23,7 +23,7 @@ from tests.test_cdma_network import build_network
 
 @pytest.fixture(scope="module")
 def snapshot_and_config():
-    network, config = build_network(num_data=8, num_voice=6, seed=5)
+    network, config = build_network(num_data=8, num_voice=6, seed=5, moving=True)
     network.advance(0.5)
     return network.snapshot(), config
 

@@ -1,17 +1,9 @@
-"""Tests for the fixed-rate PHY baseline and the spreading-stage relations."""
+"""Tests for the fixed-rate PHY baseline."""
 
 import pytest
 
 from repro.phy.fixedrate import FixedRatePhy
 from repro.phy.modes import ModeTable, TransmissionMode
-from repro.phy.spreading import (
-    SpreadingConfig,
-    processing_gain,
-    relative_symbol_energy_ratio,
-    sch_bit_rate,
-    sch_power_ratio,
-    sch_relative_bit_rate,
-)
 from repro.phy.vtaoc import VtaocCodec
 
 
@@ -60,50 +52,3 @@ class TestFixedRatePhy:
         mode = TransmissionMode(index=1, bits_per_symbol=1.0)
         with pytest.raises(ValueError):
             FixedRatePhy(mode, target_ber=0.4)
-
-
-class TestSpreadingRelations:
-    def test_processing_gain(self):
-        assert processing_gain(1.25e6, 9600.0) == pytest.approx(130.2, rel=1e-3)
-
-    def test_sch_relative_bit_rate(self):
-        assert sch_relative_bit_rate(4, 2.5) == pytest.approx(10.0)
-        assert sch_relative_bit_rate(0, 2.5) == 0.0
-
-    def test_sch_bit_rate(self):
-        assert sch_bit_rate(8, 2.0, 9600.0) == pytest.approx(153_600.0)
-
-    def test_sch_power_ratio(self):
-        assert sch_power_ratio(8, 1.5) == pytest.approx(12.0)
-        assert sch_power_ratio(0, 1.5) == 0.0
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            sch_relative_bit_rate(-1, 1.0)
-        with pytest.raises(ValueError):
-            sch_power_ratio(-1, 1.0)
-
-    def test_relative_symbol_energy_ratio(self):
-        assert relative_symbol_energy_ratio(2.0, 4.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            relative_symbol_energy_ratio(0.0, 1.0)
-
-
-class TestSpreadingConfig:
-    def test_defaults(self):
-        config = SpreadingConfig()
-        assert config.fch_processing_gain == pytest.approx(
-            config.bandwidth_hz / config.fch_bit_rate_bps
-        )
-
-    def test_sch_rates(self):
-        config = SpreadingConfig(fch_bit_rate_bps=9600.0, max_spreading_gain_ratio=16)
-        assert config.sch_bit_rate(16, 2.0) == pytest.approx(307_200.0)
-        assert config.max_sch_bit_rate(2.0) == pytest.approx(307_200.0)
-        assert config.sch_power_ratio(4) == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpreadingConfig(fch_bit_rate_bps=0.0)
-        with pytest.raises(ValueError):
-            SpreadingConfig(max_spreading_gain_ratio=0)

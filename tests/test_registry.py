@@ -30,7 +30,6 @@ from repro.registry import (
     component_names,
     create,
     describe_components,
-    format_component_spec,
     load_scenario_spec,
     parse_component_spec,
     spec_fingerprint,
@@ -119,12 +118,6 @@ class TestComponentSpecStrings:
         )
         assert name == "jaba-sd"
         assert kwargs == {"objective": "J1", "max_nodes": 200, "warm_start": True}
-
-    def test_round_trip_through_format(self):
-        text = format_component_spec("proportional-fair", {"time_constant_frames": 8})
-        assert parse_component_spec(text) == (
-            "proportional-fair", {"time_constant_frames": 8}
-        )
 
     @pytest.mark.parametrize("bad", ["", "name:key", "name:=3", "name:,"])
     def test_malformed_specs_rejected(self, bad):
@@ -308,6 +301,13 @@ class TestScenarioSpecs:
     def test_retired_scheduler_parameters_refused(self, key, value):
         with pytest.raises(SpecError, match="accepted"):
             build_scenario({"scheduler": {"name": "jaba-sd", key: value}})
+
+    def test_channel_profile_that_cannot_build_a_network_refused(self):
+        # A base station without common-channel power has no room for its
+        # pilot; the spec is refused before any simulator is built.
+        spec = {"channel": {"name": "dense-urban", "bs_common_channel_fraction": 0}}
+        with pytest.raises(SpecError, match="bs_common_channel_fraction"):
+            build_scenario(spec)
 
     def test_unknown_scenario_key_still_rejected(self):
         spec = spec_from_scenario(golden_scenario())

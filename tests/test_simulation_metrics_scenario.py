@@ -1,13 +1,10 @@
-"""Tests for the metrics collector, scenario configuration and runner helpers."""
-
-import math
+"""Tests for the metrics collector and the scenario configuration."""
 
 import numpy as np
 import pytest
 
 from repro.mac.requests import LinkDirection
 from repro.simulation.metrics import MetricsCollector, SimulationResult
-from repro.simulation.runner import average_results
 from repro.simulation.scenario import MobilityConfig, ScenarioConfig, TrafficConfig
 
 
@@ -96,32 +93,3 @@ class TestScenarioConfig:
             TrafficConfig(mean_reading_time_s=0.0)
         with pytest.raises(ValueError):
             MobilityConfig(speed_range_m_s=(5.0, 1.0))
-
-
-class TestAverageResults:
-    def _result(self, delay, throughput):
-        return SimulationResult(
-            scheduler="s", num_data_users=10, num_voice_users=5, duration_s=10.0,
-            mean_packet_delay_s=delay, p90_packet_delay_s=delay * 2,
-            mean_forward_delay_s=delay, mean_reverse_delay_s=delay,
-            completed_packet_calls=100, carried_throughput_bps=throughput,
-            offered_load_bps=throughput * 1.1, mean_granted_m=8.0, grant_rate=0.8,
-            mean_queue_length=2.0, forward_utilisation=0.5, reverse_rise_db=3.0,
-            fch_outage_fraction=0.05, handoff_events=12, extra={"x": 1.0},
-        )
-
-    def test_mean_of_fields(self):
-        merged = average_results([self._result(1.0, 1000.0), self._result(3.0, 3000.0)])
-        assert merged.mean_packet_delay_s == pytest.approx(2.0)
-        assert merged.carried_throughput_bps == pytest.approx(2000.0)
-        assert merged.extra["x"] == pytest.approx(1.0)
-
-    def test_nan_fields_ignored(self):
-        a = self._result(1.0, 1000.0)
-        b = self._result(math.nan, 3000.0)
-        merged = average_results([a, b])
-        assert merged.mean_packet_delay_s == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_results([])

@@ -1,14 +1,12 @@
-"""Tests for the snapshot (drop) simulator and the sweep runner."""
+"""Tests for the snapshot (drop) simulator."""
 
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.mac import FcfsScheduler, JabaSdScheduler
+from repro.mac import JabaSdScheduler
 from repro.mac.requests import LinkDirection
-from repro.simulation import ScenarioConfig, SnapshotSimulator
-from repro.simulation.runner import run_scenario, sweep_parameter
-from repro.simulation.scenario import TrafficConfig
+from repro.simulation import SnapshotSimulator
 
 
 @pytest.fixture(scope="module")
@@ -59,35 +57,3 @@ class TestSnapshotSimulator:
         simulator = SnapshotSimulator(config, JabaSdScheduler("J1"))
         with pytest.raises(ValueError):
             simulator.run_drops(0)
-
-
-class TestRunner:
-    @pytest.fixture(scope="class")
-    def scenario(self):
-        return ScenarioConfig.fast_test(
-            duration_s=2.0, warmup_s=0.5,
-            traffic=TrafficConfig(mean_reading_time_s=1.0,
-                                  packet_call_min_bits=24_000,
-                                  packet_call_max_bits=200_000),
-        )
-
-    def test_run_scenario_multiple_seeds(self, scenario):
-        results = run_scenario(scenario, lambda: JabaSdScheduler("J1"), num_seeds=2)
-        assert len(results) == 2
-        assert results[0].scheduler == results[1].scheduler
-
-    def test_run_scenario_invalid_seeds(self, scenario):
-        with pytest.raises(ValueError):
-            run_scenario(scenario, FcfsScheduler, num_seeds=0)
-
-    def test_sweep_parameter(self, scenario):
-        sweep = sweep_parameter(
-            scenario,
-            {"jaba": lambda: JabaSdScheduler("J1"), "fcfs": FcfsScheduler},
-            loads=[2, 3],
-            num_seeds=1,
-        )
-        assert set(sweep) == {"jaba", "fcfs"}
-        assert len(sweep["jaba"]) == 2
-        assert sweep["jaba"][0].num_data_users == 2 * 7
-        assert sweep["jaba"][1].num_data_users == 3 * 7

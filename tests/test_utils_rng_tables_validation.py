@@ -1,9 +1,8 @@
 """Tests for repro.utils.rng, repro.utils.tables and repro.utils.validation."""
 
-import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, spawn_many, spawn_rng
+from repro.utils.rng import RngFactory
 from repro.utils.tables import format_records, format_table
 from repro.utils import validation
 
@@ -34,11 +33,6 @@ class TestRngFactory:
     def test_children_negative_count(self):
         with pytest.raises(ValueError):
             RngFactory(0).children(-1)
-
-    def test_spawn_rng_and_many(self):
-        assert isinstance(spawn_rng(5), np.random.Generator)
-        gens = list(spawn_many(5, 3))
-        assert len(gens) == 3
 
 
 class TestTables:
@@ -87,11 +81,6 @@ class TestValidation:
         assert validation.check_probability("p", 0.5) == 0.5
         with pytest.raises(ValueError):
             validation.check_probability("p", 1.5)
-
-    def test_check_in_range(self):
-        assert validation.check_in_range("x", 2.0, 1.0, 3.0) == 2.0
-        with pytest.raises(ValueError):
-            validation.check_in_range("x", 4.0, 1.0, 3.0)
 
     def test_check_positive_int(self):
         assert validation.check_positive_int("n", 5) == 5

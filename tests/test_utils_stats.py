@@ -6,18 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import (
-    Histogram,
-    RunningStats,
-    SummaryStatistics,
-    TimeWeightedStats,
-    chi_square_uniformity_test,
-    confidence_interval,
-    ks_uniformity_test,
-    max_pairwise_correlation,
-    pearson_independence_test,
-    stream_collision_fraction,
-)
+from repro.utils.stats import Histogram, RunningStats, confidence_interval
 
 
 class TestRunningStats:
@@ -79,30 +68,6 @@ class TestRunningStats:
         empty = RunningStats()
         assert a.merge(empty).mean == pytest.approx(1.5)
         assert empty.merge(a).mean == pytest.approx(1.5)
-
-
-class TestTimeWeightedStats:
-    def test_piecewise_constant_mean(self):
-        tw = TimeWeightedStats()
-        tw.record(0.0, 1.0)
-        tw.record(1.0, 3.0)
-        assert tw.mean(until=2.0) == pytest.approx(2.0)
-
-    def test_rejects_decreasing_time(self):
-        tw = TimeWeightedStats()
-        tw.record(1.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.record(0.5, 2.0)
-
-    def test_empty_mean_is_nan(self):
-        assert math.isnan(TimeWeightedStats().mean())
-
-    def test_max_and_current(self):
-        tw = TimeWeightedStats()
-        tw.record(0.0, 5.0)
-        tw.record(2.0, 1.0)
-        assert tw.max == 5.0
-        assert tw.current == 1.0
 
 
 class TestHistogram:
@@ -168,61 +133,3 @@ class TestConfidenceInterval:
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
             confidence_interval([1.0, 2.0], confidence=1.5)
-
-
-class TestSummaryStatistics:
-    def test_from_running(self):
-        rs = RunningStats()
-        rs.add_many([1.0, 3.0])
-        summary = SummaryStatistics.from_running(rs)
-        assert summary.count == 2
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.min == 1.0
-        assert summary.max == 3.0
-
-
-class TestHypothesisTestBattery:
-    """Input validation of the seed-independence battery.
-
-    The statistical behaviour (accepting independent uniform streams,
-    rejecting skewed / correlated / colliding ones) is exercised end-to-end
-    in ``tests/test_campaign.py`` on real seed-tree streams.
-    """
-
-    def test_uniform_sample_accepted(self):
-        draws = np.random.default_rng(1).random(4000)
-        ks = ks_uniformity_test(draws)
-        assert ks.name == "ks-uniform"
-        assert not ks.rejects(alpha=1e-4)
-        assert not chi_square_uniformity_test(draws).rejects(alpha=1e-4)
-
-    def test_ks_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            ks_uniformity_test([0.5])
-
-    def test_pearson_validates_shapes(self):
-        with pytest.raises(ValueError):
-            pearson_independence_test([0.1, 0.2], [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            pearson_independence_test([0.1, 0.2], [0.3, 0.4])
-
-    def test_chi_square_validates_input(self):
-        with pytest.raises(ValueError):
-            chi_square_uniformity_test(np.random.default_rng(0).random(10), bins=16)
-        with pytest.raises(ValueError):
-            chi_square_uniformity_test(np.full(200, 1.5), bins=2)
-        with pytest.raises(ValueError):
-            chi_square_uniformity_test(np.random.default_rng(0).random(200), bins=1)
-
-    def test_pairwise_helpers_validate_shapes(self):
-        with pytest.raises(ValueError):
-            max_pairwise_correlation(np.zeros((1, 10)))
-        with pytest.raises(ValueError):
-            stream_collision_fraction(np.zeros(10))
-
-    def test_collision_fraction_counts_duplicate_prefixes(self):
-        rng = np.random.default_rng(3)
-        distinct = rng.random((5, 32))
-        assert stream_collision_fraction(distinct) == 0.0
-        all_same = np.tile(rng.random(32), (4, 1))
-        assert stream_collision_fraction(all_same) == 1.0

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.units import (
-    db_to_linear,
-    dbm_to_watt,
-    linear_to_db,
-    ratio_db,
-    watt_to_dbm,
-)
+from repro.utils.units import db_to_linear, linear_to_db
 
 
 class TestDbConversions:
@@ -39,42 +33,3 @@ class TestDbConversions:
     @given(st.floats(min_value=-120.0, max_value=120.0))
     def test_round_trip_property(self, value_db):
         assert linear_to_db(db_to_linear(value_db)) == pytest.approx(value_db, abs=1e-9)
-
-
-class TestDbmWatt:
-    def test_zero_dbm_is_one_milliwatt(self):
-        assert dbm_to_watt(0.0) == pytest.approx(1e-3)
-
-    def test_thirty_dbm_is_one_watt(self):
-        assert dbm_to_watt(30.0) == pytest.approx(1.0)
-
-    def test_watt_to_dbm_of_one_watt(self):
-        assert watt_to_dbm(1.0) == pytest.approx(30.0)
-
-    def test_watt_to_dbm_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            watt_to_dbm(0.0)
-
-    @given(st.floats(min_value=-100.0, max_value=60.0))
-    def test_round_trip_property(self, value_dbm):
-        assert watt_to_dbm(dbm_to_watt(value_dbm)) == pytest.approx(value_dbm, abs=1e-9)
-
-    def test_array_support(self):
-        arr = np.array([-30.0, 0.0, 30.0])
-        watts = dbm_to_watt(arr)
-        assert watts.shape == (3,)
-        assert np.allclose(watt_to_dbm(watts), arr)
-
-
-class TestRatioDb:
-    def test_equal_powers_give_zero_db(self):
-        assert ratio_db(5.0, 5.0) == pytest.approx(0.0)
-
-    def test_factor_of_ten(self):
-        assert ratio_db(10.0, 1.0) == pytest.approx(10.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ratio_db(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ratio_db(1.0, 0.0)
