@@ -35,6 +35,23 @@ def _toy_runner(params, seed):
     }
 
 
+def _distinct_prefixes(streams, prefix=8):
+    """Number of distinct leading ``prefix``-draw prefixes among the streams."""
+    return len({tuple(row[:prefix]) for row in streams})
+
+
+def _max_abs_correlation(streams):
+    """Largest ``|r|`` between two distinct rows of ``streams``."""
+    off_diagonal = ~np.eye(len(streams), dtype=bool)
+    return float(np.max(np.abs(np.corrcoef(streams)[off_diagonal])))
+
+
+def _chi_square_pvalue(sample, bins):
+    """Chi-square p-value of ``sample`` against U(0, 1) over ``bins`` bins."""
+    counts, _ = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+    return scipy_stats.chisquare(counts).pvalue
+
+
 _FAIL_COUNTER = {"calls": 0, "fail_after": None}
 
 
@@ -96,24 +113,35 @@ class TestSeedTree:
         assert streams.shape == (n_streams, n_samples)
 
         # 1. No two streams share even a short leading prefix.
-        assert len({tuple(row[:8]) for row in streams}) == n_streams
+        assert _distinct_prefixes(streams) == n_streams
 
         # 2. Worst pairwise correlation is at noise level (expected max |r|
         #    over 780 pairs of 512 samples is ~0.16).
-        correlation = np.corrcoef(streams)[~np.eye(n_streams, dtype=bool)]
-        assert np.max(np.abs(correlation)) < 0.25
+        assert _max_abs_correlation(streams) < 0.25
 
         # 3. Each stream individually is uniform (Bonferroni-safe threshold).
         for row in streams:
             assert scipy_stats.kstest(row, "uniform").pvalue >= 1e-4 / n_streams
 
         # 4. The pooled sample is uniform across bins.
-        counts, _ = np.histogram(streams.ravel(), bins=32, range=(0.0, 1.0))
-        assert scipy_stats.chisquare(counts).pvalue >= 1e-6
+        assert _chi_square_pvalue(streams.ravel(), bins=32) >= 1e-6
 
         # 5. Spot-check pairs with the exact correlation test.
         for i, j in [(0, 1), (0, 39), (17, 23), (5, 30)]:
             assert scipy_stats.pearsonr(streams[i], streams[j]).pvalue >= 1e-5
+
+    def test_battery_detects_violations(self):
+        # The battery has power: each check rejects the defect it looks for.
+        rng = np.random.default_rng(0)
+        uniform = rng.random(2000)
+        skewed = uniform**3
+        assert scipy_stats.kstest(skewed, "uniform").pvalue < 1e-6
+        assert _chi_square_pvalue(skewed, bins=16) < 1e-6
+        noisy_copy = uniform + 0.01 * rng.standard_normal(2000)
+        assert scipy_stats.pearsonr(uniform, noisy_copy).pvalue < 1e-6
+        assert _max_abs_correlation(np.vstack([uniform, noisy_copy])) >= 0.25
+        colliding = np.vstack([uniform[:64], uniform[:64], rng.random(64)])
+        assert _distinct_prefixes(colliding) == 2
 
 
 class TestMetricSummary:

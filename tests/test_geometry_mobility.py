@@ -5,6 +5,7 @@ import pytest
 
 from repro.geometry.mobility import StaticMobility
 from tests.oracles.mobility import RandomDirectionMobility
+from tests.test_cdma_network import build_network
 
 BOUNDS = (-1000.0, 1000.0, -1000.0, 1000.0)
 
@@ -14,6 +15,14 @@ class TestStaticMobility:
         model = StaticMobility([10.0, 20.0])
         model.position[0] = 99.0  # a copy: the caller cannot move the user
         assert np.array_equal(model.position, [10.0, 20.0])
+
+    def test_rejects_negative_dt(self):
+        # Static mobiles keep no clock of their own: the network that holds
+        # them refuses to run time backwards.
+        network, _ = build_network(num_data=2, num_voice=2)
+        with pytest.raises(ValueError):
+            network.advance(-1.0)
+        assert network.time_s == 0.0
 
 
 class TestRandomDirectionMobility:

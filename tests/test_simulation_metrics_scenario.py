@@ -1,8 +1,12 @@
-"""Tests for the metrics collector and the scenario configuration."""
+"""Tests for the metrics collector, the scenario configuration and seed averages."""
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.experiments.campaign import PointResult
+from repro.experiments.delay_vs_load import build_delay_campaign
 from repro.mac.requests import LinkDirection
 from repro.simulation.metrics import MetricsCollector, SimulationResult
 from repro.simulation.scenario import MobilityConfig, ScenarioConfig, TrafficConfig
@@ -93,3 +97,32 @@ class TestScenarioConfig:
             TrafficConfig(mean_reading_time_s=0.0)
         with pytest.raises(ValueError):
             MobilityConfig(speed_range_m_s=(5.0, 1.0))
+
+
+class TestAverageResults:
+    """Averages over seeds: the summary of one campaign point's replications."""
+
+    def _result(self, delay, throughput_kbps):
+        # A subset of the metrics one dynamic replication reports.
+        return {"mean_delay_s": delay, "carried_kbps": throughput_kbps, "grant_rate": 0.8}
+
+    def _point(self, *results):
+        return PointResult(index=0, params={}, replications=dict(enumerate(results)))
+
+    def test_mean_of_fields(self):
+        summary = self._point(self._result(1.0, 1000.0), self._result(3.0, 3000.0)).summary()
+        assert summary["mean_delay_s"].mean == pytest.approx(2.0)
+        assert summary["carried_kbps"].mean == pytest.approx(2000.0)
+        assert summary["grant_rate"].mean == pytest.approx(0.8)
+
+    def test_nan_fields_ignored(self):
+        point = self._point(self._result(1.0, 1000.0), self._result(math.nan, 3000.0))
+        summary = point.summary()
+        assert summary["mean_delay_s"].mean == pytest.approx(1.0)
+        assert summary["mean_delay_s"].non_finite == 1
+        assert summary["carried_kbps"].mean == pytest.approx(2000.0)
+        assert point.non_finite_replications() == [1]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            build_delay_campaign(loads=[], scenario=ScenarioConfig.fast_test())
