@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing as mp
 import os
 import platform
 import sys
@@ -39,6 +40,13 @@ import numpy as np  # noqa: E402
 from repro.config import SystemConfig  # noqa: E402
 from repro.experiments.campaign import Campaign, seed_sequence_to_int  # noqa: E402
 from repro.experiments.coverage import build_coverage_campaign  # noqa: E402
+from repro.experiments.executors import (  # noqa: E402
+    Executor,
+    ResilientExecutor,
+    TaskOutcome,
+    reset_worker_signals,
+)
+from repro.experiments.swarm import SwarmExecutor  # noqa: E402
 from repro.simulation.dynamic import DynamicSystemSimulator  # noqa: E402
 from repro.simulation.scenario import ScenarioConfig, TrafficConfig  # noqa: E402
 from repro.mac.schedulers import JabaSdScheduler  # noqa: E402
@@ -132,68 +140,12 @@ def run_coverage_scaling(
 
 
 # --------------------------------------------------------------------------
-# resilient-executor no-fault overhead
+# no-fault overhead of the fault-tolerant executors
 # --------------------------------------------------------------------------
 #: Regression budget: the fault-tolerance machinery (per-task tickets,
 #: timeout polling, straggler bookkeeping) may cost at most this fraction of
 #: extra wall-clock over the plain pool on a fault-free workload.
 MAX_RESILIENT_OVERHEAD_FRACTION = 0.05
-
-
-def run_resilient_overhead(smoke: bool, replications: int) -> Dict:
-    """Time the same fault-free coverage sweep under pool vs. resilient.
-
-    Best-of-``repeats`` timing per back-end (the workload is identical, so
-    the minimum is the least-noise estimate on a shared CI box), plus a
-    bit-identical aggregate parity check between the two back-ends.
-    """
-    from repro.experiments.executors import PoolExecutor, ResilientExecutor
-
-    workers = 2
-    repeats = 3 if smoke else 2
-    # The smoke grid at 1 replication finishes in milliseconds; give the
-    # overhead measurement enough tasks to mean something.
-    replications = max(replications, 3) if smoke else replications
-    timings: Dict[str, float] = {}
-    aggregates: Dict[str, List] = {}
-    for name in ("pool", "resilient"):
-        best = float("inf")
-        for _ in range(repeats):
-            campaign = coverage_campaign(smoke, replications)
-            executor = (
-                PoolExecutor(workers=workers)
-                if name == "pool"
-                else ResilientExecutor(workers=workers)
-            )
-            started = time.perf_counter()
-            outcome = campaign.run(workers=workers, executor=executor)
-            best = min(best, time.perf_counter() - started)
-        timings[name] = best
-        aggregates[name] = [
-            sorted(point.replications.items()) for point in outcome.points
-        ]
-        print(f"no-fault overhead, executor={name}: best of {repeats} = {best:.3f} s")
-    overhead = timings["resilient"] / timings["pool"] - 1.0
-    parity = aggregates["pool"] == aggregates["resilient"]
-    print(
-        f"resilient no-fault overhead: {overhead * 100:+.2f}% "
-        f"(budget {MAX_RESILIENT_OVERHEAD_FRACTION * 100:.0f}%), parity: {parity}"
-    )
-    return {
-        "workers": workers,
-        "repeats": repeats,
-        "replications_per_point": replications,
-        "pool_elapsed_s": round(timings["pool"], 4),
-        "resilient_elapsed_s": round(timings["resilient"], 4),
-        "overhead_fraction": round(overhead, 4),
-        "max_overhead_fraction": MAX_RESILIENT_OVERHEAD_FRACTION,
-        "parity_bit_identical": parity,
-    }
-
-
-# --------------------------------------------------------------------------
-# swarm-executor no-fault overhead
-# --------------------------------------------------------------------------
 #: Regression budget for the lease protocol on a fault-free workload: the
 #: file-queue transport (atomic message files, heartbeat scans, lease
 #: bookkeeping) may cost at most this fraction of extra wall-clock over the
@@ -202,18 +154,101 @@ def run_resilient_overhead(smoke: bool, replications: int) -> Dict:
 MAX_SWARM_OVERHEAD_FRACTION = 0.10
 
 
-def run_swarm_overhead(smoke: bool, replications: int) -> Dict:
-    """Time the same fault-free coverage sweep under pool vs. swarm.
+def _pool_entry(payload):
+    """Module-level pool trampoline (pickles by reference)."""
+    execute, index, task_payload = payload
+    return index, execute(task_payload)
 
-    Best-of-``repeats`` timing per back-end plus the bit-identical aggregate
-    parity check — the swarm's at-least-once delivery and dedupe must be
-    invisible in both the numbers and (within budget) the wall-clock.
+
+class PlainPool(Executor):
+    """``multiprocessing.Pool.imap_unordered`` with no fault tolerance.
+
+    The reference the overhead budgets are defined against: the cheapest
+    way to shard a task list over worker processes, where one worker
+    exception aborts the run and a hung task stalls it.
     """
-    from repro.experiments.executors import PoolExecutor
-    from repro.experiments.swarm import SwarmExecutor
 
+    name = "pool"
+
+    def __init__(self, workers: int) -> None:
+        super().__init__()
+        self.workers = workers
+
+    def run(self, execute, tasks):
+        tasks = list(tasks)
+        payloads = [(execute, index, task.payload) for index, task in enumerate(tasks)]
+        method = "fork" if "fork" in mp.get_all_start_methods() else None
+        pool = mp.get_context(method).Pool(self.workers, initializer=reset_worker_signals)
+        with pool:
+            for index, metrics in pool.imap_unordered(_pool_entry, payloads, chunksize=1):
+                yield TaskOutcome(task=tasks[index], metrics=metrics)
+
+
+def run_overhead(name: str, make_executor, campaign_factory, budget: float,
+                 repeats: int, replications: int) -> Dict:
+    """Time one fault-free campaign under the plain pool vs. ``name``.
+
+    The two back-ends alternate run by run, so a slow phase of a shared box
+    hits both sides alike, and each side keeps its best of ``repeats`` (the
+    workload is identical, so the minimum is the least-noise estimate).  The
+    aggregates of both must be bit-identical.
+    """
     workers = 2
-    repeats = 3 if smoke else 2
+    timings = {"pool": float("inf"), name: float("inf")}
+    aggregates: Dict[str, List] = {}
+    for _ in range(repeats):
+        for side in timings:
+            executor = (
+                PlainPool(workers) if side == "pool" else make_executor(workers)
+            )
+            campaign = campaign_factory()
+            started = time.perf_counter()
+            outcome = campaign.run(workers=workers, executor=executor)
+            timings[side] = min(timings[side], time.perf_counter() - started)
+            aggregates[side] = [
+                sorted(point.replications.items()) for point in outcome.points
+            ]
+    for side, best in timings.items():
+        print(f"no-fault overhead, executor={side}: best of {repeats} = {best:.3f} s")
+    overhead = timings[name] / timings["pool"] - 1.0
+    parity = aggregates["pool"] == aggregates[name]
+    print(
+        f"{name} no-fault overhead: {overhead * 100:+.2f}% "
+        f"(budget {budget * 100:.0f}%), parity: {parity}"
+    )
+    return {
+        "workers": workers,
+        "repeats": repeats,
+        "replications_per_point": replications,
+        "pool_elapsed_s": round(timings["pool"], 4),
+        f"{name}_elapsed_s": round(timings[name], 4),
+        "overhead_fraction": round(overhead, 4),
+        "max_overhead_fraction": budget,
+        "parity_bit_identical": parity,
+    }
+
+
+def run_resilient_overhead(smoke: bool, replications: int) -> Dict:
+    """The fault-free coverage sweep under the plain pool vs. resilient."""
+    # The smoke grid at 1 replication finishes in milliseconds; give the
+    # overhead measurement enough tasks to mean something.
+    replications = max(replications, 3) if smoke else replications
+    return run_overhead(
+        "resilient",
+        ResilientExecutor,
+        lambda: coverage_campaign(smoke, replications),
+        MAX_RESILIENT_OVERHEAD_FRACTION,
+        repeats=3 if smoke else 2,
+        replications=replications,
+    )
+
+
+def run_swarm_overhead(smoke: bool, replications: int) -> Dict:
+    """The fault-free coverage sweep under the plain pool vs. swarm.
+
+    The swarm's at-least-once delivery and dedupe must be invisible in both
+    the numbers and (within budget) the wall-clock.
+    """
     # The default smoke grid finishes in ~0.1 s, where the swarm's fixed
     # setup (spawn two processes, publish the job file) and timer noise
     # swamp the per-task protocol cost the budget is about.  Measure on a
@@ -232,41 +267,14 @@ def run_swarm_overhead(smoke: bool, replications: int) -> Dict:
             seed=17,
         )
 
-    timings: Dict[str, float] = {}
-    aggregates: Dict[str, List] = {}
-    for name in ("pool", "swarm"):
-        best = float("inf")
-        for _ in range(repeats):
-            campaign = overhead_campaign()
-            executor = (
-                PoolExecutor(workers=workers)
-                if name == "pool"
-                else SwarmExecutor(workers=workers)
-            )
-            started = time.perf_counter()
-            outcome = campaign.run(workers=workers, executor=executor)
-            best = min(best, time.perf_counter() - started)
-        timings[name] = best
-        aggregates[name] = [
-            sorted(point.replications.items()) for point in outcome.points
-        ]
-        print(f"no-fault overhead, executor={name}: best of {repeats} = {best:.3f} s")
-    overhead = timings["swarm"] / timings["pool"] - 1.0
-    parity = aggregates["pool"] == aggregates["swarm"]
-    print(
-        f"swarm no-fault overhead: {overhead * 100:+.2f}% "
-        f"(budget {MAX_SWARM_OVERHEAD_FRACTION * 100:.0f}%), parity: {parity}"
+    return run_overhead(
+        "swarm",
+        SwarmExecutor,
+        overhead_campaign,
+        MAX_SWARM_OVERHEAD_FRACTION,
+        repeats=3 if smoke else 2,
+        replications=replications,
     )
-    return {
-        "workers": workers,
-        "repeats": repeats,
-        "replications_per_point": replications,
-        "pool_elapsed_s": round(timings["pool"], 4),
-        "swarm_elapsed_s": round(timings["swarm"], 4),
-        "overhead_fraction": round(overhead, 4),
-        "max_overhead_fraction": MAX_SWARM_OVERHEAD_FRACTION,
-        "parity_bit_identical": parity,
-    }
 
 
 # --------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def run_resilient_chaos(expected, reference, failures: List[str]) -> None:
             # Speculative re-issue could beat the timeout to the delayed task;
             # disable it so this smoke deterministically exercises the
             # kill-and-re-issue path.
-            straggler_min_completions=10_000,
+            straggler_factor=None,
         )
         chaotic = build_campaign().run(executor=executor, fault_plan=plan)
 

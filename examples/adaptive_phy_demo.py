@@ -7,7 +7,8 @@ Reproduces, in miniature, the motivation of Section 2 of the paper:
 * simulates a mobile crossing a cell while its channel fades (path loss +
   correlated shadowing + Rayleigh fading) and shows how the selected mode and
   the offered throughput track the channel, and
-* compares the time-averaged throughput against the best fixed-rate mode.
+* compares the time-averaged throughput against the best fixed-rate mode
+  on the same per-frame channel.
 
 Run it with ``python examples/adaptive_phy_demo.py``.
 """
@@ -18,12 +19,13 @@ import numpy as np
 
 from repro import constants
 from repro.channel import LogDistancePathLoss
-from repro.phy import FixedRatePhy, ModeTable, VtaocCodec, instantaneous_csi
+from repro.phy import FixedRatePhy, VtaocCodec, instantaneous_csi
 from repro.utils.tables import format_table
 from repro.utils.units import db_to_linear, linear_to_db
 
 
-def main() -> None:
+def main(seed: int = 3) -> float:
+    """Run the demo on the fading track drawn from ``seed``; return the adaptive gain."""
     codec = VtaocCodec(target_ber=1e-3, coding_gain_db=3.0)
 
     print("Constant-BER adaptation thresholds (mode q is used above zeta_q):")
@@ -40,7 +42,7 @@ def main() -> None:
     # decays with the distance travelled) and a unit-mean exponential Rayleigh
     # power Xs.  At a 20 Hz Doppler the fading decorrelates within a 20 ms
     # frame, so each frame draws it afresh.
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     path_loss = LogDistancePathLoss()
     shadowing_std_db = 8.0
     frame_s = 0.02
@@ -55,7 +57,7 @@ def main() -> None:
 
     log_rows = []
     throughputs = []
-    mean_csis = []
+    csis = []
     for step in range(500):
         distance += step_m
         shadowing_db = rho * shadowing_db + shadowing_std_db * np.sqrt(
@@ -67,7 +69,7 @@ def main() -> None:
         mode = codec.select_mode(csi)
         throughput = codec.instantaneous_throughput(csi)
         throughputs.append(throughput)
-        mean_csis.append(mean_csi)
+        csis.append(csi)
         if step % 100 == 0:
             log_rows.append([
                 round(step * frame_s, 2),
@@ -85,14 +87,24 @@ def main() -> None:
     print()
 
     adaptive_avg = float(np.mean(throughputs))
-    overall_mean_csi = float(np.mean(mean_csis))
-    fixed = FixedRatePhy.design_for_mean_csi(
-        overall_mean_csi, ModeTable.default(), target_ber=1e-3, coding_gain_db=3.0
+    # Each fixed mode on the very same per-frame CSIs.  Its outage threshold
+    # is the adaptive scheme's threshold for that mode, so the adaptive
+    # scheme offers at least as much on every frame.
+    fixed_avg, fixed_mode = max(
+        (
+            float(np.mean(
+                FixedRatePhy(mode, target_ber=1e-3, coding_gain_db=3.0)
+                .instantaneous_throughput(np.asarray(csis))
+            )),
+            mode.index,
+        )
+        for mode in codec.mode_table
     )
-    fixed_avg = float(fixed.average_throughput(overall_mean_csi))
+    gain = adaptive_avg / max(fixed_avg, 1e-9)
     print(f"Time-averaged adaptive throughput : {adaptive_avg:.3f} bits/symbol")
-    print(f"Best fixed-rate mode (mode {fixed.mode.index}) goodput: {fixed_avg:.3f} bits/symbol")
-    print(f"Adaptive gain                      : x{adaptive_avg / max(fixed_avg, 1e-9):.2f}")
+    print(f"Best fixed-rate mode (mode {fixed_mode}) goodput: {fixed_avg:.3f} bits/symbol")
+    print(f"Adaptive gain                      : x{gain:.2f}")
+    return gain
 
 
 if __name__ == "__main__":

@@ -44,11 +44,7 @@ from repro.experiments.common import (
     paper_traffic,
     scheduler_from_spec,
 )
-from repro.experiments.executors import (
-    PoolExecutor,
-    ResilientExecutor,
-    SerialExecutor,
-)
+from repro.experiments.executors import ResilientExecutor, SerialExecutor
 from repro.experiments.faults import (
     FaultPlan,
     FaultSpec,
@@ -80,7 +76,6 @@ __all__ = [
     "ExperimentResult",
     "flag_degraded",
     "SerialExecutor",
-    "PoolExecutor",
     "ResilientExecutor",
     "SwarmExecutor",
     "CheckpointJournal",

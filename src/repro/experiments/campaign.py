@@ -14,19 +14,22 @@ production-scale estimator:
   a replication sees depends only on its coordinates — never on execution
   order, worker count or process identity;
 * execution is delegated to a pluggable **executor**
-  (:mod:`repro.experiments.executors`): in-process (``workers=1``), a
-  :mod:`multiprocessing` pool, or the fault-tolerant
-  :class:`~repro.experiments.executors.ResilientExecutor` with per-task
-  timeouts, retry/backoff, dead-worker respawn, speculative straggler
-  re-issue and poisoned-task quarantine; because of the seed-tree contract
-  the aggregated results are **bit-identical for any executor, worker count
-  and retry history** (a re-executed task recomputes exactly the same
-  bytes);
-* completed replications are checkpointed to JSON after every result, so a
-  killed campaign resumes without recomputing finished work; a corrupt
-  (e.g. mid-write-truncated) checkpoint is quarantined to ``<path>.corrupt``
-  instead of crashing the resume, and SIGINT/SIGTERM flush a final
-  checkpoint and terminate the workers promptly;
+  (:mod:`repro.experiments.executors`): in-process (``workers=1``), the
+  fault-tolerant :class:`~repro.experiments.executors.ResilientExecutor`
+  (``workers > 1``) with per-task timeouts, retry/backoff, dead-worker
+  respawn, speculative straggler re-issue and poisoned-task quarantine, or
+  the :class:`~repro.experiments.swarm.SwarmExecutor`, which runs the same
+  policy over leases on a shared directory; because of the seed-tree
+  contract the aggregated results are **bit-identical for any executor,
+  worker count and retry history** (a re-executed task recomputes exactly
+  the same bytes);
+* every completed replication is appended to a write-ahead journal
+  (:class:`~repro.experiments.journal.CheckpointJournal`) compacted into a
+  JSON checkpoint, so a killed campaign resumes without recomputing
+  finished work; a corrupt (e.g. mid-write-truncated) checkpoint is
+  quarantined to ``<path>.corrupt`` instead of crashing the resume, and
+  SIGINT/SIGTERM flush a final checkpoint and terminate the workers
+  promptly;
 * quarantined (permanently failing) replications degrade only their grid
   point: the failure count is carried on :class:`PointResult` /
   :class:`MetricSummary` and the experiment reducers flag the degraded
@@ -55,14 +58,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import os
 import signal
 import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -70,12 +71,11 @@ import numpy as np
 
 from repro.experiments.executors import (
     Executor,
-    PoolExecutor,
     ResilientExecutor,
     SerialExecutor,
     TaskSpec,
 )
-from repro.experiments.journal import CheckpointJournal, _atomic_write
+from repro.experiments.journal import CheckpointJournal
 from repro.experiments.swarm import SwarmExecutor
 from repro.utils.hooks import SimHooks, resolve_hooks
 from repro.utils.recorder import (
@@ -108,7 +108,7 @@ __all__ = [
 ]
 
 #: An executor may be passed as an instance or by name (``"serial"``,
-#: ``"pool"``, ``"resilient"``); names are resolved against the campaign's
+#: ``"resilient"``, ``"swarm"``); names are resolved against the campaign's
 #: ``workers`` argument at run time.
 ExecutorSpec = Union[str, Executor]
 
@@ -441,8 +441,8 @@ class CampaignResult:
 
     ``executor_name`` / ``executor_stats`` record which back-end executed the
     run and its fault-tolerance accounting (retries, timeouts, respawns,
-    speculative re-issues, quarantines — all zero for the serial and pool
-    executors).  Sequential-stopping campaigns additionally record the
+    speculative re-issues, quarantines — all zero for the serial
+    executor).  Sequential-stopping campaigns additionally record the
     realised per-point replication counts (``realised_replications``), the
     number of issuance waves and the stopping rule (``ci_target`` /
     ``ci_metric``); fixed-count campaigns leave them at their defaults.
@@ -835,60 +835,7 @@ class Campaign:
             for point, group in zip(self.points, self.seed_groups)
         ]
 
-    def _load_checkpoint(self, path: str) -> Dict[str, MetricDict]:
-        if not os.path.exists(path):
-            return {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("checkpoint root is not a JSON object")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            # A checkpoint truncated by a crash mid-write (or otherwise
-            # mangled) must not kill the resume: quarantine the file for
-            # post-mortem and recompute from scratch.
-            quarantine = f"{path}.corrupt"
-            os.replace(path, quarantine)
-            warnings.warn(
-                f"checkpoint {path!r} is corrupt ({exc}); moved it to "
-                f"{quarantine!r} and starting fresh",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        if payload.get("fingerprint") != self.fingerprint():
-            raise ValueError(
-                f"checkpoint {path!r} was written by a different campaign "
-                f"(name/grid/replications/root seed changed); refusing to resume"
-            )
-        return {str(k): dict(v) for k, v in payload.get("completed", {}).items()}
-
-    def _write_checkpoint(
-        self, path: str, completed: Mapping[str, MetricDict], fingerprint: str
-    ) -> None:
-        payload = {
-            "campaign": self.name,
-            "root_seed": self.root_seed,
-            "replications": self.replications,
-            "num_points": len(self.points),
-            "fingerprint": fingerprint,
-            "completed": completed,
-        }
-        # fsync before the atomic rename: without it a power loss can
-        # publish an empty/partial file from the page cache, which the
-        # corrupt-checkpoint quarantine would then discard — losing
-        # *completed* work.
-        _atomic_write(path, json.dumps(payload))
-
     # -- execution ---------------------------------------------------------------
-    def tasks(self) -> List[Tuple[int, int]]:
-        """All ``(point_index, replication)`` coordinates of the campaign."""
-        return [
-            (point_index, replication)
-            for point_index in range(len(self.points))
-            for replication in range(self.replications)
-        ]
-
     def _stopping_half_width(
         self, point_index: int, completed: Mapping[str, MetricDict], realised: int
     ) -> float:
@@ -934,20 +881,18 @@ class Campaign:
         """Turn an executor spec (name, instance or ``None``) into an instance."""
         if executor is None:
             backend: Executor = (
-                SerialExecutor() if workers == 1 else PoolExecutor(workers)
+                SerialExecutor() if workers == 1 else ResilientExecutor(workers)
             )
         elif isinstance(executor, str):
             if executor == "serial":
                 backend = SerialExecutor()
-            elif executor == "pool":
-                backend = PoolExecutor(max(workers, 1))
             elif executor == "resilient":
                 backend = ResilientExecutor(workers=max(workers, 1))
             elif executor == "swarm":
                 backend = SwarmExecutor(workers=max(workers, 1))
             else:
                 raise ValueError(
-                    f"unknown executor {executor!r}; expected 'serial', 'pool', "
+                    f"unknown executor {executor!r}; expected 'serial', "
                     f"'resilient', 'swarm' or an Executor instance"
                 )
         else:
@@ -974,9 +919,12 @@ class Campaign:
         Parameters
         ----------
         workers:
-            Worker processes; ``1`` runs in-process (no pool, no pickling
-            requirements).  Any value yields bit-identical aggregates for a
-            fixed root seed — sharding only changes wall-clock time.
+            Worker processes; ``1`` runs in-process (no worker processes, no
+            pickling requirements), more runs a
+            :class:`~repro.experiments.executors.ResilientExecutor` unless
+            ``executor`` says otherwise.  Any value yields bit-identical
+            aggregates for a fixed root seed — sharding only changes
+            wall-clock time.
         checkpoint_path:
             Checkpoint location.  Every completed replication is durably
             appended (fsync'd) to the write-ahead journal ``<path>.wal``,
@@ -990,9 +938,9 @@ class Campaign:
             Optional ``progress(done, total)`` callback.
         executor:
             Execution back-end: an :class:`~repro.experiments.executors.
-            Executor` instance or one of the names ``"serial"``, ``"pool"``,
-            ``"resilient"``, ``"swarm"``.  ``None`` keeps the historic
-            behaviour (in-process at ``workers=1``, pool above).  All
+            Executor` instance or one of the names ``"serial"``,
+            ``"resilient"``, ``"swarm"``.  ``None`` runs in-process at
+            ``workers=1`` and on the resilient executor above.  All
             executors produce bit-identical aggregates; the resilient one
             survives worker crashes, hangs and poisoned tasks, and the swarm
             one extends that over independently spawned (or remote) worker
@@ -1335,13 +1283,13 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     parser.add_argument("--checkpoint", default=None,
                         help="JSON checkpoint path (resumes if it exists)")
     parser.add_argument("--executor",
-                        choices=["serial", "pool", "resilient", "swarm"],
+                        choices=["serial", "resilient", "swarm"],
                         default=None,
                         help="execution back-end (default: serial at "
-                             "--workers 1, pool above; 'resilient' adds "
-                             "retries, timeouts and straggler re-issue; "
-                             "'swarm' runs a lease-based worker swarm that "
-                             "remote workers can join)")
+                             "--workers 1, resilient above, which retries, "
+                             "times out and re-issues stragglers; 'swarm' "
+                             "runs a lease-based worker swarm that remote "
+                             "workers can join)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="resilient executor only: seconds before a "
                              "replication is killed and re-issued")

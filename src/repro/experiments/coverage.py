@@ -226,9 +226,10 @@ def run_coverage(
     checkpoint_path:
         Optional JSON checkpoint enabling resume of interrupted sweeps.
     executor:
-        Execution back-end override (``"serial"``, ``"pool"``, ``"resilient"``
-        or an :class:`~repro.experiments.executors.Executor` instance); the
-        default picks serial/pool from ``workers``.
+        Execution back-end override (``"serial"``, ``"resilient"``,
+        ``"swarm"`` or an :class:`~repro.experiments.executors.Executor`
+        instance); the default is serial at ``workers=1`` and resilient
+        above.
     trace_dir:
         Optional directory receiving structured campaign telemetry
         (``campaign.jsonl`` + one JSONL trace per replication); aggregates

@@ -194,8 +194,10 @@ def run_delay_vs_load(
     checkpoint_path:
         Optional JSON checkpoint enabling resume of interrupted sweeps.
     executor:
-        Execution back-end override (``"serial"``, ``"pool"``, ``"resilient"``
-        or an :class:`~repro.experiments.executors.Executor` instance).
+        Execution back-end override (``"serial"``, ``"resilient"``,
+        ``"swarm"`` or an :class:`~repro.experiments.executors.Executor`
+        instance); the default is serial at ``workers=1`` and resilient
+        above.
     trace_dir:
         Optional directory receiving structured campaign telemetry
         (``campaign.jsonl`` + one JSONL trace per replication, including

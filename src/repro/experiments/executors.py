@@ -1,45 +1,38 @@
-"""Pluggable campaign executors: serial, pooled and fault-tolerant back-ends.
+"""Pluggable campaign executors and the attempt ledger they share.
 
 The campaign engine (:mod:`repro.experiments.campaign`) reduces an experiment
 to a list of *tasks* — pure functions of their ``(point, replication)``
 coordinates, thanks to the deterministic seed tree — and hands the list to an
-**executor**.  Three back-ends implement the same small contract:
+**executor**.  :class:`SerialExecutor` runs them in-process and propagates
+exceptions (``workers=1``); :class:`ResilientExecutor` runs them on managed
+worker processes over pipes (the ``workers > 1`` default); and
+:class:`~repro.experiments.swarm.SwarmExecutor` leases them to workers over
+a shared-directory file queue.
 
-:class:`SerialExecutor`
-    In-process loop, no pickling requirements, exceptions propagate (abort on
-    first failure).  The ``workers=1`` behaviour the engine always had.
-:class:`PoolExecutor`
-    ``multiprocessing.Pool`` sharding with ``imap_unordered`` — the historic
-    ``workers > 1`` path.  Fast, but brittle by construction: one worker
-    exception aborts the whole campaign and a hung task stalls it forever.
-:class:`ResilientExecutor`
-    Owns its worker processes (one duplex pipe each) and adds the
-    fault-tolerance layer production campaigns need:
+The two fault-tolerant executors keep their policy in one
+:class:`AttemptLedger` and only report what became of each attempt:
 
-    * **per-task timeouts** — a task running longer than ``task_timeout_s``
-      has its worker killed and is re-issued;
-    * **retry with exponential backoff + deterministic jitter** — a failed
-      attempt is re-scheduled after ``backoff_base_s * 2**(attempt-1)``
-      seconds (capped, jittered by a seeded RNG so schedules are
-      reproducible);
-    * **dead-worker detection and respawn** — a crashed worker (segfault,
-      ``os._exit``, OOM kill) loses only its in-flight task, which is
-      re-issued to a fresh process;
-    * **speculative straggler re-issue** — a task running longer than
-      ``straggler_factor`` times the running mean completion time is
-      duplicated onto an idle worker; the first result wins, and the seed
-      tree guarantees duplicates are bit-identical, so first-wins cannot
-      change any aggregate;
-    * **poisoned-task quarantine** — a task that fails ``max_retries + 1``
-      attempts is reported as a failed :class:`TaskOutcome` instead of
-      killing the campaign; the engine records the failure per point and the
-      reducers flag the degraded cell.
+* **failed** — the runner raised, or the attempt overran its time budget.
+  Retry ``r`` waits ``min(backoff_base_s * 2**(r-1),`` :data:`BACKOFF_MAX_S`
+  ``)``, stretched by up to :data:`BACKOFF_JITTER` of jitter seeded by
+  ``(backoff_seed, task, r)``.  Once ``max_retries`` retries are spent and
+  no other copy runs, the task is **quarantined**: reported as a failed
+  :class:`TaskOutcome` instead of killing the campaign.  The pipe transport
+  reports a dead worker or a timeout as failed: its one task is the suspect;
+* **lost** — the attempt will never report; it is re-issued at once, costs
+  no retry, and only :data:`MAX_REISSUES` bounds it.  The file transport
+  reports an expired lease or a dead worker as lost, because leases also
+  expire when messages are lost;
+* **succeeded** — the first completion wins; later ones are discarded;
+* **stragglers** — the sole running copy of a task older than
+  ``max(straggler_factor × mean completion time,`` :data:`STRAGGLER_FLOOR_S`
+  ``)`` gets one extra copy, only into idle capacity with no ripe work
+  queued and once :data:`STRAGGLER_MIN_COMPLETIONS` tasks have completed.
 
-Because every task is a pure function of its coordinates, re-execution in
-any of these forms is provably safe: a retried, re-issued or duplicated task
-returns exactly the bytes the original attempt would have returned, so a
-campaign run under the resilient executor with faults injected aggregates
-bit-identically to a fault-free serial run (the chaos suite locks this).
+Every task is a pure function of its coordinates, so a retried, re-issued or
+duplicated task returns exactly the bytes of the original attempt: a campaign
+run with faults injected aggregates bit-identically to a fault-free serial
+run (the chaos suite locks this).
 """
 
 from __future__ import annotations
@@ -47,8 +40,8 @@ from __future__ import annotations
 import random
 import signal
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.utils.hooks import SimHooks
 
@@ -58,8 +51,8 @@ __all__ = [
     "ExecutorStats",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "ResilientExecutor",
+    "AttemptLedger",
     "reset_worker_signals",
     "retry_backoff_delay",
 ]
@@ -67,16 +60,21 @@ __all__ = [
 MetricDict = Dict[str, float]
 ExecuteFn = Callable[[object], MetricDict]
 
+#: Cap of a retry's exponential backoff before its jitter stretch (seconds).
+BACKOFF_MAX_S = 30.0
+#: Largest jitter stretch of a retry backoff, as a fraction of the backoff.
+BACKOFF_JITTER = 0.25
+#: Lost attempts one task may suffer before quarantine: the guard against a
+#: task that reliably kills its worker without ever reporting a failure.
+MAX_REISSUES = 20
+#: Completed tasks needed before the mean completion time picks stragglers.
+STRAGGLER_MIN_COMPLETIONS = 3
+#: Floor of the straggler threshold (seconds): keeps sub-millisecond task
+#: mixes from branding every running attempt a straggler.
+STRAGGLER_FLOOR_S = 0.05
 
-def retry_backoff_delay(
-    task_index: int,
-    retry: int,
-    *,
-    base_s: float,
-    max_s: float,
-    jitter: float,
-    seed: int,
-) -> float:
+
+def retry_backoff_delay(task_index: int, retry: int, *, base_s: float, seed: int) -> float:
     """Backoff before retry ``retry`` (1-based) of task ``task_index``.
 
     Exponential in the retry number with a deterministic jitter stretch:
@@ -84,14 +82,23 @@ def retry_backoff_delay(
     schedule is reproducible across runs and processes, while distinct
     tasks (and distinct campaign root seeds, which the campaign engine
     threads through as ``seed``) de-synchronise — a retry storm cannot
-    re-align itself onto one instant.  Shared by the resilient and swarm
-    executors.
+    re-align itself onto one instant.
     """
     if retry < 1:
         raise ValueError("retry is 1-based")
-    base = min(base_s * 2.0 ** (retry - 1), max_s)
+    base = min(base_s * 2.0 ** (retry - 1), BACKOFF_MAX_S)
     mix = (seed * 1_000_003 + task_index) * 9_973 + retry
-    return base * (1.0 + jitter * random.Random(mix).random())
+    return base * (1.0 + BACKOFF_JITTER * random.Random(mix).random())
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context where available (else the default).
+
+    Forked workers need no importable execute function.
+    """
+    import multiprocessing as mp
+
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,10 @@ class TaskSpec:
 class TaskOutcome:
     """Result of one task: metrics on success, an error string on failure.
 
-    ``attempts`` counts executions (1 = first try succeeded); ``metrics`` is
-    ``None`` exactly when the task was quarantined after exhausting its
-    retries, in which case ``error`` describes the last failure.
+    ``attempts`` counts the executions of the task: every attempt that
+    failed or was lost, plus the one that succeeded (1 = the first try
+    succeeded).  ``metrics`` is ``None`` exactly when the task was
+    quarantined, in which case ``error`` describes the last failure.
     """
 
     task: TaskSpec
@@ -145,14 +153,214 @@ class ExecutorStats:
         return asdict(self)
 
 
+class AttemptLedger:
+    """Per-task fault-tolerance state of one executor run (see module docs).
+
+    The transport reports each attempt as :meth:`issued`, then
+    :meth:`succeeded`, :meth:`failed` or :meth:`lost`.  The ledger fires the
+    ``task_*`` hooks, keeps the ``retries``, ``quarantined`` and
+    ``duplicates_discarded`` stats and collects the :attr:`outcomes`.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[TaskSpec],
+        *,
+        max_retries: int,
+        backoff_base_s: float,
+        backoff_seed: Optional[int],
+        straggler_factor: Optional[float],
+        stats: ExecutorStats,
+        hooks: Optional[SimHooks],
+    ) -> None:
+        self.tasks = tasks
+        self.max_retries = max_retries
+        self.backoff_base_s = backoff_base_s
+        self.backoff_seed = backoff_seed or 0
+        self.straggler_factor = straggler_factor
+        self.stats = stats
+        self.hooks = hooks
+        total = len(tasks)
+        now = time.monotonic()
+        #: ``(not_before, task index)`` entries awaiting (re-)issue, FIFO.
+        self._queue: List[Tuple[float, int]] = [(now, index) for index in range(total)]
+        self._failures = [0] * total  # the retry budget
+        self._losses = [0] * total  # bounded by MAX_REISSUES only
+        self._running = [0] * total  # copies in flight (> 1: a straggler copy)
+        self._finished = [False] * total
+        self._copied = [False] * total  # a straggler gets one extra copy
+        self._completions = 0
+        self._completion_time_s = 0.0
+        #: Outcomes waiting to be yielded; :meth:`drain` hands them over.
+        self.outcomes: List[TaskOutcome] = []
+        #: Tasks with neither a result nor a quarantine verdict yet.
+        self.unfinished = total
+
+    # -- transitions the transport reports ---------------------------------------
+    def issued(self, index: int) -> None:
+        """An attempt of task ``index`` went out to a worker."""
+        self._running[index] += 1
+        if self.hooks is not None:
+            self.hooks.task_issued(self.tasks[index].key, attempt=self._executions(index) + 1)
+
+    def succeeded(
+        self, index: int, metrics: MetricDict, duration_s: float, live: bool = True
+    ) -> None:
+        """An attempt returned ``metrics``; ``live=False``: one already lost."""
+        if live:
+            self._running[index] -= 1
+        if self._finished[index]:
+            self.stats.duplicates_discarded += 1
+            return
+        self._completions += 1
+        self._completion_time_s += duration_s
+        attempts = self._executions(index) + 1
+        if self.hooks is not None:
+            self.hooks.task_completed(
+                self.tasks[index].key, attempts=attempts, duration_s=duration_s
+            )
+        self._finish(index, TaskOutcome(self.tasks[index], metrics, None, attempts, duration_s))
+
+    def failed(self, index: int, reason: str, live: bool = True) -> None:
+        """The runner raised, or the attempt overran its time budget."""
+        if live:
+            self._running[index] -= 1
+        if self._finished[index]:
+            self.stats.duplicates_discarded += 1
+            return
+        self._failures[index] += 1
+        retry = self._failures[index]
+        if retry <= self.max_retries:
+            self.stats.retries += 1
+            delay = retry_backoff_delay(
+                index, retry, base_s=self.backoff_base_s, seed=self.backoff_seed
+            )
+            self._queue.append((time.monotonic() + delay, index))
+            if self.hooks is not None:
+                self.hooks.task_retry(
+                    self.tasks[index].key, attempt=retry, delay_s=delay, reason=reason
+                )
+        elif not self._running[index]:
+            self._quarantine(index, reason)
+
+    def lost(self, index: int, reason: str) -> None:
+        """The attempt will never report: re-issue at once, budget untouched."""
+        self._running[index] -= 1
+        if self._finished[index] or self._running[index]:
+            return
+        self._losses[index] += 1
+        if self._losses[index] > MAX_REISSUES:
+            self._quarantine(
+                index,
+                f"attempt lost {MAX_REISSUES} times without a report (the task "
+                f"keeps losing its worker); last: {reason}",
+            )
+        elif self._failures[index] > self.max_retries:
+            # The budget was spent while this copy ran: the deferred verdict.
+            self._quarantine(index, reason)
+        else:
+            self._queue.append((time.monotonic(), index))
+
+    def stale_report(self) -> None:
+        """A report of an attempt issued by an earlier run (``keep_alive``)."""
+        self.stats.duplicates_discarded += 1
+
+    # -- what runs next ----------------------------------------------------------
+    def ripe_count(self, now: float) -> int:
+        """Queued tasks that may be issued at ``now``."""
+        return sum(
+            1 for not_before, index in self._queue
+            if not_before <= now and not self._finished[index]
+        )
+
+    def take_ripe(self, now: float, limit: int) -> List[int]:
+        """Dequeue up to ``limit`` ripe tasks in FIFO order."""
+        if limit <= 0:
+            return []
+        taken: List[int] = []
+        keep: List[Tuple[float, int]] = []
+        for not_before, index in self._queue:
+            if self._finished[index]:
+                continue  # a stale entry of a finished task
+            if not_before <= now and len(taken) < limit:
+                taken.append(index)
+            else:
+                keep.append((not_before, index))
+        self._queue = keep
+        return taken
+
+    def pick_stragglers(
+        self, running: Iterable[Tuple[float, int]], slots: int, now: float
+    ) -> List[int]:
+        """Up to ``slots`` stragglers for the caller to copy, oldest first.
+
+        ``running`` holds ``(last progress, task index)`` per attempt in flight.
+        """
+        if (
+            self.straggler_factor is None
+            or slots <= 0
+            or self._completions < STRAGGLER_MIN_COMPLETIONS
+            or self.ripe_count(now)
+        ):
+            return []
+        threshold = max(
+            self.straggler_factor * self._completion_time_s / self._completions,
+            STRAGGLER_FLOOR_S,
+        )
+        candidates = sorted(
+            (since, index)
+            for since, index in running
+            if not self._finished[index]
+            and self._running[index] == 1
+            and not self._copied[index]
+            and now - since > threshold
+        )
+        picked = [index for _, index in candidates[:slots]]
+        for index in picked:
+            self._copied[index] = True
+        return picked
+
+    def sleep_s(self, now: float, cap: float) -> float:
+        """Sleep until the next retry ripens, at most ``cap``.
+
+        Ripe entries do not count: they wait for a worker, not for the clock.
+        """
+        ripening = [
+            not_before - now
+            for not_before, index in self._queue
+            if not_before > now and not self._finished[index]
+        ]
+        return min([cap] + ripening)
+
+    def drain(self) -> List[TaskOutcome]:
+        """Hand over the outcomes collected since the last drain."""
+        outcomes, self.outcomes = self.outcomes, []
+        return outcomes
+
+    # -- internals ---------------------------------------------------------------
+    def _executions(self, index: int) -> int:
+        return self._failures[index] + self._losses[index]
+
+    def _quarantine(self, index: int, reason: str) -> None:
+        attempts = self._executions(index)
+        self.stats.quarantined += 1
+        if self.hooks is not None:
+            self.hooks.task_quarantined(self.tasks[index].key, attempts=attempts, reason=reason)
+        self._finish(index, TaskOutcome(self.tasks[index], None, reason, attempts))
+
+    def _finish(self, index: int, outcome: TaskOutcome) -> None:
+        self._finished[index] = True
+        self.unfinished -= 1
+        self.outcomes.append(outcome)
+
+
 class Executor:
     """Executor contract: stream :class:`TaskOutcome` for a task list.
 
     ``run`` is a generator so the engine can checkpoint after every result;
     ``stop`` must promptly release any worker processes (idempotent, used by
-    the engine's signal handling).  Executors other than the resilient one
-    propagate task exceptions — aborting the campaign — which is the historic
-    behaviour and keeps their no-failure fast path overhead-free.
+    the engine's signal handling).  The serial executor propagates task
+    exceptions — aborting the campaign — which keeps its path overhead-free.
 
     :attr:`hooks` is an optional :class:`repro.utils.hooks.SimHooks`
     observer (assigned by the campaign engine) notified of task issue,
@@ -182,7 +390,7 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """In-process execution: no pool, no pickling, exceptions propagate."""
+    """In-process execution: no worker processes, no pickling, exceptions propagate."""
 
     name = "serial"
 
@@ -214,79 +422,13 @@ def reset_worker_signals() -> None:
 
     A worker forked while :meth:`Campaign.run` has its interrupt handler
     installed inherits that Python-level handler.  Python runs it only
-    between bytecodes, so a pool worker that receives ``Pool.terminate()``'s
-    SIGTERM just before it blocks on the task-queue lock never runs it and
-    waits forever.  With the default action the kernel ends the worker at
-    once.  Called first thing in every worker the executors fork.
+    between bytecodes, so a worker that receives a SIGTERM while blocked in
+    a lock or a system call never runs it and waits forever.  With the
+    default action the kernel ends the worker at once.  Called first thing
+    in every worker the executors fork.
     """
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.SIG_DFL)
-
-
-def _pool_entry(payload: Tuple[ExecuteFn, int, object]) -> Tuple[int, MetricDict]:
-    """Module-level pool trampoline (pickles by reference)."""
-    execute, index, task_payload = payload
-    return index, execute(task_payload)
-
-
-class PoolExecutor(Executor):
-    """``multiprocessing.Pool`` sharding — the historic ``workers > 1`` path.
-
-    A worker exception propagates and aborts the campaign (completed results
-    survive in the checkpoint); there is no timeout or retry.  Use
-    :class:`ResilientExecutor` when fault tolerance matters more than the
-    last percent of throughput.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__()
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = int(workers)
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing as mp
-
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-            self._pool = mp.get_context(method).Pool(
-                processes=self.workers, initializer=reset_worker_signals
-            )
-        return self._pool
-
-    def run(self, execute: ExecuteFn, tasks: Sequence[TaskSpec]) -> Iterator[TaskOutcome]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        payloads = [(execute, index, task.payload) for index, task in enumerate(tasks)]
-        hooks = self.hooks
-        if hooks is not None:
-            # The pool hands tasks out internally; issue is observable only
-            # at submission granularity.
-            for task in tasks:
-                hooks.task_issued(task.key, attempt=1)
-        pool = self._ensure_pool()
-        try:
-            for index, metrics in pool.imap_unordered(
-                _pool_entry, payloads, chunksize=1
-            ):
-                if hooks is not None:
-                    hooks.task_completed(
-                        tasks[index].key, attempts=1, duration_s=0.0
-                    )
-                yield TaskOutcome(task=tasks[index], metrics=metrics)
-        finally:
-            if not self.keep_alive:
-                self.stop()
-
-    def stop(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +479,6 @@ class _WorkerHandle:
         self.ticket: Optional[int] = None  # ticket of the in-flight attempt
 
 
-@dataclass
-class _Attempt:
-    """Bookkeeping of one in-flight execution of one task."""
-
-    task_index: int
-    started_at: float = 0.0
-
-
 class ResilientExecutor(Executor):
     """Fault-tolerant executor with managed workers (see module docstring).
 
@@ -358,17 +492,19 @@ class ResilientExecutor(Executor):
     max_retries:
         Failed attempts re-issued before a task is quarantined; a task may
         execute ``max_retries + 1`` times in total.
-    backoff_base_s / backoff_max_s / backoff_jitter:
-        Retry ``r`` of a task waits ``min(backoff_base_s * 2**(r-1),
-        backoff_max_s)`` seconds, stretched by up to ``backoff_jitter``
-        (fraction) of deterministic per-``(task, attempt)`` jitter.
-    straggler_factor / straggler_min_completions:
-        A sole in-flight attempt older than ``straggler_factor`` times the
-        mean completion time (once ``straggler_min_completions`` tasks have
-        finished) is speculatively duplicated onto an idle worker; first
-        result wins.  ``straggler_factor=None`` disables speculation.
+    backoff_base_s:
+        Backoff before a task's first retry; it doubles per retry up to
+        :data:`BACKOFF_MAX_S`.
+    straggler_factor:
+        A sole in-flight attempt older than this many mean completion times
+        (and at least :data:`STRAGGLER_FLOOR_S`) is copied onto an idle
+        worker; first result wins.  ``None`` disables speculation.
     poll_interval_s:
         Monitor tick used when no worker message is pending.
+    backoff_seed:
+        Jitter seed; ``None`` means "derive from the campaign root seed"
+        (the campaign engine fills it in at resolve time, so chaos runs
+        reproduce and distinct campaigns de-synchronise their storms).
     """
 
     name = "resilient"
@@ -379,10 +515,7 @@ class ResilientExecutor(Executor):
         task_timeout_s: Optional[float] = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.25,
-        backoff_max_s: float = 30.0,
-        backoff_jitter: float = 0.25,
         straggler_factor: Optional[float] = 4.0,
-        straggler_min_completions: int = 3,
         poll_interval_s: float = 0.05,
         backoff_seed: Optional[int] = None,
     ) -> None:
@@ -399,14 +532,8 @@ class ResilientExecutor(Executor):
         self.task_timeout_s = task_timeout_s
         self.max_retries = int(max_retries)
         self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.backoff_jitter = float(backoff_jitter)
         self.straggler_factor = straggler_factor
-        self.straggler_min_completions = int(straggler_min_completions)
         self.poll_interval_s = float(poll_interval_s)
-        #: Jitter seed; ``None`` means "derive from the campaign root seed"
-        #: (the campaign engine fills it in at resolve time, so chaos runs
-        #: reproduce and distinct campaigns de-synchronise their storms).
         self.backoff_seed = None if backoff_seed is None else int(backoff_seed)
         self._live: List[_WorkerHandle] = []
         self._stop_requested = False
@@ -416,23 +543,6 @@ class ResilientExecutor(Executor):
         # report mid-way through the next, and a reused ticket number would
         # attribute that stale result to the wrong task.
         self._next_ticket = 0
-
-    # -- scheduling helpers ------------------------------------------------------
-    def retry_delay(self, task_index: int, retry: int) -> float:
-        """Backoff before retry ``retry`` (1-based) of task ``task_index``.
-
-        Exponential in the retry number with a deterministic jitter stretch:
-        the jitter RNG is seeded from ``(backoff_seed, task_index, retry)``
-        only, so the schedule is reproducible across runs and processes.
-        """
-        return retry_backoff_delay(
-            task_index,
-            retry,
-            base_s=self.backoff_base_s,
-            max_s=self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed or 0,
-        )
 
     def _spawn(self, ctx) -> _WorkerHandle:
         worker = _WorkerHandle(ctx)
@@ -476,243 +586,114 @@ class ResilientExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return
-        import multiprocessing as mp
         from multiprocessing import connection as mp_connection
 
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
-
-        total = len(tasks)
-        now = time.monotonic()
-        #: (not_before, task_index) entries awaiting (re-)dispatch, FIFO.
-        pending: List[Tuple[float, int]] = [(now, index) for index in range(total)]
-        failed_attempts = [0] * total  # attempts that already failed
-        running_copies = [0] * total  # in-flight attempts (>1 = speculation)
-        finished = [False] * total
-        speculated = [False] * total
-        durations: List[float] = []
-        attempts: Dict[int, _Attempt] = {}  # ticket -> in-flight bookkeeping
-        emitted = 0
+        ctx = fork_context()
+        ledger = AttemptLedger(
+            tasks,
+            max_retries=self.max_retries,
+            backoff_base_s=self.backoff_base_s,
+            backoff_seed=self.backoff_seed,
+            straggler_factor=self.straggler_factor,
+            stats=self.stats,
+            hooks=self.hooks,
+        )
+        #: ticket -> (task index, start time) of every attempt in flight.
+        in_flight: Dict[int, Tuple[int, float]] = {}
         self._stop_requested = False
         self._spawned_initial = bool(self._live)
 
-        def register_failure(index: int, reason: str) -> Optional[TaskOutcome]:
-            """Schedule a retry, or quarantine once the budget is exhausted."""
-            failed_attempts[index] += 1
-            if failed_attempts[index] <= self.max_retries:
-                self.stats.retries += 1
-                delay = self.retry_delay(index, failed_attempts[index])
-                pending.append((time.monotonic() + delay, index))
-                if self.hooks is not None:
-                    self.hooks.task_retry(
-                        tasks[index].key,
-                        attempt=failed_attempts[index],
-                        delay_s=delay,
-                        reason=reason,
-                    )
-                return None
-            if running_copies[index] > 0:
-                # A speculative duplicate is still in flight and may yet
-                # succeed; defer the verdict until it reports.
-                return None
-            finished[index] = True
-            self.stats.quarantined += 1
-            if self.hooks is not None:
-                self.hooks.task_quarantined(
-                    tasks[index].key, attempts=failed_attempts[index], reason=reason
-                )
-            return TaskOutcome(
-                task=tasks[index],
-                metrics=None,
-                error=reason,
-                attempts=failed_attempts[index],
-            )
-
-        def reap(worker: _WorkerHandle, reason: str) -> Optional[TaskOutcome]:
-            """Remove a dead/hung worker, re-issuing its in-flight task."""
+        def reap(worker: _WorkerHandle, reason: str) -> None:
+            """Remove a dead or hung worker; its in-flight attempt failed."""
             self._live.remove(worker)
-            outcome = None
             if worker.ticket is not None:
-                # A ticket from a previous wave (keep_alive) is not in this
-                # wave's books; the task it carried was already resolved.
-                attempt = attempts.pop(worker.ticket, None)
-                if attempt is None:
-                    self.stats.duplicates_discarded += 1
-                elif finished[attempt.task_index]:
-                    running_copies[attempt.task_index] -= 1
-                    self.stats.duplicates_discarded += 1
+                attempt = in_flight.pop(worker.ticket, None)
+                if attempt is None:  # a previous wave's ticket (keep_alive)
+                    ledger.stale_report()
                 else:
-                    running_copies[attempt.task_index] -= 1
-                    outcome = register_failure(attempt.task_index, reason)
+                    ledger.failed(attempt[0], reason)
             self._kill(worker)
-            return outcome
 
         def dispatch(worker: _WorkerHandle, index: int) -> None:
             ticket = self._next_ticket
             self._next_ticket += 1
-            attempts[ticket] = _Attempt(task_index=index, started_at=time.monotonic())
-            running_copies[index] += 1
+            in_flight[ticket] = (index, time.monotonic())
             worker.ticket = ticket
-            if self.hooks is not None:
-                self.hooks.task_issued(
-                    tasks[index].key, attempt=failed_attempts[index] + 1
-                )
+            ledger.issued(index)
             worker.conn.send((ticket, execute, tasks[index].payload))
 
         try:
-            while emitted < total and not self._stop_requested:
+            while ledger.unfinished and not self._stop_requested:
                 now = time.monotonic()
-                fresh: List[TaskOutcome] = []
 
-                # 1. Dead workers lose only their in-flight task.
+                # 1. A dead worker or an attempt over its timeout budget
+                # fails the one in-flight task (the worker is killed).
                 for worker in list(self._live):
-                    if worker.process.is_alive():
-                        continue
-                    code = worker.process.exitcode
-                    self.stats.worker_crashes += 1
-                    outcome = reap(worker, f"worker died (exit code {code})")
-                    if outcome is not None:
-                        fresh.append(outcome)
-
-                # 2. Attempts over the timeout budget: kill + re-issue.
-                if self.task_timeout_s is not None:
-                    for worker in list(self._live):
-                        if worker.ticket is None or worker.ticket not in attempts:
-                            continue
-                        elapsed = now - attempts[worker.ticket].started_at
-                        if elapsed <= self.task_timeout_s:
-                            continue
+                    attempt = in_flight.get(worker.ticket)
+                    if not worker.process.is_alive():
+                        self.stats.worker_crashes += 1
+                        reap(worker, f"worker died (exit code {worker.process.exitcode})")
+                    elif (
+                        attempt is not None
+                        and self.task_timeout_s is not None
+                        and now - attempt[1] > self.task_timeout_s
+                    ):
                         self.stats.timeouts += 1
-                        outcome = reap(
+                        reap(
                             worker,
-                            f"task timed out after {elapsed:.1f} s "
+                            f"task timed out after {now - attempt[1]:.1f} s "
                             f"(budget {self.task_timeout_s:.1f} s)",
                         )
-                        if outcome is not None:
-                            fresh.append(outcome)
 
-                # 3. Keep the fleet at strength while work remains.
-                unfinished = total - sum(finished)
-                while len(self._live) < min(self.workers, unfinished):
+                # 2. Keep the fleet at strength while work remains.
+                while len(self._live) < min(self.workers, ledger.unfinished):
                     self._spawn(ctx)
                 self._spawned_initial = True
 
-                # 4. Dispatch ready work to idle workers, FIFO.
+                # 3. Ripe work to idle workers, then straggler copies into
+                # the capacity that is left.
                 idle = [w for w in self._live if w.ticket is None]
-                for worker in idle:
-                    chosen = None
-                    for slot, (not_before, index) in enumerate(pending):
-                        if finished[index]:
-                            chosen = slot  # stale retry of a finished task
-                            break
-                        if not_before <= now:
-                            chosen = slot
-                            break
-                    if chosen is None:
-                        break
-                    _, index = pending.pop(chosen)
-                    if finished[index]:
-                        continue
+                ready = ledger.take_ripe(now, len(idle))
+                for worker, index in zip(idle, ready):
                     dispatch(worker, index)
-
-                # 5. Speculative straggler re-issue (only into spare capacity).
-                idle = [w for w in self._live if w.ticket is None]
-                ready_exists = any(
-                    not_before <= now and not finished[index]
-                    for not_before, index in pending
-                )
-                if (
-                    self.straggler_factor is not None
-                    and idle
-                    and not ready_exists
-                    and len(durations) >= self.straggler_min_completions
-                ):
-                    threshold = self.straggler_factor * (
-                        sum(durations) / len(durations)
-                    )
-                    candidates = sorted(
-                        (
-                            attempt
-                            for attempt in attempts.values()
-                            if not finished[attempt.task_index]
-                            and running_copies[attempt.task_index] == 1
-                            and not speculated[attempt.task_index]
-                            and now - attempt.started_at > threshold
-                        ),
-                        key=lambda attempt: attempt.started_at,
-                    )
-                    for worker, attempt in zip(idle, candidates):
-                        speculated[attempt.task_index] = True
+                idle = idle[len(ready):]
+                if idle:
+                    running = [(started, index) for index, started in in_flight.values()]
+                    for worker, index in zip(
+                        idle, ledger.pick_stragglers(running, len(idle), now)
+                    ):
                         self.stats.speculative_reissues += 1
-                        dispatch(worker, attempt.task_index)
+                        dispatch(worker, index)
 
-                # 6. Wait for worker messages (or for the next retry to ripen).
-                busy = [w for w in self._live if w.ticket is not None]
+                # 4. Wait for worker messages (or for the next retry to ripen).
+                busy = {w.conn: w for w in self._live if w.ticket is not None}
                 if busy:
-                    ready_conns = mp_connection.wait(
-                        [w.conn for w in busy], timeout=self.poll_interval_s
-                    )
-                    by_conn = {w.conn: w for w in busy}
-                    for conn in ready_conns:
-                        worker = by_conn[conn]
+                    timeout = ledger.sleep_s(now, self.poll_interval_s)
+                    for conn in mp_connection.wait(list(busy), timeout=timeout):
                         try:
                             ticket, ok, payload = conn.recv()
                         except (EOFError, OSError):
                             # Death will be reaped at the top of the next
                             # iteration (liveness, not EOF, is authoritative).
                             continue
-                        worker.ticket = None
-                        attempt = attempts.pop(ticket, None)
-                        if attempt is None:
-                            # Stale result from a previous wave's speculative
-                            # duplicate (keep_alive): the task was resolved.
-                            self.stats.duplicates_discarded += 1
-                            continue
-                        index = attempt.task_index
-                        running_copies[index] -= 1
-                        if finished[index]:
-                            self.stats.duplicates_discarded += 1
-                            continue
-                        if ok:
-                            finished[index] = True
-                            duration = time.monotonic() - attempt.started_at
-                            durations.append(duration)
-                            if self.hooks is not None:
-                                self.hooks.task_completed(
-                                    tasks[index].key,
-                                    attempts=failed_attempts[index] + 1,
-                                    duration_s=duration,
-                                )
-                            fresh.append(
-                                TaskOutcome(
-                                    task=tasks[index],
-                                    metrics=payload,
-                                    attempts=failed_attempts[index] + 1,
-                                    duration_s=duration,
-                                )
-                            )
+                        busy[conn].ticket = None
+                        attempt = in_flight.pop(ticket, None)
+                        if attempt is None:  # a previous wave's speculative copy
+                            ledger.stale_report()
+                        elif ok:
+                            index, started = attempt
+                            ledger.succeeded(index, payload, time.monotonic() - started)
                         else:
-                            outcome = register_failure(index, str(payload))
-                            if outcome is not None:
-                                fresh.append(outcome)
-                elif not fresh:
-                    ripen = [
-                        not_before
-                        for not_before, index in pending
-                        if not finished[index]
-                    ]
-                    if not ripen:  # pragma: no cover - defensive
+                            ledger.failed(attempt[0], str(payload))
+                elif not ledger.outcomes:
+                    if not ledger.ripe_count(float("inf")):  # pragma: no cover - defensive
                         raise RuntimeError(
                             "resilient executor stalled: tasks outstanding but "
                             "nothing running, pending or dispatchable"
                         )
-                    time.sleep(
-                        min(self.poll_interval_s, max(0.0, min(ripen) - now))
-                    )
+                    time.sleep(ledger.sleep_s(now, self.poll_interval_s))
 
-                for outcome in fresh:
-                    emitted += 1
-                    yield outcome
+                yield from ledger.drain()
         finally:
             if not self.keep_alive:
                 self._shutdown()

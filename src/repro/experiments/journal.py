@@ -118,9 +118,8 @@ class CheckpointJournal:
         Fold the WAL into the JSON after this many appended records (the
         WAL stays small and resume replay stays fast).  ``None`` compacts
         only on :meth:`close`.
-    fsync:
-        Fsync every append (the durability contract).  Disable only for
-        throwaway runs where losing the tail on power loss is acceptable.
+
+    Every append is fsync'd before it returns: the durability contract.
     """
 
     def __init__(
@@ -129,7 +128,6 @@ class CheckpointJournal:
         fingerprint: str,
         meta: Optional[Dict[str, object]] = None,
         compact_every: Optional[int] = 128,
-        fsync: bool = True,
     ) -> None:
         if compact_every is not None and compact_every < 1:
             raise ValueError("compact_every must be positive (or None)")
@@ -138,7 +136,6 @@ class CheckpointJournal:
         self.fingerprint = str(fingerprint)
         self.meta = dict(meta or {})
         self.compact_every = compact_every
-        self.fsync = bool(fsync)
         self._completed: Dict[str, MetricDict] = {}
         self.notes: List[dict] = []
         self._wal_records = 0  # records in the WAL since the last compaction
@@ -246,8 +243,7 @@ class CheckpointJournal:
     def _write_line(self, body: str) -> None:
         self._handle.write(_encode_line(body).encode("utf-8"))
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def append(self, key: str, metrics: MetricDict) -> None:
         """Durably record one completed replication (O(1), fsync'd)."""

@@ -109,12 +109,13 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     parser.add_argument("--workers", type=int, default=1,
                         help="processes sharding the Monte-Carlo replications")
     parser.add_argument("--executor",
-                        choices=["serial", "pool", "resilient", "swarm"],
+                        choices=["serial", "resilient", "swarm"],
                         default=None,
-                        help="campaign execution back-end ('resilient' adds "
-                             "retries, timeouts and straggler re-issue; "
-                             "'swarm' runs a lease-based worker swarm; "
-                             "degraded cells are flagged in the tables)")
+                        help="campaign execution back-end (default: serial "
+                             "at --workers 1, resilient above, which retries, "
+                             "times out and re-issues stragglers; 'swarm' "
+                             "runs a lease-based worker swarm; degraded cells "
+                             "are flagged in the tables)")
     parser.add_argument("--scheduler", action="append", default=None,
                         metavar="NAME[:k=v,...]", dest="scheduler_specs",
                         help="restrict the scheduler-swept experiments to "

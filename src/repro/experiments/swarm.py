@@ -1,12 +1,14 @@
 """Crash-tolerant distributed campaign executor: a leased worker swarm.
 
-:class:`SwarmExecutor` extends the single-machine fault-tolerance contract of
-:class:`~repro.experiments.executors.ResilientExecutor` across independently
-spawned worker *processes* that share nothing with the coordinator but a
-directory.  The protocol is deliberately boring — atomic files over a shared
-filesystem — because boring survives: it works between processes on one
-machine, between machines over NFS, and it is trivially observable and
-fault-injectable (:class:`~repro.experiments.faults.MessageFaultPlan`).
+:class:`SwarmExecutor` runs the fault-tolerance policy of
+:class:`~repro.experiments.executors.AttemptLedger` — the one
+:class:`~repro.experiments.executors.ResilientExecutor` runs over pipes —
+across independently spawned worker *processes* that share nothing with the
+coordinator but a directory.  The protocol is deliberately boring — atomic
+files over a shared filesystem — because boring survives: it works between
+processes on one machine, between machines over NFS, and it is trivially
+observable and fault-injectable
+(:class:`~repro.experiments.faults.MessageFaultPlan`).
 
 Protocol
 --------
@@ -21,23 +23,24 @@ The coordinator owns a *swarm directory*::
 * The coordinator hands out **leases**: an attempt id plus a batch of tasks
   and an implicit deadline.  A lease is *live* while evidence of it keeps
   arriving — heartbeats listing the attempt id, or results from it — and
-  **expires** ``lease_timeout_s`` after the last evidence.  Expired leases
-  are reclaimed and their unresolved tasks re-issued under a fresh attempt
-  id (a reclaim does **not** burn the task's retry budget: only a failure
-  the runner itself reported does; a ``max_reissues`` cap guards against a
-  task that keeps killing its workers).
+  **expires** ``lease_timeout_s`` after the last evidence.  The unresolved
+  tasks of an expired lease, or of a spawned worker that died, are reported
+  to the ledger as *lost*: they are re-issued under a fresh attempt id
+  without burning their retry budget (only a failure the runner itself
+  reported does; :data:`~repro.experiments.executors.MAX_REISSUES` guards
+  against a task that keeps killing its workers).
 * Workers **heartbeat** (atomic JSON, one file per worker) and stream one
   result message per finished task.  Delivery is **at-least-once**: crashes,
   expired-but-alive leases and injected message duplication all produce
-  duplicate completions, which the coordinator dedupes by task — the first
+  duplicate completions, which the ledger dedupes by task — the first
   completion wins.  The deterministic seed tree makes every re-execution
   bit-identical, so first-wins can never change an aggregate: the swarm is
   bit-identical to :class:`SerialExecutor` for any worker topology,
   join/leave schedule or fault pattern.
-* Near the tail the coordinator **steals work** from slow workers: a sole
-  in-flight task older than ``steal_factor`` times the mean completion time
-  is speculatively re-leased to an idle worker (the cross-process
-  generalisation of the resilient executor's straggler re-issue).
+* Near the tail the coordinator **steals work** from slow workers: the
+  ledger's stragglers (a sole in-flight task with no progress for
+  ``steal_factor`` times the mean completion time) are re-leased to idle
+  workers.
 
 Workers are either spawned by the coordinator (``workers=N``) or attached
 from outside — any machine that shares the directory can run
@@ -62,12 +65,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.executors import (
+    AttemptLedger,
     ExecuteFn,
     Executor,
     TaskOutcome,
     TaskSpec,
+    fork_context,
     reset_worker_signals,
-    retry_backoff_delay,
 )
 from repro.experiments.faults import MessageFaultPlan
 
@@ -75,6 +79,9 @@ __all__ = ["SwarmExecutor", "SwarmLayout", "FileMailbox", "drain_mailbox"]
 
 #: Exit code of a worker that noticed its coordinator died (orphan guard).
 ORPHAN_EXIT_CODE = 75
+#: Inbox poll of a spawned worker (seconds): every lease hand-off waits for
+#: one coordinator tick plus one worker poll.
+SPAWNED_WORKER_POLL_S = 0.001
 
 
 class SwarmLayout:
@@ -237,7 +244,7 @@ def _forked_worker_main(swarm_dir: str, worker_id: str) -> int:
     # Imported lazily: worker.py imports this module at import time.
     from repro.experiments.worker import worker_main
 
-    return worker_main(swarm_dir, worker_id)
+    return worker_main(swarm_dir, worker_id, SPAWNED_WORKER_POLL_S)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +270,12 @@ class _SwarmLease:
     attempt_id: str
     worker_id: str
     unresolved: Set[int]
-    issued_at: float
     deadline: float
     #: Last time a result from this lease arrived (stealing compares the
     #: time since *progress* against the mean task duration — a multi-task
     #: batch is only a straggler when its current task is stuck, not merely
     #: because the whole batch takes batch_size x the mean).
-    last_progress: float = 0.0
+    last_progress: float
 
 
 class SwarmExecutor(Executor):
@@ -294,23 +300,20 @@ class SwarmExecutor(Executor):
         Worker heartbeat period (default ``lease_timeout_s / 4``).
     batch_size:
         Tasks per lease.  ``None`` sizes batches automatically —
-        ``pending / (4 * workers)``, clamped to ``[1, 32]`` — which keeps
+        ``ripe / (2 * idle workers)``, clamped to ``[1, 32]`` — which keeps
         batches large far from the tail and singleton near it.
     max_retries:
         Runner-reported failures tolerated per task before quarantine
-        (lease reclaims do not count; ``max_reissues`` bounds those).
-    max_reissues:
-        Hard cap on lease reclaims per task, against a task that reliably
-        kills its worker without ever reporting a failure.
-    backoff_base_s / backoff_max_s / backoff_jitter / backoff_seed:
-        Retry backoff schedule, shared with
+        (lease reclaims do not count; :data:`~repro.experiments.executors.
+        MAX_REISSUES` bounds those).
+    backoff_base_s / backoff_seed:
+        Retry backoff, as for
         :class:`~repro.experiments.executors.ResilientExecutor`
         (``backoff_seed=None``: the campaign engine fills in its root seed).
-    steal_factor / steal_min_completions:
-        Work stealing: once ``steal_min_completions`` tasks have finished
-        and the pending queue is empty, a sole in-flight task older than
-        ``steal_factor`` × mean completion time is re-leased to an idle
-        worker; first completion wins.  ``None`` disables stealing.
+    steal_factor:
+        The ledger's ``straggler_factor``: stragglers (measured from their
+        lease's last progress) are re-leased to idle workers, first
+        completion wins.  ``None`` disables stealing.
     poll_interval_s:
         Coordinator tick when nothing is happening.
     message_faults:
@@ -328,14 +331,10 @@ class SwarmExecutor(Executor):
         heartbeat_interval_s: Optional[float] = None,
         batch_size: Optional[int] = None,
         max_retries: int = 2,
-        max_reissues: int = 20,
         backoff_base_s: float = 0.25,
-        backoff_max_s: float = 30.0,
-        backoff_jitter: float = 0.25,
         backoff_seed: Optional[int] = None,
         steal_factor: Optional[float] = 4.0,
-        steal_min_completions: int = 3,
-        poll_interval_s: float = 0.01,
+        poll_interval_s: float = 0.002,
         message_faults: Optional[MessageFaultPlan] = None,
     ) -> None:
         super().__init__()
@@ -351,8 +350,6 @@ class SwarmExecutor(Executor):
             raise ValueError("batch_size must be positive (or None for auto)")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if max_reissues < 1:
-            raise ValueError("max_reissues must be positive")
         if steal_factor is not None and steal_factor <= 1.0:
             raise ValueError("steal_factor must exceed 1 (or be None)")
         self.workers = int(workers)
@@ -365,13 +362,9 @@ class SwarmExecutor(Executor):
         )
         self.batch_size = batch_size
         self.max_retries = int(max_retries)
-        self.max_reissues = int(max_reissues)
         self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.backoff_jitter = float(backoff_jitter)
         self.backoff_seed = None if backoff_seed is None else int(backoff_seed)
         self.steal_factor = steal_factor
-        self.steal_min_completions = int(steal_min_completions)
         self.poll_interval_s = float(poll_interval_s)
         self.message_faults = message_faults
         self._layout: Optional[SwarmLayout] = None
@@ -452,10 +445,7 @@ class SwarmExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return
-        import multiprocessing as mp
-
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
+        ctx = fork_context()
 
         self._stop_requested = False
         if self._torn_down:
@@ -500,68 +490,20 @@ class SwarmExecutor(Executor):
             for record in self._workers.values():
                 record.attempts.clear()
 
-        total = len(tasks)
-        now = time.monotonic()
-        pending: List[Tuple[float, int]] = [(now, index) for index in range(total)]
-        failed_attempts = [0] * total  # runner-reported failures (retry budget)
-        reissues = [0] * total  # lease reclaims (safety cap only)
-        running_copies = [0] * total
-        finished = [False] * total
-        stolen = [False] * total
-        durations: List[float] = []
+        ledger = AttemptLedger(
+            tasks,
+            max_retries=self.max_retries,
+            backoff_base_s=self.backoff_base_s,
+            backoff_seed=self.backoff_seed,
+            straggler_factor=self.steal_factor,
+            stats=self.stats,
+            hooks=self.hooks,
+        )
         leases: Dict[str, _SwarmLease] = {}
         index_by_key = {task.key: index for index, task in enumerate(tasks)}
-        emitted = 0
-        fresh: List[TaskOutcome] = []
-
-        def quarantine(index: int, reason: str) -> None:
-            finished[index] = True
-            self.stats.quarantined += 1
-            if self.hooks is not None:
-                self.hooks.task_quarantined(
-                    tasks[index].key,
-                    attempts=failed_attempts[index] + 1,
-                    reason=reason,
-                )
-            fresh.append(
-                TaskOutcome(
-                    task=tasks[index],
-                    metrics=None,
-                    error=reason,
-                    attempts=max(1, failed_attempts[index]),
-                )
-            )
-
-        def register_failure(index: int, reason: str) -> None:
-            """Runner-reported failure: retry with backoff or quarantine."""
-            failed_attempts[index] += 1
-            if failed_attempts[index] <= self.max_retries:
-                self.stats.retries += 1
-                delay = retry_backoff_delay(
-                    index,
-                    failed_attempts[index],
-                    base_s=self.backoff_base_s,
-                    max_s=self.backoff_max_s,
-                    jitter=self.backoff_jitter,
-                    seed=self.backoff_seed or 0,
-                )
-                pending.append((time.monotonic() + delay, index))
-                if self.hooks is not None:
-                    self.hooks.task_retry(
-                        tasks[index].key,
-                        attempt=failed_attempts[index],
-                        delay_s=delay,
-                        reason=reason,
-                    )
-                return
-            if running_copies[index] > 0:
-                # A duplicate attempt is still in flight and may yet succeed;
-                # defer the verdict until it resolves.
-                return
-            quarantine(index, reason)
 
         def expire_lease(lease: _SwarmLease, reason: str) -> None:
-            """Reclaim a lease: re-issue unresolved tasks, budget untouched."""
+            """Reclaim a lease: its unresolved attempts are lost."""
             self.stats.leases_expired += 1
             if self.hooks is not None:
                 self.hooks.lease_expired(lease.worker_id, lease.attempt_id, reason)
@@ -569,24 +511,8 @@ class SwarmExecutor(Executor):
             record = self._workers.get(lease.worker_id)
             if record is not None:
                 record.attempts.discard(lease.attempt_id)
-            reclaim_at = time.monotonic()
             for index in lease.unresolved:
-                running_copies[index] -= 1
-                if finished[index] or running_copies[index] > 0:
-                    continue
-                reissues[index] += 1
-                if reissues[index] > self.max_reissues:
-                    quarantine(
-                        index,
-                        f"lease re-issued {self.max_reissues} times without a "
-                        f"result (task keeps losing its worker); last: {reason}",
-                    )
-                elif failed_attempts[index] > self.max_retries:
-                    # The retry budget was already exhausted and this was the
-                    # last in-flight copy: the deferred verdict lands now.
-                    quarantine(index, reason)
-                else:
-                    pending.append((reclaim_at, index))
+                ledger.lost(index, reason)
 
         def issue_lease(record: _SwarmWorker, batch: List[int]) -> None:
             attempt_id = f"a{self._attempt_counter}"
@@ -596,7 +522,6 @@ class SwarmExecutor(Executor):
                 attempt_id=attempt_id,
                 worker_id=record.worker_id,
                 unresolved=set(batch),
-                issued_at=issued_at,
                 deadline=issued_at + self.lease_timeout_s,
                 last_progress=issued_at,
             )
@@ -604,12 +529,8 @@ class SwarmExecutor(Executor):
             self.stats.leases_issued += 1
             if self.hooks is not None:
                 self.hooks.lease_granted(record.worker_id, attempt_id, len(batch))
-                for index in batch:
-                    self.hooks.task_issued(
-                        tasks[index].key, attempt=failed_attempts[index] + 1
-                    )
             for index in batch:
-                running_copies[index] += 1
+                ledger.issued(index)
             self._mailbox_for(record).send(
                 {
                     "kind": "lease",
@@ -629,7 +550,7 @@ class SwarmExecutor(Executor):
         hb_scan_interval = self.heartbeat_interval_s / 2.0
         last_hb_scan = float("-inf")
         try:
-            while emitted < total and not self._stop_requested:
+            while ledger.unfinished and not self._stop_requested:
                 now = time.monotonic()
                 progressed = False
 
@@ -693,11 +614,10 @@ class SwarmExecutor(Executor):
                         pass
 
                 # 3. Keep the spawned fleet at strength while work remains.
-                unfinished = total - sum(finished)
                 spawned_live = sum(
                     1 for r in self._workers.values() if r.process is not None
                 )
-                while spawned_live < min(self.workers, unfinished):
+                while spawned_live < min(self.workers, ledger.unfinished):
                     self._spawn(ctx)
                     spawned_live += 1
                 self._spawned_initial = True
@@ -726,12 +646,12 @@ class SwarmExecutor(Executor):
                     # here.  An unknown key is exactly such a stale duplicate.
                     index = index_by_key.get(message.get("key"))
                     if index is None:
-                        self.stats.duplicates_discarded += 1
+                        ledger.stale_report()
                         continue
                     lease = leases.get(attempt_id)
-                    if lease is not None and index in lease.unresolved:
+                    live = lease is not None and index in lease.unresolved
+                    if live:
                         lease.unresolved.discard(index)
-                        running_copies[index] -= 1
                         if not lease.unresolved:
                             leases.pop(attempt_id, None)
                             if record is not None:
@@ -739,34 +659,21 @@ class SwarmExecutor(Executor):
                         else:
                             lease.deadline = now + self.lease_timeout_s
                             lease.last_progress = now
-                    if finished[index]:
-                        self.stats.duplicates_discarded += 1
-                        continue
                     if message.get("ok"):
-                        finished[index] = True
-                        duration = float(message.get("duration_s", 0.0))
-                        durations.append(duration)
-                        if self.hooks is not None:
-                            self.hooks.task_completed(
-                                tasks[index].key,
-                                attempts=failed_attempts[index] + 1,
-                                duration_s=duration,
-                            )
-                        fresh.append(
-                            TaskOutcome(
-                                task=tasks[index],
-                                metrics=message.get("metrics"),
-                                attempts=failed_attempts[index] + 1,
-                                duration_s=duration,
-                            )
+                        ledger.succeeded(
+                            index,
+                            message.get("metrics"),
+                            float(message.get("duration_s", 0.0)),
+                            live=live,
                         )
                     else:
-                        register_failure(index, str(message.get("error")))
+                        ledger.failed(index, str(message.get("error")), live=live)
 
-                # 6. Dispatch ready work to idle workers.  Spawned workers
-                # are dispatchable from birth (their inbox buffers the lease
-                # while they boot, and a worker that never comes up is caught
-                # by lease expiry); external workers only exist to the
+                # 6. Ripe work to idle workers in batches, then stolen copies
+                # of stragglers into the idle capacity that is left.  Spawned
+                # workers are dispatchable from birth (their inbox buffers the
+                # lease while they boot, and a worker that never comes up is
+                # caught by lease expiry); external workers only exist to the
                 # coordinator once their first heartbeat lands.
                 idle = [
                     record
@@ -774,100 +681,48 @@ class SwarmExecutor(Executor):
                     if (record.last_seen is not None or record.process is not None)
                     and not record.attempts
                 ]
-                if idle and pending:
-                    ready: List[int] = []
-                    keep: List[Tuple[float, int]] = []
-                    capacity = len(idle) * (self.batch_size or 32)
-                    for not_before, index in pending:
-                        if finished[index]:
-                            continue  # stale entry of a finished task
-                        if not_before <= now and len(ready) < capacity:
-                            ready.append(index)
-                        else:
-                            keep.append((not_before, index))
-                    pending = keep
-                    if ready:
-                        if self.batch_size is not None:
-                            batch_size = self.batch_size
-                        else:
-                            per_worker = -(-len(ready) // max(1, 4 * len(idle)))
-                            batch_size = max(1, min(32, per_worker))
-                        for record in idle:
-                            if not ready:
-                                break
-                            batch, ready = ready[:batch_size], ready[batch_size:]
-                            issue_lease(record, batch)
-                            progressed = True
-                        for index in ready:  # idle capacity ran out
-                            pending.append((now, index))
-
-                # 7. Work stealing: re-lease stragglers near the tail.
-                idle = [
-                    record
-                    for record in self._workers.values()
-                    if (record.last_seen is not None or record.process is not None)
-                    and not record.attempts
-                ]
-                ready_exists = any(
-                    not_before <= now and not finished[index]
-                    for not_before, index in pending
-                )
-                if (
-                    self.steal_factor is not None
-                    and idle
-                    and not ready_exists
-                    and len(durations) >= self.steal_min_completions
-                ):
-                    # The absolute floor keeps sub-millisecond task mixes
-                    # from branding every in-flight lease a straggler.
-                    threshold = max(
-                        self.steal_factor * (sum(durations) / len(durations)),
-                        0.05,
-                    )
-                    candidates = sorted(
-                        (
-                            (lease.last_progress, index, lease)
-                            for lease in leases.values()
-                            for index in lease.unresolved
-                            if not finished[index]
-                            and running_copies[index] == 1
-                            and not stolen[index]
-                            and now - lease.last_progress > threshold
-                        ),
-                        key=lambda item: (item[0], item[1]),
-                    )
-                    for record, (_, index, lease) in zip(idle, candidates):
-                        stolen[index] = True
+                ripe = ledger.ripe_count(now) if idle else 0
+                if ripe:
+                    size = self.batch_size or max(1, min(32, -(-ripe // (2 * len(idle)))))
+                    ready = ledger.take_ripe(now, size * len(idle))
+                    batches = [ready[at:at + size] for at in range(0, len(ready), size)]
+                    for record, batch in zip(idle, batches):
+                        issue_lease(record, batch)
+                    idle = idle[len(batches):]
+                    progressed = True
+                if idle:
+                    owners = {
+                        index: lease
+                        for lease in leases.values()
+                        for index in lease.unresolved
+                    }
+                    running = [
+                        (lease.last_progress, index) for index, lease in owners.items()
+                    ]
+                    for record, index in zip(
+                        idle, ledger.pick_stragglers(running, len(idle), now)
+                    ):
                         self.stats.work_stolen += 1
                         if self.hooks is not None:
                             self.hooks.work_stolen(
                                 tasks[index].key,
-                                lease.worker_id,
+                                owners[index].worker_id,
                                 record.worker_id,
                             )
                         issue_lease(record, [index])
                         progressed = True
 
-                # 8. Let reorder-held lease messages age out.
+                # 7. Let reorder-held lease messages age out.
                 for record in self._workers.values():
                     if record.mailbox is not None:
                         record.mailbox.flush()
 
-                for outcome in fresh:
-                    emitted += 1
-                    yield outcome
-                fresh = []
+                yield from ledger.drain()
 
-                if not progressed and emitted < total:
-                    ripen = [
-                        not_before
-                        for not_before, index in pending
-                        if not finished[index]
-                    ]
-                    wait = self.poll_interval_s
-                    if ripen:
-                        wait = min(wait, max(0.0, min(ripen) - time.monotonic()))
-                    time.sleep(max(0.001, wait))
+                if not progressed and ledger.unfinished:
+                    time.sleep(
+                        max(0.001, ledger.sleep_s(time.monotonic(), self.poll_interval_s))
+                    )
         finally:
             if not self.keep_alive:
                 self._teardown()

@@ -1,4 +1,4 @@
-"""Resilient executor: retry/backoff, respawn, speculation, chaos determinism."""
+"""Resilient executor and attempt ledger: retry/backoff, respawn, speculation, chaos determinism."""
 
 import multiprocessing as mp
 import signal
@@ -9,12 +9,16 @@ import pytest
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.executors import (
-    PoolExecutor,
+    MAX_REISSUES,
+    STRAGGLER_FLOOR_S,
+    AttemptLedger,
+    ExecutorStats,
     ResilientExecutor,
     SerialExecutor,
     TaskSpec,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec, InjectedFaultError
+from repro.utils.hooks import SimHooks
 
 
 def _toy_runner(params, seed):
@@ -52,42 +56,6 @@ def _slow_fault_execute(payload):
     return {"v": float(value)}
 
 
-class TestRetryDelay:
-    def test_deterministic(self):
-        a = ResilientExecutor(workers=1, backoff_seed=7)
-        b = ResilientExecutor(workers=1, backoff_seed=7)
-        for task_index in range(5):
-            for retry in range(1, 5):
-                assert a.retry_delay(task_index, retry) == b.retry_delay(
-                    task_index, retry
-                )
-
-    def test_seed_and_task_change_the_jitter(self):
-        base = ResilientExecutor(workers=1, backoff_seed=0)
-        other_seed = ResilientExecutor(workers=1, backoff_seed=1)
-        assert base.retry_delay(0, 1) != other_seed.retry_delay(0, 1)
-        assert base.retry_delay(0, 1) != base.retry_delay(1, 1)
-
-    def test_exponential_growth_within_jitter_bounds(self):
-        executor = ResilientExecutor(
-            workers=1, backoff_base_s=0.5, backoff_max_s=64.0, backoff_jitter=0.25
-        )
-        for retry in range(1, 6):
-            nominal = 0.5 * 2.0 ** (retry - 1)
-            delay = executor.retry_delay(3, retry)
-            assert nominal <= delay <= nominal * 1.25
-
-    def test_backoff_cap(self):
-        executor = ResilientExecutor(
-            workers=1, backoff_base_s=1.0, backoff_max_s=4.0, backoff_jitter=0.0
-        )
-        assert executor.retry_delay(0, 10) == 4.0
-
-    def test_retry_is_one_based(self):
-        with pytest.raises(ValueError):
-            ResilientExecutor(workers=1).retry_delay(0, 0)
-
-
 class TestValidation:
     def test_executor_parameters(self):
         with pytest.raises(ValueError):
@@ -98,8 +66,6 @@ class TestValidation:
             ResilientExecutor(workers=1, max_retries=-1)
         with pytest.raises(ValueError):
             ResilientExecutor(workers=1, straggler_factor=1.0)
-        with pytest.raises(ValueError):
-            PoolExecutor(workers=0)
 
     def test_fault_spec_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +83,135 @@ class TestValidation:
     def test_campaign_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="executor"):
             toy_campaign().run(executor="quantum")
+        with pytest.raises(ValueError, match="executor"):
+            toy_campaign().run(executor="pool")
+
+
+class _LedgerHooks(SimHooks):
+    def __init__(self):
+        self.completed = []
+
+    def task_completed(self, key, attempts, duration_s):
+        self.completed.append((key, attempts))
+
+
+def make_ledger(num_tasks=1, max_retries=2, straggler_factor=4.0, hooks=None):
+    tasks = [TaskSpec(point_index=0, replication=rep, payload=None) for rep in range(num_tasks)]
+    return AttemptLedger(
+        tasks,
+        max_retries=max_retries,
+        backoff_base_s=0.5,
+        backoff_seed=0,
+        straggler_factor=straggler_factor,
+        stats=ExecutorStats(),
+        hooks=hooks,
+    )
+
+
+class TestAttemptLedger:
+    """The ledger driven by hand: no processes, no transport."""
+
+    def test_retry_after_backoff_then_quarantine(self):
+        ledger = make_ledger(max_retries=1)
+        assert ledger.take_ripe(time.monotonic(), 4) == [0]
+        ledger.issued(0)
+        ledger.failed(0, "first failure")
+        assert ledger.stats.retries == 1
+        now = time.monotonic()
+        assert ledger.take_ripe(now, 4) == []  # backing off 0.5-0.625 s
+        assert 0.0 < ledger.sleep_s(now, 10.0) <= 0.5 * 1.25
+        assert ledger.take_ripe(now + 1.0, 4) == [0]
+        ledger.issued(0)
+        ledger.failed(0, "second failure")
+        [outcome] = ledger.drain()
+        assert outcome.metrics is None
+        assert outcome.error == "second failure"
+        assert outcome.attempts == 2
+        assert ledger.stats.quarantined == 1
+        assert ledger.unfinished == 0
+
+    def test_quarantine_waits_for_a_running_copy(self):
+        for last_copy_succeeds in (False, True):
+            ledger = make_ledger(max_retries=0)
+            ledger.take_ripe(time.monotonic(), 1)
+            ledger.issued(0)
+            ledger.issued(0)  # a straggler copy
+            ledger.failed(0, "first copy failed")
+            assert ledger.drain() == [] and ledger.unfinished == 1
+            if last_copy_succeeds:
+                ledger.succeeded(0, {"v": 1.0}, 0.1)
+                [outcome] = ledger.drain()
+                assert outcome.metrics == {"v": 1.0}
+                assert ledger.stats.quarantined == 0
+            else:
+                ledger.lost(0, "copy lost")
+                [outcome] = ledger.drain()
+                assert outcome.metrics is None and outcome.error == "copy lost"
+                assert ledger.stats.quarantined == 1
+
+    def test_lost_attempts_spare_the_retry_budget_until_max_reissues(self):
+        ledger = make_ledger(max_retries=0)
+        for _ in range(MAX_REISSUES + 1):
+            assert ledger.drain() == []
+            assert ledger.take_ripe(time.monotonic(), 1) == [0]  # at once
+            ledger.issued(0)
+            ledger.lost(0, "lease expired")
+        assert ledger.stats.retries == 0
+        [outcome] = ledger.drain()
+        assert outcome.metrics is None
+        assert f"lost {MAX_REISSUES} times" in outcome.error
+        assert outcome.attempts == MAX_REISSUES + 1
+        assert ledger.stats.quarantined == 1
+
+    def test_first_completion_wins(self):
+        hooks = _LedgerHooks()
+        ledger = make_ledger(hooks=hooks)
+        ledger.take_ripe(time.monotonic(), 1)
+        ledger.issued(0)
+        ledger.issued(0)
+        ledger.succeeded(0, {"v": 1.0}, 0.1)
+        ledger.succeeded(0, {"v": 1.0}, 0.2)  # the copy: discarded
+        ledger.failed(0, "late failure", live=False)  # a written-off attempt
+        ledger.stale_report()  # an earlier run's attempt
+        [outcome] = ledger.drain()
+        assert outcome.metrics == {"v": 1.0} and outcome.duration_s == 0.1
+        assert hooks.completed == [("0/0", 1)]
+        assert ledger.stats.duplicates_discarded == 3
+        assert ledger.stats.retries == 0
+
+    def test_stragglers_need_completions_no_ripe_work_and_the_floor(self):
+        ledger = make_ledger(num_tasks=6, straggler_factor=2.0)
+        now = time.monotonic()
+        for index in ledger.take_ripe(now, 5):
+            ledger.issued(index)
+        ledger.succeeded(0, {}, 0.001)
+        ledger.succeeded(1, {}, 0.001)
+        running = [(now, 3), (now - 1.0, 4), (now - 2.0, 2)]
+        assert ledger.pick_stragglers(running, 3, now) == []  # 2 completions
+        ledger.succeeded(2, {}, 0.001)  # mean 1 ms: 2 x mean is 2 ms
+        running = [(now, 3), (now - 1.0, 4)]
+        assert ledger.pick_stragglers(running, 3, now + 0.04) == []  # task 5 is ripe
+        assert ledger.take_ripe(now, 1) == [5]
+        ledger.issued(5)
+        running.append((now - 2.0, 5))
+        # Task 3 ran 40 ms: past 2 x the mean, inside the 50 ms floor.
+        assert 0.04 < STRAGGLER_FLOOR_S
+        assert ledger.pick_stragglers(running, 1, now + 0.04) == [5]  # oldest
+        assert ledger.pick_stragglers(running, 3, now + 0.04) == [4]  # one copy each
+        assert ledger.pick_stragglers(running, 3, now + 0.06) == [3]
+        assert ledger.pick_stragglers(running, 3, now + 10.0) == []
+
+    def test_sleep_ignores_ripe_entries(self):
+        ledger = make_ledger(num_tasks=2)
+        now = time.monotonic()
+        assert ledger.sleep_s(now, 0.01) == 0.01  # ripe work waits for a worker
+        for index in ledger.take_ripe(now, 2):
+            ledger.issued(index)
+        ledger.failed(0, "boom")  # retry in 0.5-0.625 s
+        ledger.lost(1, "lease expired")  # ripe at once
+        now = time.monotonic()
+        assert ledger.sleep_s(now, 0.01) == 0.01
+        assert 0.3 < ledger.sleep_s(now, 10.0) <= 0.5 * 1.25
 
 
 class TestFaultPlan:
@@ -188,7 +283,7 @@ class TestWorkerCrashRespawn:
             workers=2,
             max_retries=2,
             backoff_base_s=0.01,
-            straggler_min_completions=10_000,
+            straggler_factor=None,
         )
         outcome = toy_campaign().run(executor=executor, fault_plan=plan)
         assert outcome.failed_replications == 0
@@ -205,7 +300,7 @@ class TestWorkerCrashRespawn:
             workers=2,
             max_retries=2,
             backoff_base_s=0.01,
-            straggler_min_completions=10_000,
+            straggler_factor=None,
         )
         tasks = [
             TaskSpec(point_index=0, replication=rep, payload=(plan, 0, rep, rep))
@@ -232,7 +327,6 @@ class TestStragglerReissue:
             workers=2,
             max_retries=0,
             straggler_factor=2.0,
-            straggler_min_completions=3,
             poll_interval_s=0.01,
         )
         started = time.perf_counter()
@@ -263,7 +357,7 @@ class TestChaosDeterminism:
             task_timeout_s=3.0,
             max_retries=3,
             backoff_base_s=0.02,
-            straggler_min_completions=10_000,  # force the timeout path
+            straggler_factor=None,  # force the timeout path
         )
         outcome = toy_campaign().run(executor=executor, fault_plan=plan)
         assert outcome.failed_replications == 0
@@ -277,14 +371,14 @@ class TestChaosDeterminism:
 
     def test_fault_free_backends_agree(self):
         serial = toy_campaign().run(executor=SerialExecutor())
-        pool = toy_campaign().run(executor="pool", workers=2)
+        default = toy_campaign().run(workers=2)
         resilient = toy_campaign().run(
             executor=ResilientExecutor(workers=2), workers=2
         )
-        assert _replications(serial) == _replications(pool)
+        assert _replications(serial) == _replications(default)
         assert _replications(serial) == _replications(resilient)
         assert serial.executor_name == "serial"
-        assert pool.executor_name == "pool"
+        assert default.executor_name == "resilient"
         assert resilient.executor_name == "resilient"
 
     def test_serial_executor_propagates_injected_faults(self):
@@ -319,11 +413,11 @@ def _probe_campaign_in_child(executor_name, conn):
 class TestForkedWorkerSignals:
     """Workers must not inherit ``Campaign.run``'s Python signal handler.
 
-    A pool worker that still has it and receives ``Pool.terminate()``'s
-    SIGTERM just before blocking on the task-queue lock hangs forever.
+    A worker that still has it and receives a SIGTERM just before blocking
+    on a lock hangs forever.
     """
 
-    @pytest.mark.parametrize("executor_name", ["pool", "resilient", "swarm"])
+    @pytest.mark.parametrize("executor_name", ["resilient", "swarm"])
     def test_workers_have_default_signal_actions(self, executor_name):
         ctx = mp.get_context("spawn")
         receiver, sender = ctx.Pipe(duplex=False)

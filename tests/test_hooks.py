@@ -23,6 +23,7 @@ from repro.experiments.executors import (
     TaskSpec,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec
+from repro.experiments.swarm import SwarmExecutor
 from repro.mac import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
 from repro.simulation.scenario import TrafficConfig
@@ -233,6 +234,18 @@ def _hook_execute(payload):
     return {"v": float(value)}
 
 
+class _KeyedTaskHooks(SimHooks):
+    def __init__(self):
+        self.issued = []
+        self.quarantined = []
+
+    def task_issued(self, key, attempt):
+        self.issued.append(key)
+
+    def task_quarantined(self, key, attempts, reason):
+        self.quarantined.append((key, attempts))
+
+
 class TestExecutorHooks:
     def test_serial_executor_reports_issue_and_completion(self):
         executor = SerialExecutor()
@@ -276,6 +289,34 @@ class TestExecutorHooks:
         assert hooks.calls["task_completed"] == 1
         assert hooks.calls["task_retry"] == 3
         assert hooks.calls["task_quarantined"] == 1
+
+    @pytest.mark.parametrize(
+        "make_executor",
+        [
+            lambda: ResilientExecutor(workers=2, max_retries=2, backoff_base_s=0.01),
+            lambda: SwarmExecutor(workers=2, max_retries=2, backoff_base_s=0.01,
+                                  batch_size=1, poll_interval_s=0.005),
+        ],
+        ids=["resilient", "swarm"],
+    )
+    def test_quarantine_counts_executions(self, tmp_path, make_executor):
+        plan = FaultPlan([FaultSpec(0, 1, "exception", times=-1)],
+                         token_dir=tmp_path)
+        executor = make_executor()
+        hooks = _KeyedTaskHooks()
+        executor.hooks = hooks
+        tasks = [
+            TaskSpec(point_index=0, replication=rep,
+                     payload=(plan, 0, rep, rep))
+            for rep in range(2)
+        ]
+        outcomes = {o.task.replication: o for o in
+                    executor.run(_hook_execute, tasks)}
+        assert outcomes[1].metrics is None
+        executions = hooks.issued.count("0/1")
+        assert executions == 3  # max_retries + 1
+        assert hooks.quarantined == [("0/1", executions)]
+        assert outcomes[1].attempts == executions
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,6 @@ class TestAppendReplay:
         journal.append("0/0", {"x": 1.0})
         assert synced, "append must fsync before returning"
 
-    def test_fsync_false_skips_the_sync(self, tmp_path, monkeypatch):
-        journal = make_journal(tmp_path, fsync=False)
-        journal.load()
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        journal.append("0/0", {"x": 1.0})
-        assert synced == []
-
     def test_load_twice_refused(self, tmp_path):
         journal = make_journal(tmp_path)
         journal.load()

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro.experiments.campaign import Campaign
-from repro.experiments.executors import ResilientExecutor, retry_backoff_delay
+from repro.experiments.executors import (
+    BACKOFF_JITTER,
+    BACKOFF_MAX_S,
+    ResilientExecutor,
+    retry_backoff_delay,
+)
 from repro.experiments.faults import (
     FaultPlan,
     FaultSpec,
@@ -214,7 +219,6 @@ class TestSwarmParity:
                 workers=2,
                 lease_timeout_s=5.0,
                 steal_factor=2.0,
-                steal_min_completions=3,
                 batch_size=1,
             ),
             fault_plan=plan,
@@ -243,6 +247,28 @@ class TestSwarmParity:
         )
         assert [p.replications for p in result.points] == serial_reference(campaign)
         assert result.executor_stats["quarantined"] == 0
+
+    def test_coordinator_sleeps_a_full_tick_while_workers_are_busy(
+        self, monkeypatch
+    ):
+        # A fault-free run never has a retry pending, so ripe work that waits
+        # for a busy worker must not shorten the coordinator's sleep.
+        campaign = toy_campaign(points=2, replications=4)
+        reference = serial_reference(campaign)
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        executor = swarm_executor(workers=2, batch_size=1)
+        result = campaign.run(executor=executor)
+        monkeypatch.undo()
+        assert [p.replications for p in result.points] == reference
+        assert sleeps, "the coordinator never waited"
+        assert min(sleeps) >= executor.poll_interval_s
 
     def test_runner_exception_retries_then_quarantines(self, tmp_path):
         campaign = toy_campaign(points=1, replications=2)
@@ -354,13 +380,24 @@ class TestSeededBackoff:
         assert executor.backoff_seed == 5
 
     def test_jitter_depends_on_seed_task_and_retry(self):
-        kwargs = dict(base_s=0.25, max_s=30.0, jitter=0.25)
+        kwargs = dict(base_s=0.25)
         base = retry_backoff_delay(3, 1, seed=1, **kwargs)
         assert base != retry_backoff_delay(3, 1, seed=2, **kwargs)
         assert base != retry_backoff_delay(4, 1, seed=1, **kwargs)
         assert base == retry_backoff_delay(3, 1, seed=1, **kwargs)
         with pytest.raises(ValueError, match="1-based"):
             retry_backoff_delay(0, 0, seed=0, **kwargs)
+
+    def test_exponential_growth_within_jitter_bounds(self):
+        for retry in range(1, 6):
+            nominal = 0.5 * 2.0 ** (retry - 1)
+            delay = retry_backoff_delay(3, retry, base_s=0.5, seed=0)
+            assert nominal <= delay <= nominal * (1.0 + BACKOFF_JITTER)
+
+    def test_backoff_cap(self):
+        for task_index in range(5):
+            delay = retry_backoff_delay(task_index, 10, base_s=1.0, seed=0)
+            assert BACKOFF_MAX_S <= delay <= BACKOFF_MAX_S * (1.0 + BACKOFF_JITTER)
 
 
 class TestValidation:
@@ -373,7 +410,7 @@ class TestValidation:
             {"heartbeat_interval_s": 0.0},
             {"batch_size": 0},
             {"max_retries": -1},
-            {"max_reissues": 0},
+            {"steal_factor": 0.5},
             {"steal_factor": 1.0},
         ],
     )

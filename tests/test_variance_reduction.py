@@ -22,7 +22,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.common import ExperimentResult, flag_degraded
 from repro.experiments.compare import compare_schedulers, run_scheduler_comparison
-from repro.experiments.executors import PoolExecutor
+from repro.experiments.executors import ResilientExecutor
 from repro.experiments.journal import CheckpointJournal
 from repro.experiments.swarm import SwarmExecutor
 from repro.utils.stats import (
@@ -433,9 +433,9 @@ class TestSequentialStopping:
             )
 
         serial = run_with(None, 1)
-        pool = run_with(PoolExecutor(workers=4), 4)
+        resilient = run_with(ResilientExecutor(workers=4), 4)
         swarm = run_with(SwarmExecutor(workers=2), 2)
-        assert serial == pool == swarm
+        assert serial == resilient == swarm
         assert serial[1] == [8, 8]
 
     def test_fixed_checkpoint_resumes_into_sequential(self, tmp_path):
