@@ -16,6 +16,7 @@ from repro.experiments.executors import (
     ResilientExecutor,
     SerialExecutor,
     TaskSpec,
+    retry_backoff_delay,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.utils.hooks import SimHooks
@@ -54,6 +55,24 @@ def _slow_fault_execute(payload):
     plan.apply(point_index, replication)
     time.sleep(0.2)
     return {"v": float(value)}
+
+
+class TestRetryDelay:
+    def test_deterministic(self):
+        for task_index in range(5):
+            for retry in range(1, 5):
+                assert retry_backoff_delay(
+                    task_index, retry, base_s=0.25, seed=7
+                ) == retry_backoff_delay(task_index, retry, base_s=0.25, seed=7)
+
+    def test_seed_and_task_change_the_jitter(self):
+        base = retry_backoff_delay(0, 1, base_s=0.25, seed=0)
+        assert base != retry_backoff_delay(0, 1, base_s=0.25, seed=1)
+        assert base != retry_backoff_delay(1, 1, base_s=0.25, seed=0)
+
+    def test_retry_is_one_based(self):
+        with pytest.raises(ValueError, match="1-based"):
+            retry_backoff_delay(0, 0, base_s=0.25, seed=0)
 
 
 class TestValidation:
