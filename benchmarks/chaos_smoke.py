@@ -13,7 +13,8 @@ checks every one of them against the fault-free ``SerialExecutor`` run:
    rescued by work stealing, and every duplicate completion deduped;
 4. a swarm coordinator killed mid-campaign (``os._exit``, no unwinding —
    durability is the fsync'd write-ahead journal alone) and resumed from the
-   WAL without recomputing the finished replications.
+   WAL without recomputing the finished replications; its orphaned workers
+   must exit and remove its private swarm directory.
 
 The determinism contract of the campaign seed tree (a replication's metrics
 are a pure function of its ``(point, replication)`` coordinates) means every
@@ -174,25 +175,29 @@ def run_coordinator_kill_resume(expected, failures: List[str]) -> None:
     """Step 4: SIGKILL the swarm coordinator mid-campaign, resume via WAL."""
     with tempfile.TemporaryDirectory() as scratch:
         ckpt = os.path.join(scratch, "chaos.ckpt.json")
-        # Capture stderr to a file, not a pipe: the child's forked workers
-        # inherit its stderr, so waiting for pipe EOF would outlive the child
-        # by however long the orphans take to notice the coordinator died.
-        stderr_path = os.path.join(scratch, "child.stderr")
-        with open(stderr_path, "w") as stderr_sink:
-            child = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--killed-child", ckpt],
-                stdout=subprocess.DEVNULL,
-                stderr=stderr_sink,
-                timeout=300,
-            )
+        # The child's forked workers inherit its stderr pipe, so reading it to
+        # EOF waits until the orphans have noticed the dead coordinator and
+        # exited.  TMPDIR puts the child's private swarm directory in scratch.
+        child = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--killed-child", ckpt],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "TMPDIR": scratch},
+            timeout=300,
+        )
         if child.returncode != 3:
-            with open(stderr_path) as handle:
-                stderr_tail = handle.read()[-500:]
             failures.append(
                 "coordinator-kill: child exited "
-                f"{child.returncode}, expected 3: {stderr_tail}"
+                f"{child.returncode}, expected 3: {child.stderr[-500:]}"
             )
             return
+        orphaned = sorted(Path(scratch).glob("repro-swarm-*"))
+        if orphaned:
+            failures.append(
+                "coordinator-kill: the orphaned workers left the private swarm "
+                f"directory {orphaned[0].name} behind"
+            )
         if os.path.exists(ckpt) or not os.path.exists(ckpt + ".wal"):
             failures.append(
                 "coordinator-kill: expected WAL-only durability after the kill "
@@ -227,8 +232,9 @@ def killed_child_main(ckpt: str) -> int:
         if done >= 3:
             # SIGKILL stand-in: no generator unwinding, no journal.close(),
             # no compaction — durability is exactly the fsync'd WAL.  The
-            # orphaned workers notice the coordinator is gone and exit on
-            # their own (the orphan guard this smoke also exercises).
+            # orphaned workers notice the coordinator is gone, remove its
+            # private swarm directory and exit on their own (the orphan
+            # guard this smoke also exercises).
             os._exit(3)
 
     build_campaign().run(

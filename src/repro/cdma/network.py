@@ -334,9 +334,10 @@ class CdmaNetwork:
         # without a fleet.
         self._moved_buf = np.zeros(num_mobiles)
         #: Optional :class:`repro.utils.hooks.SimHooks` observer; when set,
-        #: :meth:`advance` reports the fleet's advance as a ``"mobility"``
-        #: stage (enter/exit with wall time).  Assigned by the dynamic
-        #: simulator so network stages join its hooked frame pipeline.
+        #: :meth:`advance` records the fleet's advance as a ``"mobility"``
+        #: stage (``stage_enter``/``stage_exit`` with wall time).  Assigned
+        #: by the dynamic simulator so network stages join its hooked frame
+        #: pipeline.
         self.hooks = None
 
         self._time_s = 0.0
@@ -420,10 +421,15 @@ class CdmaNetwork:
             if hooks is None:
                 fleet.advance(dt_s, out_moved=self._moved_buf)
             else:
-                hooks.stage_enter("mobility", self._time_s)
+                hooks.record("stage_enter", self._time_s, stage="mobility")
                 t0 = time.perf_counter()
                 fleet.advance(dt_s, out_moved=self._moved_buf)
-                hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
+                hooks.record(
+                    "stage_exit",
+                    self._time_s,
+                    stage="mobility",
+                    elapsed_s=time.perf_counter() - t0,
+                )
         if self.num_mobiles > 0:
             self.link_gains.advance(self._positions_arr, self._moved_buf)
         self._time_s += dt_s

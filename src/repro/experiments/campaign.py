@@ -78,12 +78,7 @@ from repro.experiments.executors import (
 from repro.experiments.journal import CheckpointJournal
 from repro.experiments.swarm import SwarmExecutor
 from repro.utils.hooks import SimHooks, resolve_hooks
-from repro.utils.recorder import (
-    EventRecorder,
-    JsonlSink,
-    RecorderHooks,
-    use_recorder,
-)
+from repro.utils.recorder import EventRecorder, JsonlSink, use_recorder
 from repro.utils.rng import AntitheticRng
 from repro.utils.stats import (
     confidence_interval,
@@ -659,7 +654,7 @@ class Campaign:
         :func:`rng_for_leaf` (runners collapsing the leaf with
         :func:`seed_sequence_to_int` fail loudly).  Only helps metrics that
         respond monotonically to the underlying uniforms.
-    ci_target / ci_metric / max_replications / wave_size:
+    ci_target / ci_metric / max_replications:
         Sequential stopping (see :meth:`configure_sequential`): run
         replication waves until the ``confidence``-level CI half-width of
         ``ci_metric`` is at most ``ci_target`` at every point (or
@@ -679,7 +674,6 @@ class Campaign:
         ci_target: Optional[float] = None,
         ci_metric: Optional[str] = None,
         max_replications: Optional[int] = None,
-        wave_size: Optional[int] = None,
     ) -> None:
         if not points:
             raise ValueError("points must not be empty")
@@ -706,30 +700,25 @@ class Campaign:
         self.ci_target: Optional[float] = None
         self.ci_metric: Optional[str] = None
         self.max_replications: Optional[int] = None
-        self.wave_size: Optional[int] = None
         if ci_target is not None:
-            self.configure_sequential(
-                ci_target, ci_metric, max_replications, wave_size
-            )
+            self.configure_sequential(ci_target, ci_metric, max_replications)
 
     def configure_sequential(
         self,
         ci_target: Optional[float],
         ci_metric: Optional[str],
         max_replications: Optional[int] = None,
-        wave_size: Optional[int] = None,
     ) -> "Campaign":
         """Enable sequential stopping: replicate until the CI is tight enough.
 
         Instead of a fixed replication count, :meth:`run` issues tasks in
-        waves: the initial ``replications`` first, then ``wave_size`` more
-        per point (default: another ``replications``) until the
-        ``ci_target`` half-width of ``ci_metric`` is met at that point or
-        its realised count reaches ``max_replications`` (default
-        ``8 * replications``).  The stopping decisions are deterministic
-        functions of the completed samples, so aggregates stay bit-identical
-        for any worker count or executor, and a resumed run replays the
-        same wave schedule from the checkpoint without recomputing anything.
+        waves of ``replications`` per point until the ``ci_target``
+        half-width of ``ci_metric`` is met at that point or its realised
+        count reaches ``max_replications`` (default ``8 * replications``).
+        The stopping decisions are deterministic functions of the completed
+        samples, so aggregates stay bit-identical for any worker count or
+        executor, and a resumed run replays the same wave schedule from the
+        checkpoint without recomputing anything.
 
         ``ci_target=None`` is a no-op (keeps the fixed-count behaviour),
         letting run wrappers pass CLI flags through unconditionally.
@@ -747,17 +736,10 @@ class Campaign:
             if max_replications is not None
             else 8 * self.replications
         )
-        self.wave_size = (
-            int(wave_size) if wave_size is not None else self.replications
-        )
         if self.max_replications < self.replications:
             raise ValueError("max_replications must be at least replications")
-        if self.wave_size < 1:
-            raise ValueError("wave_size must be at least 1")
-        if self.antithetic and (self.wave_size % 2 or self.max_replications % 2):
-            raise ValueError(
-                "antithetic campaigns need even wave_size and max_replications"
-            )
+        if self.antithetic and self.max_replications % 2:
+            raise ValueError("antithetic campaigns need an even max_replications")
         return self
 
     # -- checkpointing -----------------------------------------------------------
@@ -950,13 +932,16 @@ class Campaign:
             into the task payloads (chaos testing).
         hooks:
             Optional :class:`repro.utils.hooks.SimHooks` observer of the
-            executor's task lifecycle (issue / completion / retry /
-            quarantine) and of replications served from the store
-            (``task_shared``).
+            executor's task lifecycle (``task_issued``/``task_completed``/
+            ``task_retry``/``task_quarantined``, plus the swarm's worker and
+            lease events) and of replications served from the store
+            (``task_shared``); an
+            :class:`~repro.utils.recorder.EventRecorder` records them.
         trace_dir:
             When set, the campaign writes structured telemetry under this
             directory (created if needed): ``campaign.jsonl`` with the
-            campaign envelope and every task-lifecycle event, plus one
+            campaign envelope and every task-lifecycle event (its recorder
+            observes alongside ``hooks``), plus one
             ``point<PI>_rep<R>.jsonl`` per executed replication carrying the
             events of that replication's simulation (see
             :mod:`repro.utils.recorder`).  Tracing only observes; the
@@ -1006,7 +991,7 @@ class Campaign:
                 replications=self.replications,
                 executor=backend.name,
             )
-            hooks = resolve_hooks(hooks, RecorderHooks(campaign_recorder))
+            hooks = resolve_hooks(hooks, campaign_recorder)
         backend.hooks = resolve_hooks(backend.hooks, hooks)
         started = time.perf_counter()
         # Hashing the whole grid is O(points); do it once per run, not once
@@ -1063,7 +1048,7 @@ class Campaign:
                     if source == self.name:
                         continue
                     if backend.hooks is not None:
-                        backend.hooks.task_shared(key, source)
+                        backend.hooks.record("task_shared", key=key, source=source)
                     store(key, dict(metrics))
                     shared += 1
 
@@ -1145,7 +1130,7 @@ class Campaign:
                     if half <= self.ci_target:  # nan compares False: keep going
                         continue
                     realised[pi] = min(
-                        self.max_replications, realised[pi] + self.wave_size
+                        self.max_replications, realised[pi] + self.replications
                     )
                     grew = True
                 if journal is not None:

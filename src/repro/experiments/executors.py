@@ -157,8 +157,8 @@ class AttemptLedger:
     """Per-task fault-tolerance state of one executor run (see module docs).
 
     The transport reports each attempt as :meth:`issued`, then
-    :meth:`succeeded`, :meth:`failed` or :meth:`lost`.  The ledger fires the
-    ``task_*`` hooks, keeps the ``retries``, ``quarantined`` and
+    :meth:`succeeded`, :meth:`failed` or :meth:`lost`.  The ledger records the
+    ``task_*`` events, keeps the ``retries``, ``quarantined`` and
     ``duplicates_discarded`` stats and collects the :attr:`outcomes`.
     """
 
@@ -201,7 +201,9 @@ class AttemptLedger:
         """An attempt of task ``index`` went out to a worker."""
         self._running[index] += 1
         if self.hooks is not None:
-            self.hooks.task_issued(self.tasks[index].key, attempt=self._executions(index) + 1)
+            self.hooks.record(
+                "task_issued", key=self.tasks[index].key, attempt=self._executions(index) + 1
+            )
 
     def succeeded(
         self, index: int, metrics: MetricDict, duration_s: float, live: bool = True
@@ -216,8 +218,11 @@ class AttemptLedger:
         self._completion_time_s += duration_s
         attempts = self._executions(index) + 1
         if self.hooks is not None:
-            self.hooks.task_completed(
-                self.tasks[index].key, attempts=attempts, duration_s=duration_s
+            self.hooks.record(
+                "task_completed",
+                key=self.tasks[index].key,
+                attempts=attempts,
+                duration_s=duration_s,
             )
         self._finish(index, TaskOutcome(self.tasks[index], metrics, None, attempts, duration_s))
 
@@ -237,8 +242,12 @@ class AttemptLedger:
             )
             self._queue.append((time.monotonic() + delay, index))
             if self.hooks is not None:
-                self.hooks.task_retry(
-                    self.tasks[index].key, attempt=retry, delay_s=delay, reason=reason
+                self.hooks.record(
+                    "task_retry",
+                    key=self.tasks[index].key,
+                    attempt=retry,
+                    delay_s=delay,
+                    reason=reason,
                 )
         elif not self._running[index]:
             self._quarantine(index, reason)
@@ -345,7 +354,9 @@ class AttemptLedger:
         attempts = self._executions(index)
         self.stats.quarantined += 1
         if self.hooks is not None:
-            self.hooks.task_quarantined(self.tasks[index].key, attempts=attempts, reason=reason)
+            self.hooks.record(
+                "task_quarantined", key=self.tasks[index].key, attempts=attempts, reason=reason
+            )
         self._finish(index, TaskOutcome(self.tasks[index], None, reason, attempts))
 
     def _finish(self, index: int, outcome: TaskOutcome) -> None:
@@ -363,9 +374,9 @@ class Executor:
     exceptions — aborting the campaign — which keeps its path overhead-free.
 
     :attr:`hooks` is an optional :class:`repro.utils.hooks.SimHooks`
-    observer (assigned by the campaign engine) notified of task issue,
-    completion, retry and quarantine; ``None`` keeps every dispatch point a
-    single ``is not None`` branch.
+    observer (assigned by the campaign engine) that records task issue,
+    completion, retry and quarantine (``task_*`` events); ``None`` keeps
+    every dispatch point a single ``is not None`` branch.
 
     :attr:`keep_alive` (default ``False``) keeps worker processes running
     when ``run`` finishes, so a caller issuing tasks in waves — the
@@ -405,12 +416,12 @@ class SerialExecutor(Executor):
             if self._stop_requested:
                 return
             if hooks is not None:
-                hooks.task_issued(task.key, attempt=1)
+                hooks.record("task_issued", key=task.key, attempt=1)
             started = time.perf_counter()
             metrics = execute(task.payload)
             duration = time.perf_counter() - started
             if hooks is not None:
-                hooks.task_completed(task.key, attempts=1, duration_s=duration)
+                hooks.record("task_completed", key=task.key, attempts=1, duration_s=duration)
             yield TaskOutcome(task=task, metrics=metrics, duration_s=duration)
 
     def stop(self) -> None:

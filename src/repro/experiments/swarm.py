@@ -239,12 +239,31 @@ def pid_alive(pid: int) -> bool:
 
 
 def _forked_worker_main(swarm_dir: str, worker_id: str) -> int:
-    """Entry point of a worker the coordinator forks (external workers keep their handlers)."""
+    """Entry point of a worker the coordinator forks (external workers keep their handlers).
+
+    An orphan (its coordinator died without unwinding) removes the swarm
+    directory when ``job.pkl`` marks it private: nobody else knows its
+    name.  An explicit ``swarm_dir`` is never removed.
+    """
     reset_worker_signals()
     # Imported lazily: worker.py imports this module at import time.
     from repro.experiments.worker import worker_main
 
-    return worker_main(swarm_dir, worker_id, SPAWNED_WORKER_POLL_S)
+    # Read before the run: a fellow orphan may have removed the job by the end.
+    private = _job_is_private(SwarmLayout(swarm_dir))
+    code = worker_main(swarm_dir, worker_id, SPAWNED_WORKER_POLL_S)
+    if code == ORPHAN_EXIT_CODE and private:
+        shutil.rmtree(swarm_dir, ignore_errors=True)
+    return code
+
+
+def _job_is_private(layout: SwarmLayout) -> bool:
+    """Whether the coordinator created the swarm directory itself."""
+    try:
+        with open(layout.job_path, "rb") as handle:
+            return bool(pickle.load(handle).get("private"))
+    except OSError:  # the directory is already gone
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +309,9 @@ class SwarmExecutor(Executor):
         ``python -m repro.experiments.worker`` (requires ``swarm_dir``).
     swarm_dir:
         The shared protocol directory.  ``None`` uses a private temporary
-        directory (removed on shutdown); pass an explicit path to let
-        workers on other machines join.
+        directory, removed on shutdown or, when the coordinator dies without
+        unwinding, by its orphaned spawned workers; pass an explicit path
+        (never removed by a worker) to let workers on other machines join.
     lease_timeout_s:
         A lease with no evidence (heartbeat or result) for this long is
         reclaimed and its tasks re-issued.  The floor for detecting a dead
@@ -395,7 +415,7 @@ class SwarmExecutor(Executor):
         if self.hooks is not None:
             # A spawned worker is a swarm member from birth; only external
             # workers join through their first heartbeat.
-            self.hooks.worker_joined(worker_id)
+            self.hooks.record("worker_joined", worker_id=worker_id)
         if self._spawned_initial:
             self.stats.workers_respawned += 1
         return record
@@ -476,6 +496,7 @@ class SwarmExecutor(Executor):
                 "heartbeat_interval_s": self.heartbeat_interval_s,
                 "coordinator": {"pid": os.getpid(), "host": socket.gethostname()},
                 "sys_path": list(sys.path),
+                "private": self._owns_dir,
             }
             _atomic_publish(layout.job_path, pickle.dumps(job))
             self._torn_down = False
@@ -506,7 +527,12 @@ class SwarmExecutor(Executor):
             """Reclaim a lease: its unresolved attempts are lost."""
             self.stats.leases_expired += 1
             if self.hooks is not None:
-                self.hooks.lease_expired(lease.worker_id, lease.attempt_id, reason)
+                self.hooks.record(
+                    "lease_expired",
+                    worker_id=lease.worker_id,
+                    attempt=lease.attempt_id,
+                    reason=reason,
+                )
             leases.pop(lease.attempt_id, None)
             record = self._workers.get(lease.worker_id)
             if record is not None:
@@ -528,7 +554,12 @@ class SwarmExecutor(Executor):
             record.attempts.add(attempt_id)
             self.stats.leases_issued += 1
             if self.hooks is not None:
-                self.hooks.lease_granted(record.worker_id, attempt_id, len(batch))
+                self.hooks.record(
+                    "lease_granted",
+                    worker_id=record.worker_id,
+                    attempt=attempt_id,
+                    num_tasks=len(batch),
+                )
             for index in batch:
                 ledger.issued(index)
             self._mailbox_for(record).send(
@@ -583,7 +614,7 @@ class SwarmExecutor(Executor):
                     if beat.get("seq", -1) == record.hb_seq:
                         continue
                     if not record.joined and self.hooks is not None:
-                        self.hooks.worker_joined(worker_id)
+                        self.hooks.record("worker_joined", worker_id=worker_id)
                     record.joined = True
                     record.hb_seq = beat.get("seq", -1)
                     record.last_seen = now
@@ -602,7 +633,9 @@ class SwarmExecutor(Executor):
                     progressed = True
                     reason = f"worker {record.worker_id} died (exit code {code})"
                     if self.hooks is not None:
-                        self.hooks.worker_left(record.worker_id, reason)
+                        self.hooks.record(
+                            "worker_left", worker_id=record.worker_id, reason=reason
+                        )
                     for attempt_id in list(record.attempts):
                         lease = leases.get(attempt_id)
                         if lease is not None:
@@ -704,10 +737,11 @@ class SwarmExecutor(Executor):
                     ):
                         self.stats.work_stolen += 1
                         if self.hooks is not None:
-                            self.hooks.work_stolen(
-                                tasks[index].key,
-                                owners[index].worker_id,
-                                record.worker_id,
+                            self.hooks.record(
+                                "work_stolen",
+                                key=tasks[index].key,
+                                from_worker=owners[index].worker_id,
+                                to_worker=record.worker_id,
                             )
                         issue_lease(record, [index])
                         progressed = True

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import pickle
 import socket
@@ -169,7 +170,10 @@ def worker_main(
     # stays a zombie and still passes the pid_alive signal-0 probe.  A worker
     # the coordinator forked has a second, zombie-proof signal: the kernel
     # reparents it the instant the coordinator dies, so its ppid changes.
-    child_of_coordinator = watch_pid is not None and os.getppid() == watch_pid
+    # The fork records the coordinator's pid, so a worker that boots after
+    # its coordinator died still knows whose child it was.
+    parent = multiprocessing.parent_process()
+    child_of_coordinator = parent is not None and parent.pid == watch_pid
     last_liveness = time.monotonic()
     try:
         while True:
@@ -243,6 +247,8 @@ def worker_main(
             results.flush()
     finally:
         state.stop()
+        # The last beat lands before the caller may remove the directory.
+        beat.join(timeout=1.0)
         try:
             results.flush()
         except OSError:  # pragma: no cover - swarm dir being torn down

@@ -54,12 +54,7 @@ from repro.simulation.scenario import ScenarioConfig
 from repro.traffic.data import DataTrafficFleet, TruncatedParetoSize
 from repro.traffic.voice import VoiceFleet
 from repro.utils.hooks import SimHooks
-from repro.utils.recorder import (
-    EventRecorder,
-    JsonlSink,
-    RecorderHooks,
-    current_recorder,
-)
+from repro.utils.recorder import EventRecorder, JsonlSink, current_recorder
 from repro.utils.rng import RngFactory
 
 __all__ = ["DynamicSystemSimulator"]
@@ -84,11 +79,13 @@ class DynamicSystemSimulator:
         Scheduling policy under test.
     hooks:
         Optional :class:`repro.utils.hooks.SimHooks` observer of the frame
-        pipeline (per-stage enter/exit with wall time, one ``frame`` event
-        per frame, per-decision admission outcomes).  When ``None`` (the
-        default) the simulator resolves a recorder instead: a
-        ``scenario.trace_path`` records the run to that JSONL file, else an
-        ambient recorder installed via
+        pipeline: it receives ``record(kind, time_s, **fields)`` for
+        ``run_start``/``run_end``, per-stage ``stage_enter``/``stage_exit``
+        (with wall time), one ``frame`` per frame and one ``admission`` per
+        decision.  An :class:`~repro.utils.recorder.EventRecorder` is such
+        an observer.  When ``None`` (the default) the simulator resolves a
+        recorder instead: a ``scenario.trace_path`` records the run to that
+        JSONL file, else an ambient recorder installed via
         :func:`repro.utils.recorder.use_recorder` (the campaign engine's
         channel) is used; with neither, the frame loop runs hook-free at
         zero observability overhead.
@@ -110,11 +107,9 @@ class DynamicSystemSimulator:
                 self._owned_recorder = EventRecorder(
                     JsonlSink(scenario.trace_path, atomic=True)
                 )
-                hooks = RecorderHooks(self._owned_recorder)
+                hooks = self._owned_recorder
             else:
-                ambient = current_recorder()
-                if ambient is not None:
-                    hooks = RecorderHooks(ambient)
+                hooks = current_recorder()
         self.hooks = hooks
         self._rng_factory = RngFactory(scenario.seed)
         system = scenario.system
@@ -339,9 +334,10 @@ class DynamicSystemSimulator:
                 continue
             decision, grants = self.controller.decide(snapshot, pending, link)
             if hooks is not None:
-                hooks.admission(
+                hooks.record(
+                    "admission",
                     now_s,
-                    link.value,
+                    link=link.value,
                     num_pending=len(pending),
                     num_granted=len(grants),
                     objective_value=float(decision.objective_value),
@@ -379,10 +375,11 @@ class DynamicSystemSimulator:
 
     def _hooked_stage(self, hooks: SimHooks, name: str, now_s: float, fn, *args) -> None:
         """Run one pipeline stage under the hooks protocol (enter/exit + wall time)."""
-        hooks.stage_enter(name, now_s)
+        hooks.record("stage_enter", now_s, stage=name)
         t0 = time.perf_counter()
         fn(*args)
-        hooks.stage_exit(name, now_s, time.perf_counter() - t0)
+        elapsed_s = time.perf_counter() - t0
+        hooks.record("stage_exit", now_s, stage=name, elapsed_s=elapsed_s)
 
     # -- main loop ----------------------------------------------------------------------------------
     def run(self, progress: Optional[int] = None) -> SimulationResult:
@@ -404,7 +401,8 @@ class DynamicSystemSimulator:
             [bs.noise_power_w for bs in self.network.base_stations]
         )
         if hooks is not None:
-            hooks.run_start(
+            hooks.record(
+                "run_start",
                 self.network.time_s,
                 frames=num_frames,
                 frame_duration_s=frame_s,
@@ -447,9 +445,10 @@ class DynamicSystemSimulator:
                     fch_outage_fraction=snapshot.fch_outage_fraction(),
                 )
                 if hooks is not None:
-                    hooks.frame(
-                        frame_index,
+                    hooks.record(
+                        "frame",
                         now,
+                        frame_index=frame_index,
                         pending_requests=pending_count,
                         active_bursts=len(self.active_bursts),
                     )
@@ -465,7 +464,7 @@ class DynamicSystemSimulator:
                         f"active_bursts={len(self.active_bursts):4d}"
                     )
             if hooks is not None:
-                hooks.run_end(self.network.time_s, frames=num_frames)
+                hooks.record("run_end", self.network.time_s, frames=num_frames)
         finally:
             if self._owned_recorder is not None:
                 # Publish the trace_path file (the atomic sink renames on

@@ -121,9 +121,11 @@ class ScenarioConfig:
     traffic / mobility / placement:
         Traffic-mix, mobility and user-placement parameters.
     trace_path:
-        When set, the dynamic simulator records its telemetry event stream
-        (run/frame/stage/admission events, see
-        :mod:`repro.utils.recorder`) to this JSONL file.  ``None`` (the
+        When set, the dynamic simulator uses an
+        :class:`~repro.utils.recorder.EventRecorder` over an atomic
+        :class:`~repro.utils.recorder.JsonlSink` at this path as its hooks,
+        so the run's ``run_*``/``stage_*``/``frame``/``admission`` events
+        land in this JSONL file when the run completes.  ``None`` (the
         default) records nothing and keeps the frame loop on its
         hook-free fast path.  An explicit ``hooks=`` argument to
         :class:`~repro.simulation.dynamic.DynamicSystemSimulator` takes

@@ -24,10 +24,8 @@ from repro.utils.recorder import (
     Sink,
     MemorySink,
     JsonlSink,
-    AsyncSink,
     read_jsonl,
     EventRecorder,
-    RecorderHooks,
     use_recorder,
     current_recorder,
 )
@@ -54,10 +52,8 @@ __all__ = [
     "Sink",
     "MemorySink",
     "JsonlSink",
-    "AsyncSink",
     "read_jsonl",
     "EventRecorder",
-    "RecorderHooks",
     "use_recorder",
     "current_recorder",
 ]

@@ -1,8 +1,10 @@
-"""Non-blocking telemetry recorder: structured events behind the kernel hooks.
+"""Telemetry recorder: the hooks protocol as a stream of structured events.
 
-The hooks protocol (:mod:`repro.utils.hooks`) reports *what happened*; this
-module turns those reports into a versioned stream of JSON-serialisable
-events and ships them to a pluggable **sink**:
+:class:`EventRecorder` is a :class:`~repro.utils.hooks.SimHooks`: passed as
+``hooks=`` (or installed by ``ScenarioConfig.trace_path``, the ambient
+recorder or a campaign's ``trace_dir``), it stamps every ``record(kind,
+time_s, **fields)`` call into a versioned, sequenced JSON-serialisable event
+and ships it to a pluggable **sink**:
 
 :class:`MemorySink`
     Appends events to a list — the test/analysis sink.
@@ -13,26 +15,21 @@ events and ships them to a pluggable **sink**:
     publishes it with :func:`os.replace` on close, so two processes racing
     on the same path (a speculative campaign duplicate) leave one complete
     file, never a corrupt mix.
-:class:`AsyncSink`
-    Decorates another sink with a bounded queue and a writer thread.
-    :meth:`AsyncSink.emit` **never blocks**: when the queue is full the
-    event is counted in :attr:`AsyncSink.dropped` and discarded, so a slow
-    disk can throttle telemetry but can never throttle the simulation.
 
-Every event carries the envelope ``{"schema", "seq", "kind", "time_s"}``
-plus the kind-specific fields of :data:`EVENT_SCHEMA`; ``seq`` increases by
-one per event and ``time_s`` is non-decreasing within a recorder's stream
-(events without a natural sim time inherit the stream's last time).  The
-``elapsed_s``/``duration_s``/``delay_s`` fields are wall-clock durations —
-trace-golden tests normalise them away (:func:`normalize_event`).
+:data:`EVENT_SCHEMA` is the one list of event kinds and of the fields each
+kind requires; the recorder refuses a kind that is not in it, so a
+misspelt kind fails the first traced run.  Every event carries the envelope
+``{"schema", "seq", "kind", "time_s"}`` plus its fields; ``seq`` increases
+by one per event and ``time_s`` is non-decreasing within a recorder's
+stream (events without a natural sim time inherit the stream's last time).
+The ``elapsed_s``/``duration_s``/``delay_s`` fields are wall-clock
+durations — trace-golden tests normalise them away (:func:`normalize_event`).
 
-:class:`RecorderHooks` is the bridge: a :class:`~repro.utils.hooks.SimHooks`
-implementation that records one event per hook call.  For code that cannot
-thread a recorder through its call chain (campaign runners have a fixed
-``runner(params, seed)`` signature), :func:`use_recorder` installs an
-ambient recorder in a :mod:`contextvars` context and
-:class:`~repro.simulation.dynamic.DynamicSystemSimulator` picks it up
-automatically.
+For code that cannot thread a recorder through its call chain (campaign
+runners have a fixed ``runner(params, seed)`` signature),
+:func:`use_recorder` installs an ambient recorder in a :mod:`contextvars`
+context and :class:`~repro.simulation.dynamic.DynamicSystemSimulator` picks
+it up automatically.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import contextlib
 import contextvars
 import json
 import os
-import queue
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -55,10 +51,8 @@ __all__ = [
     "Sink",
     "MemorySink",
     "JsonlSink",
-    "AsyncSink",
     "read_jsonl",
     "EventRecorder",
-    "RecorderHooks",
     "use_recorder",
     "current_recorder",
 ]
@@ -68,7 +62,9 @@ SCHEMA_VERSION = 1
 
 #: Event kind -> required kind-specific fields (the envelope fields
 #: ``schema``/``seq``/``kind``/``time_s`` are required for every kind).
-#: Extra fields are allowed everywhere: the schema is a floor, not a ceiling.
+#: The one list of event kinds: :meth:`EventRecorder.record` refuses any
+#: other.  Extra fields are allowed everywhere: the schema is a floor, not a
+#: ceiling.
 EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     # frame pipeline
     "run_start": (),
@@ -253,84 +249,10 @@ def read_jsonl(path: str) -> List[Dict]:
     return events
 
 
-class AsyncSink(Sink):
-    """Bounded-queue decorator: never block the emitter, count the drops.
-
-    A daemon writer thread drains a ``queue.Queue(maxsize)`` into the
-    ``inner`` sink.  :meth:`emit` uses ``put_nowait``: when the queue is
-    full (the writer is stalled on a slow destination) the event is dropped
-    and counted — exactly once per lost event — in :attr:`dropped`.
-    :meth:`close` is idempotent; the first call waits for the queue to
-    drain, stops the thread and closes the inner sink, so close-then-read
-    always observes every event that was not dropped.
-    """
-
-    _CLOSE = object()
-
-    def __init__(self, inner: Sink, maxsize: int = 1024) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        self.inner = inner
-        self._queue: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self._dropped = 0
-        self._drop_lock = threading.Lock()
-        self._close_lock = threading.Lock()
-        self._closed = False
-        self._writer = threading.Thread(
-            target=self._drain, name="repro-telemetry-writer", daemon=True
-        )
-        self._writer.start()
-
-    @property
-    def dropped(self) -> int:
-        """Events discarded because the bounded queue was full."""
-        with self._drop_lock:
-            return self._dropped
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._CLOSE:
-                return
-            try:
-                self.inner.emit(item)
-            except Exception:  # noqa: BLE001 - telemetry must not propagate
-                with self._drop_lock:
-                    self._dropped += 1
-
-    def emit(self, event: Dict) -> None:
-        if self._closed:
-            with self._drop_lock:
-                self._dropped += 1
-            return
-        try:
-            self._queue.put_nowait(event)
-        except queue.Full:
-            with self._drop_lock:
-                self._dropped += 1
-
-    def flush(self) -> None:
-        """Best-effort: wait until the queue is momentarily empty."""
-        while not self._queue.empty() and self._writer.is_alive():
-            threading.Event().wait(0.001)
-        self.inner.flush()
-
-    def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        # The blocking put is intentional: close() may wait for the writer,
-        # emit() never does.
-        self._queue.put(self._CLOSE)
-        self._writer.join()
-        self.inner.close()
-
-
 # ---------------------------------------------------------------------------
 # Recorder
 # ---------------------------------------------------------------------------
-class EventRecorder:
+class EventRecorder(SimHooks):
     """Stamp hook reports into versioned, sequenced events and emit them.
 
     One recorder is one event *stream*: ``seq`` increases by one per event
@@ -351,7 +273,13 @@ class EventRecorder:
         return self._seq
 
     def record(self, kind: str, time_s: Optional[float] = None, **fields) -> Dict:
-        """Record one event of ``kind`` and return the emitted dict."""
+        """Record one event of ``kind`` and return the emitted dict.
+
+        Raises :class:`ValueError` on a kind that is not in
+        :data:`EVENT_SCHEMA`.
+        """
+        if kind not in EVENT_SCHEMA:
+            raise ValueError(f"unknown event kind {kind!r} (not in EVENT_SCHEMA)")
         with self._lock:
             if time_s is None:
                 time_s = self.last_time_s
@@ -377,91 +305,6 @@ class EventRecorder:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class RecorderHooks(SimHooks):
-    """Bridge :class:`~repro.utils.hooks.SimHooks` calls into recorder events."""
-
-    def __init__(self, recorder: EventRecorder) -> None:
-        self.recorder = recorder
-
-    # -- frame pipeline ----------------------------------------------------
-    def run_start(self, time_s, **info):
-        self.recorder.record("run_start", time_s, **info)
-
-    def run_end(self, time_s, **info):
-        self.recorder.record("run_end", time_s, **info)
-
-    def stage_enter(self, stage, time_s):
-        self.recorder.record("stage_enter", time_s, stage=stage)
-
-    def stage_exit(self, stage, time_s, elapsed_s):
-        self.recorder.record("stage_exit", time_s, stage=stage, elapsed_s=elapsed_s)
-
-    def frame(self, frame_index, time_s, pending_requests, active_bursts):
-        self.recorder.record(
-            "frame",
-            time_s,
-            frame_index=frame_index,
-            pending_requests=pending_requests,
-            active_bursts=active_bursts,
-        )
-
-    # -- admission path ----------------------------------------------------
-    def admission(self, time_s, link, num_pending, num_granted, objective_value, optimal):
-        self.recorder.record(
-            "admission",
-            time_s,
-            link=link,
-            num_pending=num_pending,
-            num_granted=num_granted,
-            objective_value=objective_value,
-            optimal=optimal,
-        )
-
-    # -- campaign executors ------------------------------------------------
-    def task_issued(self, key, attempt):
-        self.recorder.record("task_issued", key=key, attempt=attempt)
-
-    def task_completed(self, key, attempts, duration_s):
-        self.recorder.record(
-            "task_completed", key=key, attempts=attempts, duration_s=duration_s
-        )
-
-    def task_retry(self, key, attempt, delay_s, reason):
-        self.recorder.record(
-            "task_retry", key=key, attempt=attempt, delay_s=delay_s, reason=reason
-        )
-
-    def task_quarantined(self, key, attempts, reason):
-        self.recorder.record(
-            "task_quarantined", key=key, attempts=attempts, reason=reason
-        )
-
-    def task_shared(self, key, source):
-        self.recorder.record("task_shared", key=key, source=source)
-
-    # -- swarm lifecycle ---------------------------------------------------
-    def worker_joined(self, worker_id):
-        self.recorder.record("worker_joined", worker_id=worker_id)
-
-    def worker_left(self, worker_id, reason):
-        self.recorder.record("worker_left", worker_id=worker_id, reason=reason)
-
-    def lease_granted(self, worker_id, attempt, num_tasks):
-        self.recorder.record(
-            "lease_granted", worker_id=worker_id, attempt=attempt, num_tasks=num_tasks
-        )
-
-    def lease_expired(self, worker_id, attempt, reason):
-        self.recorder.record(
-            "lease_expired", worker_id=worker_id, attempt=attempt, reason=reason
-        )
-
-    def work_stolen(self, key, from_worker, to_worker):
-        self.recorder.record(
-            "work_stolen", key=key, from_worker=from_worker, to_worker=to_worker
-        )
 
 
 # ---------------------------------------------------------------------------

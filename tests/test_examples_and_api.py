@@ -47,6 +47,15 @@ class TestExamples:
         for seed in range(10):
             assert module.main(seed) >= 1.0, f"seed {seed}"
 
+    def test_trace_dynamic_run_records_valid_events(self, tmp_path, monkeypatch, capsys):
+        module = _load_example("trace_dynamic_run.py")
+        monkeypatch.chdir(tmp_path)
+        assert module.main([]) == 0
+        out = capsys.readouterr().out
+        assert "events (0 invalid)" in out
+        assert (tmp_path / "trace_dynamic_run.jsonl").exists()
+        assert "per-stage profile over 60 frames" in out
+
     def test_dynamic_examples_importable(self):
         # The long-running examples are only imported (their main() is covered
         # by the dynamic-simulation integration tests at reduced scale).

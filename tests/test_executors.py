@@ -110,8 +110,9 @@ class _LedgerHooks(SimHooks):
     def __init__(self):
         self.completed = []
 
-    def task_completed(self, key, attempts, duration_s):
-        self.completed.append((key, attempts))
+    def record(self, kind, time_s=None, **fields):
+        if kind == "task_completed":
+            self.completed.append((fields["key"], fields["attempts"]))
 
 
 def make_ledger(num_tasks=1, max_retries=2, straggler_factor=4.0, hooks=None):

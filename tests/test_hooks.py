@@ -33,7 +33,7 @@ from repro.utils.hooks import (
     StageTimingHooks,
     resolve_hooks,
 )
-from repro.utils.recorder import EventRecorder, MemorySink, RecorderHooks
+from repro.utils.recorder import EVENT_SCHEMA, EventRecorder, MemorySink
 
 STAGES = ("voice", "arrivals", "data_activity", "mac", "mobility")
 
@@ -55,46 +55,16 @@ def _two_frame_scenario(**overrides) -> ScenarioConfig:
 
 
 class _CountingHooks(SimHooks):
-    """Counts every hook invocation by method name."""
+    """Counts every hook invocation by event kind."""
 
     def __init__(self):
         self.calls = {}
         self.stages = []
 
-    def _bump(self, name):
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def run_start(self, time_s, **info):
-        self._bump("run_start")
-
-    def run_end(self, time_s, **info):
-        self._bump("run_end")
-
-    def stage_enter(self, stage, time_s):
-        self._bump("stage_enter")
-        self.stages.append(stage)
-
-    def stage_exit(self, stage, time_s, elapsed_s):
-        self._bump("stage_exit")
-
-    def frame(self, frame_index, time_s, pending_requests, active_bursts):
-        self._bump("frame")
-
-    def admission(self, time_s, link, num_pending, num_granted,
-                  objective_value, optimal):
-        self._bump("admission")
-
-    def task_issued(self, key, attempt):
-        self._bump("task_issued")
-
-    def task_completed(self, key, attempts, duration_s):
-        self._bump("task_completed")
-
-    def task_retry(self, key, attempt, delay_s, reason):
-        self._bump("task_retry")
-
-    def task_quarantined(self, key, attempts, reason):
-        self._bump("task_quarantined")
+    def record(self, kind, time_s=None, **fields):
+        self.calls[kind] = self.calls.get(kind, 0) + 1
+        if kind == "stage_enter":
+            self.stages.append(fields["stage"])
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +73,18 @@ class _CountingHooks(SimHooks):
 class TestProtocol:
     def test_base_hooks_are_noops(self):
         hooks = SimHooks()
-        hooks.run_start(0.0, frames=1)
-        hooks.run_end(0.0)
-        hooks.stage_enter("voice", 0.0)
-        hooks.stage_exit("voice", 0.0, 1e-4)
-        hooks.frame(0, 0.0, 0, 0)
-        hooks.admission(0.0, "forward", 1, 1, 0.0, True)
-        hooks.task_issued("0/0", 1)
-        hooks.task_completed("0/0", 1, 0.1)
-        hooks.task_retry("0/0", 1, 0.5, "x")
-        hooks.task_quarantined("0/0", 2, "x")
+        for kind, fields in EVENT_SCHEMA.items():
+            assert hooks.record(kind, 0.0, **dict.fromkeys(fields, 0)) is None
+        assert hooks.record("task_issued", key="0/0", attempt=1) is None
 
     def test_composite_fans_out_in_order(self):
         first, second = _CountingHooks(), _CountingHooks()
         composite = CompositeHooks([first, second])
-        composite.frame(0, 0.0, 1, 2)
-        composite.stage_enter("mac", 0.0)
+        composite.record("frame", 0.0, frame_index=0, pending_requests=1, active_bursts=2)
+        composite.record("stage_enter", 0.0, stage="mac")
         for hooks in (first, second):
             assert hooks.calls == {"frame": 1, "stage_enter": 1}
+            assert hooks.stages == ["mac"]
 
     def test_composite_flattens_nested_composites(self):
         a, b, c = _CountingHooks(), _CountingHooks(), _CountingHooks()
@@ -137,12 +101,14 @@ class TestProtocol:
 
     def test_stage_timing_hooks_accumulate(self):
         hooks = StageTimingHooks()
-        hooks.stage_enter("voice", 0.0)
-        hooks.stage_exit("voice", 0.0, 0.25)
-        hooks.stage_exit("voice", 0.02, 0.75)
-        hooks.stage_exit("mac", 0.02, 0.5)
-        hooks.frame(0, 0.0, 0, 0)
-        hooks.frame(1, 0.02, 0, 0)
+        hooks.record("stage_enter", 0.0, stage="voice")
+        hooks.record("stage_exit", 0.0, stage="voice", elapsed_s=0.25)
+        hooks.record("stage_exit", 0.02, stage="voice", elapsed_s=0.75)
+        hooks.record("stage_exit", 0.02, stage="mac", elapsed_s=0.5)
+        hooks.record("frame", 0.0, frame_index=0, pending_requests=0, active_bursts=0)
+        hooks.record("frame", 0.02, frame_index=1, pending_requests=0, active_bursts=0)
+        hooks.record("admission", 0.02, link="forward", num_pending=1, num_granted=1,
+                     objective_value=0.0, optimal=True)
         assert hooks.totals == {"voice": 1.0, "mac": 0.5}
         assert hooks.frames == 2
         per_frame = hooks.per_frame_ms()
@@ -163,7 +129,7 @@ class TestDefaultPathIsHookFree:
                 raise AssertionError(f"{bucket} touched on the default path")
             return _touch
 
-        # Any SimHooks method or recorder call on the default path is a bug.
+        # Any SimHooks dispatch or recorder call on the default path is a bug.
         for name in [n for n in dir(SimHooks) if not n.startswith("_")]:
             monkeypatch.setattr(SimHooks, name, forbid("hooks"))
         monkeypatch.setattr(EventRecorder, "record", forbid("record"))
@@ -184,7 +150,7 @@ class TestDefaultPathIsHookFree:
 class TestInstalledHookCounts:
     def test_two_frame_run_emits_exact_counts(self):
         sink = MemorySink()
-        hooks = RecorderHooks(EventRecorder(sink))
+        hooks = EventRecorder(sink)
         scenario = _two_frame_scenario()
         sim = DynamicSystemSimulator(scenario, JabaSdScheduler("J1"), hooks=hooks)
         sim.run()
@@ -216,7 +182,7 @@ class TestInstalledHookCounts:
         sim = DynamicSystemSimulator(
             _two_frame_scenario(),
             JabaSdScheduler("J1"),
-            hooks=RecorderHooks(EventRecorder(sink)),
+            hooks=EventRecorder(sink),
         )
         sim.run()
         start = next(e for e in sink.events if e["kind"] == "run_start")
@@ -239,11 +205,11 @@ class _KeyedTaskHooks(SimHooks):
         self.issued = []
         self.quarantined = []
 
-    def task_issued(self, key, attempt):
-        self.issued.append(key)
-
-    def task_quarantined(self, key, attempts, reason):
-        self.quarantined.append((key, attempts))
+    def record(self, kind, time_s=None, **fields):
+        if kind == "task_issued":
+            self.issued.append(fields["key"])
+        elif kind == "task_quarantined":
+            self.quarantined.append((fields["key"], fields["attempts"]))
 
 
 class TestExecutorHooks:

@@ -4,10 +4,10 @@ Locks the recorder contract the observability layer rests on:
 
 * events carry the versioned envelope and validate against
   :data:`repro.utils.recorder.EVENT_SCHEMA`;
+* the recorder refuses a kind that :data:`EVENT_SCHEMA` does not list, and
+  every kind the product records is listed;
 * ``seq`` increases by one per event and ``time_s`` is non-decreasing
   within one recorder's stream;
-* :class:`AsyncSink` never blocks the emitter — a saturated bounded queue
-  drops events and reports the **exact** drop count;
 * sink ``close`` is idempotent and flushes buffered events;
 * concurrent emitters never interleave partial JSONL lines;
 * campaign tracing only observes: aggregates of a traced run are
@@ -17,8 +17,9 @@ Locks the recorder contract the observability layer rests on:
 from __future__ import annotations
 
 import json
+import re
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +28,9 @@ from repro.utils.recorder import (
     EVENT_SCHEMA,
     SCHEMA_VERSION,
     WALL_CLOCK_FIELDS,
-    AsyncSink,
     EventRecorder,
     JsonlSink,
     MemorySink,
-    RecorderHooks,
-    Sink,
     current_recorder,
     normalize_event,
     read_jsonl,
@@ -47,19 +45,19 @@ from repro.utils.recorder import (
 class TestSchema:
     def test_recorded_events_are_schema_valid(self):
         sink = MemorySink()
-        recorder = EventRecorder(sink)
-        hooks = RecorderHooks(recorder)
-        hooks.run_start(0.0, frames=3)
-        hooks.stage_enter("voice", 0.0)
-        hooks.stage_exit("voice", 0.0, 1.5e-4)
-        hooks.frame(0, 0.0, pending_requests=2, active_bursts=1)
-        hooks.admission(0.02, "forward", 3, 2, 12.5, True)
-        hooks.task_issued("0/1", 1)
-        hooks.task_completed("0/1", 1, 0.25)
-        hooks.task_retry("0/2", 1, 0.5, "TimeoutError")
-        hooks.task_quarantined("0/2", 3, "TimeoutError")
-        hooks.run_end(0.06)
-        assert sink.events
+        hooks = EventRecorder(sink)
+        hooks.record("run_start", 0.0, frames=3)
+        hooks.record("stage_enter", 0.0, stage="voice")
+        hooks.record("stage_exit", 0.0, stage="voice", elapsed_s=1.5e-4)
+        hooks.record("frame", 0.0, frame_index=0, pending_requests=2, active_bursts=1)
+        hooks.record("admission", 0.02, link="forward", num_pending=3, num_granted=2,
+                     objective_value=12.5, optimal=True)
+        hooks.record("task_issued", key="0/1", attempt=1)
+        hooks.record("task_completed", key="0/1", attempts=1, duration_s=0.25)
+        hooks.record("task_retry", key="0/2", attempt=1, delay_s=0.5, reason="TimeoutError")
+        hooks.record("task_quarantined", key="0/2", attempts=3, reason="TimeoutError")
+        hooks.record("run_end", 0.06)
+        assert len(sink.events) == 10
         for event in sink.events:
             assert validate_event(event) == []
 
@@ -93,13 +91,27 @@ class TestSchema:
         assert any("schema" in problem for problem in wrong_schema)
 
     def test_every_kind_has_a_schema_entry_in_hooks_bridge(self):
-        # The bridge must only emit kinds the schema knows.
+        # The product records exactly the kinds the schema lists: every
+        # literal kind passed to ``record`` in src/ is a schema key, and every
+        # schema key is recorded somewhere.
         assert set(EVENT_SCHEMA) >= {
             "run_start", "run_end", "stage_enter", "stage_exit", "frame",
             "admission", "campaign_start", "campaign_end",
             "replication_start", "replication_end",
             "task_issued", "task_completed", "task_retry", "task_quarantined",
         }
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        recorded = set()
+        for path in src.rglob("*.py"):
+            recorded.update(re.findall(r'\.record\(\s*"(\w+)"', path.read_text()))
+        assert recorded == set(EVENT_SCHEMA)
+
+    def test_unknown_kind_is_refused(self):
+        sink = MemorySink()
+        recorder = EventRecorder(sink)
+        with pytest.raises(ValueError, match="stage_exitt"):
+            recorder.record("stage_exitt", 0.0, stage="mac", elapsed_s=0.0)
+        assert sink.events == [] and recorder.seq == 0
 
     def test_normalize_drops_wall_clock_fields_only(self):
         event = {
@@ -140,88 +152,6 @@ class TestOrdering:
                                 attempts=1, duration_s=0.1)
         assert event["time_s"] == 2.5
         assert recorder.last_time_s == 2.5
-
-
-# ---------------------------------------------------------------------------
-# AsyncSink: never block, exact drop counts
-# ---------------------------------------------------------------------------
-class _GatedSink(Sink):
-    """Inner sink whose emit blocks until released (writer-stall model)."""
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.entered = threading.Event()
-        self.events = []
-
-    def emit(self, event):
-        self.entered.set()
-        assert self.release.wait(timeout=10.0), "gated sink never released"
-        self.events.append(event)
-
-    def close(self):
-        pass
-
-
-class TestAsyncSink:
-    def test_saturated_queue_never_blocks_and_counts_exact_drops(self):
-        inner = _GatedSink()
-        sink = AsyncSink(inner, maxsize=4)
-        recorder = EventRecorder(sink)
-
-        # First event: wait until the writer thread holds it inside emit(),
-        # so the queue is empty and its capacity is exactly maxsize.
-        recorder.record("run_start", 0.0)
-        assert inner.entered.wait(timeout=10.0)
-        # Fill the queue to capacity, then overflow by exactly 7.
-        for index in range(4):
-            recorder.record("frame", float(index), frame_index=index,
-                            pending_requests=0, active_bursts=0)
-        assert sink.dropped == 0
-        started = time.perf_counter()
-        for index in range(7):
-            recorder.record("frame", 10.0 + index, frame_index=index,
-                            pending_requests=0, active_bursts=0)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 1.0, "emit must not block on a saturated queue"
-        assert sink.dropped == 7
-
-        inner.release.set()
-        sink.close()
-        # Everything that was not dropped reached the inner sink.
-        assert len(inner.events) == 1 + 4
-        assert sink.dropped == 7
-
-    def test_close_flushes_queued_events(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = AsyncSink(JsonlSink(str(path)), maxsize=256)
-        recorder = EventRecorder(sink)
-        for index in range(100):
-            recorder.record("frame", float(index), frame_index=index,
-                            pending_requests=0, active_bursts=0)
-        sink.close()
-        events = read_jsonl(str(path))
-        assert len(events) == 100 - sink.dropped == 100
-        assert [event["seq"] for event in events] == list(range(100))
-
-    def test_close_is_idempotent(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = AsyncSink(JsonlSink(str(path)), maxsize=8)
-        sink.emit({"schema": SCHEMA_VERSION, "seq": 0, "kind": "run_start",
-                   "time_s": 0.0})
-        sink.close()
-        sink.close()  # must not raise, deadlock or duplicate
-        assert len(read_jsonl(str(path))) == 1
-
-    def test_emit_after_close_counts_as_dropped(self):
-        sink = AsyncSink(MemorySink(), maxsize=8)
-        sink.close()
-        sink.emit({"schema": SCHEMA_VERSION, "seq": 0, "kind": "run_start",
-                   "time_s": 0.0})
-        assert sink.dropped == 1
-
-    def test_rejects_nonpositive_maxsize(self):
-        with pytest.raises(ValueError):
-            AsyncSink(MemorySink(), maxsize=0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.utils.hooks import CompositeHooks, SimHooks
 from repro.utils.recorder import (
     EventRecorder,
     MemorySink,
-    RecorderHooks,
     read_jsonl,
     validate_event,
 )
@@ -104,11 +103,11 @@ class _SharingHooks(SimHooks):
         self.shared = []
         self.issued = []
 
-    def task_shared(self, key, source):
-        self.shared.append((key, source))
-
-    def task_issued(self, key, attempt):
-        self.issued.append(key)
+    def record(self, kind, time_s=None, **fields):
+        if kind == "task_shared":
+            self.shared.append((fields["key"], fields["source"]))
+        elif kind == "task_issued":
+            self.issued.append(fields["key"])
 
 
 class TestCrossExperimentHits:
@@ -416,8 +415,8 @@ class TestTracing:
 
     def test_hook_bridge_forwards_task_shared(self):
         sink, counter = MemorySink(), _SharingHooks()
-        hooks = CompositeHooks([RecorderHooks(EventRecorder(sink)), counter])
-        hooks.task_shared("0/1", "F2F3-delay-vs-load")
+        hooks = CompositeHooks([EventRecorder(sink), counter])
+        hooks.record("task_shared", key="0/1", source="F2F3-delay-vs-load")
         assert counter.shared == [("0/1", "F2F3-delay-vs-load")]
         (event,) = sink.events
         assert validate_event(event) == []
@@ -426,4 +425,4 @@ class TestTracing:
             "0/1",
             "F2F3-delay-vs-load",
         )
-        SimHooks().task_shared("0/1", "x")  # the base hook is a no-op
+        SimHooks().record("task_shared", key="0/1", source="x")  # the base hook is a no-op

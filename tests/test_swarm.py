@@ -29,7 +29,7 @@ from repro.experiments.faults import (
 )
 from repro.experiments.swarm import FileMailbox, SwarmExecutor, drain_mailbox
 from repro.utils.hooks import SimHooks
-from repro.utils.recorder import EventRecorder, MemorySink, RecorderHooks
+from repro.utils.recorder import EventRecorder, MemorySink
 
 
 def _toy_runner(params, seed):
@@ -336,6 +336,54 @@ class TestExternalWorker:
                 proc.wait()
 
 
+_KILLED_COORDINATOR_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.experiments.campaign import Campaign
+from repro.experiments.swarm import SwarmExecutor
+
+
+def runner(params, seed):
+    return {{"draw": float(np.random.default_rng(seed).random())}}
+
+
+def die_after(done, total):
+    if done >= 3:
+        os._exit(3)  # no unwinding: the executor never tears down
+
+
+campaign = Campaign("toy", runner, [{{"offset": 0.0}}] * 3, replications=3)
+campaign.run(
+    executor=SwarmExecutor(workers=2, swarm_dir={swarm_dir!r}, poll_interval_s=0.005),
+    progress=die_after,
+)
+"""
+
+
+class TestKilledCoordinator:
+    @pytest.mark.parametrize("explicit", [False, True], ids=["private", "explicit"])
+    def test_orphans_remove_only_a_private_swarm_directory(self, tmp_path, explicit):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        swarm_dir = str(tmp_path / "explicit-swarm") if explicit else None
+        script = tmp_path / "killed_coordinator.py"
+        script.write_text(_KILLED_COORDINATOR_SCRIPT.format(src=src, swarm_dir=swarm_dir))
+        # The forked workers inherit the stderr pipe: reading it to EOF waits
+        # until the orphans have noticed the dead coordinator and exited.
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "TMPDIR": str(tmp_path)},
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert not list(tmp_path.glob("repro-swarm-*"))
+        if explicit:
+            assert os.path.exists(os.path.join(swarm_dir, "job.pkl"))
+
+
 class TestLifecycleTelemetry:
     def test_worker_and_lease_events_recorded(self, tmp_path):
         sink = MemorySink()
@@ -347,7 +395,7 @@ class TestLifecycleTelemetry:
         campaign.run(
             executor=swarm_executor(batch_size=1),
             fault_plan=plan,
-            hooks=RecorderHooks(EventRecorder(sink)),
+            hooks=EventRecorder(sink),
         )
         kinds = sink.by_kind()
         assert kinds.get("worker_joined", 0) >= 2
@@ -358,11 +406,11 @@ class TestLifecycleTelemetry:
 
     def test_base_hooks_accept_swarm_lifecycle_calls(self):
         hooks = SimHooks()
-        hooks.worker_joined("w0")
-        hooks.worker_left("w0", "bye")
-        hooks.lease_granted("w0", "a0", 3)
-        hooks.lease_expired("w0", "a0", "timeout")
-        hooks.work_stolen("0/1", "w0", "w1")
+        hooks.record("worker_joined", worker_id="w0")
+        hooks.record("worker_left", worker_id="w0", reason="bye")
+        hooks.record("lease_granted", worker_id="w0", attempt="a0", num_tasks=3)
+        hooks.record("lease_expired", worker_id="w0", attempt="a0", reason="timeout")
+        hooks.record("work_stolen", key="0/1", from_worker="w0", to_worker="w1")
 
 
 class TestSeededBackoff:

@@ -23,7 +23,6 @@ from repro.simulation.scenario import TrafficConfig
 from repro.utils.recorder import (
     EventRecorder,
     MemorySink,
-    RecorderHooks,
     normalize_event,
     validate_event,
 )
@@ -51,7 +50,7 @@ def record_trace() -> list:
     simulator = DynamicSystemSimulator(
         trace_scenario(),
         JabaSdScheduler("J1"),
-        hooks=RecorderHooks(EventRecorder(sink)),
+        hooks=EventRecorder(sink),
     )
     simulator.run()
     return sink.events
