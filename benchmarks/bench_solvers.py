@@ -34,12 +34,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
+# One BLAS/OpenMP thread, pinned before NumPy loads (as perfbench/run.py
+# does): with threaded OpenBLAS, random decisions on either side stall by a
+# few milliseconds on a small VM, which swamps the smoke's few timed
+# decisions per point.
+os.environ.update(
+    {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+)
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 try:

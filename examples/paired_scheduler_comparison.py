@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Head-to-head scheduler comparison with variance reduction.
 
-Demonstrates the three variance-reduction tools of the campaign engine on
-one question — "how much lower is JABA-SD(J1)'s mean packet delay than
-FCFS's?":
+Demonstrates the two variance-reduction tools of the campaign engine on one
+question — "how much lower is JABA-SD(J1)'s mean packet delay than FCFS's?":
 
 1. **Paired CRN deltas** — both schedulers share a seed group, so every
    replication pair replays the same traffic; the paired-t interval on the
@@ -12,11 +11,7 @@ FCFS's?":
 2. **Sequential stopping** — instead of guessing a replication count, pass
    ``--ci-target`` and the campaign replicates in waves until the paired
    metric's 95% half-width is small enough (bit-identical for any worker
-   count).
-3. **Antithetic streams** — a toy campaign (runners must draw through
-   ``rng_for_leaf``; the built-in simulators collapse the leaf to an
-   integer seed and so cannot mirror) showing the pair-averaged estimator
-   beating plain replications on a monotone response.
+   count).  The stopping rule is set on the campaign before it runs.
 
 Run it with ``python examples/paired_scheduler_comparison.py [--ci-target S]``.
 """
@@ -25,33 +20,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import Campaign, rng_for_leaf
 from repro.experiments.common import paper_scenario
-from repro.experiments.compare import run_scheduler_comparison
-
-
-def _antithetic_demo(replications: int = 16) -> None:
-    """Toy campaign: mean of exp(u) — monotone in u, so mirroring helps."""
-
-    def runner(params, seed):
-        import math
-
-        rng = rng_for_leaf(seed)
-        return {"mean_exp_u": float(
-            sum(math.exp(u) for u in rng.random(64)) / 64
-        )}
-
-    plain = Campaign("plain", runner, [{}], replications=replications,
-                     root_seed=42).run()
-    paired = Campaign("antithetic", runner, [{}], replications=replications,
-                      root_seed=42, antithetic=True).run()
-    plain_summary = plain.points[0].summary()["mean_exp_u"]
-    paired_summary = paired.points[0].summary()["mean_exp_u"]
-    print(f"antithetic demo (mean of exp(u), {replications} replications):")
-    print(f"  plain       ci half-width {plain_summary.ci_half_width:.5f} "
-          f"({plain_summary.count} samples)")
-    print(f"  antithetic  ci half-width {paired_summary.ci_half_width:.5f} "
-          f"({paired_summary.count} pair averages)")
+from repro.experiments.compare import build_comparison_campaign, compare_schedulers
 
 
 def main() -> None:
@@ -68,18 +38,17 @@ def main() -> None:
                              "reaches this (seconds) at every point")
     args = parser.parse_args()
 
-    result = run_scheduler_comparison(
+    campaign = build_comparison_campaign(
         args.scheduler_a,
         args.scheduler_b,
         loads=args.loads,
         scenario=paper_scenario(duration_s=args.duration, warmup_s=1.0),
         num_seeds=args.seeds,
-        workers=args.workers,
-        ci_target=args.ci_target,
     )
-    print(result.to_table())
-    print()
-    _antithetic_demo()
+    if args.ci_target is not None:
+        campaign.configure_sequential(args.ci_target, "mean_delay_s")
+    outcome = campaign.run(workers=args.workers)
+    print(compare_schedulers(outcome, args.scheduler_a, args.scheduler_b).to_table())
 
 
 if __name__ == "__main__":

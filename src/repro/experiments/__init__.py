@@ -22,18 +22,22 @@ T3        :mod:`repro.experiments.handoff_ablation`
 Every module exposes a ``run_*`` function returning an
 :class:`~repro.experiments.common.ExperimentResult` and a ``main()`` that
 prints the paper-style table; the corresponding pytest-benchmark lives in
-``benchmarks/``.
+``benchmarks/``.  The Monte-Carlo experiments (F2–F5, T1, T2 and the paired
+comparison of :mod:`repro.experiments.compare`) are each a
+``build_*_campaign`` function plus a ``reduce_*`` reducer, and their
+``run_*`` function is exactly ``reduce(build(...).run(workers=...,
+executor=...))``.  A campaign's other run options — checkpoint, tracing,
+sequential stopping — are set on the
+:class:`~repro.experiments.campaign.Campaign` itself, as ``python -m
+repro.experiments`` and ``report --compare`` do.
 """
 
 from repro.experiments.campaign import (
-    AntitheticSeedSequence,
     Campaign,
     CampaignResult,
     DeltaSummary,
     MetricSummary,
-    is_antithetic,
     replication_seed,
-    rng_for_leaf,
     seed_sequence_to_int,
 )
 from repro.experiments.common import (
@@ -63,14 +67,11 @@ from repro.experiments.solver_ablation import run_solver_ablation
 from repro.experiments.handoff_ablation import run_handoff_ablation
 
 __all__ = [
-    "AntitheticSeedSequence",
     "Campaign",
     "CampaignResult",
     "DeltaSummary",
     "MetricSummary",
-    "is_antithetic",
     "replication_seed",
-    "rng_for_leaf",
     "seed_sequence_to_int",
     "scheduler_from_spec",
     "ExperimentResult",

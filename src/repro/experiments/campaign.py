@@ -50,14 +50,19 @@ production-scale estimator:
 The engine is deliberately simulator-agnostic: a *runner* is any picklable
 module-level callable ``runner(params, seed_sequence) -> dict[str, float]``.
 The experiment modules (:mod:`repro.experiments.coverage`,
-:mod:`repro.experiments.delay_vs_load`, …) each expose such a runner plus a
-reducer that turns the campaign result back into the paper-style table.
+:mod:`repro.experiments.delay_vs_load`, …) each expose such a runner, a
+``build_*_campaign`` grid and a reducer that turns the campaign result back
+into the paper-style table; their ``run_*`` functions are exactly
+``reduce(build(...).run(workers=..., executor=...))``.  The other run options
+— ``checkpoint_path``, ``trace_dir`` and the sequential-stopping rule
+(``ci_target`` / ``ci_metric`` / ``max_replications``) — are set only here,
+on the :class:`Campaign` and its :meth:`Campaign.run`, by :func:`main`
+(``python -m repro.experiments``) and ``report --compare``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 import signal
@@ -79,7 +84,6 @@ from repro.experiments.journal import CheckpointJournal
 from repro.experiments.swarm import SwarmExecutor
 from repro.utils.hooks import SimHooks, resolve_hooks
 from repro.utils.recorder import EventRecorder, JsonlSink, use_recorder
-from repro.utils.rng import AntitheticRng
 from repro.utils.stats import (
     confidence_interval,
     paired_confidence_interval,
@@ -89,10 +93,6 @@ from repro.utils.stats import (
 __all__ = [
     "replication_seed",
     "seed_sequence_to_int",
-    "AntitheticSeedSequence",
-    "is_antithetic",
-    "rng_for_leaf",
-    "grid_points",
     "clear_shared_replications",
     "MetricSummary",
     "DeltaSummary",
@@ -114,45 +114,8 @@ Runner = Callable[[Mapping[str, object], np.random.SeedSequence], MetricDict]
 # ---------------------------------------------------------------------------
 # Deterministic seed tree
 # ---------------------------------------------------------------------------
-class AntitheticSeedSequence(np.random.SeedSequence):
-    """A seed-tree leaf whose stream must be *reflected*, not consumed as-is.
-
-    It seeds a generator to the exact same state as the plain leaf with the
-    same coordinates; the ``antithetic`` marker tells the runner (through
-    :func:`rng_for_leaf`) to wrap that generator in
-    :class:`repro.utils.rng.AntitheticRng`, which mirrors every draw.
-    Runners that ignore the marker would silently break the negative
-    coupling, so :func:`seed_sequence_to_int` refuses antithetic leaves.
-    """
-
-    antithetic = True
-
-
-def is_antithetic(sequence: np.random.SeedSequence) -> bool:
-    """Whether a seed-tree leaf requests the antithetic (mirrored) stream."""
-    return bool(getattr(sequence, "antithetic", False))
-
-
-def rng_for_leaf(sequence: np.random.SeedSequence):
-    """Build the generator a runner should draw from for this leaf.
-
-    Plain leaves give an ordinary :class:`numpy.random.Generator`; leaves
-    marked antithetic give an :class:`repro.utils.rng.AntitheticRng` whose
-    underlying generator is seeded identically to the primary replication of
-    the pair, so every draw is the primary draw reflected.  Runners that
-    opt in to antithetic campaigns must obtain their generator through this
-    helper instead of ``np.random.default_rng(seed)``.
-    """
-    if is_antithetic(sequence):
-        primary = np.random.SeedSequence(
-            entropy=sequence.entropy, spawn_key=tuple(sequence.spawn_key)
-        )
-        return AntitheticRng(np.random.default_rng(primary))
-    return np.random.default_rng(sequence)
-
-
 def replication_seed(
-    root_seed: int, seed_group: int, replication: int, antithetic: bool = False
+    root_seed: int, seed_group: int, replication: int
 ) -> np.random.SeedSequence:
     """Seed-tree leaf for replication ``replication`` of group ``seed_group``.
 
@@ -162,13 +125,11 @@ def replication_seed(
     determinism contract the campaign engine is built on.  Points sharing a
     seed group (common-random-numbers designs) share leaves; distinct
     ``(seed_group, replication)`` coordinates give provably independent
-    streams.  ``antithetic=True`` returns the same coordinates marked as an
-    :class:`AntitheticSeedSequence` — the mirror stream of the plain leaf.
+    streams.
     """
     if seed_group < 0 or replication < 0:
         raise ValueError("seed_group and replication must be non-negative")
-    cls = AntitheticSeedSequence if antithetic else np.random.SeedSequence
-    return cls(
+    return np.random.SeedSequence(
         entropy=int(root_seed), spawn_key=(int(seed_group), int(replication))
     )
 
@@ -180,57 +141,8 @@ def seed_sequence_to_int(sequence: np.random.SeedSequence) -> int:
     (e.g. :attr:`repro.simulation.scenario.ScenarioConfig.seed`); the mapping
     is injective enough in practice that distinct leaves keep distinct
     streams (certified by the collision tests in the campaign test suite).
-
-    Antithetic leaves are refused: an integer master seed reconstructs the
-    *primary* stream, which would silently drop the reflection and destroy
-    the negative coupling the pair exists for.  Runners that support
-    antithetic campaigns must draw through :func:`rng_for_leaf` instead.
     """
-    if is_antithetic(sequence):
-        raise ValueError(
-            "antithetic seed leaf cannot be collapsed to an integer seed; "
-            "the runner must build its generator with rng_for_leaf() to "
-            "honour the mirrored stream"
-        )
     return int(sequence.generate_state(1, np.uint64)[0])
-
-
-def grid_points(
-    axes: Mapping[str, Sequence[object]],
-    paired: Sequence[str] = ("scheduler",),
-) -> Tuple[List[Dict[str, object]], List[int]]:
-    """Cartesian-product grid with common-random-numbers seed groups.
-
-    ``axes`` maps axis name to its values; the returned points enumerate the
-    full product (in ``itertools.product`` order, first axis slowest).  The
-    returned seed groups make every point that differs only in the ``paired``
-    axes share a group — the CRN design that makes *policy* comparisons
-    paired: with ``paired=("scheduler",)``, every scheduler sees the same
-    replication streams at each load, exactly as the hand-built delay and
-    coverage grids arrange.  Feed both lists to :class:`Campaign`::
-
-        points, groups = grid_points(
-            {"load": [6, 12], "scheduler": ["JABA-SD(J1)", "proportional-fair"]}
-        )
-        Campaign(..., points=points, seed_groups=groups)
-    """
-    names = list(axes)
-    unknown = [name for name in paired if name not in names]
-    if unknown:
-        raise ValueError(
-            f"paired axes {unknown} are not grid axes; axes: {names}"
-        )
-    points: List[Dict[str, object]] = []
-    seed_groups: List[int] = []
-    group_of: Dict[Tuple[str, ...], int] = {}
-    for combo in itertools.product(*(list(axes[name]) for name in names)):
-        point = dict(zip(names, combo))
-        key = tuple(
-            Campaign._stable_repr(point[name]) for name in names if name not in paired
-        )
-        seed_groups.append(group_of.setdefault(key, len(group_of)))
-        points.append(point)
-    return points, seed_groups
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +266,12 @@ class PointResult:
     quarantined (exhausted retries) to the last failure reason; those
     replications are absent from ``replications`` and the point's summaries
     are computed over the survivors only.
-
-    When the campaign ran with ``antithetic=True``, replication ``2k + 1``
-    is the mirrored stream of replication ``2k``; the statistical unit is
-    then the *pair*, and :meth:`samples` returns within-pair averages
-    (pairs with a missing member are dropped — half a pair is not an
-    unbiased draw of the pair mean).
     """
 
     index: int
     params: Dict[str, object]
     replications: Dict[int, MetricDict] = field(default_factory=dict)
     failures: Dict[int, str] = field(default_factory=dict)
-    antithetic: bool = False
     seed_group: Optional[int] = None
 
     def metric_names(self) -> List[str]:
@@ -378,31 +283,16 @@ class PointResult:
         return list(names)
 
     def sample_map(self, metric: str) -> Dict[int, float]:
-        """The metric's samples keyed by statistical unit.
+        """The metric's samples keyed by replication index.
 
-        Plain campaigns key by replication index; antithetic campaigns key
-        by pair index ``k`` with the within-pair average of replications
-        ``2k`` and ``2k + 1`` as the value.  The keys are what makes CRN
-        deltas between two points pair the *same* streams (see
-        :meth:`CampaignResult.compare_points`).
+        The keys are what makes CRN deltas between two points pair the
+        *same* streams (see :meth:`CampaignResult.compare_points`).
         """
-        if not self.antithetic:
-            return {
-                rep: float(self.replications[rep][metric])
-                for rep in sorted(self.replications)
-                if metric in self.replications[rep]
-            }
-        pairs: Dict[int, float] = {}
-        for rep in sorted(self.replications):
-            if rep % 2 or (rep + 1) not in self.replications:
-                continue
-            primary = self.replications[rep]
-            mirror = self.replications[rep + 1]
-            if metric in primary and metric in mirror:
-                pairs[rep // 2] = 0.5 * (
-                    float(primary[metric]) + float(mirror[metric])
-                )
-        return pairs
+        return {
+            rep: float(self.replications[rep][metric])
+            for rep in sorted(self.replications)
+            if metric in self.replications[rep]
+        }
 
     def samples(self, metric: str) -> List[float]:
         """The metric's samples in replication order (determinism anchor)."""
@@ -420,14 +310,21 @@ class PointResult:
             )
         ]
 
+    def summarise(self, metric: str, confidence: float = 0.95) -> MetricSummary:
+        """Aggregate of one metric over the replications.
+
+        A metric no replication produced — every replication of the point
+        was quarantined — summarises to ``count=0`` and NaN statistics, so a
+        reducer still emits the point's row and :func:`flag_degraded
+        <repro.experiments.common.flag_degraded>` marks it.
+        """
+        return MetricSummary.from_samples(
+            self.samples(metric), confidence, failed=len(self.failures)
+        )
+
     def summary(self, confidence: float = 0.95) -> Dict[str, MetricSummary]:
         """Per-metric aggregate over the replications."""
-        return {
-            name: MetricSummary.from_samples(
-                self.samples(name), confidence, failed=len(self.failures)
-            )
-            for name in self.metric_names()
-        }
+        return {name: self.summarise(name, confidence) for name in self.metric_names()}
 
 
 @dataclass
@@ -456,7 +353,6 @@ class CampaignResult:
     executor_name: str = "serial"
     executor_stats: Dict[str, int] = field(default_factory=dict)
     seed_groups: List[int] = field(default_factory=list)
-    antithetic: bool = False
     realised_replications: Optional[List[int]] = None
     waves: int = 1
     ci_target: Optional[float] = None
@@ -491,8 +387,7 @@ class CampaignResult:
         (under the positive correlation CRN induces) strictly tighter than
         the Welch interval on the same samples.  Pairs where either side is
         missing (quarantined) or non-finite are dropped and counted in
-        ``non_finite``; in antithetic campaigns the pairing unit is the
-        antithetic pair average.
+        ``non_finite``.
         """
         point_a = self.points[index_a]
         point_b = self.points[index_b]
@@ -555,11 +450,7 @@ def _execute_task(payload) -> MetricDict:
     """Run one replication; the executing process may be anywhere.
 
     ``payload`` is ``(runner, params, root_seed, point_index, replication,
-    seed_group, fault_plan, trace_dir, antithetic)``.  In antithetic mode
-    the odd replication ``2k + 1`` is executed on the *mirror* of
-    replication ``2k``'s seed leaf (same coordinates, marked antithetic), so
-    the pair is negatively coupled draw for draw.  The optional fault plan
-    fires
+    seed_group, fault_plan, trace_dir)``.  The optional fault plan fires
     *before* the runner, so an injected fault can fail or delay the attempt
     but can never alter the metrics of a successful one — which is what
     makes chaos runs bit-identical to clean ones.
@@ -582,16 +473,10 @@ def _execute_task(payload) -> MetricDict:
         seed_group,
         plan,
         trace_dir,
-        antithetic,
     ) = payload
     if plan is not None:
         plan.apply(point_index, replication)
-    if antithetic and replication % 2:
-        seed = replication_seed(
-            root_seed, seed_group, replication - 1, antithetic=True
-        )
-    else:
-        seed = replication_seed(root_seed, seed_group, replication)
+    seed = replication_seed(root_seed, seed_group, replication)
     if trace_dir is None:
         metrics = runner(params, seed)
     else:
@@ -647,13 +532,6 @@ class Campaign:
         common-random-numbers design the paper-style experiments use to make
         scheduler comparisons paired (same drops, same traffic sample paths).
         ``None`` gives every point its own group (fully independent points).
-    antithetic:
-        Pair replication ``2k`` with the antithetic (mirrored) stream as
-        replication ``2k + 1`` and average within pairs before summarising.
-        Requires an even replication count and a runner that draws through
-        :func:`rng_for_leaf` (runners collapsing the leaf with
-        :func:`seed_sequence_to_int` fail loudly).  Only helps metrics that
-        respond monotonically to the underlying uniforms.
     ci_target / ci_metric / max_replications:
         Sequential stopping (see :meth:`configure_sequential`): run
         replication waves until the ``confidence``-level CI half-width of
@@ -670,7 +548,6 @@ class Campaign:
         root_seed: int = 0,
         metadata: Optional[Mapping[str, object]] = None,
         seed_groups: Optional[Sequence[int]] = None,
-        antithetic: bool = False,
         ci_target: Optional[float] = None,
         ci_metric: Optional[str] = None,
         max_replications: Optional[int] = None,
@@ -691,12 +568,6 @@ class Campaign:
             if len(seed_groups) != len(self.points):
                 raise ValueError("seed_groups must match points in length")
             self.seed_groups = [int(g) for g in seed_groups]
-        self.antithetic = bool(antithetic)
-        if self.antithetic and self.replications % 2:
-            raise ValueError(
-                "antithetic campaigns need an even replication count "
-                "(replication 2k+1 is the mirror of replication 2k)"
-            )
         self.ci_target: Optional[float] = None
         self.ci_metric: Optional[str] = None
         self.max_replications: Optional[int] = None
@@ -705,8 +576,8 @@ class Campaign:
 
     def configure_sequential(
         self,
-        ci_target: Optional[float],
-        ci_metric: Optional[str],
+        ci_target: float,
+        ci_metric: str,
         max_replications: Optional[int] = None,
     ) -> "Campaign":
         """Enable sequential stopping: replicate until the CI is tight enough.
@@ -719,12 +590,7 @@ class Campaign:
         samples, so aggregates stay bit-identical for any worker count or
         executor, and a resumed run replays the same wave schedule from the
         checkpoint without recomputing anything.
-
-        ``ci_target=None`` is a no-op (keeps the fixed-count behaviour),
-        letting run wrappers pass CLI flags through unconditionally.
         """
-        if ci_target is None:
-            return self
         if ci_target <= 0.0:
             raise ValueError("ci_target must be positive")
         if not ci_metric:
@@ -738,8 +604,6 @@ class Campaign:
         )
         if self.max_replications < self.replications:
             raise ValueError("max_replications must be at least replications")
-        if self.antithetic and self.max_replications % 2:
-            raise ValueError("antithetic campaigns need an even max_replications")
         return self
 
     # -- checkpointing -----------------------------------------------------------
@@ -769,8 +633,6 @@ class Campaign:
         wave schedule is a pure function of the completed samples, so a
         checkpoint from a fixed-count run resumes cleanly into a sequential
         one (and vice versa) — the task keys are the same coordinates.
-        ``antithetic`` *is* included (only when on, keeping historic
-        fingerprints valid): it changes what every odd replication computes.
         """
         parts = [
             self.name,
@@ -779,8 +641,6 @@ class Campaign:
             str(len(self.points)),
             repr(self.seed_groups),
         ]
-        if self.antithetic:
-            parts.append("antithetic=True")
         for point in self.points:
             parts.append(repr(self._params_repr(point)))
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
@@ -793,14 +653,13 @@ class Campaign:
     def _share_prefixes(self) -> List[Optional[tuple]]:
         """Per-point prefix of the replication-store key (``None``: never shared).
 
-        The key of replication ``r`` is the prefix plus ``r`` and whether
-        ``r`` runs on the mirrored (antithetic) leaf.  With the runner, the
-        point's params as :meth:`fingerprint` hashes them, the root seed and
-        the seed group, that is exactly what :func:`_execute_task` derives
-        the replication's seed from.  A runner not reachable by its name and
-        a point holding a callable are never shared, because
-        :meth:`_stable_repr` names callables by their qualified name, which
-        two lambdas share.
+        The key of replication ``r`` is the prefix plus ``r``.  With the
+        runner, the point's params as :meth:`fingerprint` hashes them, the
+        root seed and the seed group, that is exactly what
+        :func:`_execute_task` derives the replication's seed from.  A runner
+        not reachable by its name and a point holding a callable are never
+        shared, because :meth:`_stable_repr` names callables by their
+        qualified name, which two lambdas share.
         """
         if not _importable(self.runner):
             return [None] * len(self.points)
@@ -844,15 +703,7 @@ class Campaign:
                 f"ci_metric {self.ci_metric!r} is not among the runner's "
                 f"metrics; available: {sorted(available)}"
             )
-        if self.antithetic:
-            samples = [
-                0.5 * (values[rep] + values[rep + 1])
-                for rep in range(0, realised - 1, 2)
-                if rep in values and rep + 1 in values
-            ]
-        else:
-            samples = [values[rep] for rep in sorted(values)]
-        samples = [sample for sample in samples if math.isfinite(sample)]
+        samples = [values[rep] for rep in sorted(values) if math.isfinite(values[rep])]
         if len(samples) < 2:
             return math.nan
         return confidence_interval(samples)[1]
@@ -949,14 +800,13 @@ class Campaign:
 
         **One replication, many campaigns.**  A replication is a pure
         function of its runner, its point's params and its seed-tree
-        coordinates ``(root_seed, seed_group, replication)`` plus whether
-        it runs on the mirrored leaf.  Every replication completed by a
-        successful run — computed, resumed from the checkpoint or served —
-        is published under that key to a process-wide store; an existing
-        entry keeps its producer.  Before each wave is issued, every
-        missing replication found in the store is served from it through
-        the same path as a computed one: it is journaled, reported to
-        ``progress`` and counted in
+        coordinates ``(root_seed, seed_group, replication)``.  Every
+        replication completed by a successful run — computed, resumed from
+        the checkpoint or served — is published under that key to a
+        process-wide store; an existing entry keeps its producer.  Before
+        each wave is issued, every missing replication found in the store is
+        served from it through the same path as a computed one: it is
+        journaled, reported to ``progress`` and counted in
         :attr:`CampaignResult.shared_replications`, and it never reaches
         the executor.  The ``task_shared`` hook names the producing
         campaign, and a served replication writes no per-replication trace.
@@ -1032,7 +882,7 @@ class Campaign:
             prefix = prefixes[pi]
             if prefix is None:
                 return None
-            return prefix + (rep, self.antithetic and rep % 2 == 1)
+            return prefix + (rep,)
 
         def serve_from_store() -> None:
             # A missing replication another campaign of this process has
@@ -1066,7 +916,6 @@ class Campaign:
                         self.seed_groups[pi],
                         fault_plan,
                         trace_dir,
-                        self.antithetic,
                     ),
                 )
                 for pi in range(len(self.points))
@@ -1170,7 +1019,6 @@ class Campaign:
             PointResult(
                 index=index,
                 params=dict(params),
-                antithetic=self.antithetic,
                 seed_group=self.seed_groups[index],
             )
             for index, params in enumerate(self.points)
@@ -1195,7 +1043,6 @@ class Campaign:
             executor_name=backend.name,
             executor_stats=backend.stats.as_dict(),
             seed_groups=list(self.seed_groups),
-            antithetic=self.antithetic,
             realised_replications=list(realised) if sequential else None,
             waves=waves,
             ci_target=self.ci_target,
@@ -1367,12 +1214,16 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
         executor = args.executor
 
     from dataclasses import replace as dc_replace
+    from functools import partial
 
-    from repro.experiments.capacity import run_capacity
+    from repro.experiments.capacity import build_capacity_campaign, reduce_capacity
     from repro.experiments.common import paper_scenario, scheduler_from_spec
-    from repro.experiments.coverage import run_coverage
-    from repro.experiments.delay_vs_load import run_delay_vs_load
-    from repro.experiments.objectives_tradeoff import run_objectives_tradeoff
+    from repro.experiments.coverage import build_coverage_campaign, reduce_coverage
+    from repro.experiments.delay_vs_load import build_delay_campaign, reduce_delay
+    from repro.experiments.objectives_tradeoff import (
+        build_objectives_campaign,
+        reduce_objectives,
+    )
     from repro.registry import RegistryError, build_scenario, load_scenario_spec
 
     # Every scheduler spec (legacy label or registered name with kwargs) is
@@ -1408,32 +1259,19 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
         )
         factories = {label: spec_scheduler_section}
 
-    common = dict(
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-        executor=executor,
-        trace_dir=args.trace_dir,
-    )
-    if args.ci_target is not None:
-        default_metric = (
-            "coverage" if args.experiment == "coverage" else "mean_delay_s"
-        )
-        common.update(
-            ci_target=args.ci_target,
-            ci_metric=args.ci_metric or default_metric,
-            max_replications=args.max_replications,
-        )
+    # One path for every experiment: build the campaign, set its run
+    # options on it, run it, reduce the result to the paper-style table.
     if args.experiment == "coverage":
         kwargs = dict(
             loads=args.loads,
             num_drops=args.num_drops if args.num_drops is not None else 30,
             num_replications=args.replications,
             scheduler_factories=factories,
-            **common,
         )
         if args.root_seed is not None:
             kwargs["seed"] = args.root_seed
-        result = run_coverage(**kwargs)
+        campaign = build_coverage_campaign(**kwargs)
+        reduce = partial(reduce_coverage, metadata=campaign.metadata)
     else:
         if spec_scenario is not None:
             scenario = spec_scenario
@@ -1448,27 +1286,37 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
             )
         if args.root_seed is not None:
             scenario = scenario.with_seed(args.root_seed)
+        grid = dict(
+            loads=args.loads,
+            scenario=scenario,
+            scheduler_factories=factories,
+            num_seeds=args.replications,
+        )
         if args.experiment == "delay":
-            result = run_delay_vs_load(
-                loads=args.loads,
-                scenario=scenario,
-                scheduler_factories=factories,
-                num_seeds=args.replications,
-                **common,
-            )
+            campaign = build_delay_campaign(**grid)
+            reduce = reduce_delay
         elif args.experiment == "capacity":
-            result = run_capacity(
-                loads=args.loads,
-                scenario=scenario,
-                scheduler_factories=factories,
-                num_seeds=args.replications,
-                **common,
+            campaign = build_capacity_campaign(**grid)
+            reduce = partial(
+                reduce_capacity, delay_target_s=campaign.metadata["delay_target_s"]
             )
         else:
-            result = run_objectives_tradeoff(
-                scenario=scenario, num_seeds=args.replications, **common
+            campaign = build_objectives_campaign(
+                scenario=scenario, num_seeds=args.replications
             )
-    print(result.to_table())
+            reduce = partial(reduce_objectives, **campaign.metadata)
+    if args.ci_target is not None:
+        default_metric = "coverage" if args.experiment == "coverage" else "mean_delay_s"
+        campaign.configure_sequential(
+            args.ci_target, args.ci_metric or default_metric, args.max_replications
+        )
+    outcome = campaign.run(
+        workers=args.workers,
+        checkpoint_path=args.checkpoint,
+        executor=executor,
+        trace_dir=args.trace_dir,
+    )
+    print(reduce(outcome).to_table())
     return 0
 
 

@@ -21,12 +21,38 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional, Sequence
 
-from repro.experiments.campaign import CampaignResult
+from repro.experiments.campaign import Campaign, CampaignResult
 from repro.experiments.common import ExperimentResult, SchedulerSpec, flag_degraded
 from repro.experiments.delay_vs_load import build_delay_campaign
 from repro.simulation.scenario import ScenarioConfig
 
-__all__ = ["run_capacity", "main"]
+__all__ = ["build_capacity_campaign", "reduce_capacity", "run_capacity", "main"]
+
+
+def build_capacity_campaign(
+    delay_target_s: float = 1.0,
+    loads: Optional[Sequence[int]] = None,
+    scenario: Optional[ScenarioConfig] = None,
+    scheduler_factories: Optional[Mapping[str, SchedulerSpec]] = None,
+    num_seeds: int = 1,
+) -> Campaign:
+    """The (load × scheduler) delay grid behind :func:`run_capacity`.
+
+    It is F2/F3's grid under its own name, so in one process its
+    replications at F2/F3's loads are served from F2/F3's.  The delay target
+    rides in ``metadata["delay_target_s"]`` for :func:`reduce_capacity`.
+    """
+    if delay_target_s <= 0.0:
+        raise ValueError("delay_target_s must be positive")
+    campaign = build_delay_campaign(
+        loads=sorted(loads) if loads is not None else [6, 12, 18, 24, 30],
+        scenario=scenario,
+        scheduler_factories=scheduler_factories,
+        num_seeds=num_seeds,
+    )
+    campaign.name = "T1-capacity"
+    campaign.metadata["delay_target_s"] = float(delay_target_s)
+    return campaign
 
 
 def reduce_capacity(
@@ -43,8 +69,7 @@ def reduce_capacity(
     )
     by_scheduler: Dict[str, Dict[int, Dict[str, float]]] = {}
     for point in campaign_result.points:
-        summary = point.summary()
-        delay = summary["mean_delay_s"]
+        delay = point.summarise("mean_delay_s")
         by_scheduler.setdefault(str(point.params["scheduler"]), {})[
             int(point.params["load"])
         ] = {"delay": delay.mean, "ci": delay.ci_half_width, "n": delay.count}
@@ -84,12 +109,7 @@ def run_capacity(
     scheduler_factories: Optional[Mapping[str, SchedulerSpec]] = None,
     num_seeds: int = 1,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
-    trace_dir: Optional[str] = None,
-    ci_target: Optional[float] = None,
-    ci_metric: Optional[str] = None,
-    max_replications: Optional[int] = None,
 ) -> ExperimentResult:
     """Estimate the per-cell data-user capacity of every scheduler.
 
@@ -99,33 +119,17 @@ def run_capacity(
         Mean packet-call delay that still counts as acceptable service.
     loads:
         Increasing data-user populations probed (default 6, 12, 18, 24, 30).
-    scenario / scheduler_factories / num_seeds / workers / checkpoint_path /
-    executor / trace_dir / ci_target / ci_metric / max_replications:
-        As in :func:`repro.experiments.delay_vs_load.run_delay_vs_load`
-        (sequential stopping watches ``mean_delay_s`` by default — the metric
-        the capacity scan thresholds).
+    scenario / scheduler_factories / num_seeds / workers / executor:
+        As in :func:`repro.experiments.delay_vs_load.run_delay_vs_load`.
     """
-    if delay_target_s <= 0.0:
-        raise ValueError("delay_target_s must be positive")
-    loads = sorted(loads) if loads is not None else [6, 12, 18, 24, 30]
-    campaign = build_delay_campaign(
+    campaign = build_capacity_campaign(
+        delay_target_s=delay_target_s,
         loads=loads,
         scenario=scenario,
         scheduler_factories=scheduler_factories,
         num_seeds=num_seeds,
     )
-    campaign.name = "T1-capacity"
-    campaign.configure_sequential(
-        ci_target,
-        ci_metric if ci_metric is not None else "mean_delay_s",
-        max_replications=max_replications,
-    )
-    outcome = campaign.run(
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
-        trace_dir=trace_dir,
-    )
+    outcome = campaign.run(workers=workers, executor=executor)
     return reduce_capacity(outcome, delay_target_s)
 
 

@@ -11,26 +11,23 @@ comparisons of this evaluation it is typically well below one, i.e. a paired
 campaign resolves a scheduler gap with far fewer replications than an
 unpaired one.
 
-Exposed both as a library call (:func:`run_scheduler_comparison`) and as the
-report CLI's ``--compare A B`` mode (``python -m repro.experiments report
---compare "JABA-SD(J1)" FCFS``).
+Exposed both as a library call (:func:`run_scheduler_comparison`, which is
+:func:`build_comparison_campaign` reduced by :func:`compare_schedulers`) and
+as the report CLI's ``--compare A B`` mode (``python -m repro.experiments
+report --compare "JABA-SD(J1)" FCFS``), which runs the same campaign and sets
+its sequential stopping rule (``--ci-target``) on the campaign itself.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.campaign import CampaignResult
-from repro.experiments.common import (
-    ExperimentResult,
-    SchedulerSpec,
-    flag_degraded,
-    paper_scenario,
-)
+from repro.experiments.campaign import Campaign, CampaignResult
+from repro.experiments.common import ExperimentResult, flag_degraded
 from repro.experiments.delay_vs_load import build_delay_campaign
 from repro.simulation.scenario import ScenarioConfig
 
-__all__ = ["compare_schedulers", "run_scheduler_comparison"]
+__all__ = ["build_comparison_campaign", "compare_schedulers", "run_scheduler_comparison"]
 
 
 def compare_schedulers(
@@ -129,6 +126,32 @@ def compare_schedulers(
     return flag_degraded(result, campaign_result)
 
 
+def build_comparison_campaign(
+    scheduler_a: str = "JABA-SD(J1)",
+    scheduler_b: str = "FCFS",
+    loads: Optional[Sequence[int]] = None,
+    scenario: Optional[ScenarioConfig] = None,
+    num_seeds: int = 4,
+) -> Campaign:
+    """The F2/F3 delay campaign restricted to two schedulers.
+
+    Both share one seed group, so the comparison is paired by construction.
+    The labels double as registry specs (``"JABA-SD(J1)"``, ``"FCFS"``,
+    ``"jaba-sd:objective=J2"``...); ``loads`` / ``scenario`` / ``num_seeds``
+    are as in :func:`~repro.experiments.delay_vs_load.build_delay_campaign`.
+    """
+    if scheduler_a == scheduler_b:
+        raise ValueError("compare needs two distinct scheduler labels")
+    campaign = build_delay_campaign(
+        loads=loads,
+        scenario=scenario,
+        scheduler_factories={scheduler_a: scheduler_a, scheduler_b: scheduler_b},
+        num_seeds=num_seeds,
+    )
+    campaign.name = f"CMP-{scheduler_a}-vs-{scheduler_b}"
+    return campaign
+
+
 def run_scheduler_comparison(
     scheduler_a: str = "JABA-SD(J1)",
     scheduler_b: str = "FCFS",
@@ -136,58 +159,15 @@ def run_scheduler_comparison(
     scenario: Optional[ScenarioConfig] = None,
     num_seeds: int = 4,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
-    trace_dir: Optional[str] = None,
-    metrics: Optional[Sequence[str]] = None,
-    spec_a: Optional[SchedulerSpec] = None,
-    spec_b: Optional[SchedulerSpec] = None,
-    ci_target: Optional[float] = None,
-    ci_metric: Optional[str] = None,
-    max_replications: Optional[int] = None,
 ) -> ExperimentResult:
-    """Run a two-scheduler delay campaign and reduce it to paired deltas.
+    """Run :func:`build_comparison_campaign` and reduce it to paired deltas.
 
-    Builds the F2/F3 delay campaign restricted to the two schedulers (one
-    shared seed group, so the comparison is paired by construction) and
-    reduces it with :func:`compare_schedulers`.
-
-    Parameters
-    ----------
-    scheduler_a / scheduler_b:
-        Labels for the two policies; by default the labels double as registry
-        specs (``"JABA-SD(J1)"``, ``"FCFS"``, ``"jaba-sd:objective=J2"``...).
-        ``spec_a`` / ``spec_b`` override the spec while keeping the label.
-    loads / scenario / num_seeds / workers / checkpoint_path / executor /
-    trace_dir:
-        As in :func:`~repro.experiments.delay_vs_load.run_delay_vs_load`.
-    ci_target / ci_metric / max_replications:
-        Optional sequential stopping: replicate until the 95% half-width of
-        ``ci_metric`` (default ``mean_delay_s``) is at most ``ci_target`` at
-        every point (see :meth:`Campaign.configure_sequential`).
+    ``workers`` / ``executor`` are as in
+    :meth:`~repro.experiments.campaign.Campaign.run`.
     """
-    if scheduler_a == scheduler_b:
-        raise ValueError("compare needs two distinct scheduler labels")
-    factories = {
-        scheduler_a: spec_a if spec_a is not None else scheduler_a,
-        scheduler_b: spec_b if spec_b is not None else scheduler_b,
-    }
-    campaign = build_delay_campaign(
-        loads=loads,
-        scenario=scenario if scenario is not None else paper_scenario(),
-        scheduler_factories=factories,
-        num_seeds=num_seeds,
+    campaign = build_comparison_campaign(
+        scheduler_a, scheduler_b, loads=loads, scenario=scenario, num_seeds=num_seeds
     )
-    campaign.name = f"CMP-{scheduler_a}-vs-{scheduler_b}"
-    campaign.configure_sequential(
-        ci_target,
-        ci_metric if ci_metric is not None else "mean_delay_s",
-        max_replications=max_replications,
-    )
-    outcome = campaign.run(
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
-        trace_dir=trace_dir,
-    )
-    return compare_schedulers(outcome, scheduler_a, scheduler_b, metrics=metrics)
+    outcome = campaign.run(workers=workers, executor=executor)
+    return compare_schedulers(outcome, scheduler_a, scheduler_b)

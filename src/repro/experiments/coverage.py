@@ -39,7 +39,13 @@ from repro.experiments.common import (
 from repro.mac.requests import LinkDirection
 from repro.simulation.snapshot import SnapshotSimulator
 
-__all__ = ["coverage_replication", "build_coverage_campaign", "run_coverage", "main"]
+__all__ = [
+    "coverage_replication",
+    "build_coverage_campaign",
+    "reduce_coverage",
+    "run_coverage",
+    "main",
+]
 
 
 def coverage_replication(
@@ -155,8 +161,7 @@ def reduce_coverage(campaign_result: CampaignResult, metadata: Mapping) -> Exper
         ),
     )
     for point in campaign_result.points:
-        summary = point.summary()
-        coverage = summary["coverage"]
+        coverage = point.summarise("coverage")
         radius_m = point.params["radius_m"]
         result.add(
             scheduler=point.params["scheduler"],
@@ -166,10 +171,10 @@ def reduce_coverage(campaign_result: CampaignResult, metadata: Mapping) -> Exper
             ),
             coverage=coverage.mean,
             coverage_ci=coverage.ci_half_width,
-            mean_rate_kbps=summary["mean_rate_kbps"].mean,
-            aggregate_kbps=summary["aggregate_kbps"].mean,
-            grant_fraction=summary["grant_fraction"].mean,
-            fch_outage=summary["fch_outage"].mean,
+            mean_rate_kbps=point.summarise("mean_rate_kbps").mean,
+            aggregate_kbps=point.summarise("aggregate_kbps").mean,
+            grant_fraction=point.summarise("grant_fraction").mean,
+            fch_outage=point.summarise("fch_outage").mean,
             n_reps=coverage.count,
         )
     result.notes = (
@@ -193,12 +198,7 @@ def run_coverage(
     seed: int = 7,
     num_replications: int = 1,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
-    trace_dir: Optional[str] = None,
-    ci_target: Optional[float] = None,
-    ci_metric: Optional[str] = None,
-    max_replications: Optional[int] = None,
 ) -> ExperimentResult:
     """Coverage vs. data load (and optionally cell radius) per scheduler.
 
@@ -220,24 +220,10 @@ def run_coverage(
         :mod:`repro.experiments.campaign`).
     num_replications:
         Independent seed replications per grid point (the CI axis).
-    workers:
-        Worker processes sharding the replications; aggregates are
-        bit-identical for any value.
-    checkpoint_path:
-        Optional JSON checkpoint enabling resume of interrupted sweeps.
-    executor:
-        Execution back-end override (``"serial"``, ``"resilient"``,
-        ``"swarm"`` or an :class:`~repro.experiments.executors.Executor`
-        instance); the default is serial at ``workers=1`` and resilient
-        above.
-    trace_dir:
-        Optional directory receiving structured campaign telemetry
-        (``campaign.jsonl`` + one JSONL trace per replication); aggregates
-        stay bit-identical to an untraced run.
-    ci_target / ci_metric / max_replications:
-        Optional sequential stopping: issue replications in waves of
-        ``num_replications`` until the 95% CI half-width of ``ci_metric``
-        (default ``coverage``) is at most ``ci_target`` at every grid point.
+    workers / executor:
+        As in :meth:`~repro.experiments.campaign.Campaign.run`: worker
+        processes sharding the replications (bit-identical aggregates for
+        any value) and the execution back-end.
     """
     campaign = build_coverage_campaign(
         loads=loads,
@@ -252,17 +238,7 @@ def run_coverage(
         seed=seed,
         num_replications=num_replications,
     )
-    campaign.configure_sequential(
-        ci_target,
-        ci_metric if ci_metric is not None else "coverage",
-        max_replications=max_replications,
-    )
-    outcome = campaign.run(
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
-        trace_dir=trace_dir,
-    )
+    outcome = campaign.run(workers=workers, executor=executor)
     return reduce_coverage(outcome, campaign.metadata)
 
 

@@ -19,6 +19,11 @@ fixed load: its campaign is the F2/F3 grid at that load, so in one process
 its replications are served from F2/F3's (see
 :meth:`~repro.experiments.campaign.Campaign.run`).
 
+Each ``run_*`` function is its campaign builder plus its reducer; the
+campaign's run options (checkpoint, tracing, sequential stopping) are set on
+the :class:`~repro.experiments.campaign.Campaign` itself, as ``python -m
+repro.experiments`` does.
+
 Expected shape: at light load all schedulers coincide (no contention); beyond
 the knee JABA-SD sustains markedly lower delay and higher carried throughput
 than equal-share, which in turn beats FCFS; J2 trades a little mean delay for
@@ -50,6 +55,8 @@ from repro.simulation.scenario import ScenarioConfig
 __all__ = [
     "dynamic_replication",
     "build_delay_campaign",
+    "reduce_delay",
+    "reduce_admission",
     "run_delay_vs_load",
     "run_admission_statistics",
     "main",
@@ -134,24 +141,28 @@ def reduce_delay(campaign_result: CampaignResult) -> ExperimentResult:
         ),
     )
     for point in campaign_result.points:
-        summary = point.summary()
-        delay = summary["mean_delay_s"]
+        delay = point.summarise("mean_delay_s")
         result.add(
             scheduler=point.params["scheduler"],
             data_users_per_cell=int(point.params["load"]),
             mean_delay_s=delay.mean,
             delay_ci_s=delay.ci_half_width,
-            forward_delay_s=summary["forward_delay_s"].mean,
-            reverse_delay_s=summary["reverse_delay_s"].mean,
-            p90_delay_s=summary["p90_delay_s"].mean,
-            carried_kbps=summary["carried_kbps"].mean,
-            offered_kbps=summary["offered_kbps"].mean,
-            grant_rate=summary["grant_rate"].mean,
-            mean_granted_m=summary["mean_granted_m"].mean,
-            forward_utilisation=summary["forward_utilisation"].mean,
-            reverse_rise_db=summary["reverse_rise_db"].mean,
-            fch_outage=summary["fch_outage"].mean,
-            completed_calls=summary["completed_calls"].mean,
+            **{
+                name: point.summarise(name).mean
+                for name in (
+                    "forward_delay_s",
+                    "reverse_delay_s",
+                    "p90_delay_s",
+                    "carried_kbps",
+                    "offered_kbps",
+                    "grant_rate",
+                    "mean_granted_m",
+                    "forward_utilisation",
+                    "reverse_rise_db",
+                    "fch_outage",
+                    "completed_calls",
+                )
+            },
             n_seeds=delay.count,
         )
     result.notes = (
@@ -162,18 +173,38 @@ def reduce_delay(campaign_result: CampaignResult) -> ExperimentResult:
     return flag_degraded(result, campaign_result)
 
 
+def reduce_admission(campaign_result: CampaignResult, load: int) -> ExperimentResult:
+    """Aggregate a one-load delay campaign into the T2 admission table."""
+    result = ExperimentResult(
+        experiment_id="T2",
+        title=f"Burst admission statistics at {load} data users per cell",
+    )
+    for point in campaign_result.points:
+        result.add(
+            scheduler=point.params["scheduler"],
+            **{
+                name: point.summarise(name).mean
+                for name in (
+                    "grant_rate",
+                    "mean_granted_m",
+                    "carried_kbps",
+                    "forward_utilisation",
+                    "reverse_rise_db",
+                    "fch_outage",
+                )
+            },
+            n_seeds=point.summarise("mean_delay_s").count,
+        )
+    return flag_degraded(result, campaign_result)
+
+
 def run_delay_vs_load(
     loads: Optional[Sequence[int]] = None,
     scenario: Optional[ScenarioConfig] = None,
     scheduler_factories: Optional[Mapping[str, SchedulerSpec]] = None,
     num_seeds: int = 1,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
-    trace_dir: Optional[str] = None,
-    ci_target: Optional[float] = None,
-    ci_metric: Optional[str] = None,
-    max_replications: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep the data-user population and record per-link packet delays.
 
@@ -189,24 +220,10 @@ def run_delay_vs_load(
         to JABA-SD(J1/J2), FCFS and equal-share.
     num_seeds:
         Independent seed replications per point.
-    workers:
-        Worker processes sharding the replications (bit-identical results).
-    checkpoint_path:
-        Optional JSON checkpoint enabling resume of interrupted sweeps.
-    executor:
-        Execution back-end override (``"serial"``, ``"resilient"``,
-        ``"swarm"`` or an :class:`~repro.experiments.executors.Executor`
-        instance); the default is serial at ``workers=1`` and resilient
-        above.
-    trace_dir:
-        Optional directory receiving structured campaign telemetry
-        (``campaign.jsonl`` + one JSONL trace per replication, including
-        the dynamic runs' frame/stage/admission events).
-    ci_target / ci_metric / max_replications:
-        Optional sequential stopping: issue replications in waves of
-        ``num_seeds`` until the 95% CI half-width of ``ci_metric`` (default
-        ``mean_delay_s``) is at most ``ci_target`` at every grid point (see
-        :meth:`~repro.experiments.campaign.Campaign.configure_sequential`).
+    workers / executor:
+        As in :meth:`~repro.experiments.campaign.Campaign.run`: worker
+        processes sharding the replications (bit-identical results) and the
+        execution back-end.
     """
     campaign = build_delay_campaign(
         loads=loads,
@@ -214,18 +231,7 @@ def run_delay_vs_load(
         scheduler_factories=scheduler_factories,
         num_seeds=num_seeds,
     )
-    campaign.configure_sequential(
-        ci_target,
-        ci_metric if ci_metric is not None else "mean_delay_s",
-        max_replications=max_replications,
-    )
-    outcome = campaign.run(
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
-        trace_dir=trace_dir,
-    )
-    return reduce_delay(outcome)
+    return reduce_delay(campaign.run(workers=workers, executor=executor))
 
 
 def run_admission_statistics(
@@ -234,7 +240,6 @@ def run_admission_statistics(
     scheduler_factories: Optional[Mapping[str, SchedulerSpec]] = None,
     num_seeds: int = 1,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
 ) -> ExperimentResult:
     """Experiment T2: admission statistics at one fixed (loaded) operating point.
@@ -250,29 +255,7 @@ def run_admission_statistics(
         num_seeds=num_seeds,
     )
     campaign.name = "T2-admission-statistics"
-    sweep = reduce_delay(
-        campaign.run(
-            workers=workers, checkpoint_path=checkpoint_path, executor=executor
-        )
-    )
-    result = ExperimentResult(
-        experiment_id="T2",
-        title=f"Burst admission statistics at {load} data users per cell",
-        records=[
-            {
-                "scheduler": r["scheduler"],
-                "grant_rate": r["grant_rate"],
-                "mean_granted_m": r["mean_granted_m"],
-                "carried_kbps": r["carried_kbps"],
-                "forward_utilisation": r["forward_utilisation"],
-                "reverse_rise_db": r["reverse_rise_db"],
-                "fch_outage": r["fch_outage"],
-                "n_seeds": r["n_seeds"],
-            }
-            for r in sweep.records
-        ],
-    )
-    return result
+    return reduce_admission(campaign.run(workers=workers, executor=executor), load)
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

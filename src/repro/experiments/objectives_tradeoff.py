@@ -31,7 +31,12 @@ from repro.experiments.common import ExperimentResult, flag_degraded, paper_scen
 from repro.experiments.delay_vs_load import dynamic_replication
 from repro.simulation.scenario import ScenarioConfig
 
-__all__ = ["build_objectives_campaign", "run_objectives_tradeoff", "main"]
+__all__ = [
+    "build_objectives_campaign",
+    "reduce_objectives",
+    "run_objectives_tradeoff",
+    "main",
+]
 
 
 def build_objectives_campaign(
@@ -96,8 +101,7 @@ def reduce_objectives(
         ),
     )
     for point in campaign_result.points:
-        summary = point.summary()
-        delay = summary["mean_delay_s"]
+        delay = point.summarise("mean_delay_s")
         j1 = point.params["scheduler"] == "JABA-SD(J1)"
         mac = point.params["scenario"].system.mac
         result.add(
@@ -105,10 +109,10 @@ def reduce_objectives(
             delay_penalty_scale=0.0 if j1 else float(mac.delay_penalty_scale),
             mean_delay_s=delay.mean,
             delay_ci_s=delay.ci_half_width,
-            p90_delay_s=summary["p90_delay_s"].mean,
-            carried_kbps=summary["carried_kbps"].mean,
-            mean_granted_m=summary["mean_granted_m"].mean,
-            completed_calls=summary["completed_calls"].mean,
+            p90_delay_s=point.summarise("p90_delay_s").mean,
+            carried_kbps=point.summarise("carried_kbps").mean,
+            mean_granted_m=point.summarise("mean_granted_m").mean,
+            completed_calls=point.summarise("completed_calls").mean,
             n_seeds=delay.count,
         )
     result.notes = (
@@ -125,12 +129,7 @@ def run_objectives_tradeoff(
     scenario: Optional[ScenarioConfig] = None,
     num_seeds: int = 1,
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
     executor=None,
-    trace_dir: Optional[str] = None,
-    ci_target: Optional[float] = None,
-    ci_metric: Optional[str] = None,
-    max_replications: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep the delay-penalty weight of objective J2 at a fixed (loaded) point.
 
@@ -142,10 +141,8 @@ def run_objectives_tradeoff(
         ``mu`` (``delay_forgetting_factor``) used for all non-zero points.
     load:
         Data users per cell (choose a point beyond the knee of F2).
-    num_seeds / workers / checkpoint_path / executor / trace_dir /
-    ci_target / ci_metric / max_replications:
-        Campaign controls, as in
-        :func:`repro.experiments.delay_vs_load.run_delay_vs_load`.
+    num_seeds / workers / executor:
+        As in :func:`repro.experiments.delay_vs_load.run_delay_vs_load`.
     """
     campaign = build_objectives_campaign(
         penalty_scales=penalty_scales,
@@ -154,17 +151,7 @@ def run_objectives_tradeoff(
         scenario=scenario,
         num_seeds=num_seeds,
     )
-    campaign.configure_sequential(
-        ci_target,
-        ci_metric if ci_metric is not None else "mean_delay_s",
-        max_replications=max_replications,
-    )
-    outcome = campaign.run(
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        executor=executor,
-        trace_dir=trace_dir,
-    )
+    outcome = campaign.run(workers=workers, executor=executor)
     return reduce_objectives(outcome, forgetting_factor, load)
 
 

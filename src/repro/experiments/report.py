@@ -20,11 +20,14 @@ process-wide store instead of simulating them again, bit-identically (see
 33 of its 42 campaign replications, the full report 112 of 158.
 
 ``--compare A B`` switches to the paired head-to-head mode: a two-scheduler
-delay campaign on shared replication streams, reduced to per-load paired
-deltas (``A - B``) with both the paired-t and the Welch half-width, so the
-variance reduction bought by common random numbers is visible in the table.
-Combine with ``--ci-target`` to replicate sequentially until the headline
-metric's half-width is resolved.
+delay campaign on shared replication streams
+(:func:`~repro.experiments.compare.build_comparison_campaign`), reduced to
+per-load paired deltas (``A - B``) with both the paired-t and the Welch
+half-width, so the variance reduction bought by common random numbers is
+visible in the table.  Combine with ``--ci-target`` to replicate
+sequentially until the headline metric's half-width is resolved: the
+stopping rule is set on that campaign (see
+:meth:`~repro.experiments.campaign.Campaign.configure_sequential`).
 """
 
 from __future__ import annotations
@@ -160,7 +163,10 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
         factories = {label: label for label in args.scheduler_specs}
     if args.compare is not None:
         from repro.experiments.common import paper_scenario, scheduler_from_spec
-        from repro.experiments.compare import run_scheduler_comparison
+        from repro.experiments.compare import (
+            build_comparison_campaign,
+            compare_schedulers,
+        )
         from repro.registry import RegistryError
 
         label_a, label_b = args.compare
@@ -178,18 +184,15 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
                 kwargs["warmup_s"] = args.warmup
             scenario = paper_scenario(**kwargs)
         started = time.time()
-        result = run_scheduler_comparison(
-            label_a,
-            label_b,
-            loads=args.loads,
-            scenario=scenario,
-            num_seeds=args.seeds,
-            workers=args.workers,
-            executor=args.executor,
-            ci_target=args.ci_target,
-            max_replications=args.max_replications,
+        campaign = build_comparison_campaign(
+            label_a, label_b, loads=args.loads, scenario=scenario, num_seeds=args.seeds
         )
-        print(result.to_table())
+        if args.ci_target is not None:
+            campaign.configure_sequential(
+                args.ci_target, "mean_delay_s", args.max_replications
+            )
+        outcome = campaign.run(workers=args.workers, executor=args.executor)
+        print(compare_schedulers(outcome, label_a, label_b).to_table())
         print()
         print(f"(comparison generated in {time.time() - started:.1f} s)")
         return 0

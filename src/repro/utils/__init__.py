@@ -1,7 +1,7 @@
 """Shared utilities: unit conversions, random-number handling, statistics."""
 
 from repro.utils.units import db_to_linear, linear_to_db
-from repro.utils.rng import AntitheticRng, RngFactory
+from repro.utils.rng import RngFactory
 from repro.utils.stats import (
     RunningStats,
     Histogram,
@@ -33,7 +33,6 @@ from repro.utils.recorder import (
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "AntitheticRng",
     "RngFactory",
     "RunningStats",
     "Histogram",

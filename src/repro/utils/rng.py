@@ -79,49 +79,3 @@ class RngFactory:
         """Number of generators and forks spawned so far."""
         return self._spawned
 
-
-class AntitheticRng:
-    """Antithetic mirror of a :class:`numpy.random.Generator` stream.
-
-    Wraps a generator seeded identically to the primary stream and reflects
-    every *output* instead of perturbing the *state*: each method calls the
-    same underlying generator method as the primary replication would, then
-    applies the measure-preserving reflection ``F^-1(1 - F(x))`` to the
-    result.  Because the underlying state consumption is identical draw for
-    draw, the primary stream at replication ``2k`` and the antithetic stream
-    at ``2k + 1`` stay perfectly negatively coupled for the whole run, no
-    matter how many draws of which distribution the simulation interleaves.
-
-    Reflections: ``u -> 1 - u`` (uniform), ``z -> -z`` (centred normal),
-    ``x -> -scale * log1p(-exp(-x / scale))`` (exponential), and
-    ``x -> low + high - 1 - x`` (integers).  Only the methods used by the
-    campaign runners are provided; anything else raises ``AttributeError``
-    rather than silently de-coupling the pair.
-    """
-
-    __slots__ = ("_generator",)
-
-    def __init__(self, generator: np.random.Generator) -> None:
-        self._generator = generator
-
-    def random(self, size=None):
-        return 1.0 - self._generator.random(size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return low + high - self._generator.uniform(low, high, size)
-
-    def standard_normal(self, size=None):
-        return -self._generator.standard_normal(size)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return 2.0 * loc - self._generator.normal(loc, scale, size)
-
-    def exponential(self, scale: float = 1.0, size=None):
-        x = self._generator.exponential(scale, size)
-        return -scale * np.log1p(-np.exp(-x / scale))
-
-    def integers(self, low, high=None, size=None):
-        if high is None:
-            low, high = 0, low
-        return low + high - 1 - self._generator.integers(low, high, size)
-

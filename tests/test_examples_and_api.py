@@ -63,6 +63,8 @@ class TestExamples:
             "multicell_dynamic_simulation.py",
             "scheduler_comparison.py",
             "campaign_coverage_sweep.py",
+            "paired_scheduler_comparison.py",
+            "policy_sweep.py",
         ):
             module = _load_example(name)
             assert hasattr(module, "main")

@@ -16,7 +16,20 @@ from repro.experiments import (
     run_phy_throughput,
     run_solver_ablation,
 )
+from repro.experiments.campaign import main as campaign_main
+from repro.experiments.capacity import build_capacity_campaign, reduce_capacity
 from repro.experiments.common import ExperimentResult
+from repro.experiments.compare import build_comparison_campaign, compare_schedulers
+from repro.experiments.coverage import build_coverage_campaign, reduce_coverage
+from repro.experiments.delay_vs_load import build_delay_campaign, reduce_delay
+from repro.experiments.executors import ResilientExecutor
+from repro.experiments.faults import FaultPlan, FaultSpec
+from repro.experiments.objectives_tradeoff import (
+    build_objectives_campaign,
+    reduce_objectives,
+)
+from repro.experiments.report import main as report_main
+from repro.simulation.scenario import ScenarioConfig
 
 
 class TestCommon:
@@ -125,3 +138,173 @@ class TestDynamicExperiments:
         assert [r["objective"] for r in result.records] == ["J1", "J2"]
         for record in result.records:
             assert record["carried_kbps"] > 0.0
+
+
+TWO_SCHEDULERS = {"JABA-SD(J1)": "JABA-SD(J1)", "FCFS": "FCFS"}
+
+
+def _fast_scenario():
+    return ScenarioConfig.fast_test(duration_s=1.0, warmup_s=0.25, seed=5)
+
+
+def _run_poisoned(campaign):
+    """Run ``campaign`` with replication 0 of point 0 quarantined."""
+    plan = FaultPlan([FaultSpec(0, 0, "exception", times=-1)])
+    executor = ResilientExecutor(workers=1, max_retries=0, backoff_base_s=0.01)
+    return campaign.run(executor=executor, fault_plan=plan)
+
+
+class TestDegradedTables:
+    """A point that lost replications keeps its row, and the table says so."""
+
+    def test_delay_row_of_a_point_that_lost_every_replication(self):
+        campaign = build_delay_campaign(
+            loads=[3], scenario=_fast_scenario(), scheduler_factories=TWO_SCHEDULERS
+        )
+        result = reduce_delay(_run_poisoned(campaign))
+        lost, kept = result.records
+        assert np.isnan(lost["mean_delay_s"]) and np.isnan(lost["carried_kbps"])
+        assert (lost["n_seeds"], lost["n_failed"]) == (0, 1)
+        assert kept["carried_kbps"] > 0.0 and kept["n_failed"] == 0
+        assert "DEGRADED" in result.notes
+
+    def test_capacity_row_of_a_point_that_lost_every_replication(self):
+        campaign = build_delay_campaign(
+            loads=[3], scenario=_fast_scenario(), scheduler_factories=TWO_SCHEDULERS
+        )
+        result = reduce_capacity(_run_poisoned(campaign), 5.0)
+        lost, kept = result.records
+        assert np.isnan(lost["delay@3"]) and lost["n_seeds"] == 0
+        assert lost["capacity_users_per_cell"] == 0
+        assert kept["capacity_users_per_cell"] == 3
+        assert "DEGRADED" in result.notes
+
+    def test_coverage_row_of_a_point_that_lost_every_replication(self):
+        campaign = build_coverage_campaign(
+            loads=[2], num_drops=1, scheduler_factories=TWO_SCHEDULERS, seed=11
+        )
+        result = reduce_coverage(_run_poisoned(campaign), campaign.metadata)
+        lost, kept = result.records
+        assert np.isnan(lost["coverage"]) and np.isnan(lost["fch_outage"])
+        assert (lost["n_reps"], lost["n_failed"]) == (0, 1)
+        assert 0.0 <= kept["coverage"] <= 1.0
+        assert "DEGRADED" in result.notes
+
+    def test_objectives_row_of_a_point_that_lost_every_replication(self):
+        campaign = build_objectives_campaign(
+            penalty_scales=[0.0, 1.0], load=3, scenario=_fast_scenario()
+        )
+        result = reduce_objectives(_run_poisoned(campaign), 0.2, 3)
+        lost, kept = result.records
+        assert lost["objective"] == "J1" and np.isnan(lost["mean_delay_s"])
+        assert (lost["n_seeds"], lost["n_failed"]) == (0, 1)
+        assert kept["carried_kbps"] > 0.0
+        assert "DEGRADED" in result.notes
+
+    def test_admission_statistics_keep_the_degradation_flags(self):
+        from repro.experiments.delay_vs_load import reduce_admission
+
+        campaign = build_delay_campaign(
+            loads=[3],
+            scenario=_fast_scenario(),
+            scheduler_factories=TWO_SCHEDULERS,
+            num_seeds=2,
+        )
+        outcome = _run_poisoned(campaign)
+        sweep = reduce_delay(outcome)
+        result = reduce_admission(outcome, 3)
+        assert result.column("n_failed") == sweep.column("n_failed") == [1, 0]
+        assert result.column("n_seeds") == sweep.column("n_seeds") == [1, 2]
+        assert "DEGRADED" in result.notes
+
+
+def _printed(capsys, main, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestCommandLines:
+    """``python -m repro.experiments`` prints what the library path returns."""
+
+    def test_coverage_command_with_checkpoint(self, tmp_path, capsys):
+        checkpoint = tmp_path / "coverage.json"
+        argv = ["--experiment", "coverage", "--loads", "2", "3",
+                "--schedulers", "JABA-SD(J1)", "FCFS", "--num-drops", "1",
+                "--checkpoint", str(checkpoint)]
+        printed = _printed(capsys, campaign_main, argv)
+        campaign = build_coverage_campaign(
+            loads=[2, 3], num_drops=1, scheduler_factories=TWO_SCHEDULERS
+        )
+        expected = reduce_coverage(campaign.run(), campaign.metadata)
+        assert printed == expected.to_table() + "\n"
+        assert checkpoint.exists()
+        # A rerun resumes every replication from the checkpoint.
+        assert _printed(capsys, campaign_main, argv) == printed
+
+    def test_delay_command_with_sequential_stopping(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        printed = _printed(capsys, campaign_main, [
+            "--experiment", "delay", "--loads", "2",
+            "--schedulers", "JABA-SD(J1)", "FCFS",
+            "--duration", "1.0", "--warmup", "0.25",
+            "--ci-target", "1e-9", "--max-replications", "2",
+            "--trace-dir", str(traces),
+        ])
+        campaign = build_delay_campaign(
+            loads=[2],
+            scenario=paper_scenario(duration_s=1.0, warmup_s=0.25),
+            scheduler_factories=TWO_SCHEDULERS,
+        )
+        campaign.configure_sequential(1e-9, "mean_delay_s", 2)
+        expected = reduce_delay(campaign.run())
+        assert printed == expected.to_table() + "\n"
+        assert expected.column("n_seeds") == [2, 2]  # the second wave ran
+        assert (traces / "campaign.jsonl").exists()
+        assert len(list(traces.glob("point*_rep*.jsonl"))) == 4
+
+    def test_capacity_command_with_checkpoint_and_trace(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        printed = _printed(capsys, campaign_main, [
+            "--experiment", "capacity", "--loads", "3", "2",
+            "--schedulers", "JABA-SD(J1)", "FCFS",
+            "--duration", "1.0", "--warmup", "0.25",
+            "--checkpoint", str(tmp_path / "t1.json"), "--trace-dir", str(traces),
+        ])
+        campaign = build_capacity_campaign(
+            loads=[3, 2],
+            scenario=paper_scenario(duration_s=1.0, warmup_s=0.25),
+            scheduler_factories=TWO_SCHEDULERS,
+        )
+        expected = reduce_capacity(campaign.run(), 1.0)
+        assert printed == expected.to_table() + "\n"
+        assert (tmp_path / "t1.json").exists()
+        assert len(list(traces.glob("point*_rep*.jsonl"))) == 4
+
+    def test_objectives_command_with_checkpoint(self, tmp_path, capsys):
+        printed = _printed(capsys, campaign_main, [
+            "--experiment", "objectives", "--duration", "1.0", "--warmup", "0.25",
+            "--checkpoint", str(tmp_path / "f5.json"),
+        ])
+        expected = run_objectives_tradeoff(
+            scenario=paper_scenario(duration_s=1.0, warmup_s=0.25)
+        )
+        assert printed == expected.to_table() + "\n"
+        assert (tmp_path / "f5.json").exists()
+
+    def test_report_compare_with_sequential_stopping(self, capsys):
+        printed = _printed(capsys, report_main, [
+            "--compare", "JABA-SD(J1)", "FCFS", "--loads", "2", "--seeds", "2",
+            "--duration", "1.0", "--warmup", "0.25",
+            "--ci-target", "1e-9", "--max-replications", "3",
+        ])
+        campaign = build_comparison_campaign(
+            "JABA-SD(J1)",
+            "FCFS",
+            loads=[2],
+            scenario=paper_scenario(duration_s=1.0, warmup_s=0.25),
+            num_seeds=2,
+        )
+        campaign.configure_sequential(1e-9, "mean_delay_s", 3)
+        expected = compare_schedulers(campaign.run(), "JABA-SD(J1)", "FCFS")
+        assert expected.column("n_pairs")[0] == 3  # the second wave ran
+        assert printed.startswith(expected.to_table() + "\n\n(comparison generated in ")

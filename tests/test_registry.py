@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.experiments.campaign import Campaign, grid_points
+from repro.experiments.campaign import Campaign
 from repro.experiments.common import paper_scenario, scheduler_from_spec
-from repro.experiments.coverage import coverage_replication
+from repro.experiments.coverage import build_coverage_campaign
 from repro.geometry.hexgrid import HexagonalCellLayout
 from repro.registry import (
     BuiltScenario,
@@ -397,45 +397,27 @@ class TestPlacement:
 
 
 def _policy_sweep_campaign() -> Campaign:
-    """A tiny coverage campaign swept over a scheduler axis via grid_points."""
-    axes = {
-        "load": [3],
-        "scheduler": ["jaba-sd:objective=J1", "proportional-fair", "max-min"],
-    }
-    points, groups = grid_points(axes)
-    for point in points:
-        point.update(
-            scheduler_spec=point["scheduler"],
-            radius_m=None,
-            config=SystemConfig(),
-            num_voice_users_per_cell=2,
-            burst_size_bits=100_000.0,
-            link="forward",
-            min_rate_bps=38_400.0,
-            num_drops=2,
-        )
-    return Campaign(
-        name="policy-sweep",
-        runner=coverage_replication,
-        points=points,
-        replications=2,
-        root_seed=11,
-        seed_groups=groups,
+    """A tiny coverage campaign swept over a scheduler axis of registry specs."""
+    policies = ["jaba-sd:objective=J1", "proportional-fair", "max-min"]
+    return build_coverage_campaign(
+        loads=[3],
+        num_drops=2,
+        burst_size_bits=100_000.0,
+        num_voice_users_per_cell=2,
+        scheduler_factories={name: name for name in policies},
+        seed=11,
+        num_replications=2,
     )
 
 
 class TestPolicySweepCampaign:
-    def test_grid_points_pairs_schedulers(self):
-        points, groups = grid_points(
-            {"load": [6, 12], "scheduler": ["a", "b", "c"]}
+    def test_coverage_grid_pairs_schedulers(self):
+        campaign = build_coverage_campaign(
+            loads=[6, 12], scheduler_factories={name: name for name in "abc"}
         )
-        assert len(points) == 6
+        assert len(campaign.points) == 6
         # All schedulers at one load share a seed group; loads differ.
-        assert groups == [0, 0, 0, 1, 1, 1]
-
-    def test_grid_points_rejects_unknown_paired_axis(self):
-        with pytest.raises(ValueError, match="not grid axes"):
-            grid_points({"load": [1]}, paired=("scheduler",))
+        assert campaign.seed_groups == [0, 0, 0, 1, 1, 1]
 
     def test_workers_do_not_change_policy_sweep(self):
         results = {}

@@ -8,15 +8,16 @@ the same process computed.  Every test starts from an empty store
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import campaign as campaign_module
-from repro.experiments.campaign import (
-    Campaign,
-    clear_shared_replications,
-    rng_for_leaf,
+from repro.experiments.campaign import Campaign, clear_shared_replications
+from repro.experiments.capacity import (
+    build_capacity_campaign,
+    reduce_capacity,
+    run_capacity,
 )
-from repro.experiments.capacity import run_capacity
 from repro.experiments.delay_vs_load import (
     build_delay_campaign,
     run_admission_statistics,
@@ -74,8 +75,8 @@ def alone(run):
 
 
 def _toy_runner(params, seed):
-    """Cheap replication that honours antithetic leaves."""
-    draws = rng_for_leaf(seed).random(64)
+    """Cheap replication drawing from its seed-tree leaf."""
+    draws = np.random.default_rng(seed).random(64)
     return {"mean": float(draws.mean()) + float(params["offset"])}
 
 
@@ -246,20 +247,6 @@ class TestOwnNameRule:
 
 
 class TestNeverShared:
-    def test_plain_and_antithetic_share_no_odd_replication(self, executed):
-        for first, second in (({}, {"antithetic": True}), ({"antithetic": True}, {})):
-            clear_shared_replications()
-            a = toy("a", **first).run()
-            executed.clear()
-            b = toy("b", **second).run()
-            # Even replications run on the plain leaf in both designs; the
-            # odd ones are mirrored in one design only.
-            assert sorted(executed) == [(0, 1), (1, 1)]
-            assert b.shared_replications == 2
-            for point_a, point_b in zip(a.points, b.points):
-                assert point_b.replications[0] == point_a.replications[0]
-                assert point_b.replications[1] != point_a.replications[1]
-
     def test_other_seed_tree_coordinates_are_not_served(self, executed):
         toy("a").run()
         executed.clear()
@@ -348,10 +335,11 @@ class TestCheckpointsAndStopping:
         path = str(tmp_path / "t1.json")
 
         def capacity(checkpoint_path=None):
-            return run_capacity(
-                loads=[2, 3, 4], scenario=scenario, scheduler_factories=SCHEDULERS,
-                checkpoint_path=checkpoint_path,
+            campaign = build_capacity_campaign(
+                loads=[2, 3, 4], scenario=scenario, scheduler_factories=SCHEDULERS
             )
+            outcome = campaign.run(checkpoint_path=checkpoint_path)
+            return reduce_capacity(outcome, campaign.metadata["delay_target_s"])
 
         run_delay_vs_load(
             loads=[2, 3], scenario=scenario, scheduler_factories=SCHEDULERS

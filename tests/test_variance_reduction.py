@@ -1,4 +1,4 @@
-"""Variance reduction: paired CRN deltas, antithetic streams, sequential stopping."""
+"""Variance reduction: paired CRN deltas and sequential stopping."""
 
 import math
 import os
@@ -15,10 +15,6 @@ from repro.experiments.campaign import (
     CampaignResult,
     MetricSummary,
     PointResult,
-    is_antithetic,
-    replication_seed,
-    rng_for_leaf,
-    seed_sequence_to_int,
 )
 from repro.experiments.common import ExperimentResult, flag_degraded
 from repro.experiments.compare import compare_schedulers, run_scheduler_comparison
@@ -41,13 +37,6 @@ def _crn_runner(params, seed):
     rng = np.random.default_rng(seed)
     draws = rng.random(128)
     return {"value": (1.0 + float(params["gain"])) * float(draws.mean())}
-
-
-def _leaf_runner(params, seed):
-    """Monotone response drawn through rng_for_leaf (antithetic-capable)."""
-    rng = rng_for_leaf(seed)
-    draws = rng.random(128)
-    return {"mean_exp": float(np.exp(draws).mean())}
 
 
 def _nan_on_first_runner(params, seed):
@@ -328,64 +317,6 @@ class TestCompareSchedulers:
     def test_identical_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             run_scheduler_comparison("FCFS", "FCFS")
-
-
-# ---------------------------------------------------------------------------
-# antithetic replication streams
-# ---------------------------------------------------------------------------
-class TestAntitheticStreams:
-    def test_mirror_identities(self):
-        primary = np.random.default_rng(replication_seed(7, 0, 2))
-        leaf = replication_seed(7, 0, 2, antithetic=True)
-        assert is_antithetic(leaf)
-        mirror = rng_for_leaf(leaf)
-        u, mu = primary.random(32), mirror.random(32)
-        np.testing.assert_allclose(u + mu, 1.0)
-        z, mz = primary.standard_normal(32), mirror.standard_normal(32)
-        np.testing.assert_allclose(z + mz, 0.0)
-        x, mx = primary.integers(3, 9, 32), mirror.integers(3, 9, 32)
-        assert np.all(x + mx == 3 + 9 - 1)
-        e, me = primary.exponential(2.0, 32), mirror.exponential(2.0, 32)
-        # Reflection through the exponential CDF: F(x) + F(x') == 1.
-        np.testing.assert_allclose(
-            (1.0 - np.exp(-e / 2.0)) + (1.0 - np.exp(-me / 2.0)), 1.0
-        )
-
-    def test_leaf_cannot_collapse_to_int(self):
-        with pytest.raises(ValueError, match="rng_for_leaf"):
-            seed_sequence_to_int(replication_seed(7, 0, 0, antithetic=True))
-
-    def test_odd_replications_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            Campaign(
-                "odd", _leaf_runner, [{}], replications=3, root_seed=1,
-                antithetic=True,
-            )
-
-    def test_variance_reduction_on_monotone_metric(self):
-        plain = Campaign(
-            "plain", _leaf_runner, [{}], replications=16, root_seed=42
-        ).run()
-        paired = Campaign(
-            "anti", _leaf_runner, [{}], replications=16, root_seed=42,
-            antithetic=True,
-        ).run()
-        plain_summary = plain.points[0].summary()["mean_exp"]
-        paired_summary = paired.points[0].summary()["mean_exp"]
-        assert plain_summary.count == 16
-        assert paired_summary.count == 8  # the statistical unit is the pair
-        assert paired_summary.ci_half_width < plain_summary.ci_half_width
-
-    def test_workers_do_not_change_antithetic_results(self):
-        def aggregates(workers):
-            campaign = Campaign(
-                "anti-par", _leaf_runner, [{}, {}], replications=8,
-                root_seed=42, antithetic=True,
-            )
-            outcome = campaign.run(workers=workers)
-            return [sorted(p.replications.items()) for p in outcome.points]
-
-        assert aggregates(1) == aggregates(4)
 
 
 # ---------------------------------------------------------------------------
