@@ -46,7 +46,6 @@ from repro.experiments.executors import (  # noqa: E402
     TaskOutcome,
     reset_worker_signals,
 )
-from repro.experiments.swarm import SwarmExecutor  # noqa: E402
 from repro.simulation.dynamic import DynamicSystemSimulator  # noqa: E402
 from repro.simulation.scenario import ScenarioConfig, TrafficConfig  # noqa: E402
 from repro.mac.schedulers import JabaSdScheduler  # noqa: E402
@@ -140,18 +139,12 @@ def run_coverage_scaling(
 
 
 # --------------------------------------------------------------------------
-# no-fault overhead of the fault-tolerant executors
+# no-fault overhead of the resilient executor
 # --------------------------------------------------------------------------
 #: Regression budget: the fault-tolerance machinery (per-task tickets,
 #: timeout polling, straggler bookkeeping) may cost at most this fraction of
 #: extra wall-clock over the plain pool on a fault-free workload.
 MAX_RESILIENT_OVERHEAD_FRACTION = 0.05
-#: Regression budget for the lease protocol on a fault-free workload: the
-#: file-queue transport (atomic message files, heartbeat scans, lease
-#: bookkeeping) may cost at most this fraction of extra wall-clock over the
-#: plain pool.  Deliberately looser than the resilient budget — the swarm
-#: pays real filesystem I/O per task, not just in-process bookkeeping.
-MAX_SWARM_OVERHEAD_FRACTION = 0.10
 
 
 def _pool_entry(payload):
@@ -163,7 +156,7 @@ def _pool_entry(payload):
 class PlainPool(Executor):
     """``multiprocessing.Pool.imap_unordered`` with no fault tolerance.
 
-    The reference the overhead budgets are defined against: the cheapest
+    The reference the overhead budget is defined against: the cheapest
     way to shard a task list over worker processes, where one worker
     exception aborts the run and a hung task stalls it.
     """
@@ -238,40 +231,6 @@ def run_resilient_overhead(smoke: bool, replications: int) -> Dict:
         ResilientExecutor,
         lambda: coverage_campaign(smoke, replications),
         MAX_RESILIENT_OVERHEAD_FRACTION,
-        repeats=3 if smoke else 2,
-        replications=replications,
-    )
-
-
-def run_swarm_overhead(smoke: bool, replications: int) -> Dict:
-    """The fault-free coverage sweep under the plain pool vs. swarm.
-
-    The swarm's at-least-once delivery and dedupe must be invisible in both
-    the numbers and (within budget) the wall-clock.
-    """
-    # The default smoke grid finishes in ~0.1 s, where the swarm's fixed
-    # setup (spawn two processes, publish the job file) and timer noise
-    # swamp the per-task protocol cost the budget is about.  Measure on a
-    # chunkier sweep (~0.5 s) so the fraction is meaningful.
-    replications = max(replications, 12) if smoke else replications
-
-    def overhead_campaign() -> Campaign:
-        if not smoke:
-            return coverage_campaign(smoke, replications)
-        return build_coverage_campaign(
-            loads=[2, 3],
-            num_drops=2,
-            config=SystemConfig.small_test_system(),
-            scheduler_factories={"JABA-SD(J1)": "JABA-SD(J1)", "FCFS": "FCFS"},
-            num_replications=replications,
-            seed=17,
-        )
-
-    return run_overhead(
-        "swarm",
-        SwarmExecutor,
-        overhead_campaign,
-        MAX_SWARM_OVERHEAD_FRACTION,
         repeats=3 if smoke else 2,
         replications=replications,
     )
@@ -426,8 +385,7 @@ def main(argv=None) -> int:
                         help="skip the J=1e5 fleet-path point")
     parser.add_argument("--sections", nargs="+", default=None,
                         choices=["coverage_scaling", "resilient_overhead",
-                                 "swarm_overhead", "variance_reduction",
-                                 "fleet_point"],
+                                 "variance_reduction", "fleet_point"],
                         help="run only these sections; when --output already "
                              "exists its other sections are kept (so one "
                              "section can be regenerated without re-running "
@@ -444,7 +402,6 @@ def main(argv=None) -> int:
         "resilient_overhead": lambda: run_resilient_overhead(
             args.smoke, replications
         ),
-        "swarm_overhead": lambda: run_swarm_overhead(args.smoke, replications),
         "variance_reduction": lambda: run_variance_reduction(args.smoke),
         "fleet_point": lambda: run_fleet_point(
             args.fleet_population, args.fleet_frames
@@ -453,8 +410,7 @@ def main(argv=None) -> int:
     if args.sections is not None:
         sections = list(args.sections)
     else:
-        sections = ["coverage_scaling", "resilient_overhead", "swarm_overhead",
-                    "variance_reduction"]
+        sections = ["coverage_scaling", "resilient_overhead", "variance_reduction"]
         if not args.skip_fleet and not args.smoke:
             sections.append("fleet_point")
 

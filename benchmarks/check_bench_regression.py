@@ -139,30 +139,23 @@ def _campaign_measurements(report: Dict) -> Tuple[Dict[str, float], List[str]]:
         )
     # Worker-scaling throughput is hardware-bound (CI runners vary in core
     # count), so only the determinism contract is gated, not the speedups.
-    # Both fault-tolerant back-ends are gated the same way: the aggregates
-    # must match the pool's bit-for-bit and the no-fault overhead must stay
-    # inside the budget the report itself declares.
-    for section, label, default_budget in (
-        ("resilient_overhead", "resilient executor", 0.05),
-        ("swarm_overhead", "swarm executor", 0.10),
-    ):
-        overhead = report.get(section, {})
-        if not overhead:
-            continue
+    # The resilient executor's aggregates must match the pool's bit-for-bit
+    # and its no-fault overhead must stay inside the budget the report itself
+    # declares.
+    overhead = report.get("resilient_overhead", {})
+    if overhead:
         if not overhead.get("parity_bit_identical", False):
-            failures.append(
-                f"campaign: {label} aggregates diverge from the pool's"
-            )
+            failures.append("campaign: resilient executor aggregates diverge from the pool's")
         measured = float(overhead.get("overhead_fraction", 0.0))
-        budget = float(overhead.get("max_overhead_fraction", default_budget))
+        budget = float(overhead.get("max_overhead_fraction", 0.05))
         verdict = "ok" if measured <= budget else "REGRESSION"
         print(
-            f"  campaign[{section}]: {measured * 100:+.2f}% "
+            f"  campaign[resilient_overhead]: {measured * 100:+.2f}% "
             f"(budget {budget * 100:.0f}%) -> {verdict}"
         )
         if measured > budget:
             failures.append(
-                f"campaign: {label} no-fault overhead "
+                "campaign: resilient executor no-fault overhead "
                 f"{measured * 100:.2f}% exceeds the {budget * 100:.0f}% budget"
             )
     # Variance reduction: the paired-t interval of a CRN delta must be

@@ -29,7 +29,11 @@ comparison of :mod:`repro.experiments.compare`) are each a
 executor=...))``.  A campaign's other run options — checkpoint, tracing,
 sequential stopping — are set on the
 :class:`~repro.experiments.campaign.Campaign` itself, as ``python -m
-repro.experiments`` and ``report --compare`` do.
+repro.experiments`` and ``report --compare`` do.  A campaign runs in-process
+(:class:`~repro.experiments.executors.SerialExecutor`) or, at ``workers >
+1``, on the fault-tolerant worker processes of
+:class:`~repro.experiments.executors.ResilientExecutor`; the aggregates are
+bit-identical either way.
 """
 
 from repro.experiments.campaign import (
@@ -49,14 +53,8 @@ from repro.experiments.common import (
     scheduler_from_spec,
 )
 from repro.experiments.executors import ResilientExecutor, SerialExecutor
-from repro.experiments.faults import (
-    FaultPlan,
-    FaultSpec,
-    MessageFaultPlan,
-    MessageFaults,
-)
+from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.journal import CheckpointJournal
-from repro.experiments.swarm import SwarmExecutor
 from repro.experiments.phy_throughput import run_phy_throughput
 from repro.experiments.compare import compare_schedulers, run_scheduler_comparison
 from repro.experiments.delay_vs_load import run_delay_vs_load, run_admission_statistics
@@ -78,12 +76,9 @@ __all__ = [
     "flag_degraded",
     "SerialExecutor",
     "ResilientExecutor",
-    "SwarmExecutor",
     "CheckpointJournal",
     "FaultPlan",
     "FaultSpec",
-    "MessageFaults",
-    "MessageFaultPlan",
     "default_scheduler_specs",
     "paper_scenario",
     "paper_traffic",

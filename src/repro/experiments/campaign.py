@@ -13,16 +13,14 @@ production-scale estimator:
   ``SeedSequence(entropy=s, spawn_key=(point, replication))``, so the stream
   a replication sees depends only on its coordinates — never on execution
   order, worker count or process identity;
-* execution is delegated to a pluggable **executor**
-  (:mod:`repro.experiments.executors`): in-process (``workers=1``), the
+* execution is delegated to an **executor**
+  (:mod:`repro.experiments.executors`): in-process (``workers=1``) or the
   fault-tolerant :class:`~repro.experiments.executors.ResilientExecutor`
   (``workers > 1``) with per-task timeouts, retry/backoff, dead-worker
-  respawn, speculative straggler re-issue and poisoned-task quarantine, or
-  the :class:`~repro.experiments.swarm.SwarmExecutor`, which runs the same
-  policy over leases on a shared directory; because of the seed-tree
-  contract the aggregated results are **bit-identical for any executor,
-  worker count and retry history** (a re-executed task recomputes exactly
-  the same bytes);
+  respawn, speculative straggler re-issue and poisoned-task quarantine;
+  because of the seed-tree contract the aggregated results are
+  **bit-identical for any executor, worker count and retry history** (a
+  re-executed task recomputes exactly the same bytes);
 * every completed replication is appended to a write-ahead journal
   (:class:`~repro.experiments.journal.CheckpointJournal`) compacted into a
   JSON checkpoint, so a killed campaign resumes without recomputing
@@ -81,7 +79,6 @@ from repro.experiments.executors import (
     TaskSpec,
 )
 from repro.experiments.journal import CheckpointJournal
-from repro.experiments.swarm import SwarmExecutor
 from repro.utils.hooks import SimHooks, resolve_hooks
 from repro.utils.recorder import EventRecorder, JsonlSink, use_recorder
 from repro.utils.stats import (
@@ -99,12 +96,13 @@ __all__ = [
     "PointResult",
     "CampaignResult",
     "Campaign",
+    "check_stopping_flags",
     "main",
 ]
 
 #: An executor may be passed as an instance or by name (``"serial"``,
-#: ``"resilient"``, ``"swarm"``); names are resolved against the campaign's
-#: ``workers`` argument at run time.
+#: ``"resilient"``); names are resolved against the campaign's ``workers``
+#: argument at run time.
 ExecutorSpec = Union[str, Executor]
 
 MetricDict = Dict[str, float]
@@ -447,7 +445,7 @@ class CampaignResult:
 # Worker entry point (module level so it pickles by reference)
 # ---------------------------------------------------------------------------
 def _execute_task(payload) -> MetricDict:
-    """Run one replication; the executing process may be anywhere.
+    """Run one replication, in-process or in a worker process.
 
     ``payload`` is ``(runner, params, root_seed, point_index, replication,
     seed_group, fault_plan, trace_dir)``.  The optional fault plan fires
@@ -721,12 +719,10 @@ class Campaign:
                 backend = SerialExecutor()
             elif executor == "resilient":
                 backend = ResilientExecutor(workers=max(workers, 1))
-            elif executor == "swarm":
-                backend = SwarmExecutor(workers=max(workers, 1))
             else:
                 raise ValueError(
                     f"unknown executor {executor!r}; expected 'serial', "
-                    f"'resilient', 'swarm' or an Executor instance"
+                    f"'resilient' or an Executor instance"
                 )
         else:
             backend = executor
@@ -771,22 +767,19 @@ class Campaign:
             Optional ``progress(done, total)`` callback.
         executor:
             Execution back-end: an :class:`~repro.experiments.executors.
-            Executor` instance or one of the names ``"serial"``,
-            ``"resilient"``, ``"swarm"``.  ``None`` runs in-process at
-            ``workers=1`` and on the resilient executor above.  All
-            executors produce bit-identical aggregates; the resilient one
-            survives worker crashes, hangs and poisoned tasks, and the swarm
-            one extends that over independently spawned (or remote) worker
-            processes with leases, heartbeats and work stealing.
+            Executor` instance or one of the names ``"serial"`` and
+            ``"resilient"``.  ``None`` runs in-process at ``workers=1`` and
+            on the resilient executor above.  Both produce bit-identical
+            aggregates; the resilient one survives worker crashes, hangs and
+            poisoned tasks.
         fault_plan:
             Optional :class:`~repro.experiments.faults.FaultPlan` injected
             into the task payloads (chaos testing).
         hooks:
             Optional :class:`repro.utils.hooks.SimHooks` observer of the
             executor's task lifecycle (``task_issued``/``task_completed``/
-            ``task_retry``/``task_quarantined``, plus the swarm's worker and
-            lease events) and of replications served from the store
-            (``task_shared``); an
+            ``task_retry``/``task_quarantined``) and of replications served
+            from the store (``task_shared``); an
             :class:`~repro.utils.recorder.EventRecorder` records them.
         trace_dir:
             When set, the campaign writes structured telemetry under this
@@ -1053,6 +1046,18 @@ class Campaign:
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+def check_stopping_flags(parser, args) -> None:
+    """Refuse sequential-stopping flags given without ``--ci-target``.
+
+    Both CLIs call it (:func:`main` and :func:`repro.experiments.report.main`),
+    so neither silently drops ``--ci-metric`` or ``--max-replications``.
+    """
+    if args.ci_target is None:
+        for flag in ("ci_metric", "max_replications"):
+            if getattr(args, flag, None) is not None:
+                parser.error(f"--{flag.replace('_', '-')} requires --ci-target")
+
+
 def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     """Run one of the ported experiments as a sharded campaign.
 
@@ -1115,32 +1120,18 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     parser.add_argument("--checkpoint", default=None,
                         help="JSON checkpoint path (resumes if it exists)")
     parser.add_argument("--executor",
-                        choices=["serial", "resilient", "swarm"],
+                        choices=["serial", "resilient"],
                         default=None,
                         help="execution back-end (default: serial at "
                              "--workers 1, resilient above, which retries, "
-                             "times out and re-issues stragglers; 'swarm' "
-                             "runs a lease-based worker swarm that remote "
-                             "workers can join)")
+                             "times out and re-issues stragglers)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="resilient executor only: seconds before a "
                              "replication is killed and re-issued")
     parser.add_argument("--max-retries", type=int, default=2,
-                        help="resilient/swarm executors: failed attempts "
+                        help="resilient executor: failed attempts "
                              "re-issued before a task is quarantined "
                              "(default 2)")
-    parser.add_argument("--num-workers", type=int, default=None,
-                        help="swarm executor only: worker processes the "
-                             "coordinator spawns (default: --workers; 0 with "
-                             "--swarm-dir waits for external workers)")
-    parser.add_argument("--lease-timeout", type=float, default=None,
-                        help="swarm executor only: seconds without heartbeat "
-                             "or result before a lease is reclaimed and its "
-                             "tasks re-issued (default 15)")
-    parser.add_argument("--swarm-dir", default=None,
-                        help="swarm executor only: shared protocol directory "
-                             "so workers on other machines can attach via "
-                             "'python -m repro.experiments.worker'")
     parser.add_argument("--trace-dir", default=None,
                         help="record structured telemetry (campaign.jsonl + "
                              "one JSONL trace per replication) under this "
@@ -1176,42 +1167,23 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
             "--scenario-spec applies to the dynamic experiments "
             "(delay/capacity/objectives); coverage is snapshot-based"
         )
-    if args.task_timeout is not None and args.executor != "resilient":
-        parser.error("--task-timeout requires --executor resilient")
-    for flag, value in (
-        ("--num-workers", args.num_workers),
-        ("--lease-timeout", args.lease_timeout),
-        ("--swarm-dir", args.swarm_dir),
-    ):
-        if value is not None and args.executor != "swarm":
-            parser.error(f"{flag} requires --executor swarm")
-    if args.ci_target is None and (
-        args.ci_metric is not None or args.max_replications is not None
-    ):
-        parser.error("--ci-metric/--max-replications require --ci-target")
+    resilient = args.executor == "resilient" or (
+        args.executor is None and args.workers > 1
+    )
+    if args.task_timeout is not None and not resilient:
+        parser.error(
+            "--task-timeout requires the resilient executor (--workers > 1 "
+            "or --executor resilient)"
+        )
+    check_stopping_flags(parser, args)
 
-    executor = None
-    if args.executor == "resilient":
+    executor = args.executor
+    if resilient:
         executor = ResilientExecutor(
             workers=max(args.workers, 1),
             task_timeout_s=args.task_timeout,
             max_retries=args.max_retries,
         )
-    elif args.executor == "swarm":
-        executor = SwarmExecutor(
-            workers=(
-                args.num_workers
-                if args.num_workers is not None
-                else max(args.workers, 1)
-            ),
-            swarm_dir=args.swarm_dir,
-            lease_timeout_s=(
-                args.lease_timeout if args.lease_timeout is not None else 15.0
-            ),
-            max_retries=args.max_retries,
-        )
-    elif args.executor is not None:
-        executor = args.executor
 
     from dataclasses import replace as dc_replace
     from functools import partial

@@ -20,9 +20,10 @@ its sequential stopping rule (``--ci-target``) on the campaign itself.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
-from repro.experiments.campaign import Campaign, CampaignResult
+from repro.experiments.campaign import Campaign, CampaignResult, DeltaSummary
 from repro.experiments.common import ExperimentResult, flag_degraded
 from repro.experiments.delay_vs_load import build_delay_campaign
 from repro.simulation.scenario import ScenarioConfig
@@ -56,6 +57,10 @@ def compare_schedulers(
     metrics:
         Metric names to difference (default: ``mean_delay_s`` plus
         ``p90_delay_s`` and ``carried_kbps`` when present).
+
+    A load where either point lost every replication keeps its rows, with
+    ``n_pairs=0`` and NaN statistics, and the table's DEGRADED note names the
+    point (:func:`~repro.experiments.common.flag_degraded`).
     """
     by_label_load: dict = {}
     loads: list = []
@@ -86,6 +91,10 @@ def compare_schedulers(
         if index_a is None or index_b is None:
             continue
         deltas = campaign_result.compare_points(index_a, index_b, confidence)
+        lost = not (
+            campaign_result.points[index_a].replications
+            and campaign_result.points[index_b].replications
+        )
         if metrics is None:
             wanted = ["mean_delay_s"] + [
                 name for name in ("p90_delay_s", "carried_kbps") if name in deltas
@@ -93,12 +102,15 @@ def compare_schedulers(
         else:
             wanted = list(metrics)
         for name in wanted:
-            if name not in deltas:
+            if name in deltas:
+                d = deltas[name]
+            elif lost:
+                d = DeltaSummary(0, *[math.nan] * 5)
+            else:
                 raise ValueError(
                     f"metric {name!r} is not shared by both points at load "
                     f"{load!r}; available: {sorted(deltas)}"
                 )
-            d = deltas[name]
             ratio = (
                 d.ci_half_width / d.unpaired_ci_half_width
                 if d.unpaired_ci_half_width and d.unpaired_ci_half_width > 0.0

@@ -1,38 +1,32 @@
-"""Pluggable campaign executors and the attempt ledger they share.
+"""Campaign executors and the attempt ledger of the resilient one.
 
 The campaign engine (:mod:`repro.experiments.campaign`) reduces an experiment
 to a list of *tasks* — pure functions of their ``(point, replication)``
 coordinates, thanks to the deterministic seed tree — and hands the list to an
 **executor**.  :class:`SerialExecutor` runs them in-process and propagates
 exceptions (``workers=1``); :class:`ResilientExecutor` runs them on managed
-worker processes over pipes (the ``workers > 1`` default); and
-:class:`~repro.experiments.swarm.SwarmExecutor` leases them to workers over
-a shared-directory file queue.
+worker processes over pipes (the ``workers > 1`` default).
 
-The two fault-tolerant executors keep their policy in one
-:class:`AttemptLedger` and only report what became of each attempt:
+The resilient executor keeps its policy in an :class:`AttemptLedger` and only
+reports what became of each attempt:
 
-* **failed** — the runner raised, or the attempt overran its time budget.
-  Retry ``r`` waits ``min(backoff_base_s * 2**(r-1),`` :data:`BACKOFF_MAX_S`
-  ``)``, stretched by up to :data:`BACKOFF_JITTER` of jitter seeded by
-  ``(backoff_seed, task, r)``.  Once ``max_retries`` retries are spent and
-  no other copy runs, the task is **quarantined**: reported as a failed
-  :class:`TaskOutcome` instead of killing the campaign.  The pipe transport
-  reports a dead worker or a timeout as failed: its one task is the suspect;
-* **lost** — the attempt will never report; it is re-issued at once, costs
-  no retry, and only :data:`MAX_REISSUES` bounds it.  The file transport
-  reports an expired lease or a dead worker as lost, because leases also
-  expire when messages are lost;
+* **failed** — the runner raised, the attempt overran its time budget or its
+  worker died (its one task is the suspect).  Retry ``r`` waits
+  ``min(backoff_base_s * 2**(r-1),`` :data:`BACKOFF_MAX_S` ``)``, stretched
+  by up to :data:`BACKOFF_JITTER` of jitter seeded by ``(backoff_seed, task,
+  r)``.  Once ``max_retries`` retries are spent and no other copy runs, the
+  task is **quarantined**: reported as a failed :class:`TaskOutcome` instead
+  of killing the campaign;
 * **succeeded** — the first completion wins; later ones are discarded;
 * **stragglers** — the sole running copy of a task older than
   ``max(straggler_factor × mean completion time,`` :data:`STRAGGLER_FLOOR_S`
   ``)`` gets one extra copy, only into idle capacity with no ripe work
   queued and once :data:`STRAGGLER_MIN_COMPLETIONS` tasks have completed.
 
-Every task is a pure function of its coordinates, so a retried, re-issued or
-duplicated task returns exactly the bytes of the original attempt: a campaign
-run with faults injected aggregates bit-identically to a fault-free serial
-run (the chaos suite locks this).
+Every task is a pure function of its coordinates, so a retried or duplicated
+task returns exactly the bytes of the original attempt: a campaign run with
+faults injected aggregates bit-identically to a fault-free serial run (the
+chaos suite locks this).
 """
 
 from __future__ import annotations
@@ -64,9 +58,6 @@ ExecuteFn = Callable[[object], MetricDict]
 BACKOFF_MAX_S = 30.0
 #: Largest jitter stretch of a retry backoff, as a fraction of the backoff.
 BACKOFF_JITTER = 0.25
-#: Lost attempts one task may suffer before quarantine: the guard against a
-#: task that reliably kills its worker without ever reporting a failure.
-MAX_REISSUES = 20
 #: Completed tasks needed before the mean completion time picks stragglers.
 STRAGGLER_MIN_COMPLETIONS = 3
 #: Floor of the straggler threshold (seconds): keeps sub-millisecond task
@@ -91,16 +82,6 @@ def retry_backoff_delay(task_index: int, retry: int, *, base_s: float, seed: int
     return base * (1.0 + BACKOFF_JITTER * random.Random(mix).random())
 
 
-def fork_context():
-    """The ``fork`` multiprocessing context where available (else the default).
-
-    Forked workers need no importable execute function.
-    """
-    import multiprocessing as mp
-
-    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """One unit of campaign work: coordinates plus the picklable payload."""
@@ -120,9 +101,9 @@ class TaskOutcome:
     """Result of one task: metrics on success, an error string on failure.
 
     ``attempts`` counts the executions of the task: every attempt that
-    failed or was lost, plus the one that succeeded (1 = the first try
-    succeeded).  ``metrics`` is ``None`` exactly when the task was
-    quarantined, in which case ``error`` describes the last failure.
+    failed, plus the one that succeeded (1 = the first try succeeded).
+    ``metrics`` is ``None`` exactly when the task was quarantined, in which
+    case ``error`` describes the last failure.
     """
 
     task: TaskSpec
@@ -143,10 +124,6 @@ class ExecutorStats:
     speculative_reissues: int = 0
     duplicates_discarded: int = 0
     quarantined: int = 0
-    # Lease-protocol accounting (swarm executor; zero elsewhere).
-    leases_issued: int = 0
-    leases_expired: int = 0
-    work_stolen: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view (recorded on :class:`CampaignResult`)."""
@@ -156,8 +133,8 @@ class ExecutorStats:
 class AttemptLedger:
     """Per-task fault-tolerance state of one executor run (see module docs).
 
-    The transport reports each attempt as :meth:`issued`, then
-    :meth:`succeeded`, :meth:`failed` or :meth:`lost`.  The ledger records the
+    The executor reports each attempt as :meth:`issued`, then
+    :meth:`succeeded` or :meth:`failed`.  The ledger records the
     ``task_*`` events, keeps the ``retries``, ``quarantined`` and
     ``duplicates_discarded`` stats and collects the :attr:`outcomes`.
     """
@@ -185,7 +162,6 @@ class AttemptLedger:
         #: ``(not_before, task index)`` entries awaiting (re-)issue, FIFO.
         self._queue: List[Tuple[float, int]] = [(now, index) for index in range(total)]
         self._failures = [0] * total  # the retry budget
-        self._losses = [0] * total  # bounded by MAX_REISSUES only
         self._running = [0] * total  # copies in flight (> 1: a straggler copy)
         self._finished = [False] * total
         self._copied = [False] * total  # a straggler gets one extra copy
@@ -196,27 +172,24 @@ class AttemptLedger:
         #: Tasks with neither a result nor a quarantine verdict yet.
         self.unfinished = total
 
-    # -- transitions the transport reports ---------------------------------------
+    # -- transitions the executor reports ----------------------------------------
     def issued(self, index: int) -> None:
         """An attempt of task ``index`` went out to a worker."""
         self._running[index] += 1
         if self.hooks is not None:
             self.hooks.record(
-                "task_issued", key=self.tasks[index].key, attempt=self._executions(index) + 1
+                "task_issued", key=self.tasks[index].key, attempt=self._failures[index] + 1
             )
 
-    def succeeded(
-        self, index: int, metrics: MetricDict, duration_s: float, live: bool = True
-    ) -> None:
-        """An attempt returned ``metrics``; ``live=False``: one already lost."""
-        if live:
-            self._running[index] -= 1
+    def succeeded(self, index: int, metrics: MetricDict, duration_s: float) -> None:
+        """An attempt returned ``metrics``."""
+        self._running[index] -= 1
         if self._finished[index]:
             self.stats.duplicates_discarded += 1
             return
         self._completions += 1
         self._completion_time_s += duration_s
-        attempts = self._executions(index) + 1
+        attempts = self._failures[index] + 1
         if self.hooks is not None:
             self.hooks.record(
                 "task_completed",
@@ -226,10 +199,9 @@ class AttemptLedger:
             )
         self._finish(index, TaskOutcome(self.tasks[index], metrics, None, attempts, duration_s))
 
-    def failed(self, index: int, reason: str, live: bool = True) -> None:
-        """The runner raised, or the attempt overran its time budget."""
-        if live:
-            self._running[index] -= 1
+    def failed(self, index: int, reason: str) -> None:
+        """The runner raised, the attempt overran its time budget or its worker died."""
+        self._running[index] -= 1
         if self._finished[index]:
             self.stats.duplicates_discarded += 1
             return
@@ -251,24 +223,6 @@ class AttemptLedger:
                 )
         elif not self._running[index]:
             self._quarantine(index, reason)
-
-    def lost(self, index: int, reason: str) -> None:
-        """The attempt will never report: re-issue at once, budget untouched."""
-        self._running[index] -= 1
-        if self._finished[index] or self._running[index]:
-            return
-        self._losses[index] += 1
-        if self._losses[index] > MAX_REISSUES:
-            self._quarantine(
-                index,
-                f"attempt lost {MAX_REISSUES} times without a report (the task "
-                f"keeps losing its worker); last: {reason}",
-            )
-        elif self._failures[index] > self.max_retries:
-            # The budget was spent while this copy ran: the deferred verdict.
-            self._quarantine(index, reason)
-        else:
-            self._queue.append((time.monotonic(), index))
 
     def stale_report(self) -> None:
         """A report of an attempt issued by an earlier run (``keep_alive``)."""
@@ -347,11 +301,8 @@ class AttemptLedger:
         return outcomes
 
     # -- internals ---------------------------------------------------------------
-    def _executions(self, index: int) -> int:
-        return self._failures[index] + self._losses[index]
-
     def _quarantine(self, index: int, reason: str) -> None:
-        attempts = self._executions(index)
+        attempts = self._failures[index]
         self.stats.quarantined += 1
         if self.hooks is not None:
             self.hooks.record(
@@ -436,7 +387,7 @@ def reset_worker_signals() -> None:
     between bytecodes, so a worker that receives a SIGTERM while blocked in
     a lock or a system call never runs it and waits forever.  With the
     default action the kernel ends the worker at once.  Called first thing
-    in every worker the executors fork.
+    in every forked worker.
     """
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.SIG_DFL)
@@ -445,14 +396,18 @@ def reset_worker_signals() -> None:
 # ---------------------------------------------------------------------------
 # Resilient executor
 # ---------------------------------------------------------------------------
-def _resilient_worker(conn) -> None:
+def _resilient_worker(conn, parent_conn) -> None:
     """Worker loop: receive ``(ticket, execute, payload)``, send the result.
 
-    A ``None`` message is the shutdown signal.  All exceptions — including
+    A ``None`` message is the shutdown signal, and so is EOF: the fork
+    inherits ``parent_conn``, the coordinator's end of this worker's pipe,
+    and closes it first, so a coordinator that dies without unwinding leaves
+    no open writer and ``recv`` returns.  All exceptions — including
     injected faults — are reported back as ``(ticket, False, reason)``; a
     crash (``os._exit``, signal) simply never answers, which the parent
     detects through process liveness.
     """
+    parent_conn.close()
     reset_worker_signals()
     while True:
         try:
@@ -482,7 +437,7 @@ class _WorkerHandle:
     def __init__(self, ctx) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_resilient_worker, args=(child_conn,), daemon=True
+            target=_resilient_worker, args=(child_conn, parent_conn), daemon=True
         )
         self.process.start()
         child_conn.close()
@@ -597,9 +552,11 @@ class ResilientExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return
+        import multiprocessing as mp
         from multiprocessing import connection as mp_connection
 
-        ctx = fork_context()
+        # Forked workers need no importable execute function.
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
         ledger = AttemptLedger(
             tasks,
             max_retries=self.max_retries,

@@ -25,28 +25,10 @@ Fault kinds
     OOM-kill stand-in).  Only meaningful under a process-isolating executor;
     under :class:`~repro.experiments.executors.SerialExecutor` it would take
     the calling process down with it.
-``"sigkill"``
-    ``SIGKILL`` the executing process — the hard-kill variant of ``"crash"``
-    (no exit code the worker chose, no atexit, no cleanup), the stand-in for
-    an OOM killer or an operator ``kill -9`` on a swarm worker.  Same
-    executor caveats as ``"crash"``.
 ``"delay"``
     Sleep ``delay_s`` before running normally (straggler / hung-task
     stand-in; combine with a task timeout to exercise the kill-and-re-issue
     path).
-
-Network-level faults
---------------------
-The swarm executor (:mod:`repro.experiments.swarm`) exchanges *messages*
-(leases, results, heartbeats) between coordinator and workers, which opens
-failure modes no per-task fault can express: lost, duplicated, delayed and
-reordered messages, and heartbeat stalls that make a live worker look dead.
-:class:`MessageFaultPlan` injects those deterministically at the transport
-layer: every message's fate is a pure function of ``(seed, channel,
-message_id)``, so a chaos run is reproducible without any shared state.  The
-plan is picklable and is shipped to workers inside the swarm job file, so
-worker-side sends (results, heartbeats) are injected exactly like
-coordinator-side sends (leases).
 
 Attempt accounting
 ------------------
@@ -62,24 +44,14 @@ which is only sufficient for the serial executor.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import random
-import signal
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-__all__ = [
-    "InjectedFaultError",
-    "FaultSpec",
-    "FaultPlan",
-    "MessageFaults",
-    "MessageFate",
-    "MessageFaultPlan",
-]
+__all__ = ["InjectedFaultError", "FaultSpec", "FaultPlan"]
 
-FAULT_KINDS = ("exception", "crash", "sigkill", "delay")
+FAULT_KINDS = ("exception", "crash", "delay")
 
 #: Exit code of an injected worker crash (distinctive in executor reports).
 CRASH_EXIT_CODE = 86
@@ -183,8 +155,6 @@ class FaultPlan:
                     f"injected runner exception at point {point_index}, "
                     f"replication {replication}"
                 )
-            elif spec.kind == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
             else:  # crash
                 os._exit(CRASH_EXIT_CODE)
 
@@ -194,132 +164,3 @@ class FaultPlan:
             f"token_dir={self.token_dir!r})"
         )
 
-
-# ---------------------------------------------------------------------------
-# Network-level (message) fault injection
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MessageFaults:
-    """Fault mix of one message channel (probabilities are independent).
-
-    Parameters
-    ----------
-    drop:
-        Probability a message is silently discarded.  The swarm protocol is
-        self-healing under drops: a dropped lease or result merely expires
-        the lease, the task is re-issued, and the duplicate-completion
-        dedupe keeps aggregates bit-identical.
-    duplicate:
-        Probability a message is delivered twice (distinct transport slots,
-        identical payload) — exercises at-least-once dedupe.
-    delay / delay_s:
-        Probability a message is held back ``delay_s`` wall-clock seconds
-        before the receiver may observe it.
-    reorder:
-        Probability a message is held until after the sender's *next*
-        message on the same channel (a classic datagram reordering).
-    stall_after / stall_for:
-        Deterministic outage window: messages with sequence number
-        ``stall_after <= seq < stall_after + stall_for`` on the channel are
-        dropped regardless of ``drop``.  Applied to the heartbeat channel
-        this is a *heartbeat stall*: a live worker that looks dead for the
-        length of the window (its leases expire and its late results must
-        dedupe cleanly).
-    """
-
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    delay_s: float = 0.25
-    reorder: float = 0.0
-    stall_after: Optional[int] = None
-    stall_for: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "reorder"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value!r}")
-        if self.delay_s < 0.0:
-            raise ValueError("delay_s must be non-negative")
-        if (self.stall_after is None) != (self.stall_for == 0):
-            raise ValueError("stall_after and stall_for must be set together")
-        if self.stall_for < 0:
-            raise ValueError("stall_for must be non-negative")
-
-
-@dataclass(frozen=True)
-class MessageFate:
-    """The injected fate of one message (all clear = deliver normally)."""
-
-    dropped: bool = False
-    duplicated: bool = False
-    delay_s: float = 0.0
-    reordered: bool = False
-
-
-_CLEAN_FATE = MessageFate()
-
-
-class MessageFaultPlan:
-    """Deterministic message-level chaos for the swarm transport.
-
-    ``fate(channel, message_id, seq)`` draws the message's fate from an RNG
-    seeded by ``(seed, channel kind, message_id)`` only — the same message
-    identity always meets the same fate, in any process, which is what makes
-    a chaos campaign reproducible without coordination.  A re-*sent* message
-    (new attempt id after a lease expiry) has a new identity and re-rolls,
-    so faults with probability < 1 can never starve the protocol forever.
-
-    Channels are addressed by kind prefix: ``"lease"``, ``"result"`` and
-    ``"heartbeat"`` (a channel name ``"lease:w3"`` selects the ``lease``
-    mix).  Unconfigured kinds are fault-free.  Instances are picklable and
-    stateless, so coordinator and workers share one plan by value.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        leases: Optional[MessageFaults] = None,
-        results: Optional[MessageFaults] = None,
-        heartbeats: Optional[MessageFaults] = None,
-    ) -> None:
-        self.seed = int(seed)
-        self.mixes: Dict[str, MessageFaults] = {}
-        for kind, mix in (
-            ("lease", leases),
-            ("result", results),
-            ("heartbeat", heartbeats),
-        ):
-            if mix is not None:
-                self.mixes[kind] = mix
-
-    def fate(self, channel: str, message_id: str, seq: int) -> MessageFate:
-        """The deterministic fate of message ``message_id`` on ``channel``."""
-        kind = channel.split(":", 1)[0]
-        mix = self.mixes.get(kind)
-        if mix is None:
-            return _CLEAN_FATE
-        if mix.stall_after is not None and (
-            mix.stall_after <= seq < mix.stall_after + mix.stall_for
-        ):
-            return MessageFate(dropped=True)
-        digest = hashlib.blake2b(
-            f"{self.seed}|{kind}|{message_id}".encode(), digest_size=8
-        ).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        # Fixed draw order keeps fates stable when the mix changes shape.
-        dropped = rng.random() < mix.drop
-        duplicated = rng.random() < mix.duplicate
-        delayed = rng.random() < mix.delay
-        reordered = rng.random() < mix.reorder
-        if dropped:
-            return MessageFate(dropped=True)
-        return MessageFate(
-            duplicated=duplicated,
-            delay_s=mix.delay_s if delayed else 0.0,
-            reordered=reordered,
-        )
-
-    def __repr__(self) -> str:
-        return f"MessageFaultPlan(seed={self.seed}, mixes={sorted(self.mixes)})"

@@ -37,6 +37,7 @@ import sys
 import time
 from typing import List
 
+from repro.experiments.campaign import check_stopping_flags
 from repro.experiments.capacity import run_capacity
 from repro.experiments.common import ExperimentResult
 from repro.experiments.coverage import run_coverage
@@ -112,13 +113,12 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     parser.add_argument("--workers", type=int, default=1,
                         help="processes sharding the Monte-Carlo replications")
     parser.add_argument("--executor",
-                        choices=["serial", "resilient", "swarm"],
+                        choices=["serial", "resilient"],
                         default=None,
                         help="campaign execution back-end (default: serial "
                              "at --workers 1, resilient above, which retries, "
-                             "times out and re-issues stragglers; 'swarm' "
-                             "runs a lease-based worker swarm; degraded cells "
-                             "are flagged in the tables)")
+                             "times out and re-issues stragglers; degraded "
+                             "cells are flagged in the tables)")
     parser.add_argument("--scheduler", action="append", default=None,
                         metavar="NAME[:k=v,...]", dest="scheduler_specs",
                         help="restrict the scheduler-swept experiments to "
@@ -150,6 +150,7 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     compare.add_argument("--max-replications", type=int, default=None,
                          help="sequential-stopping replication cap per point")
     args = parser.parse_args(argv)
+    check_stopping_flags(parser, args)
     factories = None
     if args.scheduler_specs:
         from repro.experiments.common import scheduler_from_spec

@@ -12,11 +12,10 @@ kinds and of the fields each one carries:
   stage's wall-clock ``elapsed_s``) and one ``frame`` per scheduling frame;
 * the **admission path** records every scheduling decision (``admission``:
   queue depth, grants, solver objective and optimality);
-* the **campaign executors** (:mod:`repro.experiments.executors`,
-  :mod:`repro.experiments.swarm`) record task issue, completion, retry and
-  quarantine and the swarm's worker and lease lifecycle, and the campaign
-  engine records the replications it serves from another campaign's
-  results (``task_shared``).
+* the **campaign executors** (:mod:`repro.experiments.executors`) record
+  task issue, completion, retry and quarantine, and the campaign engine
+  records the replications it serves from another campaign's results
+  (``task_shared``).
 
 ``time_s`` is *simulation* time; the executor events have none and pass
 ``None``.  The ``elapsed_s``/``duration_s``/``delay_s`` fields are

@@ -90,12 +90,6 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "task_retry": ("key", "attempt", "delay_s", "reason"),
     "task_quarantined": ("key", "attempts", "reason"),
     "task_shared": ("key", "source"),
-    # swarm lifecycle (distributed executor)
-    "worker_joined": ("worker_id",),
-    "worker_left": ("worker_id", "reason"),
-    "lease_granted": ("worker_id", "attempt", "num_tasks"),
-    "lease_expired": ("worker_id", "attempt", "reason"),
-    "work_stolen": ("key", "from_worker", "to_worker"),
 }
 
 #: Wall-clock fields: nondeterministic, dropped by :func:`normalize_event`.

@@ -444,30 +444,41 @@ def die_after(done, total):
 
 points = [{{"offset": 0.0}}, {{"offset": 10.0}}, {{"offset": 20.0}}]
 campaign = Campaign("toy", runner, points, replications=3, root_seed=123)
-campaign.run(checkpoint_path={ckpt!r}, progress=die_after)
+campaign.run(workers={workers}, checkpoint_path={ckpt!r}, progress=die_after)
 """
 
 
 class TestCoordinatorKillResume:
     """A coordinator killed at any point resumes from the WAL, no recompute."""
 
-    def _killed_run(self, tmp_path):
+    def _killed_run(self, tmp_path, workers=1):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         ckpt = str(tmp_path / "ckpt.json")
         script = tmp_path / "killed_campaign.py"
         script.write_text(
             textwrap.dedent(
-                _COORDINATOR_KILL_SCRIPT.format(src=os.path.abspath(src), ckpt=ckpt)
+                _COORDINATOR_KILL_SCRIPT.format(
+                    src=os.path.abspath(src), ckpt=ckpt, workers=workers
+                )
             )
         )
-        proc = subprocess.run(
+        # Forked workers inherit the stderr pipe, so its EOF means every
+        # process of the killed campaign has exited.  The child leads its own
+        # process group, which a timeout kills whole.
+        proc = subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
-            timeout=120,
+            start_new_session=True,
         )
-        assert proc.returncode == 3, proc.stderr
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a process of the killed campaign outlived it by 60 s")
+        assert proc.returncode == 3, stderr
         return ckpt
 
     def test_kill_mid_run_leaves_wal_only_and_resumes(self, tmp_path):
@@ -487,6 +498,18 @@ class TestCoordinatorKillResume:
         assert not os.path.exists(ckpt + ".wal")
         with open(ckpt) as handle:
             assert len(json.load(handle)["completed"]) == 9
+
+    def test_killed_resilient_coordinator_leaves_no_worker_and_resumes(self, tmp_path):
+        ckpt = self._killed_run(tmp_path, workers=2)
+        assert not os.path.exists(ckpt)
+        assert os.path.exists(ckpt + ".wal")
+
+        clean = toy_campaign().run()
+        resumed = toy_campaign().run(checkpoint_path=ckpt)
+        assert resumed.reused_replications == 3
+        assert [p.replications for p in resumed.points] == [
+            p.replications for p in clean.points
+        ]
 
     def test_kill_mid_append_torn_tail_is_discarded(self, tmp_path):
         ckpt = self._killed_run(tmp_path)

@@ -9,7 +9,8 @@ import pytest
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.executors import (
-    MAX_REISSUES,
+    BACKOFF_JITTER,
+    BACKOFF_MAX_S,
     STRAGGLER_FLOOR_S,
     AttemptLedger,
     ExecutorStats,
@@ -104,6 +105,43 @@ class TestValidation:
             toy_campaign().run(executor="quantum")
         with pytest.raises(ValueError, match="executor"):
             toy_campaign().run(executor="pool")
+        with pytest.raises(ValueError, match="executor"):
+            toy_campaign().run(executor="swarm")
+
+
+class TestSeededBackoff:
+    def test_campaign_root_seed_fills_in_backoff_seed(self):
+        campaign = toy_campaign(root_seed=77)
+        executor = ResilientExecutor(workers=1)
+        assert executor.backoff_seed is None
+        campaign._resolve_executor(executor, workers=1)
+        assert executor.backoff_seed == 77
+
+    def test_explicit_backoff_seed_is_kept(self):
+        campaign = toy_campaign(root_seed=77)
+        executor = ResilientExecutor(workers=1, backoff_seed=5)
+        campaign._resolve_executor(executor, workers=1)
+        assert executor.backoff_seed == 5
+
+    def test_jitter_depends_on_seed_task_and_retry(self):
+        kwargs = dict(base_s=0.25)
+        base = retry_backoff_delay(3, 1, seed=1, **kwargs)
+        assert base != retry_backoff_delay(3, 1, seed=2, **kwargs)
+        assert base != retry_backoff_delay(4, 1, seed=1, **kwargs)
+        assert base == retry_backoff_delay(3, 1, seed=1, **kwargs)
+        with pytest.raises(ValueError, match="1-based"):
+            retry_backoff_delay(0, 0, seed=0, **kwargs)
+
+    def test_exponential_growth_within_jitter_bounds(self):
+        for retry in range(1, 6):
+            nominal = 0.5 * 2.0 ** (retry - 1)
+            delay = retry_backoff_delay(3, retry, base_s=0.5, seed=0)
+            assert nominal <= delay <= nominal * (1.0 + BACKOFF_JITTER)
+
+    def test_backoff_cap(self):
+        for task_index in range(5):
+            delay = retry_backoff_delay(task_index, 10, base_s=1.0, seed=0)
+            assert BACKOFF_MAX_S <= delay <= BACKOFF_MAX_S * (1.0 + BACKOFF_JITTER)
 
 
 class _LedgerHooks(SimHooks):
@@ -164,24 +202,10 @@ class TestAttemptLedger:
                 assert outcome.metrics == {"v": 1.0}
                 assert ledger.stats.quarantined == 0
             else:
-                ledger.lost(0, "copy lost")
+                ledger.failed(0, "copy lost")
                 [outcome] = ledger.drain()
                 assert outcome.metrics is None and outcome.error == "copy lost"
                 assert ledger.stats.quarantined == 1
-
-    def test_lost_attempts_spare_the_retry_budget_until_max_reissues(self):
-        ledger = make_ledger(max_retries=0)
-        for _ in range(MAX_REISSUES + 1):
-            assert ledger.drain() == []
-            assert ledger.take_ripe(time.monotonic(), 1) == [0]  # at once
-            ledger.issued(0)
-            ledger.lost(0, "lease expired")
-        assert ledger.stats.retries == 0
-        [outcome] = ledger.drain()
-        assert outcome.metrics is None
-        assert f"lost {MAX_REISSUES} times" in outcome.error
-        assert outcome.attempts == MAX_REISSUES + 1
-        assert ledger.stats.quarantined == 1
 
     def test_first_completion_wins(self):
         hooks = _LedgerHooks()
@@ -191,12 +215,11 @@ class TestAttemptLedger:
         ledger.issued(0)
         ledger.succeeded(0, {"v": 1.0}, 0.1)
         ledger.succeeded(0, {"v": 1.0}, 0.2)  # the copy: discarded
-        ledger.failed(0, "late failure", live=False)  # a written-off attempt
         ledger.stale_report()  # an earlier run's attempt
         [outcome] = ledger.drain()
         assert outcome.metrics == {"v": 1.0} and outcome.duration_s == 0.1
         assert hooks.completed == [("0/0", 1)]
-        assert ledger.stats.duplicates_discarded == 3
+        assert ledger.stats.duplicates_discarded == 2
         assert ledger.stats.retries == 0
 
     def test_stragglers_need_completions_no_ripe_work_and_the_floor(self):
@@ -225,10 +248,9 @@ class TestAttemptLedger:
         ledger = make_ledger(num_tasks=2)
         now = time.monotonic()
         assert ledger.sleep_s(now, 0.01) == 0.01  # ripe work waits for a worker
-        for index in ledger.take_ripe(now, 2):
-            ledger.issued(index)
+        assert ledger.take_ripe(now, 1) == [0]  # task 1 stays queued, ripe
+        ledger.issued(0)
         ledger.failed(0, "boom")  # retry in 0.5-0.625 s
-        ledger.lost(1, "lease expired")  # ripe at once
         now = time.monotonic()
         assert ledger.sleep_s(now, 0.01) == 0.01
         assert 0.3 < ledger.sleep_s(now, 10.0) <= 0.5 * 1.25
@@ -437,7 +459,7 @@ class TestForkedWorkerSignals:
     on a lock hangs forever.
     """
 
-    @pytest.mark.parametrize("executor_name", ["resilient", "swarm"])
+    @pytest.mark.parametrize("executor_name", ["resilient"])
     def test_workers_have_default_signal_actions(self, executor_name):
         ctx = mp.get_context("spawn")
         receiver, sender = ctx.Pipe(duplex=False)

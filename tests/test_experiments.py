@@ -16,6 +16,7 @@ from repro.experiments import (
     run_phy_throughput,
     run_solver_ablation,
 )
+from repro.experiments.campaign import Campaign
 from repro.experiments.campaign import main as campaign_main
 from repro.experiments.capacity import build_capacity_campaign, reduce_capacity
 from repro.experiments.common import ExperimentResult
@@ -147,9 +148,9 @@ def _fast_scenario():
     return ScenarioConfig.fast_test(duration_s=1.0, warmup_s=0.25, seed=5)
 
 
-def _run_poisoned(campaign):
-    """Run ``campaign`` with replication 0 of point 0 quarantined."""
-    plan = FaultPlan([FaultSpec(0, 0, "exception", times=-1)])
+def _run_poisoned(campaign, replications=(0,)):
+    """Run ``campaign`` with these replications of point 0 quarantined."""
+    plan = FaultPlan([FaultSpec(0, rep, "exception", times=-1) for rep in replications])
     executor = ResilientExecutor(workers=1, max_retries=0, backoff_base_s=0.01)
     return campaign.run(executor=executor, fault_plan=plan)
 
@@ -201,6 +202,19 @@ class TestDegradedTables:
         assert kept["carried_kbps"] > 0.0
         assert "DEGRADED" in result.notes
 
+    def test_comparison_row_of_a_point_that_lost_every_replication(self):
+        campaign = build_comparison_campaign(
+            loads=[3], scenario=_fast_scenario(), num_seeds=2
+        )
+        outcome = _run_poisoned(campaign, replications=(0, 1))
+        result = compare_schedulers(outcome, "JABA-SD(J1)", "FCFS")
+        [row] = result.records
+        assert (row["data_users_per_cell"], row["metric"]) == (3, "mean_delay_s")
+        assert row["n_pairs"] == 0
+        assert np.isnan(row["mean_a"]) and np.isnan(row["delta"])
+        assert np.isnan(row["paired_ci"]) and np.isnan(row["ci_ratio"])
+        assert "DEGRADED" in result.notes
+
     def test_admission_statistics_keep_the_degradation_flags(self):
         from repro.experiments.delay_vs_load import reduce_admission
 
@@ -223,15 +237,32 @@ def _printed(capsys, main, argv):
     return capsys.readouterr().out
 
 
+def _resolved_executors(monkeypatch):
+    """The executors campaigns resolve from now on, in order."""
+    backends = []
+    resolve = Campaign._resolve_executor
+
+    def spy(self, executor, workers):
+        backends.append(resolve(self, executor, workers))
+        return backends[-1]
+
+    monkeypatch.setattr(Campaign, "_resolve_executor", spy)
+    return backends
+
+
 class TestCommandLines:
     """``python -m repro.experiments`` prints what the library path returns."""
 
-    def test_coverage_command_with_checkpoint(self, tmp_path, capsys):
+    def test_coverage_command_with_checkpoint(self, tmp_path, capsys, monkeypatch):
         checkpoint = tmp_path / "coverage.json"
         argv = ["--experiment", "coverage", "--loads", "2", "3",
                 "--schedulers", "JABA-SD(J1)", "FCFS", "--num-drops", "1",
-                "--checkpoint", str(checkpoint)]
+                "--checkpoint", str(checkpoint), "--workers", "2", "--max-retries", "0"]
+        backends = _resolved_executors(monkeypatch)
         printed = _printed(capsys, campaign_main, argv)
+        # The default executor at --workers 2 takes the retry budget.
+        [backend] = backends
+        assert isinstance(backend, ResilientExecutor) and backend.max_retries == 0
         campaign = build_coverage_campaign(
             loads=[2, 3], num_drops=1, scheduler_factories=TWO_SCHEDULERS
         )
@@ -292,11 +323,14 @@ class TestCommandLines:
         assert (tmp_path / "f5.json").exists()
 
     def test_report_compare_with_sequential_stopping(self, capsys):
-        printed = _printed(capsys, report_main, [
+        argv = [
             "--compare", "JABA-SD(J1)", "FCFS", "--loads", "2", "--seeds", "2",
-            "--duration", "1.0", "--warmup", "0.25",
-            "--ci-target", "1e-9", "--max-replications", "3",
-        ])
+            "--duration", "1.0", "--warmup", "0.25", "--max-replications", "3",
+        ]
+        with pytest.raises(SystemExit):  # the cap without a target is refused
+            report_main(argv)
+        assert "--max-replications requires --ci-target" in capsys.readouterr().err
+        printed = _printed(capsys, report_main, argv + ["--ci-target", "1e-9"])
         campaign = build_comparison_campaign(
             "JABA-SD(J1)",
             "FCFS",

@@ -23,7 +23,6 @@ from repro.experiments.executors import (
     TaskSpec,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.swarm import SwarmExecutor
 from repro.mac import JabaSdScheduler
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
 from repro.simulation.scenario import TrafficConfig
@@ -260,10 +259,8 @@ class TestExecutorHooks:
         "make_executor",
         [
             lambda: ResilientExecutor(workers=2, max_retries=2, backoff_base_s=0.01),
-            lambda: SwarmExecutor(workers=2, max_retries=2, backoff_base_s=0.01,
-                                  batch_size=1, poll_interval_s=0.005),
         ],
-        ids=["resilient", "swarm"],
+        ids=["resilient"],
     )
     def test_quarantine_counts_executions(self, tmp_path, make_executor):
         plan = FaultPlan([FaultSpec(0, 1, "exception", times=-1)],

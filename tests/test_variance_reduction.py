@@ -20,7 +20,6 @@ from repro.experiments.common import ExperimentResult, flag_degraded
 from repro.experiments.compare import compare_schedulers, run_scheduler_comparison
 from repro.experiments.executors import ResilientExecutor
 from repro.experiments.journal import CheckpointJournal
-from repro.experiments.swarm import SwarmExecutor
 from repro.utils.stats import (
     Histogram,
     confidence_interval,
@@ -30,7 +29,7 @@ from repro.utils.stats import (
 
 
 # ---------------------------------------------------------------------------
-# module-level toy runners (picklable, so pool/swarm executors can ship them)
+# module-level toy runners (picklable, so worker processes can run them)
 # ---------------------------------------------------------------------------
 def _crn_runner(params, seed):
     """Metric proportional to the shared draws: CRN makes points correlated."""
@@ -365,8 +364,7 @@ class TestSequentialStopping:
 
         serial = run_with(None, 1)
         resilient = run_with(ResilientExecutor(workers=4), 4)
-        swarm = run_with(SwarmExecutor(workers=2), 2)
-        assert serial == resilient == swarm
+        assert serial == resilient
         assert serial[1] == [8, 8]
 
     def test_fixed_checkpoint_resumes_into_sequential(self, tmp_path):
