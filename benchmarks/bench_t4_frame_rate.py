@@ -54,7 +54,6 @@ from repro.cdma.pilot import forward_pilot_ec_io, reverse_pilot_ec_io
 from repro.config import SystemConfig
 from repro.geometry.hexgrid import HexagonalCellLayout
 from repro.geometry.mobility import FleetMemberMobility, RandomDirectionFleet
-from repro.utils.hooks import SimHooks
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_frame_rate.json"
 
@@ -387,86 +386,6 @@ def measure_interleaved(
     return {name: _summarise(ms) for name, ms in trajectories.items()}
 
 
-class _CountingNoopHooks(SimHooks):
-    """No-op hooks that count their own dispatches (deterministic per seed)."""
-
-    def __init__(self):
-        self.calls = 0
-        self.stage_pairs = 0
-
-    def record(self, kind, time_s=None, **fields):
-        self.calls += 1
-        if kind == "stage_exit":
-            self.stage_pairs += 1
-
-
-def _noop_call_cost_s(iterations: int = 200_000) -> float:
-    """Per-call cost of a no-op hook dispatch, averaged in one timing window."""
-    record = SimHooks().record
-    t0 = time.perf_counter()
-    for _ in range(iterations):
-        record("stage_enter", 0.0, stage="mobility")
-    return (time.perf_counter() - t0) / iterations
-
-
-def _perf_counter_cost_s(iterations: int = 200_000) -> float:
-    perf_counter = time.perf_counter
-    t0 = perf_counter()
-    for _ in range(iterations):
-        perf_counter()
-    return (perf_counter() - t0) / iterations
-
-
-def measure_noop_hooks_overhead(
-    num_mobiles: int,
-    num_rings: int,
-    frames: int,
-    dt_s: float,
-    warmup: int,
-    seed: int,
-) -> Dict:
-    """Bound what installing a no-op :class:`~repro.utils.hooks.SimHooks`
-    on the network costs per frame, as a fraction of the frame's cost.
-
-    Wall-clock A/B of full pipelines cannot resolve a 2% budget on a
-    shared CI core, so the overhead is composed from stable parts: the
-    exact hook dispatches per ``step`` (counted by a no-op hook on a real
-    run — the mobility stage pair plus its ``perf_counter`` pair), the
-    per-dispatch cost averaged over 2·10^5 calls, and the hook-free frame
-    cost of the optimized cold pipeline.  ``check_bench_regression.py``
-    gates ``overhead_fraction`` at 2%.
-    """
-    counted = build_network(num_mobiles, num_rings, seed)
-    counter = _CountingNoopHooks()
-    counted.hooks = counter
-    for _ in range(frames):
-        counted.step(dt_s)
-    calls_per_frame = counter.calls / frames
-    stage_pairs_per_frame = counter.stage_pairs / frames
-
-    baseline = build_network(num_mobiles, num_rings, seed)
-    for _ in range(warmup):
-        baseline.step(dt_s)
-    frame_s = min(_time_frames(baseline, frames, dt_s)) / 1000.0
-
-    call_cost_s = _noop_call_cost_s()
-    pc_cost_s = _perf_counter_cost_s()
-    hook_cost_s = (
-        calls_per_frame * call_cost_s + stage_pairs_per_frame * 2.0 * pc_cost_s
-    )
-    return {
-        "frames": frames,
-        "hook_calls_per_frame": round(calls_per_frame, 3),
-        "stage_pairs_per_frame": round(stage_pairs_per_frame, 3),
-        "noop_call_cost_ns": round(1e9 * call_cost_s, 1),
-        "perf_counter_cost_ns": round(1e9 * pc_cost_s, 1),
-        "frame_ms": round(1000.0 * frame_s, 4),
-        "hook_cost_ms_per_frame": round(1000.0 * hook_cost_s, 6),
-        "overhead_fraction": round(hook_cost_s / frame_s, 6),
-        "max_overhead_fraction": 0.02,
-    }
-
-
 def _snapshot_arrays(snapshot: NetworkSnapshot) -> Dict[str, np.ndarray]:
     pad = max((len(s.active_set) for s in snapshot.handoff_states), default=1)
     active_sets = np.asarray(
@@ -556,9 +475,6 @@ def run_bench(
     report["speedup"] = {
         "optimized_cold": report["results"]["optimized_cold"]["frames_per_s"] / base
     }
-    report["noop_hooks_overhead"] = measure_noop_hooks_overhead(
-        num_mobiles, num_rings, frames, dt_s, warmup, seed
-    )
     report["parity"] = check_parity(num_mobiles, num_rings, parity_frames, dt_s, seed)
     return report
 
@@ -576,16 +492,6 @@ def format_table(report: Dict) -> str:
         lines.append(
             f"{name:<18} {result['frames_per_s']:>10.1f} "
             f"{result['mean_ms_per_frame']:>10.2f} {speedup:>8.2f}x"
-        )
-    noop = report.get("noop_hooks_overhead")
-    if noop:
-        lines.append(
-            f"no-op hooks: {noop['hook_calls_per_frame']:.0f} dispatches/frame "
-            f"x {noop['noop_call_cost_ns']:.0f} ns = "
-            f"{noop['hook_cost_ms_per_frame']:.4f} ms on a "
-            f"{noop['frame_ms']:.2f} ms frame "
-            f"(+{100.0 * noop['overhead_fraction']:.3f}%, budget "
-            f"{100.0 * noop['max_overhead_fraction']:.0f}%)"
         )
     parity = report["parity"]
     lines.append(f"parity: cold bit-identical={parity['cold_bit_identical']}")

@@ -15,9 +15,10 @@ regress:
   report has no speedup: the per-user objects it was measured against are
   no longer a simulator path, and ``perfbench``'s ``fleet-20k`` workload
   measures the fleet path end to end);
-* the telemetry hook points must stay ~free: the in-process A/B of the
-  default ``hooks=None`` path against an installed no-op ``SimHooks``
-  (``noop_hooks_overhead`` in the frame-rate and fleet reports) must not
+* the telemetry hook points must stay ~free: what installing a no-op
+  ``SimHooks`` adds to a dynamic-simulator frame over the default
+  ``hooks=None`` path (``noop_hooks_overhead`` in the fleet report; the
+  simulator's frame loop is the one layer that records stages) must not
   exceed its 2% overhead budget.
 
 Two baseline sources are consulted:
@@ -92,7 +93,6 @@ def _frame_rate_measurements(report: Dict) -> Tuple[Dict[str, float], List[str]]
     parity = report.get("parity", {})
     if not parity.get("cold_bit_identical", False):
         failures.append("frame_rate: cold pipeline is no longer bit-identical")
-    _gate_noop_hooks_overhead("frame_rate", report, failures)
     return dict(report.get("speedup", {})), failures
 
 

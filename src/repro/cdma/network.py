@@ -10,7 +10,6 @@ layer needs (Figure 2 of the paper).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -333,12 +332,6 @@ class CdmaNetwork:
         # Distance travelled per mobile in the last advance; all zeros
         # without a fleet.
         self._moved_buf = np.zeros(num_mobiles)
-        #: Optional :class:`repro.utils.hooks.SimHooks` observer; when set,
-        #: :meth:`advance` records the fleet's advance as a ``"mobility"``
-        #: stage (``stage_enter``/``stage_exit`` with wall time).  Assigned
-        #: by the dynamic simulator so network stages join its hooked frame
-        #: pipeline.
-        self.hooks = None
 
         self._time_s = 0.0
         # Initialise positions/gains and hand-off from the starting locations.
@@ -415,21 +408,8 @@ class CdmaNetwork:
         """
         if dt_s < 0.0:
             raise ValueError("dt_s must be non-negative")
-        fleet = self._mobility_fleet
-        if fleet is not None:
-            hooks = self.hooks
-            if hooks is None:
-                fleet.advance(dt_s, out_moved=self._moved_buf)
-            else:
-                hooks.record("stage_enter", self._time_s, stage="mobility")
-                t0 = time.perf_counter()
-                fleet.advance(dt_s, out_moved=self._moved_buf)
-                hooks.record(
-                    "stage_exit",
-                    self._time_s,
-                    stage="mobility",
-                    elapsed_s=time.perf_counter() - t0,
-                )
+        if self._mobility_fleet is not None:
+            self._mobility_fleet.advance(dt_s, out_moved=self._moved_buf)
         if self.num_mobiles > 0:
             self.link_gains.advance(self._positions_arr, self._moved_buf)
         self._time_s += dt_s

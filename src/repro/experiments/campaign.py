@@ -96,6 +96,7 @@ __all__ = [
     "PointResult",
     "CampaignResult",
     "Campaign",
+    "check_scheduler_specs",
     "check_stopping_flags",
     "main",
 ]
@@ -1058,6 +1059,23 @@ def check_stopping_flags(parser, args) -> None:
                 parser.error(f"--{flag.replace('_', '-')} requires --ci-target")
 
 
+def check_scheduler_specs(parser, labels) -> None:
+    """Refuse a scheduler spec that does not build, with the registry's message.
+
+    Both CLIs resolve every spec (legacy label or registered name with
+    kwargs) once, before running anything, so a typo dies with the
+    registry's did-you-mean error instead of inside a worker process.
+    """
+    from repro.experiments.common import scheduler_from_spec
+    from repro.registry import RegistryError
+
+    for label in labels:
+        try:
+            scheduler_from_spec(label)
+        except (RegistryError, ValueError) as exc:
+            parser.error(str(exc))
+
+
 def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     """Run one of the ported experiments as a sharded campaign.
 
@@ -1128,8 +1146,8 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="resilient executor only: seconds before a "
                              "replication is killed and re-issued")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="resilient executor: failed attempts "
+    parser.add_argument("--max-retries", type=int, default=None,
+                        help="resilient executor only: failed attempts "
                              "re-issued before a task is quarantined "
                              "(default 2)")
     parser.add_argument("--trace-dir", default=None,
@@ -1170,26 +1188,26 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     resilient = args.executor == "resilient" or (
         args.executor is None and args.workers > 1
     )
-    if args.task_timeout is not None and not resilient:
-        parser.error(
-            "--task-timeout requires the resilient executor (--workers > 1 "
-            "or --executor resilient)"
-        )
+    for flag in ("task_timeout", "max_retries"):
+        if getattr(args, flag) is not None and not resilient:
+            parser.error(
+                f"--{flag.replace('_', '-')} requires the resilient executor "
+                "(--workers > 1 or --executor resilient)"
+            )
     check_stopping_flags(parser, args)
 
     executor = args.executor
     if resilient:
+        retries = {} if args.max_retries is None else {"max_retries": args.max_retries}
         executor = ResilientExecutor(
-            workers=max(args.workers, 1),
-            task_timeout_s=args.task_timeout,
-            max_retries=args.max_retries,
+            workers=max(args.workers, 1), task_timeout_s=args.task_timeout, **retries
         )
 
     from dataclasses import replace as dc_replace
     from functools import partial
 
     from repro.experiments.capacity import build_capacity_campaign, reduce_capacity
-    from repro.experiments.common import paper_scenario, scheduler_from_spec
+    from repro.experiments.common import paper_scenario
     from repro.experiments.coverage import build_coverage_campaign, reduce_coverage
     from repro.experiments.delay_vs_load import build_delay_campaign, reduce_delay
     from repro.experiments.objectives_tradeoff import (
@@ -1198,18 +1216,9 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
     )
     from repro.registry import RegistryError, build_scenario, load_scenario_spec
 
-    # Every scheduler spec (legacy label or registered name with kwargs) is
-    # resolved once up front, so a typo dies with the registry's
-    # did-you-mean error instead of inside a worker process.
     labels = list(args.schedulers or []) + list(args.scheduler_specs or [])
-    factories = None
-    if labels:
-        for label in labels:
-            try:
-                scheduler_from_spec(label)
-            except (RegistryError, ValueError) as exc:
-                parser.error(str(exc))
-        factories = {label: label for label in labels}
+    check_scheduler_specs(parser, labels)
+    factories = {label: label for label in labels} if labels else None
 
     spec_scenario = None
     spec_scheduler_section = None

@@ -37,7 +37,7 @@ import sys
 import time
 from typing import List
 
-from repro.experiments.campaign import check_stopping_flags
+from repro.experiments.campaign import check_scheduler_specs, check_stopping_flags
 from repro.experiments.capacity import run_capacity
 from repro.experiments.common import ExperimentResult
 from repro.experiments.coverage import run_coverage
@@ -151,31 +151,18 @@ def main(argv=None) -> int:  # pragma: no cover - CLI entry point
                          help="sequential-stopping replication cap per point")
     args = parser.parse_args(argv)
     check_stopping_flags(parser, args)
-    factories = None
-    if args.scheduler_specs:
-        from repro.experiments.common import scheduler_from_spec
-        from repro.registry import RegistryError
-
-        for label in args.scheduler_specs:
-            try:
-                scheduler_from_spec(label)
-            except (RegistryError, ValueError) as exc:
-                parser.error(str(exc))
-        factories = {label: label for label in args.scheduler_specs}
+    labels = args.scheduler_specs or []
+    check_scheduler_specs(parser, labels)
+    factories = {label: label for label in labels} if labels else None
     if args.compare is not None:
-        from repro.experiments.common import paper_scenario, scheduler_from_spec
+        from repro.experiments.common import paper_scenario
         from repro.experiments.compare import (
             build_comparison_campaign,
             compare_schedulers,
         )
-        from repro.registry import RegistryError
 
         label_a, label_b = args.compare
-        for label in (label_a, label_b):
-            try:
-                scheduler_from_spec(label)
-            except (RegistryError, ValueError) as exc:
-                parser.error(str(exc))
+        check_scheduler_specs(parser, args.compare)
         scenario = None
         if args.duration is not None or args.warmup is not None:
             kwargs = {}

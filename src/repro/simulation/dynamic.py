@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -80,15 +80,22 @@ class DynamicSystemSimulator:
     hooks:
         Optional :class:`repro.utils.hooks.SimHooks` observer of the frame
         pipeline: it receives ``record(kind, time_s, **fields)`` for
-        ``run_start``/``run_end``, per-stage ``stage_enter``/``stage_exit``
-        (with wall time), one ``frame`` per frame and one ``admission`` per
-        decision.  An :class:`~repro.utils.recorder.EventRecorder` is such
-        an observer.  When ``None`` (the default) the simulator resolves a
-        recorder instead: a ``scenario.trace_path`` records the run to that
-        JSONL file, else an ambient recorder installed via
+        ``run_start``/``run_end``, a ``stage_enter``/``stage_exit`` pair
+        (with wall time) around each stage of every frame, one ``frame`` per
+        frame and one ``admission`` per decision.  An
+        :class:`~repro.utils.recorder.EventRecorder` is such an observer.
+        When ``None`` (the default) the simulator resolves a recorder
+        instead: a ``scenario.trace_path`` records the run to that JSONL
+        file, else an ambient recorder installed via
         :func:`repro.utils.recorder.use_recorder` (the campaign engine's
-        channel) is used; with neither, the frame loop runs hook-free at
-        zero observability overhead.
+        channel) is used; with neither, the frame loop runs hook-free and
+        reads no clock.
+
+    Every frame runs nine named stages in this order, each through
+    :meth:`_stage`: ``voice``, ``arrivals``, ``bursts``, ``data_activity``,
+    ``snapshot`` (power control and measurements), ``admission``,
+    ``metrics``, ``mac`` and ``network`` (mobility, propagation and
+    hand-off, :meth:`repro.cdma.network.CdmaNetwork.advance`).
     """
 
     def __init__(
@@ -190,7 +197,9 @@ class DynamicSystemSimulator:
             layout=self.layout,
             mobility_fleet=self.mobility_fleet,
         )
-        self.network.hooks = self.hooks
+        self._bs_noise_power_w = np.asarray(
+            [bs.noise_power_w for bs in self.network.base_stations]
+        )
         self.controller = BurstAdmissionController(system, scheduler)
 
         # -- traffic ----------------------------------------------------------------
@@ -225,7 +234,6 @@ class DynamicSystemSimulator:
             LinkDirection.REVERSE: [],
         }
         self.active_bursts: List[_ActiveBurst] = []
-        self._request_meta: Dict[int, Tuple[float, float]] = {}
         # Incremental bursting/waiting membership: counts per mobile index,
         # maintained at request arrival / grant / completion time so
         # :meth:`_update_data_activity` never rebuilds the sets per frame.
@@ -247,7 +255,6 @@ class DynamicSystemSimulator:
         )
         self.pending[link].append(request)
         self._waiting_count[mobile_index] += 1
-        self._request_meta[request.request_id] = (arrival_s, size_bits)
         self.metrics.record_packet_call_arrival(arrival_s, size_bits)
 
     def _pull_arrivals(self, now_s: float) -> None:
@@ -313,11 +320,8 @@ class DynamicSystemSimulator:
             self._bursting_count[request.mobile_index] -= 1
             request.account_served_bits(grant.bits_to_serve)
             if request.completed:
-                arrival, size = self._request_meta.pop(
-                    request.request_id, (request.arrival_time_s, request.size_bits)
-                )
                 self.metrics.record_packet_call_completion(
-                    arrival, burst.end_s, size, request.link
+                    request.arrival_time_s, burst.end_s, request.size_bits, request.link
                 )
             else:
                 # Remaining bits go back to the pending queue; the waiting
@@ -373,37 +377,58 @@ class DynamicSystemSimulator:
     def _update_mac_states(self, dt_s: float) -> None:
         self.mac_fleet.advance(dt_s, self._bursting_count[self._data_idx_arr] > 0)
 
-    def _hooked_stage(self, hooks: SimHooks, name: str, now_s: float, fn, *args) -> None:
-        """Run one pipeline stage under the hooks protocol (enter/exit + wall time)."""
-        hooks.record("stage_enter", now_s, stage=name)
-        t0 = time.perf_counter()
-        fn(*args)
-        elapsed_s = time.perf_counter() - t0
-        hooks.record("stage_exit", now_s, stage=name, elapsed_s=elapsed_s)
+    def _record_frame(
+        self, snapshot: NetworkSnapshot, now_s: float, frame_index: int
+    ) -> None:
+        pending_count = sum(len(v) for v in self.pending.values())
+        self.metrics.record_frame(
+            now_s,
+            pending_requests=pending_count,
+            forward_utilisation=float(np.mean(snapshot.forward_load.utilisation())),
+            reverse_rise_db=float(
+                np.mean(snapshot.reverse_load.rise_over_thermal_db(self._bs_noise_power_w))
+            ),
+            fch_outage_fraction=snapshot.fch_outage_fraction(),
+        )
+        if self.hooks is not None:
+            self.hooks.record(
+                "frame",
+                now_s,
+                frame_index=frame_index,
+                pending_requests=pending_count,
+                active_bursts=len(self.active_bursts),
+            )
 
     # -- main loop ----------------------------------------------------------------------------------
-    def run(self, progress: Optional[int] = None) -> SimulationResult:
-        """Run the simulation and return the summary result.
+    def _stage(self, name: str, now_s: float, fn, *args):
+        """Run one named stage of the frame and return what ``fn`` returns.
 
-        Parameters
-        ----------
-        progress:
-            When given, a progress line is printed every ``progress`` frames
-            (useful for the long experiment runs).
+        Without hooks this is the call itself; with hooks the stage is
+        bracketed by ``stage_enter``/``stage_exit`` (with its wall time).
         """
         hooks = self.hooks
-        self.network.hooks = hooks
+        if hooks is None:
+            return fn(*args)
+        hooks.record("stage_enter", now_s, stage=name)
+        t0 = time.perf_counter()
+        result = fn(*args)
+        elapsed_s = time.perf_counter() - t0
+        hooks.record("stage_exit", now_s, stage=name, elapsed_s=elapsed_s)
+        return result
+
+    def run(self) -> SimulationResult:
+        """Run the simulation and return the summary result."""
+        hooks = self.hooks
         scenario = self.scenario
+        network = self.network
+        stage = self._stage
         frame_s = self.system.mac.frame_duration_s
         total_time = scenario.warmup_s + scenario.duration_s
         num_frames = int(math.ceil(total_time / frame_s))
-        bs_noise_power_w = np.asarray(
-            [bs.noise_power_w for bs in self.network.base_stations]
-        )
         if hooks is not None:
             hooks.record(
                 "run_start",
-                self.network.time_s,
+                network.time_s,
                 frames=num_frames,
                 frame_duration_s=frame_s,
                 scheduler=self.scheduler.name,
@@ -412,59 +437,21 @@ class DynamicSystemSimulator:
             )
 
         try:
+            # Every stage callable is looked up here, frame by frame, so a
+            # method replaced on its class after construction still runs.
             for frame_index in range(num_frames):
-                now = self.network.time_s
-                if hooks is not None:
-                    self._hooked_stage(
-                        hooks, "voice", now, self._update_voice_activity, frame_s
-                    )
-                    self._hooked_stage(hooks, "arrivals", now, self._pull_arrivals, now)
-                    self._complete_bursts(now)
-                    self._hooked_stage(
-                        hooks, "data_activity", now, self._update_data_activity
-                    )
-                else:
-                    self._update_voice_activity(frame_s)
-                    self._pull_arrivals(now)
-                    self._complete_bursts(now)
-                    self._update_data_activity()
-                snapshot = self.network.snapshot()
-                self._run_admission(snapshot, now)
-                pending_count = sum(len(v) for v in self.pending.values())
-                self.metrics.record_frame(
-                    now,
-                    pending_requests=pending_count,
-                    forward_utilisation=float(
-                        np.mean(snapshot.forward_load.utilisation())
-                    ),
-                    reverse_rise_db=float(
-                        np.mean(
-                            snapshot.reverse_load.rise_over_thermal_db(bs_noise_power_w)
-                        )
-                    ),
-                    fch_outage_fraction=snapshot.fch_outage_fraction(),
-                )
-                if hooks is not None:
-                    hooks.record(
-                        "frame",
-                        now,
-                        frame_index=frame_index,
-                        pending_requests=pending_count,
-                        active_bursts=len(self.active_bursts),
-                    )
-                    self._hooked_stage(
-                        hooks, "mac", now, self._update_mac_states, frame_s
-                    )
-                else:
-                    self._update_mac_states(frame_s)
-                self.network.advance(frame_s)
-                if progress and (frame_index + 1) % progress == 0:  # pragma: no cover
-                    print(
-                        f"  t={self.network.time_s:7.2f}s  pending={pending_count:4d} "
-                        f"active_bursts={len(self.active_bursts):4d}"
-                    )
+                now = network.time_s
+                stage("voice", now, self._update_voice_activity, frame_s)
+                stage("arrivals", now, self._pull_arrivals, now)
+                stage("bursts", now, self._complete_bursts, now)
+                stage("data_activity", now, self._update_data_activity)
+                snapshot = stage("snapshot", now, network.snapshot)
+                stage("admission", now, self._run_admission, snapshot, now)
+                stage("metrics", now, self._record_frame, snapshot, now, frame_index)
+                stage("mac", now, self._update_mac_states, frame_s)
+                stage("network", now, network.advance, frame_s)
             if hooks is not None:
-                hooks.record("run_end", self.network.time_s, frames=num_frames)
+                hooks.record("run_end", network.time_s, frames=num_frames)
         finally:
             if self._owned_recorder is not None:
                 # Publish the trace_path file (the atomic sink renames on

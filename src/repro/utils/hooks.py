@@ -7,9 +7,10 @@ its data; :data:`repro.utils.recorder.EVENT_SCHEMA` is the one list of the
 kinds and of the fields each one carries:
 
 * the **frame pipeline** (:class:`repro.simulation.dynamic.
-  DynamicSystemSimulator` and :meth:`repro.cdma.network.CdmaNetwork.advance`)
-  records ``run_start``/``run_end``, ``stage_enter``/``stage_exit`` (with the
-  stage's wall-clock ``elapsed_s``) and one ``frame`` per scheduling frame;
+  DynamicSystemSimulator`, the only layer that records stages) records
+  ``run_start``/``run_end``, a ``stage_enter``/``stage_exit`` pair (with the
+  stage's wall-clock ``elapsed_s``) around each of the nine stages of every
+  frame, and one ``frame`` per scheduling frame;
 * the **admission path** records every scheduling decision (``admission``:
   queue depth, grants, solver objective and optimality);
 * the **campaign executors** (:mod:`repro.experiments.executors`) record
@@ -22,11 +23,13 @@ kinds and of the fields each one carries:
 wall-clock durations.
 
 The base class is a no-op, so installing ``SimHooks()`` observes nothing
-and costs one method call per dispatch point.  The hot paths guard every
-dispatch with ``if hooks is not None`` and default to ``hooks=None``, so
-the *default* configuration pays a single attribute load and branch — no
-method call, no allocation (bench-gated by ``benchmarks/
-check_bench_regression.py``, budget ≤2 %).
+and costs one method call per dispatch point (plus a clock read on each
+side of a stage).  The hot paths default to ``hooks=None`` and guard every
+dispatch with ``if hooks is not None``: the *default* frame loop pays one
+helper call and one branch per stage and reads no clock, and the other
+dispatch points pay one attribute load and branch.  What a no-op observer
+adds to a frame is bench-gated (``benchmarks/bench_fleet.py`` through
+``benchmarks/check_bench_regression.py``, budget ≤2 %).
 
 :class:`repro.utils.recorder.EventRecorder` is itself a :class:`SimHooks`:
 passing ``hooks=EventRecorder(sink)`` turns every dispatch into one
@@ -78,8 +81,10 @@ class StageTimingHooks(SimHooks):
     """Accumulate per-stage wall time.
 
     :attr:`totals` maps stage name to accumulated wall-clock seconds over
-    the run (for a dynamic run the keys are ``{"voice", "arrivals",
-    "data_activity", "mac", "mobility"}``).
+    the run.  For a dynamic run the keys are the nine stages of
+    :class:`~repro.simulation.dynamic.DynamicSystemSimulator`: ``voice``,
+    ``arrivals``, ``bursts``, ``data_activity``, ``snapshot``,
+    ``admission``, ``metrics``, ``mac`` and ``network``.
     """
 
     def __init__(self) -> None:

@@ -56,11 +56,18 @@ class TestExamples:
         assert (tmp_path / "trace_dynamic_run.jsonl").exists()
         assert "per-stage profile over 60 frames" in out
 
+    def test_multicell_dynamic_simulation_runs(self, capsys):
+        module = _load_example("multicell_dynamic_simulation.py")
+        # 4 s of warm-up + 1 s: 250 frames, so one progress line.
+        module.main(["--load", "2", "--duration", "1"])
+        out = capsys.readouterr().out
+        assert out.count("pending=") == 1
+        assert "Dynamic simulation summary" in out
+
     def test_dynamic_examples_importable(self):
         # The long-running examples are only imported (their main() is covered
         # by the dynamic-simulation integration tests at reduced scale).
         for name in (
-            "multicell_dynamic_simulation.py",
             "scheduler_comparison.py",
             "campaign_coverage_sweep.py",
             "paired_scheduler_comparison.py",

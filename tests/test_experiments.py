@@ -269,8 +269,21 @@ class TestCommandLines:
         expected = reduce_coverage(campaign.run(), campaign.metadata)
         assert printed == expected.to_table() + "\n"
         assert checkpoint.exists()
-        # A rerun resumes every replication from the checkpoint.
-        assert _printed(capsys, campaign_main, argv) == printed
+        # A rerun resumes every replication from the checkpoint; without
+        # --max-retries the executor keeps its own default.
+        assert _printed(capsys, campaign_main, argv[:-2]) == printed
+        assert backends[-1].max_retries == ResilientExecutor(workers=2).max_retries == 2
+
+    @pytest.mark.parametrize(
+        "executor", [["--workers", "1"], ["--workers", "2", "--executor", "serial"]]
+    )
+    def test_retry_budget_without_the_resilient_executor_is_refused(
+        self, capsys, executor
+    ):
+        with pytest.raises(SystemExit):
+            campaign_main(["--experiment", "coverage", "--loads", "2",
+                           "--num-drops", "1", "--max-retries", "0", *executor])
+        assert "--max-retries requires the resilient executor" in capsys.readouterr().err
 
     def test_delay_command_with_sequential_stopping(self, tmp_path, capsys):
         traces = tmp_path / "traces"
